@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a verification suite fails (a manifest of
 the failing identities is written next to the results), 2 on usage or
-configuration errors.  Identical config and seed give byte-identical output
+configuration errors, 3 when the run stops on any other error (one line on
+stderr).  Identical config and seed give byte-identical output
 files for any worker count.
 """
 
@@ -20,6 +21,7 @@ from .experiments import KIND_COLUMNS, run_experiment
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
+EXIT_ERROR = 3
 
 
 def _format_value(v) -> str:
@@ -111,7 +113,7 @@ def main(argv=None) -> int:
                 return _run_and_emit(cfg, args)
             status = EXIT_OK
             for kind in ("switching-verify", "identity-suite", "irb-check"):
-                cfg = _default_verify_config(kind, args.seed or 1)
+                cfg = _default_verify_config(kind, 1 if args.seed is None else args.seed)
                 code = _run_and_emit(cfg, args)
                 status = max(status, code)
             return status
@@ -121,6 +123,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(" ".join(f"error: {type(exc).__name__}: {exc}".split()), file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_USAGE
 
 

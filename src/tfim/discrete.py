@@ -17,6 +17,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .randomparity import _UnionFind
+
 
 @dataclass(frozen=True)
 class DiscreteSystem:
@@ -107,20 +109,6 @@ def _switch_parities(system: DiscreteSystem, bridges, ghosts, sources):
     for (x, b) in sources:
         par[x][b] += 1
     return par
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        self.parent[self.find(i)] = self.find(j)
 
 
 def _connected(system: DiscreteSystem, labels1, labels2, bridges_union, ghosts,

@@ -290,6 +290,10 @@ def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict,
             boundary.extend(res["boundary"])
             trif += res["trif"]
             violations += res["violations"]
+        if acc.sum_den == 0:
+            raise spinrep.SamplingError(
+                f"percolation-sweep: all {acc.n} coupled weights of the origin-to-ghost "
+                f"pool at lam={lam} are zero, so its ratio is undefined")
         est = acc.estimate()
         region = _region(cfg, bc_space="w", bc_time="f" if cfg.ground_state else "p")
         ok = ok and violations == 0

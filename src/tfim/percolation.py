@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SpaceTimeRegion
-from .randomparity import (ClusterPartition, CoupledConfiguration, _UnionFind,
-                           connectivity, sample_coupled)
+from .randomparity import (ClusterPartition, CoupledConfiguration, block_fully_connected,
+                           block_of, connectivity, sample_coupled)
 from .stats import Estimate, ratio_estimate_independent
 
 
@@ -142,118 +142,40 @@ def leaf_bound_printed_form(region: SpaceTimeRegion, delta: float) -> float:
     return 2.0 * side**region.box.d + 4.0 * delta * region.r * side ** (region.box.d - 1)
 
 
-def _block_window(t0: float, r0: float) -> tuple:
-    return (t0 - r0 / 2.0, t0 + r0 / 2.0)
-
-
 def _complement_branches(coupled: CoupledConfiguration, center_x, t0: float,
                          n0: int, r0: float) -> int:
-    """Boundary-touching complement components attached to the block."""
+    """Boundary-touching components of the region minus the block that attach
+    to the block, by a bridge into it or along a line through a window end."""
     region = coupled.region
-    eps = 1e-12
-    lo_w, hi_w = _block_window(t0, r0)
-    block_sites = {x for x in region.box.sites()
-                   if all(abs(c - c0) <= n0 for c, c0 in zip(x, center_x))}
-
-    def kept_spans(x) -> list:
-        if x not in block_sites:
-            return [(region.t_min, region.t_max)]
-        out = []
-        if lo_w > region.t_min:
-            out.append((region.t_min, lo_w))
-        if hi_w < region.t_max:
-            out.append((hi_w, region.t_max))
-        return out
-
-    # vertices: kept spans subdivided at blocking cuts
-    spans = []
-    index = {}
-    for x in region.box.sites():
-        for (lo, hi) in kept_spans(x):
-            cuts = [float(c) for c in np.asarray(coupled.cuts.get(x, ()))
-                    if lo < float(c) < hi
-                    and coupled.labelling1.label_is_even(x, float(c))
-                    and coupled.labelling2.label_is_even(x, float(c))]
-            bounds = [lo] + sorted(cuts) + [hi]
-            for i in range(len(bounds) - 1):
-                index[(x, bounds[i])] = len(spans)
-                spans.append((x, bounds[i], bounds[i + 1]))
-
-    def vertex(x, t):
-        best = None
-        for key, vid in index.items():
-            if key[0] != x:
-                continue
-            a = key[1]
-            b = spans[vid][2]
-            if a - eps <= t <= b + eps:
-                if best is None or a > spans[best][1] - eps:
-                    best = vid
-        return best
-
-    # components of the complement (no block vertex), plus the set of
-    # complement vertices directly attached to the block
+    sites, window = block_of(region, (center_x, t0), n0, r0)
+    bounds = [region.t_min, *itertools.chain(*window), region.t_max]
+    rest = [(a, b) for a, b in zip(bounds[::2], bounds[1::2]) if b > a]
+    kept = {x: rest if x in sites else [(region.t_min, region.t_max)]
+            for x in region.box.sites()}
+    part = ClusterPartition.from_spans(region, kept, coupled.blocking_cuts)
+    attached = part.join(coupled.bridge_times_union())
+    attached += [part.vertex(x, t) for x in sites for span in window for t in span]
+    attached_roots = {part.uf.find(v) for v in attached if v is not None}
     boundary_sites = set(region.box.boundary_sites())
-    uf2 = _UnionFind(len(spans))
-    adjacent = set()
-    for ((x, y), t) in coupled.bridge_times_union():
-        vx = vertex(x, t)
-        vy = vertex(y, t)
-        if vx is not None and vy is not None:
-            uf2.union(vx, vy)
-        elif vx is not None and y in block_sites and lo_w <= t <= hi_w:
-            adjacent.add(vx)
-        elif vy is not None and x in block_sites and lo_w <= t <= hi_w:
-            adjacent.add(vy)
-    for x in block_sites:
-        for t_edge in (lo_w, hi_w):
-            v = vertex(x, t_edge)
-            if v is not None:
-                adjacent.add(v)
+    eps = 1e-12
     branch_roots = set()
-    for vid, (x, a, b) in enumerate(spans):
-        touches = x in boundary_sites
-        if region.time_topology == "interval" and (a <= region.t_min + eps or b >= region.t_max - eps):
-            touches = True
-        if touches:
-            root = uf2.find(vid)
-            if any(uf2.find(v) == root for v in adjacent):
+    for root, members in part.classes().items():
+        if root not in attached_roots:
+            continue
+        for (x, i) in members:
+            if x in boundary_sites or (region.time_topology == "interval" and (
+                    part.starts[x][i] <= region.t_min + eps
+                    or part.ends[x][i] >= region.t_max - eps)):
                 branch_roots.add(root)
+                break
     return len(branch_roots)
 
 
 def _block_fully_connected(coupled: CoupledConfiguration, center_x, t0: float,
                            n0: int, r0: float) -> bool:
-    region = coupled.region
-    lo_w, hi_w = _block_window(t0, r0)
-    block_sites = [x for x in region.box.sites()
-                   if all(abs(c - c0) <= n0 for c, c0 in zip(x, center_x))]
-    spans = []
-    index_of = {}
-    for x in block_sites:
-        cuts = [float(c) for c in np.asarray(coupled.cuts.get(x, ()))
-                if lo_w < float(c) < hi_w
-                and coupled.labelling1.label_is_even(x, float(c))
-                and coupled.labelling2.label_is_even(x, float(c))]
-        bounds = [lo_w] + sorted(cuts) + [hi_w]
-        for i in range(len(bounds) - 1):
-            index_of[(x, i)] = len(spans)
-            spans.append((x, bounds[i], bounds[i + 1]))
-    if not spans:
-        return False
-    uf = _UnionFind(len(spans))
-    for ((x, y), t) in coupled.bridge_times_union():
-        if not (lo_w <= t <= hi_w):
-            continue
-        vx = vy = None
-        for vid, (sx, a, b) in enumerate(spans):
-            if sx == x and a <= t <= b:
-                vx = vid
-            if sx == y and a <= t <= b:
-                vy = vid
-        if vx is not None and vy is not None:
-            uf.union(vx, vy)
-    return len({uf.find(i) for i in range(len(spans))}) == 1
+    """The block test of one probe, under its own name so that probe costs
+    can be traced apart (tfimbench patches it by name)."""
+    return block_fully_connected(coupled, (center_x, t0), n0, r0)
 
 
 @dataclass
@@ -279,15 +201,17 @@ def trifurcation_diagnostic(coupled: CoupledConfiguration, n0: int,
     coords = range(-(abs(lo_c) // step_x) * step_x, hi_c + 1, step_x)
     probes_x = list(itertools.product(coords, repeat=d))
     n_t = int(region.r / step_t) + 1
-    probes_t = [k * step_t for k in range(-n_t, n_t + 1)
-                if region.t_min <= k * step_t <= region.t_max]
+    circle = region.time_topology == "circle"
+    # a circle's t_min and t_max are one slice, probed once
+    probes_t = [t for t in (k * step_t for k in range(-n_t, n_t + 1))
+                if region.t_min <= t < region.t_max or (t == region.t_max and not circle)]
     n_trif = 0
     n_clipped = 0
     n_probes = 0
     for cx in probes_x:
         inside = all(lo_c <= c - n0 and c + n0 <= hi_c for c in cx)
         for t0 in probes_t:
-            window_ok = (region.time_topology == "circle" or
+            window_ok = (circle or
                          (region.t_min <= t0 - r0 / 2 and t0 + r0 / 2 <= region.t_max))
             if not (inside and window_ok):
                 n_clipped += 1

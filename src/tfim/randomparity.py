@@ -22,6 +22,7 @@ otherwise, plus an independent rate-4*delta cut process.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -195,6 +196,11 @@ def ghost_rates(box: Box, lam: float) -> dict:
             if box.exterior_neighbour_count(x) > 0}
 
 
+def _edge_times(bridges: dict):
+    return (((tuple(x), tuple(y)), float(t))
+            for (x, y), times in bridges.items() for t in np.asarray(times))
+
+
 @dataclass
 class CoupledConfiguration:
     """Two independent labellings plus the cut process.
@@ -220,11 +226,16 @@ class CoupledConfiguration:
                 * self.labelling2.weight_normalized(self.delta))
 
     def bridge_times_union(self) -> list:
-        out = []
-        for b in (self.bridges1, self.bridges2):
-            for (x, y), times in b.items():
-                out.extend(((tuple(x), tuple(y)), float(t)) for t in np.asarray(times))
-        return out
+        return [*_edge_times(self.bridges1), *_edge_times(self.bridges2)]
+
+    @functools.cached_property
+    def blocking_cuts(self) -> dict:
+        """Site -> sorted cut times labelled even in both labellings; all
+        other cuts are invisible to open paths."""
+        return {x: sorted(float(c) for c in np.asarray(self.cuts.get(x, ()))
+                          if self.labelling1.label_is_even(x, float(c))
+                          and self.labelling2.label_is_even(x, float(c)))
+                for x in self.region.box.sites()}
 
 
 def coupled_bc_pair(region: SpaceTimeRegion) -> tuple[str, str]:
@@ -287,101 +298,129 @@ class _UnionFind:
 
 @dataclass
 class ClusterPartition:
-    """Maximal blocking-cut-free intervals per site, with disjoint-set
-    structure over bridges and (optionally) ghost jumps.
+    """Open-path connectivity on an interval graph over the site lines.
 
-    Blocking cuts are the cut points labelled even in both labellings; all
-    other cuts are invisible to paths.  On circles a cut-free line is a
-    single wrap-around vertex.
+    Each site keeps a list of closed spans of [t_min, t_max] (the whole line,
+    a block window, the line minus a window, or the odd set of a labelling),
+    and each span is split at the site's blocking cuts into vertices.  A
+    point maps by bisect to the vertex whose span contains it (at a shared
+    endpoint, the later one), or to None off the kept spans.  Span ends are
+    stored as given, so lookups need no tolerance.  On circles t_min and
+    t_max name one point: the vertex ending at t_max is joined to the one
+    starting at t_min, and a lookup at either name falls back on the other.
+    Bridges join the vertices at their two ends (:meth:`join`); the optional
+    ghost vertex, index ``n_vertices``, takes the ghost jumps.
     """
 
     region: SpaceTimeRegion
-    blocking: dict          # site -> sorted list of blocking cut times
+    starts: dict            # site -> sorted vertex start times
+    ends: dict              # site -> vertex end times
     offsets: dict           # site -> first vertex id
-    counts: dict            # site -> number of intervals on the line
     uf: _UnionFind
-    ghost_vertex: int | None
-    ghost_mode: str
+    ghost_vertex: int | None = None
+
+    @staticmethod
+    def from_spans(region: SpaceTimeRegion, kept: dict,
+                   cuts: dict) -> "ClusterPartition":
+        """Vertices of the sorted disjoint ``kept`` spans per site (sites
+        without spans have no vertices), split at the sorted ``cuts``."""
+        starts, ends, offsets = {}, {}, {}
+        seams = []
+        total = 0
+        for x in region.box.sites():
+            blocking = cuts.get(x, [])
+            site_starts, site_ends = [], []
+            for (a, b) in kept.get(x, ()):
+                if b <= a:
+                    continue
+                inner = blocking[bisect.bisect_right(blocking, a):
+                                 bisect.bisect_left(blocking, b)]
+                bounds = [a, *inner, b]
+                site_starts.extend(bounds[:-1])
+                site_ends.extend(bounds[1:])
+            if (region.time_topology == "circle" and site_starts
+                    and site_starts[0] == region.t_min and site_ends[-1] == region.t_max):
+                seams.append((total, total + len(site_starts) - 1))
+            starts[x], ends[x], offsets[x] = site_starts, site_ends, total
+            total += len(site_starts)
+        uf = _UnionFind(total + 1)
+        for (i, j) in seams:
+            uf.union(i, j)
+        return ClusterPartition(region, starts, ends, offsets, uf)
 
     @staticmethod
     def build(coupled: CoupledConfiguration, ghost_mode: str = "plain") -> "ClusterPartition":
+        """The whole region: every site line split at its blocking cuts, joined
+        by both bridge sets; unless ``ghost_mode`` is "off", ghost points and
+        (wired time) the time endpoints jump to the ghost vertex."""
         region = coupled.region
-        circle = region.time_topology == "circle"
-        blocking = {}
-        for x in region.box.sites():
-            times = [float(c) for c in np.asarray(coupled.cuts.get(x, ()))
-                     if coupled.labelling1.label_is_even(x, float(c))
-                     and coupled.labelling2.label_is_even(x, float(c))]
-            blocking[x] = sorted(times)
-        offsets = {}
-        counts = {}
-        total = 0
-        for x in region.box.sites():
-            k = len(blocking[x])
-            n = max(1, k) if circle else k + 1
-            offsets[x] = total
-            counts[x] = n
-            total += n
-        uf = _UnionFind(total + 1)
-        ghost_vertex = total if ghost_mode != "off" else None
-        part = ClusterPartition(region, blocking, offsets, counts, uf,
-                                ghost_vertex, ghost_mode)
-        for ((x, y), t) in coupled.bridge_times_union():
-            uf.union(part.vertex(x, t), part.vertex(y, t))
+        whole = {x: [(region.t_min, region.t_max)] for x in region.box.sites()}
+        part = ClusterPartition.from_spans(region, whole, coupled.blocking_cuts)
+        part.join(coupled.bridge_times_union())
         if ghost_mode != "off":
+            ghost = part.ghost_vertex = part.n_vertices
             for x, times in coupled.ghosts.items():
                 for t in np.asarray(times):
-                    uf.union(part.vertex(x, float(t)), ghost_vertex)
-            if not circle and coupled_bc_pair(region)[1] == "w":
+                    part.uf.union(part.vertex(x, float(t)), ghost)
+            if coupled_bc_pair(region)[1] == "w":
                 for x in region.box.sites():
-                    uf.union(part.vertex(x, region.t_min), ghost_vertex)
-                    uf.union(part.vertex(x, region.t_max), ghost_vertex)
+                    part.uf.union(part.vertex(x, region.t_min), ghost)
+                    part.uf.union(part.vertex(x, region.t_max), ghost)
         return part
 
-    def vertex(self, x, t: float) -> int:
+    @property
+    def n_vertices(self) -> int:
+        return len(self.uf.parent) - 1
+
+    def vertex(self, x, t: float) -> int | None:
         x = tuple(x)
-        cuts = self.blocking[x]
-        if self.region.time_topology == "circle":
-            if not cuts:
+        starts, ends = self.starts[x], self.ends[x]
+        i = bisect.bisect_right(starts, t) - 1
+        if i >= 0 and t <= ends[i]:
+            return self.offsets[x] + i
+        region = self.region
+        if region.time_topology == "circle" and starts:
+            # t_min and t_max name one point of the circle
+            if t == region.t_min and ends[-1] == region.t_max:
+                return self.offsets[x] + len(starts) - 1
+            if t == region.t_max and starts[0] == region.t_min:
                 return self.offsets[x]
-            idx = bisect.bisect_right(cuts, t)
-            return self.offsets[x] + (idx - 1) % len(cuts)
-        return self.offsets[x] + bisect.bisect_right(cuts, t)
+        return None
+
+    def join(self, bridges) -> list:
+        """Union the end vertices of every ((x, y), t) bridge with both ends
+        kept; returns the kept end of each bridge with exactly one."""
+        dangling = []
+        for ((x, y), t) in bridges:
+            vx, vy = self.vertex(x, t), self.vertex(y, t)
+            if vx is not None and vy is not None:
+                self.uf.union(vx, vy)
+            elif vx is not None or vy is not None:
+                dangling.append(vy if vx is None else vx)
+        return dangling
 
     def connected(self, p: tuple, q: tuple) -> bool:
-        (x, s), (y, t) = p, q
-        return self.uf.find(self.vertex(x, s)) == self.uf.find(self.vertex(y, t))
+        vp, vq = self.vertex(*p), self.vertex(*q)
+        return vp is not None and vq is not None and self.uf.find(vp) == self.uf.find(vq)
 
     def connected_to_ghost(self, p: tuple) -> bool:
         if self.ghost_vertex is None:
             raise ValueError("partition built without ghost structure")
-        (x, s) = p
-        return self.uf.find(self.vertex(x, s)) == self.uf.find(self.ghost_vertex)
+        v = self.vertex(*p)
+        return v is not None and self.uf.find(v) == self.uf.find(self.ghost_vertex)
 
     def interval_span(self, x, index: int) -> tuple:
-        """(start, length) of an interval vertex on site x."""
-        cuts = self.blocking[tuple(x)]
-        r = self.region.r
-        if self.region.time_topology == "circle":
-            if not cuts:
-                return (self.region.t_min, r)
-            a = cuts[index]
-            b = cuts[(index + 1) % len(cuts)]
-            return (a, (b - a) % r if len(cuts) > 1 else r)
-        bounds = [self.region.t_min] + cuts + [self.region.t_max]
-        return (bounds[index], bounds[index + 1] - bounds[index])
+        """(start, length) of vertex ``index`` on site x."""
+        x = tuple(x)
+        return (self.starts[x][index], self.ends[x][index] - self.starts[x][index])
 
     def classes(self) -> dict:
-        """Map class representative -> list of (site, interval index)."""
+        """Map class representative -> list of (site, vertex index)."""
         out = {}
-        for x in self.region.box.sites():
-            for i in range(self.counts[x]):
-                root = self.uf.find(self.offsets[x] + i)
-                out.setdefault(root, []).append((x, i))
+        for x, offset in self.offsets.items():
+            for i in range(len(self.starts[x])):
+                out.setdefault(self.uf.find(offset + i), []).append((x, i))
         return out
-
-    def ghost_root(self) -> int | None:
-        return None if self.ghost_vertex is None else self.uf.find(self.ghost_vertex)
 
 
 def connectivity(coupled: CoupledConfiguration, p: tuple, q: tuple,
@@ -402,66 +441,55 @@ def connectivity(coupled: CoupledConfiguration, p: tuple, q: tuple,
     raise ValueError(f"unknown connectivity mode {mode!r}")
 
 
+def block_of(region: SpaceTimeRegion, center: tuple, n0: int, r0: float) -> tuple:
+    """(sites, window) of the block around center = (x, t0): the sites within
+    sup-distance n0 of x, and the closed time window of length r0 around t0
+    as sorted spans of [t_min, t_max].  Intervals clip the window.  Circles
+    wrap it modulo r (an end less than 1e-9 max(r, 1) past the seam is
+    clipped instead) and take the whole circle when r0 >= r."""
+    x0, t0 = center
+    sites = [x for x in region.box.sites()
+             if all(abs(c - c0) <= n0 for c, c0 in zip(x, x0))]
+    lo, hi = t0 - r0 / 2.0, t0 + r0 / 2.0
+    t_min, t_max = region.t_min, region.t_max
+    if region.time_topology == "circle":
+        eps = 1e-9 * max(region.r, 1.0)
+        if r0 >= region.r - eps:
+            return sites, [(t_min, t_max)]
+
+        def wrap(t: float) -> float:
+            return t + region.r if t < t_min - eps else t - region.r if t > t_max + eps else t
+
+        lo, hi = wrap(lo), wrap(hi)
+        if hi < lo:
+            return sites, [(t_min, hi), (lo, t_max)]
+    return sites, [(max(lo, t_min), min(hi, t_max))]
+
+
+def block_fully_connected(coupled: CoupledConfiguration, center: tuple, n0: int,
+                          r0: float) -> bool:
+    """Whether every pair of points of the block around center = (x, t0)
+    (see :func:`block_of`) is joined by an open path inside the block."""
+    sites, window = block_of(coupled.region, center, n0, r0)
+    part = ClusterPartition.from_spans(coupled.region, dict.fromkeys(sites, window),
+                                       coupled.blocking_cuts)
+    part.join(coupled.bridge_times_union())
+    return len(part.classes()) == 1
+
+
 def odd_path_exists(lab: Labelling, bridges: dict, p: tuple, q: tuple) -> bool:
     """Connectivity inside the closed odd set of a single labelling, crossing
-    bridges at their (odd) endpoints."""
+    bridges at their (odd) endpoints.  The kept spans are the odd intervals,
+    so a bridge end, which sits on a switch time, resolves to the odd side."""
     region = lab.region
-    sites = region.box.sites()
-    # vertices: odd intervals per site
-    spans = {}
-    offsets = {}
-    total = 0
-    for x in sites:
-        times = lab.switches[x]
-        site_spans = []
-        if region.time_topology == "circle":
-            if not times:
-                if not lab.first_even[x]:
-                    site_spans.append((region.t_min, region.t_min + region.r))
-            else:
-                for i, a in enumerate(times):
-                    b = times[(i + 1) % len(times)]
-                    length = (b - a) % region.r
-                    if length == 0.0:
-                        length = region.r
-                    mid = a + length / 2.0
-                    base = mid if mid <= region.t_max else mid - region.r
-                    if not lab.label_is_even(x, base):
-                        site_spans.append((a, a + length))
-        else:
-            bounds = [region.t_min] + list(times) + [region.t_max]
-            for i in range(len(bounds) - 1):
-                a, b = bounds[i], bounds[i + 1]
-                if b > a and not lab.label_is_even(x, (a + b) / 2.0):
-                    site_spans.append((a, b))
-        offsets[x] = total
-        spans[x] = site_spans
-        total += len(site_spans)
-    uf = _UnionFind(total)
-
-    def find_span(x, t):
-        r = region.r
-        eps = 1e-9 * max(r, 1.0)  # wrap arithmetic rounds the arc endpoints
-        for i, (a, b) in enumerate(spans[tuple(x)]):
-            tt = t
-            if region.time_topology == "circle":
-                while tt < a - eps:
-                    tt += r
-                if a - eps <= tt <= b + eps:
-                    return offsets[tuple(x)] + i
-            elif a - eps <= t <= b + eps:
-                return offsets[tuple(x)] + i
-        return None
-
-    for (x, y), times in bridges.items():
-        for t in np.asarray(times):
-            vx = find_span(x, float(t))
-            vy = find_span(y, float(t))
-            if vx is not None and vy is not None:
-                uf.union(vx, vy)
-    vp = find_span(p[0], p[1])
-    vq = find_span(q[0], q[1])
-    return vp is not None and vq is not None and uf.find(vp) == uf.find(vq)
+    odd = {}
+    for x in region.box.sites():
+        bounds = [region.t_min, *lab.switches[x], region.t_max]
+        odd[x] = [(a, b) for a, b in zip(bounds, bounds[1:])
+                  if b > a and not lab.label_is_even(x, (a + b) / 2.0)]
+    part = ClusterPartition.from_spans(region, odd, {})
+    part.join(_edge_times(bridges))
+    return part.connected((tuple(p[0]), float(p[1])), (tuple(q[0]), float(q[1])))
 
 
 # -- estimators and verifiers -------------------------------------------------
@@ -630,53 +658,6 @@ def constant_B(n0: int, r0: float, lam: float, delta: float, d: int) -> float:
     return math.exp(4.0 * delta * r0 * cells) ** 2 * (1.0 + 2.0 / (lam * r0) ** 2) ** (2 * d * cells)
 
 
-def all_connected_in_block(coupled: CoupledConfiguration, n0: int,
-                           r0: float) -> bool:
-    """Whether every pair of points of the block box_{n0} x I_{r0} is joined
-    by an open path staying inside the block."""
-    region = coupled.region
-    circle = region.time_topology == "circle"
-    block_sites = [x for x in region.box.sites() if all(abs(c) <= n0 for c in x)]
-    lo, hi = -r0 / 2.0, r0 / 2.0
-    full_window = circle and r0 >= region.r
-
-    def in_window(t: float) -> bool:
-        return full_window or (lo <= t <= hi)
-
-    # per site: blocking cuts inside the window split the clipped line
-    offsets = {}
-    counts = {}
-    boundaries = {}
-    total = 0
-    for x in block_sites:
-        cuts = [float(c) for c in np.asarray(coupled.cuts.get(x, ()))
-                if in_window(float(c))
-                and coupled.labelling1.label_is_even(x, float(c))
-                and coupled.labelling2.label_is_even(x, float(c))]
-        cuts.sort()
-        boundaries[x] = cuts
-        n = (max(1, len(cuts)) if full_window else len(cuts) + 1)
-        offsets[x] = total
-        counts[x] = n
-        total += n
-    uf = _UnionFind(total)
-
-    def vertex(x, t):
-        cuts = boundaries[tuple(x)]
-        if full_window:
-            if not cuts:
-                return offsets[tuple(x)]
-            idx = bisect.bisect_right(cuts, t)
-            return offsets[tuple(x)] + (idx - 1 if idx > 0 else len(cuts) - 1)
-        return offsets[tuple(x)] + bisect.bisect_right(cuts, t)
-
-    for ((x, y), t) in coupled.bridge_times_union():
-        if x in offsets and y in offsets and in_window(t):
-            uf.union(vertex(x, t), vertex(y, t))
-    roots = {uf.find(i) for i in range(total)}
-    return len(roots) == 1
-
-
 def verify_local_modification_A(region: SpaceTimeRegion, lam: float, delta: float,
                                 kappa: tuple, n_samples: int,
                                 rng: np.random.Generator) -> dict:
@@ -707,6 +688,7 @@ def verify_local_modification_B(region: SpaceTimeRegion, lam: float, delta: floa
     named event A (callables on coupled configurations, measurable outside
     the block)."""
     c = constant_B(n0, r0, lam, delta, region.box.d)
+    origin = ((0,) * region.box.d, 0.0)
     weights = np.empty(n_samples)
     hits = {name: np.zeros(n_samples) for name in events}
     joint = {name: np.zeros(n_samples) for name in events}
@@ -721,7 +703,7 @@ def verify_local_modification_B(region: SpaceTimeRegion, lam: float, delta: floa
             if event(config):
                 hits[name][i] = w
                 if wired is None:
-                    wired = all_connected_in_block(config, n0, r0)
+                    wired = block_fully_connected(config, origin, n0, r0)
                 if wired:
                     joint[name][i] = w
     results = {}

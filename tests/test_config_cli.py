@@ -138,3 +138,32 @@ def test_cli_json_config_and_entry_point(tmp_path):
     assert data["ok"] is True
     methods = {row["method"] for row in data["rows"]}
     assert {"spin", "random-parity", "oracle"} <= methods
+
+
+def test_cli_crash_exits_three(tmp_path, capsys):
+    # ground state, N = 4, wired space: every coupled weight of the pool is zero
+    cfg = _write_config(tmp_path, """
+kind = percolation-sweep
+d = 1
+n = 4
+ground_state = true
+bc_space = w
+bc_time = f
+lam = 1.0
+delta = 1.0
+n_samples = 4
+n_chains = 1
+seed = 1
+""", name="perc.cfg")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "SamplingError" in err and "lam=1.0" in err and "zero" in err
+
+
+@pytest.mark.parametrize("argv,seed", [([], 1), (["--seed", "0"], 0), (["--seed", "5"], 5)])
+def test_cli_verify_default_seed(monkeypatch, tmp_path, argv, seed):
+    seen = []
+    monkeypatch.setattr("tfim.cli._run_and_emit", lambda cfg, args: seen.append(cfg.seed) or 0)
+    assert main(["verify", "--out", str(tmp_path), *argv]) == 0
+    assert seen == [seed] * 3

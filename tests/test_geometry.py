@@ -79,7 +79,7 @@ def test_graph_laplacian_examples():
 
 
 @given(st.lists(st.floats(-math.pi + 1e-9, math.pi), min_size=1, max_size=3))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_graph_laplacian_even_and_positive(p):
     value = graph_laplacian_ft(p)
     assert value >= 0.0

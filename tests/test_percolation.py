@@ -1,7 +1,9 @@
+import collections
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfim.geometry import Box, SpaceTimeRegion
 from tfim import percolation as pc
@@ -135,3 +137,274 @@ def test_adding_bridge_never_increases_clusters():
                                          extra, coupled.bridges2, coupled.ghosts,
                                          coupled.cuts)
         assert pc.cluster_report(richer).n_clusters <= before
+
+
+# -- circle-time probes ---------------------------------------------------------
+
+def _cut_window_config():
+    """Finite beta 4 (circle [-2, 2]): blocking cuts at t = 1.9 on sites -1, 0,
+    1 and bridges (-1,0), (0,1) at t = -1.8."""
+    region = SpaceTimeRegion.finite_beta(Box(1, 4), 4.0, "w", "p")
+    bridges = {((-1,), (0,)): np.array([-1.8]), ((0,), (1,)): np.array([-1.8])}
+    cuts = {x: np.array([1.9]) for x in ((-1,), (0,), (1,))}
+    return _manual_coupled(region, bridges, cuts, bc=("p", "p"))
+
+
+def test_block_window_wraps_on_circle():
+    coupled = _cut_window_config()
+    # t0 = -2 and t0 = 2 are one slice; its window [1.5, 2] u [-2, -1.5] has
+    # the part [1.5, 1.9] cut off on every site, which no bridge reaches
+    assert not pc._block_fully_connected(coupled, (0,), -2.0, 1, 1.0)
+    assert not pc._block_fully_connected(coupled, (0,), 2.0, 1, 1.0)
+    # without the cuts the bridges at -1.8 join the wrapped block
+    joined = rp.CoupledConfiguration(coupled.region, 1.0, 1.0, coupled.labelling1,
+                                     coupled.labelling2, coupled.bridges1, {}, {}, {})
+    assert pc._block_fully_connected(joined, (0,), -2.0, 1, 1.0)
+    assert pc._block_fully_connected(joined, (0,), 2.0, 1, 1.0)
+
+
+def test_circle_probe_times_count_each_slice_once():
+    region = SpaceTimeRegion.finite_beta(Box(1, 4), 4.0, "w", "p")
+    rng = chain_generator(34, 0)
+    coupled = rp.sample_coupled(region, 1.0, 1.0, (), (), rng)
+    rep = pc.trifurcation_diagnostic(coupled, 1, 1.0, 1.0)
+    # probe centres x in {-3, 0, 3}, t0 in {-2, 0} (t0 = 2 is the slice t0 = -2)
+    assert rep.n_probes + rep.n_clipped == 3 * 2
+    # on an interval t0 = -2 and t0 = 2 are distinct (and clipped) slices
+    interval = SpaceTimeRegion(Box(1, 4), 4.0, "w", "f")
+    coupled = rp.sample_coupled(interval, 1.0, 1.0, (), (), rng)
+    rep = pc.trifurcation_diagnostic(coupled, 1, 1.0, 1.0)
+    assert (rep.n_probes, rep.n_clipped) == (3, 6)
+
+
+# Reports of the first criterion-10 draw of chain_generator(seed, 0), recorded
+# before the connectivity builders were merged: (trifurcations, boundary
+# intervals, probes, clipped), (clusters, boundary-touching, largest measure).
+_CRITERION_10_PINS = {
+    3: ((1, 67, 9, 6), (32, 10, 66.57815881092836)),
+    7: ((1, 81, 9, 6), (26, 15, 68.5858445631748)),
+    10: ((1, 84, 9, 6), (37, 6, 67.32098217396415)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_CRITERION_10_PINS))
+def test_criterion_10_reports_pinned(seed):
+    region = SpaceTimeRegion.ground_state(Box(1, 4), "w", "f")
+    coupled = rp.sample_coupled(region, 1.0, 1.0, (), (), chain_generator(seed, 0))
+    trif = pc.trifurcation_diagnostic(coupled, 1, 1.0, 1.0)
+    clusters = pc.cluster_report(coupled, 1, 1.0)
+    (counts, (n_clusters, touching, largest)) = _CRITERION_10_PINS[seed]
+    assert (trif.n_trifurcations, trif.n_boundary_intervals, trif.n_probes,
+            trif.n_clipped) == counts
+    assert (clusters.n_clusters, clusters.boundary_touching) == (n_clusters, touching)
+    assert clusters.largest_cluster_measure == pytest.approx(largest, abs=1e-12)
+    assert clusters.origin_to_ghost and clusters.origin_to_boundary
+
+
+# -- brute-force reference for the interval-graph connectivity -----------------
+#
+# Each site line is cut at every event time (cuts, switching points, window
+# ends, query points) into atomic segments.  Kept points and kept segments
+# are nodes; a segment meets its kept end points unless a point is a blocking
+# cut; ``links`` join nodes (bridges, ghost jumps); components come from BFS.
+# On circles t_max is the same point node as t_min.
+
+def _pt(region, x, t):
+    if region.time_topology == "circle" and t == region.t_max:
+        t = region.t_min
+    return ("pt", tuple(x), t)
+
+
+def _components(region, times, point_kept, seg_kept, blocked, links, extra=()):
+    """Node -> component label over kept points, the kept segments (tested at
+    their midpoints) and the ``extra`` nodes."""
+    nodes = set(extra)
+    edges = list(links)
+    for x, ts in times.items():
+        nodes.update(_pt(region, x, t) for t in ts if point_kept(x, t))
+        for k, (a, b) in enumerate(zip(ts, ts[1:])):
+            if seg_kept(x, (a + b) / 2.0):
+                nodes.add(("seg", x, k))
+                edges += [(("seg", x, k), _pt(region, x, t)) for t in (a, b)
+                          if point_kept(x, t) and not blocked(x, t)]
+    adj = collections.defaultdict(list)
+    for u, v in edges:
+        if u in nodes and v in nodes:
+            adj[u].append(v)
+            adj[v].append(u)
+    component = {}
+    for start in nodes:
+        if start not in component:
+            component[start] = start
+            queue = [start]
+            while queue:
+                for v in adj[queue.pop()]:
+                    if v not in component:
+                        component[v] = start
+                        queue.append(v)
+    return component
+
+
+def _event_times(c, extra):
+    region = c.region
+    out = {}
+    for x in region.box.sites():
+        ts = {region.t_min, region.t_max, *c.labelling1.switches[x],
+              *c.labelling2.switches[x], *(float(t) for t in np.asarray(c.cuts.get(x, ())))}
+        ts.update(t for t in extra if region.t_min <= t <= region.t_max)
+        out[x] = sorted(ts)
+    return out
+
+
+def _blocked(c):
+    def blocked(x, t):
+        return (t in np.asarray(c.cuts.get(x, ())) and c.labelling1.label_is_even(x, t)
+                and c.labelling2.label_is_even(x, t))
+    return blocked
+
+
+def _bridge_links(region, bridge_sets):
+    return [(_pt(region, x, float(t)), _pt(region, y, float(t)))
+            for bridges in bridge_sets for (x, y), ts in bridges.items()
+            for t in np.asarray(ts)]
+
+
+def _always(x, t):
+    return True
+
+
+def _never(x, t):
+    return False
+
+
+def _reference_connectivity(c, points, ghost_jumps):
+    region = c.region
+    links = _bridge_links(region, (c.bridges1, c.bridges2))
+    if ghost_jumps:
+        links += [(_pt(region, x, float(t)), "ghost")
+                  for x, ts in c.ghosts.items() for t in np.asarray(ts)]
+        if region.time_topology == "interval":
+            links += [(_pt(region, x, t), "ghost") for x in region.box.sites()
+                      for t in (region.t_min, region.t_max)]
+    return _components(region, _event_times(c, [t for _, t in points]), _always,
+                       _always, _blocked(c), links, ["ghost"])
+
+
+def _reference_window(region, t0, r0):
+    """(open, closed, ends) of the time window of length r0 around t0."""
+    if region.time_topology == "interval":
+        lo, hi = t0 - r0 / 2.0, t0 + r0 / 2.0
+        return (lambda t: lo < t < hi), (lambda t: lo <= t <= hi), [lo, hi]
+    r = region.r
+    if r0 >= r:
+        return (lambda t: True), (lambda t: True), []
+    lo, hi = ((t - region.t_min) % r + region.t_min for t in (t0 - r0 / 2.0, t0 + r0 / 2.0))
+    length = (hi - lo) % r
+    ends = {lo, hi}
+    if ends & {region.t_min, region.t_max}:
+        ends |= {region.t_min, region.t_max}
+
+    def open_(t):
+        return t not in ends and 0.0 < (t - lo) % r < length
+
+    return open_, (lambda t: t in ends or open_(t)), [lo, hi]
+
+
+def _reference_block(c, x0, t0, n0, r0):
+    """(block fully connected, complement branch count)."""
+    region = c.region
+    block = {x for x in region.box.sites() if all(abs(a - b) <= n0 for a, b in zip(x, x0))}
+    open_, closed, ends = _reference_window(region, t0, r0)
+    times = _event_times(c, ends)
+    links = _bridge_links(region, (c.bridges1, c.bridges2))
+    inside = _components(region, times, lambda x, t: x in block and closed(t),
+                         lambda x, t: x in block and open_(t), _blocked(c), links)
+    connected = len({inside[n] for n in inside if n[0] == "seg"}) == 1
+
+    def kept(x, t):
+        return x not in block or not open_(t)
+
+    rest = _components(region, times, kept, kept, _blocked(c), links)
+    attached = {_pt(region, x, t) for x in block for t in times[x]
+                if closed(t) and kept(x, t)}
+    for bridges in (c.bridges1, c.bridges2):
+        for (x, y), ts in bridges.items():
+            for t in map(float, np.asarray(ts)):
+                for u, v in ((x, y), (y, x)):
+                    if kept(u, t) and not kept(v, t):
+                        attached.add(_pt(region, u, t))
+    boundary = set(region.box.boundary_sites())
+    touching = {label for node, label in rest.items()
+                if node[1] in boundary or (region.time_topology == "interval"
+                                           and node[0] == "pt"
+                                           and node[2] in (region.t_min, region.t_max))}
+    branches = {rest[n] for n in attached if n in rest} & touching
+    return connected, len(branches)
+
+
+def _reference_odd_path(lab, bridges, p, q):
+    region = lab.region
+    times = {x: sorted({region.t_min, region.t_max, *lab.switches[x], p[1], q[1]})
+             for x in region.box.sites()}
+
+    def odd(x, t):
+        return not lab.label_is_even(x, t)
+
+    comp = _components(region, times, odd, odd, _never, _bridge_links(region, (bridges,)))
+    u, v = _pt(region, *p), _pt(region, *q)
+    return u in comp and v in comp and comp[u] == comp[v]
+
+
+@st.composite
+def _coupled_draws(draw):
+    """A coupled configuration (interval or circle time, with or without
+    ghosts and plain-labelling sources) and a generator for its queries."""
+    circle = draw(st.booleans())
+    d = draw(st.sampled_from((1, 1, 2)))
+    n = 1 if d == 2 else draw(st.sampled_from((1, 2)))
+    r = draw(st.sampled_from((1.0, 2.0, 3.0)))
+    region = SpaceTimeRegion(Box(d, n), r, "w", "p" if circle else "f")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sites = region.box.sites()
+    sources = ()
+    if draw(st.booleans()):
+        sources = tuple((sites[i], float(rng.uniform(region.t_min, region.t_max)))
+                        for i in (0, -1))
+    c = rp.sample_coupled(region, draw(st.sampled_from((0.3, 1.0, 2.0))),
+                          draw(st.sampled_from((0.2, 0.5, 1.0))), sources, (), rng,
+                          ghost_free=draw(st.booleans()))
+    return c, sources, rng
+
+
+@given(_coupled_draws(), st.sampled_from((0, 1)), st.sampled_from((0.3, 0.6, 1.0, 1.5)),
+       st.sampled_from(("random", "low end at seam", "high end at seam", "across seam")))
+@settings(max_examples=80)
+def test_interval_graph_matches_brute_force(draw, n0, r0_frac, centre):
+    c, sources, rng = draw
+    region = c.region
+    sites = region.box.sites()
+    points = [(sites[rng.integers(len(sites))], float(rng.uniform(region.t_min, region.t_max)))
+              for _ in range(3)]
+    for mode, jumps in (("plain", True), ("off-gamma", False)):
+        comp = _reference_connectivity(c, points, jumps)
+        for q in points[1:]:
+            expect = comp[_pt(region, *points[0])] == comp[_pt(region, *q)]
+            assert rp.connectivity(c, points[0], q, mode) == expect
+    comp = _reference_connectivity(c, points, True)
+    for p in points:
+        assert rp.connectivity(c, p, None, "to-gamma") == (comp[_pt(region, *p)] == comp["ghost"])
+
+    r0 = r0_frac * region.r
+    x0 = sites[rng.integers(len(sites))]
+    t0 = {"random": float(rng.uniform(region.t_min, region.t_max)),
+          "low end at seam": region.t_min + r0 / 2.0,
+          "high end at seam": region.t_max - r0 / 2.0,
+          "across seam": region.t_max - r0 / 4.0}[centre if region.bc_time == "p" else "random"]
+    connected, branches = _reference_block(c, x0, t0, n0, r0)
+    assert rp.block_fully_connected(c, (x0, t0), n0, r0) == connected
+    assert pc._block_fully_connected(c, x0, t0, n0, r0) == connected
+    assert pc._complement_branches(c, x0, t0, n0, r0) == branches
+
+    for p, q in [*zip(points, points[1:]), *([sources] if sources else [])]:
+        assert (rp.odd_path_exists(c.labelling1, c.bridges1, p, q)
+                == _reference_odd_path(c.labelling1, c.bridges1, p, q))

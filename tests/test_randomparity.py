@@ -63,7 +63,7 @@ def test_labelling_periodic_tau():
 
 @given(st.lists(st.floats(-0.99, 0.99), min_size=0, max_size=8),
        st.lists(st.floats(-0.99, 0.99), min_size=0, max_size=8))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_even_odd_lengths_additive(times_a, times_b):
     region = SpaceTimeRegion(Box(1, 1, "even-side"), 2.0, "f", "f")
     times_a = sorted(set(times_a))

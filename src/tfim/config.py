@@ -53,8 +53,19 @@ class RunConfig:
             raise ConfigError("bad box parameters")
         if self.ground_state and self.beta is not None:
             raise ConfigError("ground-state runs take no beta (time length is 2n)")
-        if not self.ground_state and self.beta is None:
-            raise ConfigError("finite-temperature runs need beta")
+        if not self.ground_state and (self.beta is None or self.beta <= 0):
+            raise ConfigError("finite-temperature runs need beta > 0")
+        for key in ("bc_space", "bc_time"):
+            if getattr(self, key) not in ("f", "w", "p"):
+                raise ConfigError(f"{key} must be f, w or p, not {getattr(self, key)!r}")
+        if self.delta <= 0:
+            raise ConfigError("delta must be positive")
+        if any(lam < 0 for lam in self.lam_grid):
+            raise ConfigError("couplings must be nonnegative")
+        if self.dt <= 0 or self.n_sweeps <= 0:
+            raise ConfigError("dt and n_sweeps must be positive")
+        if self.point_site:
+            self._check_point()
         if self.kind == "lambda-c":
             if not self.ground_state:
                 raise ConfigError("the critical-point scan is a ground-state run")
@@ -64,11 +75,25 @@ class RunConfig:
             raise ConfigError("bad sampling parameters")
         return self
 
+    def _check_point(self) -> None:
+        """The second correlation point lies in the region, and off the time
+        endpoints when time is an interval."""
+        if len(self.point_site) != self.d:
+            raise ConfigError(f"point_site {self.point_site} needs d = {self.d} coordinates")
+        if any(abs(c) > self.n for c in self.point_site):
+            raise ConfigError(f"point_site {self.point_site} is outside the box of half-side {self.n}")
+        half = self.n if self.ground_state else self.beta / 2.0
+        interval = self.ground_state or self.bc_time != "p"
+        if abs(self.point_time) > half or (interval and abs(self.point_time) == half):
+            lo, hi = "()" if interval else "[]"
+            raise ConfigError(f"point_time {self.point_time} must lie in {lo}-{half}, {half}{hi}")
+
 
 _LIST_KEYS = {"lam_grid", "n_schedule", "point_site"}
 _INT_KEYS = {"d", "n", "n_samples", "n_chains", "seed", "n_sweeps"}
 _FLOAT_KEYS = {"beta", "delta", "point_time", "dt", "l_max_factor"}
 _BOOL_KEYS = {"ground_state"}
+_NULLABLE_KEYS = {"beta", "seed"}
 
 
 def _coerce(key: str, raw):
@@ -82,10 +107,12 @@ def _coerce(key: str, raw):
         if key == "point_site":
             return tuple(int(v) for v in items)
         return [float(v) for v in items]
+    if key in _NULLABLE_KEYS and raw in (None, "none"):
+        return None
     if key in _INT_KEYS:
-        return None if raw in (None, "none") else int(raw)
+        return int(raw)
     if key in _FLOAT_KEYS:
-        return None if raw in (None, "none") else float(raw)
+        return float(raw)
     if key in _BOOL_KEYS:
         return raw if isinstance(raw, bool) else str(raw).lower() in ("1", "true", "yes")
     return raw
@@ -126,7 +153,10 @@ def _build(values: dict) -> RunConfig:
         key = _ALIASES.get(key, key)
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, raw))
+        try:
+            setattr(cfg, key, _coerce(key, raw))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     return cfg.validate()
 
 

@@ -51,10 +51,6 @@ class DiscreteSystem:
     def interior_boundaries(self) -> range:
         return range(1, self.n_slots) if self.topology == "interval" else range(self.n_slots)
 
-    @property
-    def all_boundaries(self) -> range:
-        return range(self.n_slots + 1) if self.topology == "interval" else range(self.n_slots)
-
     def cells(self) -> range:
         return range(self.n_slots)
 

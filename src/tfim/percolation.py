@@ -153,7 +153,7 @@ def _complement_branches(coupled: CoupledConfiguration, center_x, t0: float,
     kept = {x: rest if x in sites else [(region.t_min, region.t_max)]
             for x in region.box.sites()}
     part = ClusterPartition.from_spans(region, kept, coupled.blocking_cuts)
-    attached = part.join(coupled.bridge_times_union())
+    attached = part.join(coupled.bridge_times_union)
     attached += [part.vertex(x, t) for x in sites for span in window for t in span]
     attached_roots = {part.uf.find(v) for v in attached if v is not None}
     boundary_sites = set(region.box.boundary_sites())

@@ -59,10 +59,6 @@ class Carrier:
     def interval(a: float, b: float) -> "Carrier":
         return Carrier(a, b, circle=False)
 
-    @staticmethod
-    def circle_of(r: float) -> "Carrier":
-        return Carrier(-r / 2.0, r / 2.0, circle=True)
-
 
 @dataclass(frozen=True)
 class PointSet:
@@ -119,12 +115,16 @@ class IntensityProfile:
     def constant(carrier: Carrier, rate: float) -> "IntensityProfile":
         return IntensityProfile(carrier, ((carrier.a, carrier.b, float(rate)),))
 
-    @property
-    def total_mass(self) -> float:
-        return sum((b - a) * rate for (a, b, rate) in self.pieces)
-
 
 _MAX_RESAMPLE = 1000
+
+
+def draw_times(lo: float, hi: float, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted times of a rate-``rate`` Poisson process on [lo, hi): the count,
+    then that many uniform times (a count of zero draws no uniforms).  Every
+    point-process draw of the package goes through here."""
+    n = rng.poisson(rate * (hi - lo))
+    return np.sort(rng.uniform(lo, hi, size=n))
 
 
 def sample(profile: IntensityProfile, rng: np.random.Generator) -> PointSet:
@@ -132,9 +132,7 @@ def sample(profile: IntensityProfile, rng: np.random.Generator) -> PointSet:
     for _ in range(_MAX_RESAMPLE):
         times: list[float] = []
         for (a, b, rate) in profile.pieces:
-            count = rng.poisson(rate * (b - a))
-            if count:
-                times.extend(rng.uniform(a, b, size=count))
+            times.extend(draw_times(a, b, rate, rng))
         times.sort()
         if all(times[i] < times[i + 1] for i in range(len(times) - 1)):
             return PointSet(profile.carrier, tuple(times))
@@ -143,16 +141,6 @@ def sample(profile: IntensityProfile, rng: np.random.Generator) -> PointSet:
 
 def sample_constant(carrier: Carrier, rate: float, rng: np.random.Generator) -> PointSet:
     return sample(IntensityProfile.constant(carrier, rate), rng)
-
-
-def sample_count_conditioned_even(length: float, rate: float, rng: np.random.Generator,
-                                  budget: int = 10000) -> int:
-    """Poisson(rate * length) count conditioned to be even, by rejection."""
-    for _ in range(budget):
-        k = int(rng.poisson(rate * length))
-        if k % 2 == 0:
-            return k
-    raise RuntimeError("rejection budget exceeded for even-count conditioning")
 
 
 # -- local modification schemes -------------------------------------------

@@ -31,6 +31,7 @@ import numpy as np
 
 from .geometry import (Box, EdgeSet, Holes, SpaceTimeRegion, edge_shadow_length,
                        edge_windows, l1_norm, line_components)
+from .poisson import draw_times
 from .stats import (Estimate, difference_estimate, mean_estimate,
                     ratio_estimate_independent, ratio_estimate_jackknife)
 from . import spinrep
@@ -54,6 +55,13 @@ def _check_sources(region: SpaceTimeRegion, sources: Sequence) -> list:
 
 # -- labellings ---------------------------------------------------------------
 
+def _odd_spans(bounds: Sequence, first_even: bool) -> list:
+    """The odd spans among consecutive ``bounds``: labels alternate from span
+    to span, and the first span is even iff ``first_even``."""
+    return [(a, b) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+            if (i % 2 == 0) != first_even]
+
+
 @dataclass
 class Labelling:
     """Even/odd decomposition of the site lines of a region.
@@ -70,22 +78,22 @@ class Labelling:
     consistent: bool
     bc_time: str
 
+    def span_even(self, x, k: int) -> bool:
+        """Label of the open span of x after its k-th switch in time order
+        (k = 0: the span from t_min).  Periodic labels count the switches
+        between the span and the anchor at time 0."""
+        x = tuple(x)
+        if self.bc_time == "p":
+            k -= bisect.bisect_right(self.switches[x], 0.0)
+        return self.first_even[x] == (k % 2 == 0)
+
     def label_is_even(self, x, t: float) -> bool:
         """Label at (x, t); switching points themselves are odd (closed odd)."""
-        x = tuple(x)
-        times = self.switches[x]
+        times = self.switches[tuple(x)]
         idx = bisect.bisect_left(times, t)
         if idx < len(times) and times[idx] == t:
             return False
-        if self.bc_time == "p":
-            # reference at time 0: parity of switches in (0, t] or (t, 0]
-            if t >= 0:
-                count = bisect.bisect_right(times, t) - bisect.bisect_right(times, 0.0)
-            else:
-                count = bisect.bisect_right(times, 0.0) - bisect.bisect_right(times, t)
-            return self.first_even[x] == (count % 2 == 0)
-        count = bisect.bisect_right(times, t)
-        return self.first_even[x] == (count % 2 == 0)
+        return self.span_even(x, idx)
 
     def even_in(self, x, span: tuple) -> bool:
         """True when the whole closed span [a, b] is labelled even."""
@@ -96,45 +104,28 @@ class Labelling:
             return False
         return self.label_is_even(x, a) if a == b else self.label_is_even(x, (a + b) / 2.0)
 
+    def even_throughout(self, holes: Holes) -> bool:
+        """True when every interval of the holes is labelled even."""
+        return all(self.even_in(x, span) for (x, span) in holes.intervals)
+
+    def odd_arcs(self, x) -> list:
+        """Odd spans of site x in walking order: from t_min to t_max, except
+        that a periodic line with switches is walked from switch to switch and
+        its last arc, wrapping past t_max, is one span."""
+        times = self.switches[tuple(x)]
+        if self.bc_time == "p" and times:
+            return _odd_spans([*times, times[0] + self.region.r], self.span_even(x, 1))
+        return _odd_spans([self.region.t_min, *times, self.region.t_max], self.span_even(x, 0))
+
     def odd_length(self) -> float:
         total = 0.0
-        r = self.region.r
-        for x, times in self.switches.items():
-            if len(times) == 0:
-                if not self.first_even[x]:
-                    total += r
-                continue
-            # walk the intervals from the reference point
-            if self.bc_time == "p":
-                bounds = list(times) + [times[0] + r]
-                mid = (bounds[0] + bounds[1]) / 2.0
-                base = mid if mid <= self.region.t_max else mid - r
-                even = self.label_is_even(x, base)
-                for i in range(len(times)):
-                    length = bounds[i + 1] - bounds[i]
-                    if not even:
-                        total += length
-                    even = not even
-            else:
-                bounds = [self.region.t_min] + list(times) + [self.region.t_max]
-                even = self.first_even[x]
-                for i in range(len(bounds) - 1):
-                    if not even:
-                        total += bounds[i + 1] - bounds[i]
-                    even = not even
+        for x in self.switches:
+            for (a, b) in self.odd_arcs(x):
+                total += b - a
         return total
 
     def even_length(self) -> float:
         return self.region.volume - self.odd_length()
-
-    def log_weight_normalized(self) -> float:
-        """log of exp(2 delta eps) / exp(2 delta volume); -inf if inconsistent.
-
-        The delta factor is applied by the caller (kept separate so one
-        labelling can be reweighted)."""
-        if not self.consistent:
-            return -math.inf
-        return -self.odd_length()
 
     def weight_normalized(self, delta: float) -> float:
         if not self.consistent:
@@ -186,11 +177,6 @@ def build_labelling(region: SpaceTimeRegion, bridges: dict, ghosts: dict | None,
 
 # -- process sampling ---------------------------------------------------------
 
-def _poisson_on(lo: float, hi: float, rate: float, rng: np.random.Generator) -> np.ndarray:
-    n = rng.poisson(rate * (hi - lo))
-    return np.sort(rng.uniform(lo, hi, size=n))
-
-
 def ghost_rates(box: Box, lam: float) -> dict:
     return {x: lam * box.exterior_neighbour_count(x) for x in box.sites()
             if box.exterior_neighbour_count(x) > 0}
@@ -225,7 +211,9 @@ class CoupledConfiguration:
         return (self.labelling1.weight_normalized(self.delta)
                 * self.labelling2.weight_normalized(self.delta))
 
+    @functools.cached_property
     def bridge_times_union(self) -> list:
+        """Every ((x, y), t) bridge of both bridge sets."""
         return [*_edge_times(self.bridges1), *_edge_times(self.bridges2)]
 
     @functools.cached_property
@@ -258,20 +246,24 @@ def sample_coupled(region: SpaceTimeRegion, lam: float, delta: float,
                    sources1: Sequence = (), sources2: Sequence = (),
                    rng: np.random.Generator = None,
                    ghost_free: bool = False) -> CoupledConfiguration:
-    """One weighted draw of the coupled measure (weight may be zero)."""
+    """One weighted draw of the coupled measure (weight may be zero).  Raises
+    SamplingError when 100 draws in a row repeat a bridge or ghost time."""
     t1, t2 = coupled_bc_pair(region)
     box = region.box
     lo, hi = region.t_min, region.t_max
     free_edges = list(EdgeSet.free(box).edges)
     for _ in range(100):
-        bridges1 = {e: _poisson_on(lo, hi, lam, rng) for e in free_edges}
-        bridges2 = {e: _poisson_on(lo, hi, lam, rng) for e in free_edges}
+        bridges1 = {e: draw_times(lo, hi, lam, rng) for e in free_edges}
+        bridges2 = {e: draw_times(lo, hi, lam, rng) for e in free_edges}
         ghosts = ({} if ghost_free else
-                  {x: _poisson_on(lo, hi, rate, rng)
+                  {x: draw_times(lo, hi, rate, rng)
                    for x, rate in ghost_rates(box, lam).items()})
-        cuts = {x: _poisson_on(lo, hi, 4.0 * delta, rng) for x in box.sites()}
+        cuts = {x: draw_times(lo, hi, 4.0 * delta, rng) for x in box.sites()}
         if _distinct([*bridges1.values(), *bridges2.values(), *ghosts.values()]):
             break
+    else:
+        raise spinrep.SamplingError(
+            "coupled draw: 100 draws in a row had coincident bridge or ghost times")
     tau1 = {x: int(rng.integers(2)) for x in box.sites()} if t1 == "p" else None
     tau2 = {x: int(rng.integers(2)) for x in box.sites()} if t2 == "p" else None
     lab1 = build_labelling(region, bridges1, None, sources1, t1, tau1)
@@ -356,7 +348,7 @@ class ClusterPartition:
         region = coupled.region
         whole = {x: [(region.t_min, region.t_max)] for x in region.box.sites()}
         part = ClusterPartition.from_spans(region, whole, coupled.blocking_cuts)
-        part.join(coupled.bridge_times_union())
+        part.join(coupled.bridge_times_union)
         if ghost_mode != "off":
             ghost = part.ghost_vertex = part.n_vertices
             for x, times in coupled.ghosts.items():
@@ -473,7 +465,7 @@ def block_fully_connected(coupled: CoupledConfiguration, center: tuple, n0: int,
     sites, window = block_of(coupled.region, center, n0, r0)
     part = ClusterPartition.from_spans(coupled.region, dict.fromkeys(sites, window),
                                        coupled.blocking_cuts)
-    part.join(coupled.bridge_times_union())
+    part.join(coupled.bridge_times_union)
     return len(part.classes()) == 1
 
 
@@ -482,11 +474,8 @@ def odd_path_exists(lab: Labelling, bridges: dict, p: tuple, q: tuple) -> bool:
     bridges at their (odd) endpoints.  The kept spans are the odd intervals,
     so a bridge end, which sits on a switch time, resolves to the odd side."""
     region = lab.region
-    odd = {}
-    for x in region.box.sites():
-        bounds = [region.t_min, *lab.switches[x], region.t_max]
-        odd[x] = [(a, b) for a, b in zip(bounds, bounds[1:])
-                  if b > a and not lab.label_is_even(x, (a + b) / 2.0)]
+    odd = {x: _odd_spans([region.t_min, *lab.switches[x], region.t_max], lab.span_even(x, 0))
+           for x in region.box.sites()}
     part = ClusterPartition.from_spans(region, odd, {})
     part.join(_edge_times(bridges))
     return part.connected((tuple(p[0]), float(p[1])), (tuple(q[0]), float(q[1])))
@@ -494,23 +483,28 @@ def odd_path_exists(lab: Labelling, bridges: dict, p: tuple, q: tuple) -> bool:
 
 # -- estimators and verifiers -------------------------------------------------
 
-def _labelling_weights(region: SpaceTimeRegion, lam: float, delta: float,
-                       sources: Sequence, n_samples: int,
-                       rng: np.random.Generator, with_ghosts: bool) -> np.ndarray:
+def _labellings(region: SpaceTimeRegion, lam: float, sources: Sequence, n_samples: int,
+                rng: np.random.Generator, with_ghosts: bool):
+    """Yield ``n_samples`` labellings of the region's time condition, each
+    drawn as bridges on the free edges, then ghost points (``with_ghosts``),
+    then the periodic anchors tau."""
     lo, hi = region.t_min, region.t_max
     box = region.box
     free_edges = list(EdgeSet.free(box).edges)
     bc = region.bc_time
-    out = np.empty(n_samples)
     rates = ghost_rates(box, lam) if with_ghosts else {}
-    for i in range(n_samples):
-        bridges = {e: _poisson_on(lo, hi, lam, rng) for e in free_edges}
-        ghosts = {x: _poisson_on(lo, hi, rate, rng) for x, rate in rates.items()}
+    for _ in range(n_samples):
+        bridges = {e: draw_times(lo, hi, lam, rng) for e in free_edges}
+        ghosts = {x: draw_times(lo, hi, rate, rng) for x, rate in rates.items()}
         tau = {x: int(rng.integers(2)) for x in box.sites()} if bc == "p" else None
-        lab = build_labelling(region, bridges, ghosts if with_ghosts else None,
-                              sources, bc, tau)
-        out[i] = lab.weight_normalized(delta)
-    return out
+        yield build_labelling(region, bridges, ghosts, sources, bc, tau)
+
+
+def _labelling_weights(region: SpaceTimeRegion, lam: float, delta: float,
+                       sources: Sequence, n_samples: int,
+                       rng: np.random.Generator, with_ghosts: bool) -> np.ndarray:
+    return np.array([lab.weight_normalized(delta) for lab in
+                     _labellings(region, lam, sources, n_samples, rng, with_ghosts)])
 
 
 def estimate_rpr_correlation(sources: Sequence, region: SpaceTimeRegion,
@@ -733,13 +727,11 @@ def sample_cut_labelling_weight(region: SpaceTimeRegion, holes: Holes, lam: floa
     """One normalized weight draw of the source-free labelling on the region
     with the holes removed (bridge intensity vanishes when either endpoint is
     missing; anchors at hole endpoints are even)."""
-    from .geometry import EdgeSet
     box = region.box
-    free_edges = list(EdgeSet.free(box).edges)
     switch_per_site = {x: [] for x in box.sites()}
-    for e in free_edges:
+    for e in EdgeSet.free(box).edges:
         for (lo, hi) in edge_windows(region, holes, e[0], e[1]):
-            for t in _poisson_on(lo, hi, lam, rng):
+            for t in draw_times(lo, hi, lam, rng):
                 base = t if t <= region.t_max else t - region.r
                 switch_per_site[tuple(e[0])].append(base)
                 switch_per_site[tuple(e[1])].append(base)
@@ -747,52 +739,30 @@ def sample_cut_labelling_weight(region: SpaceTimeRegion, holes: Holes, lam: floa
     circle = region.time_topology == "circle"
     for x in box.sites():
         times = sorted(switch_per_site[x])
-        comps = line_components(region, holes, x)
-        cut = bool(holes.on_site(x))
-        if circle and not cut:
+        if circle and not holes.on_site(x):
             if bc_time != "p":
                 raise ValueError("circle topology pairs with periodic time")
             if len(times) % 2 != 0:
                 return 0.0
             tau_even = rng.integers(2) == 0
-            if not times:
-                odd_total += 0.0 if tau_even else region.r
-            else:
-                bounds = times + [times[0] + region.r]
-                for i in range(len(times)):
-                    a, b = bounds[i], bounds[i + 1]
-                    mid = (a + b) / 2.0
-                    base = mid if mid <= region.t_max else mid - region.r
-                    if base >= 0:
-                        count_mid = sum(1 for s in times if 0.0 < s <= base)
-                    else:
-                        count_mid = sum(1 for s in times if base < s <= 0.0)
-                    if tau_even != (count_mid % 2 == 0):
-                        odd_total += b - a
-            continue
-        for comp in comps:
-            if circle:
-                start, length = comp
-                lo_c, hi_c = start, start + length
-            else:
-                lo_c, hi_c = comp
-                length = hi_c - lo_c
-            inside = [t for t in times if lo_c < t < hi_c] + \
-                     [t + region.r for t in times if circle and lo_c < t + region.r < hi_c]
-            inside.sort()
-            if circle:
-                left_even = right_even = True
-            else:
-                left_even, right_even = _component_anchor(region, lo_c, hi_c, bc_time)
-            need_odd = left_even != right_even
-            if (len(inside) % 2 == 1) != need_odd:
-                return 0.0
-            even = left_even
-            bounds = [lo_c] + inside + [hi_c]
-            for i in range(len(bounds) - 1):
-                if not even:
-                    odd_total += bounds[i + 1] - bounds[i]
-                even = not even
+            odd = Labelling(region, {x: times}, {x: tau_even}, True, "p").odd_arcs(x)
+        else:
+            odd = []
+            for comp in line_components(region, holes, x):
+                if circle:
+                    lo_c, hi_c = comp[0], comp[0] + comp[1]
+                    left_even = right_even = True
+                else:
+                    lo_c, hi_c = comp
+                    left_even, right_even = _component_anchor(region, lo_c, hi_c, bc_time)
+                inside = sorted([t for t in times if lo_c < t < hi_c]
+                                + [t + region.r for t in times
+                                   if circle and lo_c < t + region.r < hi_c])
+                if (len(inside) % 2 == 1) != (left_even != right_even):
+                    return 0.0
+                odd += _odd_spans([lo_c, *inside, hi_c], left_even)
+        for (a, b) in odd:
+            odd_total += b - a
     return math.exp(-2.0 * delta * odd_total)
 
 
@@ -810,7 +780,6 @@ def holes_identity_check(holes: Holes, region: SpaceTimeRegion, lam: float,
     if region.bc_space != "f":
         raise ValueError("the holes identity concerns the plain labelling")
     bc = region.bc_time
-    from .geometry import EdgeSet
     edges = EdgeSet.free(region.box).edges
     shadow = edge_shadow_length(region, holes, edges)
     m_p = len(holes.cut_sites()) if bc == "p" else 0
@@ -819,13 +788,9 @@ def holes_identity_check(holes: Holes, region: SpaceTimeRegion, lam: float,
     for i in range(n_samples):
         lhs[i] = sample_cut_labelling_weight(region, holes, lam, delta, bc, rng)
     rhs = np.empty(n_samples)
-    for i in range(n_samples):
-        lab = _sample_plain_labelling(region, lam, delta, rng)
+    for i, lab in enumerate(_labellings(region, lam, (), n_samples, rng, False)):
         w = lab.weight_normalized(delta)
-        if w > 0 and all(lab.even_in(x, span) for (x, span) in holes.intervals):
-            rhs[i] = w
-        else:
-            rhs[i] = 0.0
+        rhs[i] = w if w > 0 and lab.even_throughout(holes) else 0.0
     scale = (2.0**m_p) * math.exp(lam * shadow)
     el = mean_estimate(lhs)
     er_raw = mean_estimate(rhs)
@@ -837,16 +802,6 @@ def holes_identity_check(holes: Holes, region: SpaceTimeRegion, lam: float,
          "shadow": shadow, "m_p": m_p},
         extra={"printed_rhs": printed_rhs,
                "printed_residual": el.value - printed_rhs})
-
-
-def _sample_plain_labelling(region: SpaceTimeRegion, lam: float, delta: float,
-                            rng: np.random.Generator) -> Labelling:
-    free_edges = list(EdgeSet.free(region.box).edges)
-    lo, hi = region.t_min, region.t_max
-    bridges = {e: _poisson_on(lo, hi, lam, rng) for e in free_edges}
-    tau = ({x: int(rng.integers(2)) for x in region.box.sites()}
-           if region.bc_time == "p" else None)
-    return build_labelling(region, bridges, None, (), region.bc_time, tau)
 
 
 def event_probability_identity(holes: Holes, region: SpaceTimeRegion, lam: float,
@@ -862,14 +817,9 @@ def event_probability_identity(holes: Holes, region: SpaceTimeRegion, lam: float
         raise ValueError("the tilted measure concerns the plain labelling")
     num = np.empty(n_samples)
     den = np.empty(n_samples)
-    for i in range(n_samples):
-        lab = _sample_plain_labelling(region, lam, delta, rng)
-        w = lab.weight_normalized(delta)
-        den[i] = w
-        if w > 0 and all(lab.even_in(x, span) for (x, span) in holes.intervals):
-            num[i] = w
-        else:
-            num[i] = 0.0
+    for i, lab in enumerate(_labellings(region, lam, (), n_samples, rng, False)):
+        w = den[i] = lab.weight_normalized(delta)
+        num[i] = w if w > 0 and lab.even_throughout(holes) else 0.0
     lhs = ratio_estimate_jackknife(num, den)
 
     m_p = len(holes.cut_sites()) if region.bc_time == "p" else 0

@@ -13,15 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def master_generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
 def chain_generator(seed: int, chain: int) -> np.random.Generator:
     if chain < 0:
         raise ValueError(f"chain index must be nonnegative, got {chain}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)).jumped(chain))
-
-
-def chain_generators(seed: int, n_chains: int) -> list[np.random.Generator]:
-    return [chain_generator(seed, k) for k in range(n_chains)]

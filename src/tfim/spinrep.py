@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (Holes, SpaceTimeRegion, edge_windows, line_components)
+from .poisson import draw_times
 from .stats import (Estimate, batch_means_estimate, mean_estimate,
                     ratio_estimate_jackknife)
 
@@ -32,14 +33,9 @@ class SamplingError(RuntimeError):
 _REJECT_BUDGET = 10000
 
 
-def _poisson_times(lo: float, hi: float, rate: float, rng: np.random.Generator) -> np.ndarray:
-    n = rng.poisson(rate * (hi - lo))
-    return np.sort(rng.uniform(lo, hi, size=n))
-
-
 def _even_poisson_times(lo: float, hi: float, rate: float, rng: np.random.Generator) -> np.ndarray:
     for _ in range(_REJECT_BUDGET):
-        times = _poisson_times(lo, hi, rate, rng)
+        times = draw_times(lo, hi, rate, rng)
         if times.size % 2 == 0:
             return times
     raise SamplingError(
@@ -66,6 +62,9 @@ class SpinConfiguration:
             count = int(np.searchsorted(times, 0.0, side="right") - np.searchsorted(times, t, side="right"))
         return self.initial[x] * (1 if count % 2 == 0 else -1)
 
+    def flip_times(self, x) -> np.ndarray:
+        return self.flips.get(tuple(x), np.empty(0))
+
     def product_over(self, points: Sequence) -> int:
         out = 1
         for (x, t) in points:
@@ -87,7 +86,7 @@ def sample_apriori(region: SpaceTimeRegion, delta: float,
     lo, hi = region.t_min, region.t_max
     for x in region.box.sites():
         if region.bc_time == "f":
-            times = _poisson_times(lo, hi, delta, rng)
+            times = draw_times(lo, hi, delta, rng)
             init = 1 if rng.random() < 0.5 else -1
         elif region.bc_time == "p":
             times = _even_poisson_times(lo, hi, delta, rng)
@@ -101,32 +100,21 @@ def sample_apriori(region: SpaceTimeRegion, delta: float,
     return SpinConfiguration(region, initial, flips)
 
 
-def overlap_integral(config: SpinConfiguration, x, y,
-                     windows: Sequence | None = None) -> float:
-    """int sigma(x,t) sigma(y,t) dt over the line (or the given windows)."""
+def overlap_integral(config, x, y, windows: Sequence | None = None) -> float:
+    """int sigma(x,t) sigma(y,t) dt over the line (or the given windows, which
+    may wrap past t_max on the circle) for a :class:`SpinConfiguration` or a
+    :class:`CutSpinConfiguration`.  The product is constant between the flips
+    of x and y, so it is read at the midpoint of each piece."""
     region = config.region
     if windows is None:
         windows = [(region.t_min, region.t_max)]
     x, y = tuple(x), tuple(y)
-    tx = config.flips.get(x, np.empty(0))
-    ty = config.flips.get(y, np.empty(0))
+    flips = np.concatenate([config.flip_times(x), config.flip_times(y)])
     total = 0.0
     for (lo, hi) in windows:
-        breaks = [lo]
-        for arr in (tx, ty):
-            inside = arr[(arr > lo) & (arr < hi)]
-            breaks.extend(inside.tolist())
-        # windows may wrap past t_max on the circle
-        if hi > region.t_max and region.time_topology == "circle":
-            for arr in (tx, ty):
-                inside = arr[(arr > region.t_min) & (arr < hi - region.r)]
-                breaks.extend((inside + region.r).tolist())
-        breaks.append(hi)
-        breaks.sort()
-        for i in range(len(breaks) - 1):
-            a, b = breaks[i], breaks[i + 1]
-            if b <= a:
-                continue
+        cand = flips if hi <= region.t_max else np.concatenate([flips, flips + region.r])
+        breaks = [lo, *np.sort(cand[(cand > lo) & (cand < hi)]).tolist(), hi]
+        for a, b in zip(breaks, breaks[1:]):
             mid = (a + b) / 2.0
             base = mid if mid <= region.t_max else mid - region.r
             total += (b - a) * config.value(x, base) * config.value(y, base)
@@ -144,6 +132,7 @@ def gibbs_weight(config: SpinConfiguration, lam: float, edges: Sequence) -> floa
 
 
 def _weights_and_values(region, lam, delta, n_samples, rng, value_fn):
+    """Log importance weights and values of ``n_samples`` a-priori draws."""
     edges = region.edge_set().edges
     logs = np.empty(n_samples)
     vals = np.empty(n_samples)
@@ -151,8 +140,7 @@ def _weights_and_values(region, lam, delta, n_samples, rng, value_fn):
         config = sample_apriori(region, delta, rng)
         logs[i] = gibbs_log_weight(config, lam, edges)
         vals[i] = value_fn(config)
-    w = np.exp(logs - logs.max())
-    return w, vals
+    return logs, vals
 
 
 def estimate_correlation(points: Sequence, region: SpaceTimeRegion, lam: float,
@@ -164,8 +152,9 @@ def estimate_correlation(points: Sequence, region: SpaceTimeRegion, lam: float,
             raise ValueError(f"point {(x, t)} outside region")
         if region.time_topology == "interval" and abs(abs(t) - region.r / 2) < 1e-12:
             raise ValueError("correlation points must avoid the time endpoints")
-    w, vals = _weights_and_values(region, lam, delta, n_samples, rng,
-                                  lambda c: c.product_over(points))
+    logs, vals = _weights_and_values(region, lam, delta, n_samples, rng,
+                                     lambda c: c.product_over(points))
+    w = np.exp(logs - logs.max())
     return ratio_estimate_jackknife(w * vals, w)
 
 
@@ -202,7 +191,8 @@ def estimate_exp_overlap_in(holes: Holes, region: SpaceTimeRegion, lam: float,
     def value(config):
         return math.exp(-lam * restricted_overlap_sum(config, holes, edges))
 
-    w, vals = _weights_and_values(region, lam, delta, n_samples, rng, value)
+    logs, vals = _weights_and_values(region, lam, delta, n_samples, rng, value)
+    w = np.exp(logs - logs.max())
     return ratio_estimate_jackknife(w * vals, w)
 
 
@@ -229,6 +219,13 @@ class CutSpinConfiguration:
                 return init * (1 if count % 2 == 0 else -1)
         raise ValueError(f"time {t} not in any component of site {x}")
 
+    def flip_times(self, x) -> np.ndarray:
+        """Flip times of site x in base coordinates [t_min, t_max]."""
+        times = np.concatenate([start + flips for (start, _, _, flips)
+                                in self.components[tuple(x)]] or [np.empty(0)])
+        times[times > self.region.t_max] -= self.region.r
+        return times
+
 
 def _sample_cut_config(region: SpaceTimeRegion, holes: Holes, delta: float,
                        rng: np.random.Generator) -> tuple[CutSpinConfiguration, float]:
@@ -254,35 +251,11 @@ def _sample_cut_config(region: SpaceTimeRegion, holes: Holes, delta: float,
                 times = _even_poisson_times(0.0, length, delta, rng)
                 log_factor += math.log((1.0 + math.exp(-2.0 * delta * length)) / 2.0)
             else:
-                times = _poisson_times(0.0, length, delta, rng)
+                times = draw_times(0.0, length, delta, rng)
             init = 1 if rng.random() < 0.5 else -1
             site_comps.append((start, length, init, times))
         comps[x] = site_comps
     return CutSpinConfiguration(region, comps), log_factor
-
-
-def _cut_overlap(config: CutSpinConfiguration, x, y, windows) -> float:
-    region = config.region
-    total = 0.0
-    for (lo, hi) in windows:
-        breaks = {lo, hi}
-        for site in (tuple(x), tuple(y)):
-            for (start, length, _, flips) in config.components[site]:
-                for f in flips:
-                    t = start + f
-                    base = t if t <= region.t_max else t - region.r
-                    for cand in (t, base):
-                        if lo < cand < hi:
-                            breaks.add(cand)
-        bl = sorted(breaks)
-        for i in range(len(bl) - 1):
-            a, b = bl[i], bl[i + 1]
-            if b <= a:
-                continue
-            mid = (a + b) / 2.0
-            base = mid if mid <= region.t_max else mid - region.r
-            total += (b - a) * config.value(x, base) * config.value(y, base)
-    return total
 
 
 def estimate_cut_partition(region: SpaceTimeRegion, holes: Holes, lam: float,
@@ -298,7 +271,7 @@ def estimate_cut_partition(region: SpaceTimeRegion, holes: Holes, lam: float,
     vals = np.empty(n_samples)
     for i in range(n_samples):
         config, log_factor = _sample_cut_config(region, holes, delta, rng)
-        total = sum(_cut_overlap(config, x, y, windows[(x, y)]) for (x, y) in edges)
+        total = sum(overlap_integral(config, x, y, windows[(x, y)]) for (x, y) in edges)
         vals[i] = math.exp(lam * total + log_factor)
     return mean_estimate(vals)
 

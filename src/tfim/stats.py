@@ -20,12 +20,6 @@ class RunningMoments:
     mean: float = 0.0
     m2: float = 0.0
 
-    def push(self, x: float) -> None:
-        self.n += 1
-        d = x - self.mean
-        self.mean += d / self.n
-        self.m2 += d * (x - self.mean)
-
     def push_many(self, xs) -> None:
         xs = np.asarray(xs, dtype=float)
         if xs.size == 0:
@@ -117,13 +111,6 @@ def ratio_estimate_independent(num, den, ess_warn: float = 100.0) -> Estimate:
     ess = effective_sample_size(np.abs(den))
     warnings = ("low-ess",) if ess < ess_warn else ()
     return Estimate(float(nb / db), math.sqrt(var), num.size, ess, warnings)
-
-
-def product_estimate(a: Estimate, b: Estimate) -> Estimate:
-    """Delta-method product of two independent estimates."""
-    value = a.value * b.value
-    var = (b.value * a.stderr) ** 2 + (a.value * b.stderr) ** 2
-    return Estimate(value, math.sqrt(var), min(a.n, b.n))
 
 
 def difference_estimate(a: Estimate, b: Estimate) -> Estimate:

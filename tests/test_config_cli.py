@@ -47,6 +47,18 @@ def test_parse_json_config():
     ({"lam_grid": [1.0, 0.5]}, "strictly increasing"),
     ({"seed": None}, "seed"),
     ({"kind": "nonsense"}, "unknown experiment kind"),
+    ({"bc_space": "x"}, "bc_space must be f, w or p"),
+    ({"bc_time": "q"}, "bc_time must be f, w or p"),
+    ({"n_samples": "abc"}, "bad value for n_samples"),
+    ({"delta": "1.0.0"}, "bad value for delta"),
+    ({"delta": 0.0}, "delta must be positive"),
+    ({"lam_grid": [-0.5, 1.0]}, "couplings must be nonnegative"),
+    ({"dt": 0.0}, "dt and n_sweeps must be positive"),
+    ({"n_sweeps": 0}, "dt and n_sweeps must be positive"),
+    ({"point_site": [1, 0]}, "needs d = 1 coordinates"),
+    ({"point_site": [5]}, "outside the box"),
+    ({"point_time": 0.75}, r"point_time 0.75 must lie in \[-0.5, 0.5\]"),
+    ({"bc_time": "f", "point_time": 0.5}, r"point_time 0.5 must lie in \(-0.5, 0.5\)"),
 ])
 def test_validation_errors(mutation, message):
     payload = {"kind": "correlation", "beta": 1.0, "lam_grid": [1.0],
@@ -83,6 +95,14 @@ def test_cli_run_produces_deterministic_csv(tmp_path):
 def test_cli_bad_config_exits_two(tmp_path):
     cfg = _write_config(tmp_path, TEXT_CONFIG.replace("lam = 0.5, 1.0", "lam ="))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("line", ["bc_space = x", "n_samples = abc", "delta = -1",
+                                  "point_site = 5", "dt = 0", "n_sweeps = 0"])
+def test_cli_bad_value_exits_two(tmp_path, capsys, line):
+    cfg = _write_config(tmp_path, TEXT_CONFIG + line + "\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_cli_missing_file_exits_two(tmp_path):

@@ -7,6 +7,9 @@ import pytest
 from tfim.cli import main as cli_main
 from tfim.config import ConfigError, RunConfig
 from tfim import experiments as ex
+from tfim import spinrep as sr
+from tfim.rng import chain_generator
+from tfim.stats import RatioAccumulator
 
 
 def make_config(**overrides):
@@ -25,6 +28,29 @@ def test_correlation_driver_emits_three_methods():
     oracle = next(r for r in rows if r["method"] == "oracle")
     spin = next(r for r in rows if r["method"] == "spin")
     assert abs(spin["estimate"] - oracle["estimate"]) <= 4 * spin["stderr"]
+
+
+def test_correlation_spin_row_pools_chains_under_one_maximum():
+    # long lines: no draw reaches the largest possible weight, so the two
+    # chains' largest log-weights differ
+    cfg = make_config(beta=4.0, delta=2.0, n_chains=2, n_samples=200, lam_grid=[1.5])
+    rows, _, _ = ex.run_correlation(cfg)
+    spin = next(r for r in rows if r["method"] == "spin")
+    region = ex._region(cfg)
+    points = [((0,), 0.0), ((1,), 0.0)]
+    logs, vals = [], []
+    for chain in range(2):
+        rng = chain_generator(cfg.seed, chain)
+        for _ in range(cfg.n_samples):
+            config = sr.sample_apriori(region, cfg.delta, rng)
+            logs.append(sr.gibbs_log_weight(config, 1.5, region.edge_set().edges))
+            vals.append(config.product_over(points))
+    w = np.exp(np.array(logs) - max(logs))
+    assert spin["estimate"] == pytest.approx((w * vals).sum() / w.sum(), rel=1e-12)
+    assert spin["n_effective"] == pytest.approx(w.sum() ** 2 / (w * w).sum(), rel=1e-12)
+    acc = RatioAccumulator()
+    acc.push_many(w * vals, w)
+    assert spin["stderr"] == acc.estimate().stderr
 
 
 def test_magnetization_sweep_monotone_in_coupling():
@@ -81,6 +107,28 @@ def test_lambda_c_requires_two_sizes():
     with pytest.raises(ConfigError):
         make_config(kind="lambda-c", ground_state=True, beta=None,
                     n_schedule=[3], lam_grid=[0.9, 1.1])
+
+
+def test_lambda_c_csv_byte_identical_across_reruns(tmp_path):
+    cfg = tmp_path / "lc.cfg"
+    cfg.write_text("kind = lambda-c\nground_state = true\nn_grid = 3, 4\n"
+                   "lam = 0.8, 0.9, 1.0, 1.1, 1.2\nn_sweeps = 200\nseed = 11\n")
+    for out in ("a", "b"):
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / out),
+                         "--format", "csv"]) == 0
+    assert (tmp_path / "a" / "run-lambda-c.csv").read_bytes() == \
+        (tmp_path / "b" / "run-lambda-c.csv").read_bytes()
+
+
+def test_lambda_c_fails_beyond_15_percent_of_reference(monkeypatch):
+    monkeypatch.setattr(ex.spectral, "gap_scaling_critical_point",
+                        lambda **kwargs: {"estimate": 1.5})
+    cfg = make_config(kind="lambda-c", ground_state=True, beta=None, n_schedule=[3, 4],
+                      lam_grid=[0.8, 0.9, 1.0, 1.1, 1.2], n_sweeps=200, seed=11)
+    rows, summary, ok = ex.run_lambda_c(cfg)
+    assert rows[0]["reference"] == 1.5
+    assert abs(rows[0]["estimate"] / 1.5 - 1.0) > 0.15
+    assert not ok
 
 
 def test_crossing_estimate_failure_diagnostics():

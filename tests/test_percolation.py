@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tfim.geometry import Box, SpaceTimeRegion
 from tfim import percolation as pc
+from tfim import poisson
 from tfim import randomparity as rp
 from tfim import spectral as sp
 from tfim.rng import chain_generator
@@ -111,7 +112,7 @@ def test_boundary_interval_expectation_formula():
     rng = chain_generator(33, 2)
     counts = []
     for _ in range(2000):
-        cuts = {x: rp._poisson_on(region.t_min, region.t_max, 4 * delta, rng)
+        cuts = {x: poisson.draw_times(region.t_min, region.t_max, 4 * delta, rng)
                 for x in region.box.sites()}
         lab = rp.build_labelling(region, {}, None, [], "f")
         coupled = rp.CoupledConfiguration(region, 1.0, delta, lab, lab, {}, {}, {}, cuts)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tfim.geometry import Box, Holes, SpaceTimeRegion
 from tfim import randomparity as rp
 from tfim import spectral as sp
+from tfim.spinrep import SamplingError
 from tfim.rng import chain_generator
 
 
@@ -138,6 +139,21 @@ def test_coupled_zero_coupling_no_ghosts_all_even():
     c = rp.sample_coupled(region, 0.0, 1.0, (), (), rng, ghost_free=True)
     assert c.weight <= 1.0
     assert c.weight > 0
+
+
+def test_coupled_draw_raises_when_retries_run_out(monkeypatch):
+    monkeypatch.setattr(rp, "_distinct", lambda arrays: False)
+    region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p")
+    with pytest.raises(SamplingError, match="coincident"):
+        rp.sample_coupled(region, 1.0, 1.0, (), (), chain_generator(1, 0))
+
+
+def test_bridge_times_union_built_once():
+    region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p")
+    c = rp.sample_coupled(region, 2.0, 1.0, (), (), chain_generator(2, 0))
+    assert c.bridge_times_union is c.bridge_times_union
+    times = [t for bridges in (c.bridges1, c.bridges2) for ts in bridges.values() for t in ts]
+    assert sorted(t for (_, t) in c.bridge_times_union) == sorted(times)
 
 
 def test_connectivity_examples():

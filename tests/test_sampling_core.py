@@ -343,3 +343,34 @@ PINNED_CUT_PARTITION = [(1.4877040248310889, 0.12300381510511336),
                         (1.140889056560953, 0.07949984314661582),
                         (1.125366423170384, 0.07182407010914571),
                         (1.1743664940724328, 0.078065774433901)]
+
+
+def _brute_overlap(config, x, y, windows):
+    """Split each window at every flip time of x and y shifted by -r, 0 and
+    +r (a superset of the real breaks) and read the product at each midpoint."""
+    region = config.region
+    cands = [start + f + k * region.r for site in (x, y)
+             for (start, _, _, flips) in config.components[site] for f in flips
+             for k in (-1, 0, 1)]
+    total = 0.0
+    for (lo, hi) in windows:
+        breaks = sorted({lo, hi, *(c for c in cands if lo < c < hi)})
+        for a, b in zip(breaks, breaks[1:]):
+            mid = (a + b) / 2.0
+            base = mid if mid <= region.t_max else mid - region.r
+            total += (b - a) * config.value(x, base) * config.value(y, base)
+    return total
+
+
+@pytest.mark.parametrize("bc_time", ["p", "f"])
+def test_cut_overlap_matches_brute_force(bc_time):
+    # on the circle, windows of edges with one cut end wrap past t_max
+    region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", bc_time)
+    rng = chain_generator(29, 7)
+    for holes in HOLE_SETS:
+        for _ in range(25):
+            config, _ = sr._sample_cut_config(region, holes, 3.0, rng)
+            for (x, y) in region.edge_set().edges:
+                windows = edge_windows(region, holes, x, y)
+                assert sr.overlap_integral(config, x, y, windows) == pytest.approx(
+                    _brute_overlap(config, x, y, windows), rel=1e-12, abs=1e-12)

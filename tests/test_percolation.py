@@ -202,6 +202,72 @@ def test_criterion_10_reports_pinned(seed):
     assert clusters.origin_to_ghost and clusters.origin_to_boundary
 
 
+# Reports of successive draws of chain_generator(44, case), recorded before
+# the whole-region partition was cached per configuration: (trifurcations,
+# boundary intervals, probes, clipped), (clusters, boundary-touching,
+# origin-to-ghost, origin-to-boundary, largest measure).
+_REPORT_CASES = [(SpaceTimeRegion.finite_beta(Box(1, 4), 8.0, "w", "p"), 1.0, 1.5),
+                 (SpaceTimeRegion.finite_beta(Box(1, 4), 8.0, "w", "p"), 0.5, 1.0),
+                 (SpaceTimeRegion(Box(1, 4), 6.0, "w", "f"), 1.0, 1.5)]
+_REPORT_PINS = {
+    0: [((0, 104, 12, 0), (56, 7, True, True, 68.26442118421181)),
+        ((0, 89, 12, 0), (44, 7, True, True, 67.65305935488418)),
+        ((0, 97, 12, 0), (70, 20, True, True, 65.17358949888148)),
+        ((0, 95, 12, 0), (76, 4, True, True, 64.75732206565888)),
+        ((0, 92, 12, 0), (65, 12, True, True, 64.72010294287844)),
+        ((0, 105, 12, 0), (64, 11, True, True, 65.49922972757376)),
+        ((0, 94, 12, 0), (46, 9, True, True, 67.94788831796903)),
+        ((1, 104, 12, 0), (84, 19, True, True, 62.361969967716256))],
+    1: [((0, 62, 12, 0), (48, 8, True, True, 65.05502387744711)),
+        ((0, 60, 12, 0), (46, 18, True, True, 63.0521217082552)),
+        ((0, 74, 12, 0), (43, 10, True, True, 65.0339774645079)),
+        ((0, 59, 12, 0), (38, 11, True, True, 66.84674110033863)),
+        ((0, 63, 12, 0), (49, 7, True, True, 66.10798769322199)),
+        ((0, 58, 12, 0), (51, 13, False, True, 61.47840854711019))],
+    2: [((0, 96, 9, 0), (61, 15, True, True, 48.64772181909072)),
+        ((1, 83, 9, 0), (44, 8, False, False, 49.76332602399535)),
+        ((0, 95, 9, 0), (75, 27, True, True, 41.21630045417012)),
+        ((0, 86, 9, 0), (68, 17, True, True, 44.79116096522481)),
+        ((0, 83, 9, 0), (33, 8, True, True, 50.12445782586646)),
+        ((1, 80, 9, 0), (55, 4, True, True, 48.82899629288974))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPORT_PINS))
+def test_circle_and_interval_reports_pinned(case):
+    region, lam, delta = _REPORT_CASES[case]
+    rng = chain_generator(44, case)
+    for trif_pin, (*counts, largest) in _REPORT_PINS[case]:
+        coupled = rp.sample_coupled(region, lam, delta, (), (), rng)
+        trif = pc.trifurcation_diagnostic(coupled, 1, 1.0, delta)
+        rep = pc.cluster_report(coupled, 1, 1.0)
+        assert (trif.n_trifurcations, trif.n_boundary_intervals, trif.n_probes,
+                trif.n_clipped) == trif_pin
+        assert [rep.n_clusters, rep.boundary_touching, rep.origin_to_ghost,
+                rep.origin_to_boundary] == counts
+        assert rep.largest_cluster_measure == pytest.approx(largest, abs=1e-12)
+
+
+# (value, stderr) of the two connectivity ratios on the 3-site circle and
+# interval, recorded before they shared one weighted-event loop
+_CONNECTIVITY_PINS = {
+    "circle": ((0.2002870199479472, 0.18686287682958733),
+               (0.21761161197461365, 0.1645940404882876)),
+    "interval": ((0.3443666851250546, 0.4082624823114815),
+                 (0.9707582866590397, 1.1683519010772654)),
+}
+
+
+@pytest.mark.parametrize("k,topology", enumerate(_CONNECTIVITY_PINS))
+def test_connectivity_ratios_pinned(k, topology):
+    region = (SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p") if topology == "circle"
+              else SpaceTimeRegion(Box(1, 1), 2.0, "w", "f"))
+    conn = pc.two_point_connectivity(region, 1.0, 1.0, ((0,), 0.0), ((1,), 0.3), 300,
+                                     chain_generator(41, k))
+    ghost = pc.origin_ghost_probability(region, 1.0, 1.0, 300, chain_generator(42, k))
+    assert ((conn.value, conn.stderr), (ghost.value, ghost.stderr)) == _CONNECTIVITY_PINS[topology]
+
+
 # -- brute-force reference for the interval-graph connectivity -----------------
 #
 # Each site line is cut at every event time (cuts, switching points, window

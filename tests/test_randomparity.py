@@ -285,6 +285,28 @@ def test_local_modification_bounds():
     assert all(res["holds"] for res in out.values())
 
 
+# (difference, its stderr, P(origin <-> Gamma), its stderr, rhs) on the
+# 3-site circle and interval, recorded before the origin-to-ghost ratio
+# shared the weighted-event loop of the connectivity ratios
+_LOCAL_MODIFICATION_A_PINS = [
+    (-0.20748077566543077, 0.28909759874245045, 0.6188135733175274,
+     0.4832863492221187, 748.9416398412548),
+    (0.13816995164615214, 0.23756107963787243, 1.0, 0.700637480959623,
+     10456503206.094297),
+]
+
+
+@pytest.mark.parametrize("k", range(2))
+def test_local_modification_A_pinned(k):
+    region = (SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p") if k == 0
+              else SpaceTimeRegion(Box(1, 1), 2.0, "w", "f"))
+    rep = rp.verify_local_modification_A(region, 1.0, 1.0, ((1,), 0.25), 200,
+                                         chain_generator(43, k))
+    assert (rep["difference"].value, rep["difference"].stderr, rep["p_origin_ghost"].value,
+            rep["p_origin_ghost"].stderr, rep["rhs"]) == _LOCAL_MODIFICATION_A_PINS[k]
+    assert rep["holds"]
+
+
 def test_holes_identity_zero_coupling_closed_form():
     rng = chain_generator(14, 1)
     region = SpaceTimeRegion(Box(1, 0), 2.0, "f", "f")

@@ -51,6 +51,13 @@ class RunConfig:
             raise ConfigError("coupling grid must be strictly increasing")
         if self.d < 1 or self.n < 0:
             raise ConfigError("bad box parameters")
+        if any(m < 0 for m in self.n_schedule):
+            raise ConfigError("n_schedule entries must be nonnegative")
+        if self.ground_state or self.kind == "irb-check":
+            if self.n < 1 or any(m < 1 for m in self.n_schedule):
+                what = ("ground-state runs (time length 2n)" if self.ground_state
+                        else "irb-check (even-side box)")
+                raise ConfigError(f"{what} need n >= 1 and n_schedule entries >= 1")
         if self.ground_state and self.beta is not None:
             raise ConfigError("ground-state runs take no beta (time length is 2n)")
         if not self.ground_state and (self.beta is None or self.beta <= 0):
@@ -66,6 +73,8 @@ class RunConfig:
             raise ConfigError("dt and n_sweeps must be positive")
         if self.point_site:
             self._check_point()
+        elif self.kind in ("correlation", "switching-verify", "identity-suite"):
+            raise ConfigError(f"{self.kind} needs point_site (the second correlation point)")
         if self.kind == "lambda-c":
             if not self.ground_state:
                 raise ConfigError("the critical-point scan is a ground-state run")

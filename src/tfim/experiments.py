@@ -230,7 +230,6 @@ def _percolation_chain(args) -> dict:
     cfg, lam, chain = args
     rng = chain_generator(cfg.seed, chain)
     region = _region(cfg, bc_space="w", bc_time="f" if cfg.ground_state else "p")
-    origin = ((0,) * cfg.d, 0.0)
     acc = RatioAccumulator()
     clusters = []
     boundary = []
@@ -239,10 +238,10 @@ def _percolation_chain(args) -> dict:
     for _ in range(cfg.n_samples):
         c = randomparity.sample_coupled(region, lam, cfg.delta, (), (), rng)
         w = c.weight
-        hit = w if (w > 0 and randomparity.connectivity(c, origin, None, "to-gamma")) else 0.0
-        acc.push_many([hit], [w])
+        report = percolation.cluster_report(c)
+        acc.push_many([w if (w > 0 and report.origin_to_ghost) else 0.0], [w])
         rep = percolation.trifurcation_diagnostic(c, 1, min(1.0, region.r / 2), cfg.delta)
-        clusters.append(percolation.cluster_report(c).n_clusters)
+        clusters.append(report.n_clusters)
         boundary.append(rep.n_boundary_intervals)
         trif += rep.n_trifurcations
         if rep.n_trifurcations > rep.n_boundary_intervals:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .geometry import SpaceTimeRegion
 from .randomparity import (ClusterPartition, CoupledConfiguration, block_fully_connected,
-                           block_of, connectivity, sample_coupled)
-from .stats import Estimate, ratio_estimate_independent
+                           block_of, connectivity, coupled_event_probability)
+from .stats import Estimate
 
 
 @dataclass
@@ -31,48 +31,43 @@ class ClusterReport:
     largest_cluster_measure: float
 
 
+def _boundary_roots(part: ClusterPartition) -> set:
+    """Roots of the classes that touch the region boundary: a vertex on a
+    spatial-boundary site or, on intervals, at a time endpoint."""
+    region = part.region
+    boundary_sites = set(region.box.boundary_sites())
+    interval = region.time_topology == "interval"
+    eps = 1e-12
+    roots = set()
+    for x, offset in part.offsets.items():
+        for i, (start, end) in enumerate(zip(part.starts[x], part.ends[x])):
+            if x in boundary_sites or (interval and (start <= region.t_min + eps
+                                                     or end >= region.t_max - eps)):
+                roots.add(part.uf.find(offset + i))
+    return roots
+
+
 def cluster_report(coupled: CoupledConfiguration, probe_n0: int | None = None,
                    probe_r0: float | None = None) -> ClusterReport:
     """Cluster decomposition of the region under the open-path semantics.
 
     Cluster counts use ghost-free connectivity (the ghost class is a
     boundary artifact); origin-to-ghost uses the ghost-jump rules."""
-    region = coupled.region
-    part = ClusterPartition.build(coupled, "off")
+    part = coupled.clusters
     classes = part.classes()
-    boundary_sites = set(region.box.boundary_sites())
-    n_clusters = len(classes)
-    boundary = 0
-    largest = 0.0
-    eps = 1e-12
-    origin = (0,) * region.box.d
-    for members in classes.values():
-        measure = 0.0
-        touches = False
-        for (x, i) in members:
-            start, length = part.interval_span(x, i)
-            measure += length
-            if x in boundary_sites:
-                touches = True
-            if region.time_topology == "interval":
-                if start <= region.t_min + eps or start + length >= region.t_max - eps:
-                    touches = True
-        largest = max(largest, measure)
-        if touches:
-            boundary += 1
-    to_ghost = connectivity(coupled, (origin, 0.0), None, "to-gamma") \
-        if (coupled.ghosts or region.time_topology == "interval") else False
+    largest = max(sum(part.ends[x][i] - part.starts[x][i] for (x, i) in members)
+                  for members in classes.values())
+    origin = (0,) * coupled.region.box.d
+    root = part.root((origin, 0.0))
     to_boundary = False
     if probe_n0 is not None and probe_r0 is not None:
-        root = part.uf.find(part.vertex(origin, 0.0))
-        for (x, i) in classes.get(root, []):
-            start, length = part.interval_span(x, i)
-            outside_box = any(abs(c) > probe_n0 for c in x)
-            outside_time = start < -probe_r0 / 2 - eps or start + length > probe_r0 / 2 + eps
-            if outside_box or outside_time:
-                to_boundary = True
-                break
-    return ClusterReport(n_clusters, boundary, to_ghost, to_boundary, largest)
+        eps = 1e-12
+        to_boundary = any(any(abs(c) > probe_n0 for c in x)
+                          or part.starts[x][i] < -probe_r0 / 2 - eps
+                          or part.ends[x][i] > probe_r0 / 2 + eps
+                          for (x, i) in classes.get(root, []))
+    return ClusterReport(len(classes), len(_boundary_roots(part)),
+                         root in coupled.ghost_roots, to_boundary, largest)
 
 
 def two_point_connectivity(region: SpaceTimeRegion, lam: float, delta: float,
@@ -81,27 +76,17 @@ def two_point_connectivity(region: SpaceTimeRegion, lam: float, delta: float,
     """Weighted frequency of {p <-> q} under the coupled measure (paths may
     jump via the ghost class, as the identity with the correlation product
     requires)."""
-    num = np.empty(n_samples)
-    den = np.empty(n_samples)
-    for i in range(n_samples):
-        c = sample_coupled(region, lam, delta, (), (), rng)
-        w = c.weight
-        den[i] = w
-        num[i] = w if (w > 0 and connectivity(c, p, q, "plain")) else 0.0
-    return ratio_estimate_independent(num, den)
+    return coupled_event_probability(region, lam, delta,
+                                     lambda c: connectivity(c, p, q, "plain"),
+                                     n_samples, rng)
 
 
 def origin_ghost_probability(region: SpaceTimeRegion, lam: float, delta: float,
                              n_samples: int, rng: np.random.Generator) -> Estimate:
     origin = ((0,) * region.box.d, 0.0)
-    num = np.empty(n_samples)
-    den = np.empty(n_samples)
-    for i in range(n_samples):
-        c = sample_coupled(region, lam, delta, (), (), rng)
-        w = c.weight
-        den[i] = w
-        num[i] = w if (w > 0 and connectivity(c, origin, None, "to-gamma")) else 0.0
-    return ratio_estimate_independent(num, den)
+    return coupled_event_probability(region, lam, delta,
+                                     lambda c: connectivity(c, origin, None, "to-gamma"),
+                                     n_samples, rng)
 
 
 # -- trifurcation diagnostic ---------------------------------------------------
@@ -156,19 +141,7 @@ def _complement_branches(coupled: CoupledConfiguration, center_x, t0: float,
     attached = part.join(coupled.bridge_times_union)
     attached += [part.vertex(x, t) for x in sites for span in window for t in span]
     attached_roots = {part.uf.find(v) for v in attached if v is not None}
-    boundary_sites = set(region.box.boundary_sites())
-    eps = 1e-12
-    branch_roots = set()
-    for root, members in part.classes().items():
-        if root not in attached_roots:
-            continue
-        for (x, i) in members:
-            if x in boundary_sites or (region.time_topology == "interval" and (
-                    part.starts[x][i] <= region.t_min + eps
-                    or part.ends[x][i] >= region.t_max - eps)):
-                branch_roots.add(root)
-                break
-    return len(branch_roots)
+    return len(attached_roots & _boundary_roots(part))
 
 
 def _block_fully_connected(coupled: CoupledConfiguration, center_x, t0: float,

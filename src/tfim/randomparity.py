@@ -225,6 +225,27 @@ class CoupledConfiguration:
                           and self.labelling2.label_is_even(x, float(c)))
                 for x in self.region.box.sites()}
 
+    @functools.cached_property
+    def clusters(self) -> "ClusterPartition":
+        """The ghost-free partition of the whole region: every site line split
+        at its blocking cuts, joined by both bridge sets."""
+        region = self.region
+        whole = {x: [(region.t_min, region.t_max)] for x in region.box.sites()}
+        part = ClusterPartition.from_spans(region, whole, self.blocking_cuts)
+        part.join(self.bridge_times_union)
+        return part
+
+    @functools.cached_property
+    def ghost_roots(self) -> set:
+        """Roots of the classes of :attr:`clusters` that reach the ghost: those
+        holding a ghost point or, when the ghosted labelling has wired time, a
+        time endpoint."""
+        region = self.region
+        points = [(x, float(t)) for x, times in self.ghosts.items() for t in np.asarray(times)]
+        if coupled_bc_pair(region)[1] == "w":
+            points += [(x, t) for x in region.box.sites() for t in (region.t_min, region.t_max)]
+        return {self.clusters.root(p) for p in points}
+
 
 def coupled_bc_pair(region: SpaceTimeRegion) -> tuple[str, str]:
     """Time boundary pairings of the coupled measure: periodic/periodic on
@@ -300,8 +321,9 @@ class ClusterPartition:
     stored as given, so lookups need no tolerance.  On circles t_min and
     t_max name one point: the vertex ending at t_max is joined to the one
     starting at t_min, and a lookup at either name falls back on the other.
-    Bridges join the vertices at their two ends (:meth:`join`); the optional
-    ghost vertex, index ``n_vertices``, takes the ghost jumps.
+    Bridges join the vertices at their two ends (:meth:`join`).  Ghost jumps
+    are not edges of the graph: :attr:`CoupledConfiguration.ghost_roots`
+    names the classes that reach the ghost.
     """
 
     region: SpaceTimeRegion
@@ -309,7 +331,6 @@ class ClusterPartition:
     ends: dict              # site -> vertex end times
     offsets: dict           # site -> first vertex id
     uf: _UnionFind
-    ghost_vertex: int | None = None
 
     @staticmethod
     def from_spans(region: SpaceTimeRegion, kept: dict,
@@ -335,34 +356,10 @@ class ClusterPartition:
                 seams.append((total, total + len(site_starts) - 1))
             starts[x], ends[x], offsets[x] = site_starts, site_ends, total
             total += len(site_starts)
-        uf = _UnionFind(total + 1)
+        uf = _UnionFind(total)
         for (i, j) in seams:
             uf.union(i, j)
         return ClusterPartition(region, starts, ends, offsets, uf)
-
-    @staticmethod
-    def build(coupled: CoupledConfiguration, ghost_mode: str = "plain") -> "ClusterPartition":
-        """The whole region: every site line split at its blocking cuts, joined
-        by both bridge sets; unless ``ghost_mode`` is "off", ghost points and
-        (wired time) the time endpoints jump to the ghost vertex."""
-        region = coupled.region
-        whole = {x: [(region.t_min, region.t_max)] for x in region.box.sites()}
-        part = ClusterPartition.from_spans(region, whole, coupled.blocking_cuts)
-        part.join(coupled.bridge_times_union)
-        if ghost_mode != "off":
-            ghost = part.ghost_vertex = part.n_vertices
-            for x, times in coupled.ghosts.items():
-                for t in np.asarray(times):
-                    part.uf.union(part.vertex(x, float(t)), ghost)
-            if coupled_bc_pair(region)[1] == "w":
-                for x in region.box.sites():
-                    part.uf.union(part.vertex(x, region.t_min), ghost)
-                    part.uf.union(part.vertex(x, region.t_max), ghost)
-        return part
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.uf.parent) - 1
 
     def vertex(self, x, t: float) -> int | None:
         x = tuple(x)
@@ -391,20 +388,14 @@ class ClusterPartition:
                 dangling.append(vy if vx is None else vx)
         return dangling
 
-    def connected(self, p: tuple, q: tuple) -> bool:
-        vp, vq = self.vertex(*p), self.vertex(*q)
-        return vp is not None and vq is not None and self.uf.find(vp) == self.uf.find(vq)
-
-    def connected_to_ghost(self, p: tuple) -> bool:
-        if self.ghost_vertex is None:
-            raise ValueError("partition built without ghost structure")
+    def root(self, p: tuple) -> int | None:
+        """Class root of the point p = (x, t), or None off the kept spans."""
         v = self.vertex(*p)
-        return v is not None and self.uf.find(v) == self.uf.find(self.ghost_vertex)
+        return None if v is None else self.uf.find(v)
 
-    def interval_span(self, x, index: int) -> tuple:
-        """(start, length) of vertex ``index`` on site x."""
-        x = tuple(x)
-        return (self.starts[x][index], self.ends[x][index] - self.starts[x][index])
+    def connected(self, p: tuple, q: tuple) -> bool:
+        root = self.root(p)
+        return root is not None and root == self.root(q)
 
     def classes(self) -> dict:
         """Map class representative -> list of (site, vertex index)."""
@@ -417,20 +408,21 @@ class ClusterPartition:
 
 def connectivity(coupled: CoupledConfiguration, p: tuple, q: tuple,
                  mode: str = "plain") -> bool:
-    """Open-path connectivity between space-time points.
+    """Open-path connectivity between space-time points, read off the
+    configuration's :attr:`~CoupledConfiguration.clusters`.
 
     ``plain`` allows ghost jumps (wired-time intervals also wire the time
     endpoints), ``off-gamma`` forbids all ghost jumps, ``to-gamma`` asks
     whether p reaches the ghost class (q ignored)."""
-    p = (tuple(p[0]), float(p[1]))
-    q = (tuple(q[0]), float(q[1])) if q is not None else None
+    if mode not in ("plain", "off-gamma", "to-gamma"):
+        raise ValueError(f"unknown connectivity mode {mode!r}")
+    root = coupled.clusters.root(p)
     if mode == "to-gamma":
-        return ClusterPartition.build(coupled, "plain").connected_to_ghost(p)
-    if mode == "off-gamma":
-        return ClusterPartition.build(coupled, "off").connected(p, q)
-    if mode == "plain":
-        return ClusterPartition.build(coupled, "plain").connected(p, q)
-    raise ValueError(f"unknown connectivity mode {mode!r}")
+        return root in coupled.ghost_roots
+    other = coupled.clusters.root(q)
+    if root is None or other is None:
+        return False
+    return root == other or (mode == "plain" and {root, other} <= coupled.ghost_roots)
 
 
 def block_of(region: SpaceTimeRegion, center: tuple, n0: int, r0: float) -> tuple:
@@ -461,11 +453,12 @@ def block_of(region: SpaceTimeRegion, center: tuple, n0: int, r0: float) -> tupl
 def block_fully_connected(coupled: CoupledConfiguration, center: tuple, n0: int,
                           r0: float) -> bool:
     """Whether every pair of points of the block around center = (x, t0)
-    (see :func:`block_of`) is joined by an open path inside the block."""
+    (see :func:`block_of`) is joined by an open path inside the block.  Only
+    bridges between two block sites can join block vertices."""
     sites, window = block_of(coupled.region, center, n0, r0)
-    part = ClusterPartition.from_spans(coupled.region, dict.fromkeys(sites, window),
-                                       coupled.blocking_cuts)
-    part.join(coupled.bridge_times_union)
+    kept = dict.fromkeys(sites, window)
+    part = ClusterPartition.from_spans(coupled.region, kept, coupled.blocking_cuts)
+    part.join(b for b in coupled.bridge_times_union if b[0][0] in kept and b[0][1] in kept)
     return len(part.classes()) == 1
 
 
@@ -482,6 +475,21 @@ def odd_path_exists(lab: Labelling, bridges: dict, p: tuple, q: tuple) -> bool:
 
 
 # -- estimators and verifiers -------------------------------------------------
+
+def coupled_event_probability(region: SpaceTimeRegion, lam: float, delta: float,
+                              event, n_samples: int,
+                              rng: np.random.Generator) -> Estimate:
+    """Weighted frequency of ``event`` (a predicate on coupled configurations)
+    over source-free coupled draws.  Numerator and denominator come from the
+    same draws; the standard error is the independent-pools formula."""
+    num = np.empty(n_samples)
+    den = np.empty(n_samples)
+    for i in range(n_samples):
+        c = sample_coupled(region, lam, delta, (), (), rng)
+        w = den[i] = c.weight
+        num[i] = w if (w > 0 and event(c)) else 0.0
+    return ratio_estimate_independent(num, den)
+
 
 def _labellings(region: SpaceTimeRegion, lam: float, sources: Sequence, n_samples: int,
                 rng: np.random.Generator, with_ghosts: bool):
@@ -660,14 +668,9 @@ def verify_local_modification_A(region: SpaceTimeRegion, lam: float, delta: floa
     c_k = constant_A(kappa, lam, delta, beta)
     chain = correlation_difference_bound(region, lam, delta, kappa, n_samples, rng)
     origin = ((0,) * region.box.d, 0.0)
-    num = np.empty(n_samples)
-    den = np.empty(n_samples)
-    for i in range(n_samples):
-        c = sample_coupled(region, lam, delta, (), (), rng)
-        w = c.weight
-        den[i] = w
-        num[i] = w if (w > 0 and connectivity(c, origin, None, "to-gamma")) else 0.0
-    p_ghost = ratio_estimate_independent(num, den)
+    p_ghost = coupled_event_probability(
+        region, lam, delta, lambda c: connectivity(c, origin, None, "to-gamma"),
+        n_samples, rng)
     diff = chain["difference"]
     rhs = c_k * p_ghost.value
     se = math.hypot(diff.stderr, c_k * p_ghost.stderr)

@@ -59,6 +59,14 @@ def test_parse_json_config():
     ({"point_site": [5]}, "outside the box"),
     ({"point_time": 0.75}, r"point_time 0.75 must lie in \[-0.5, 0.5\]"),
     ({"bc_time": "f", "point_time": 0.5}, r"point_time 0.5 must lie in \(-0.5, 0.5\)"),
+    ({"point_site": []}, "correlation needs point_site"),
+    ({"kind": "identity-suite", "point_site": []}, "identity-suite needs point_site"),
+    ({"n_schedule": [2, -1]}, "n_schedule entries must be nonnegative"),
+    ({"beta": None, "ground_state": True, "n": 0}, r"ground-state runs .* need n >= 1"),
+    ({"beta": None, "ground_state": True, "n_schedule": [2, 0]},
+     r"ground-state runs .* n_schedule entries >= 1"),
+    ({"kind": "irb-check", "n": 0}, r"irb-check .* need n >= 1"),
+    ({"kind": "irb-check", "n_schedule": [0, 2]}, r"irb-check .* n_schedule entries >= 1"),
 ])
 def test_validation_errors(mutation, message):
     payload = {"kind": "correlation", "beta": 1.0, "lam_grid": [1.0],
@@ -98,10 +106,27 @@ def test_cli_bad_config_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["bc_space = x", "n_samples = abc", "delta = -1",
-                                  "point_site = 5", "dt = 0", "n_sweeps = 0"])
+                                  "point_site = 5", "point_site =", "dt = 0",
+                                  "n_sweeps = 0"])
 def test_cli_bad_value_exits_two(tmp_path, capsys, line):
     cfg = _write_config(tmp_path, TEXT_CONFIG + line + "\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_cli_empty_ground_state_box_exits_two(tmp_path, capsys):
+    # time length 2n = 0: used to pass validation and stop with exit 3
+    cfg = _write_config(tmp_path, """
+kind = percolation-sweep
+ground_state = true
+n = 0
+bc_space = w
+bc_time = f
+lam = 1.0
+n_samples = 4
+seed = 1
+""", name="perc.cfg")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
 
 

@@ -146,7 +146,8 @@ def test_cli_verification_failure_writes_manifest(tmp_path, monkeypatch):
 
     monkeypatch.setitem(ex.DRIVERS, "switching-verify", failing_driver)
     cfg = tmp_path / "v.cfg"
-    cfg.write_text("kind = switching-verify\nbeta = 1.0\nlam = 1.0\nseed = 1\n")
+    cfg.write_text("kind = switching-verify\nbeta = 1.0\nlam = 1.0\nseed = 1\n"
+                   "point_site = 1\n")
     code = cli_main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")])
     assert code == 1
     manifest = json.loads(

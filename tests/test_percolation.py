@@ -268,6 +268,21 @@ def test_connectivity_ratios_pinned(k, topology):
     assert ((conn.value, conn.stderr), (ghost.value, ghost.stderr)) == _CONNECTIVITY_PINS[topology]
 
 
+def test_one_whole_region_partition_per_configuration(monkeypatch):
+    region = SpaceTimeRegion.ground_state(Box(1, 2), "w", "f")
+    coupled = rp.sample_coupled(region, 1.0, 1.0, (), (), chain_generator(45, 0))
+    calls = []
+    build = rp.ClusterPartition.from_spans
+    monkeypatch.setattr(rp.ClusterPartition, "from_spans",
+                        staticmethod(lambda *args: calls.append(args) or build(*args)))
+    pc.cluster_report(coupled, 1, 1.0)
+    for mode in ("plain", "off-gamma", "to-gamma"):
+        rp.connectivity(coupled, ((0,), 0.0), ((1,), 0.3), mode)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="unknown connectivity mode"):
+        rp.connectivity(coupled, ((0,), 0.0), ((1,), 0.3), "ghost")
+
+
 # -- brute-force reference for the interval-graph connectivity -----------------
 #
 # Each site line is cut at every event time (cuts, switching points, window

@@ -137,6 +137,21 @@ def test_crossing_estimate_failure_diagnostics():
         ex.crossing_estimate([0.9, 1.1], curves)
 
 
+def test_crossing_estimate_pinned():
+    curves = {3: [(0.9, 0.1), (0.7, 0.1), (0.5, 0.1), (0.2, 0.1)],
+              4: [(1.0, 0.1), (0.7, 0.1), (0.3, 0.1), (0.1, 0.1)],
+              6: [(1.3, 0.1), (0.8, 0.1), (0.45, 0.1), (-0.2, 0.1)]}
+    # a tie on a grid point and two interpolated crossings
+    assert ex.crossing_estimate([0.8, 0.9, 1.0, 1.1], curves) == \
+        (0.9666666666666668, 0.13333333333333341,
+         [0.9, 0.9666666666666667, 1.0333333333333334])
+    # a single crossing spreads by the grid step
+    single = {3: [(0.5, 0.0), (0.3, 0.0), (0.1, 0.0)],
+              5: [(0.6, 0.0), (0.25, 0.0), (0.0, 0.0)]}
+    assert ex.crossing_estimate([0.8, 0.93, 1.1], single) == \
+        (0.8866666666666667, 0.13, [0.8866666666666667])
+
+
 def test_cli_verification_failure_writes_manifest(tmp_path, monkeypatch):
     def failing_driver(cfg, workers=1):
         rows = [{"kind": cfg.kind, "case": "forced", "mode": "exact",

@@ -1,10 +1,19 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix, identity as sp_identity, kron as sp_kron
 
 from tfim.geometry import Box, EdgeSet, SpaceTimeRegion
 from tfim import spectral as sp
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +265,144 @@ def test_gap_scan_reference():
     result = sp.gap_scaling_critical_point(sizes=(6, 8, 10),
                                            lam_grid=np.linspace(0.85, 1.15, 7))
     assert abs(result["estimate"] - 1.0) < 0.05
+
+
+# -- operator representation: Kronecker references ----------------------------
+
+def _kron_site(op, index, n_sites):
+    left = sp_identity(2**index, format="csr")
+    right = sp_identity(2 ** (n_sites - index - 1), format="csr")
+    return sp_kron(sp_kron(left, csr_matrix(op)), right, format="csr")
+
+
+def _kron_hamiltonian(sites, edges, lam, delta, gamma, site_fields):
+    """H as a sum of Kronecker chains of the 2x2 operators, term by term."""
+    n = len(sites)
+    index = {x: i for i, x in enumerate(sites)}
+    h = csr_matrix((2**n, 2**n))
+    for (x, y) in edges:
+        if x in index and y in index:
+            h = h - lam * (_kron_site(sp.SIGMA3, index[x], n) @ _kron_site(sp.SIGMA3, index[y], n))
+    for x in sites:
+        h = h - delta * _kron_site(sp.SIGMA1, index[x], n)
+        field = gamma + (site_fields.get(x, 0.0) if site_fields else 0.0)
+        if field:
+            h = h - field * _kron_site(sp.SIGMA3, index[x], n)
+    return h
+
+
+_couplings = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def _hamiltonian_inputs(draw):
+    n = draw(st.integers(1, 6))
+    sites = [(i,) for i in draw(st.permutations(range(n)))]
+    outside = (n,)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n))
+                          .filter(lambda e: e[0] != e[1]), max_size=8))
+    edges = [((a,), (b,)) for (a, b) in pairs]
+    edges += edges[:1] + [(sites[0], outside)]  # a repeated edge, a dangling one
+    fields = draw(st.none() | st.dictionaries(st.sampled_from(sites), _couplings))
+    return sites, edges, draw(_couplings), draw(_couplings), draw(_couplings), fields
+
+
+@given(_hamiltonian_inputs())
+@settings(max_examples=80)
+def test_hamiltonian_matches_kronecker_reference(inputs):
+    new = sp.build_hamiltonian(*inputs)
+    ref = _kron_hamiltonian(*inputs)
+    new.sort_indices()
+    ref.sort_indices()
+    assert new.shape == ref.shape
+    assert np.array_equal(new.indptr, ref.indptr)
+    assert np.array_equal(new.indices, ref.indices)
+    assert np.array_equal(new.data, ref.data)
+
+
+@pytest.mark.parametrize("n_sites", (3, 6, 9))
+def test_s3_matrix_is_the_kronecker_transform(n_sites):
+    sites = [(i,) for i in range(n_sites)]
+    edges = [((i,), (i + 1,)) for i in range(n_sites - 1)]
+    model = sp.build(sites, edges, 0.9, 1.1, gamma=0.2)
+    for i in sorted({0, n_sites // 2, n_sites - 1}):
+        op = _kron_site(sp.SIGMA3, i, n_sites).toarray()
+        assert np.array_equal(model.s3_matrix((i,)), model.vectors.T @ op @ model.vectors)
+
+
+# -- values pinned on a fixed build ------------------------------------------------
+
+def test_gap_scan_pinned():
+    # one BLAS thread, as in the benchmark: a threaded eigensolver rounds
+    # differently
+    code = ("import json, numpy as np; from tfim import spectral as sp; "
+            "r = sp.gap_scaling_critical_point(sizes=(6, 8, 10), "
+            "lam_grid=np.linspace(0.8, 1.2, 9)); print(json.dumps(r))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    result = json.loads(proc.stdout)
+    assert result["estimate"] == 0.9987659535783951
+    assert result["spread"] == 0.0009520008510968125
+    assert result["crossings"] == [0.998287045291453, 0.9987717693011829, 0.9992390461425498]
+    assert result["curves"] == {
+        "6": [2.9500459599872535, 2.5452371837867744, 2.1817193482954433,
+              1.860219520516221, 1.5798299710487633, 1.3382462586709956,
+              1.1321596776112592, 0.957695314726827, 0.8108039981661435],
+        "8": [3.5848238705099646, 2.9804125676800908, 2.4407778971702783,
+              1.9720611753243276, 1.5758624537144783, 1.2491350282472524,
+              0.9851874414065946, 0.7752724754026445, 0.6101211407567888],
+        "10": [4.266284351459184, 3.4489491726419352, 2.7180714531562877,
+               2.090366109560158, 1.5740341364923793, 1.166393574763429,
+               0.8554808473336806, 0.6243355385563198, 0.45532337347468754]}
+
+
+def test_fourier_table_and_irb_pinned(ring4):
+    box, model = ring4
+    table = sp.schwinger_fourier(model, 1.0, 6 * math.pi, box)
+    assert table.c_hat.tolist() == [
+        [0.005574316640362605, 0.011978976034289239, 0.03898599323966283,
+         0.2430637895256116, 0.038985993239662814, 0.011978976034289232,
+         0.005574316640362604],
+        [0.005653239410943011, 0.012359975108054979, 0.04373406654775214,
+         2.8095850393067514, 0.04373406654775214, 0.012359975108054979,
+         0.005653239410943011],
+        [0.005574316640362604, 0.011978976034289232, 0.038985993239662814,
+         0.2430637895256116, 0.03898599323966283, 0.011978976034289239,
+         0.005574316640362605],
+        [0.0054976393388820755, 0.011621468515130436, 0.035197100797644036,
+         0.13263251512231097, 0.035197100797644036, 0.01162146851513043,
+         0.005497639338882076]]
+    assert table.max_imag_residue == 4.884626234751248e-16
+    report = sp.irb_check(model, 1.0, 6 * math.pi, 1.0, 1.0, box)
+    assert report.worst_slack == 0.2587425984498656
+    assert [row.slack for row in report.rows] == [
+        0.2616075966610356, 0.5809295767302942, 2.169006047169343, 23.75693621047439,
+        2.169006047169343, 0.5809295767302942, 0.2616075966610356, 0.26453658363529103,
+        0.5955671267459717, 2.3879743408683547, 2.3879743408683547, 0.5955671267459717,
+        0.26453658363529103, 0.2616075966610356, 0.5809295767302942, 2.169006047169343,
+        23.75693621047439, 2.169006047169343, 0.5809295767302942, 0.2616075966610356,
+        0.2587425984498656, 0.5669926972643936, 1.9867742462674147, 11.86736748487769,
+        1.9867742462674147, 0.5669926972643936, 0.2587425984498656]
+
+
+def test_time_integrals_pinned(ring4):
+    box, model = ring4
+    table = sp.schwinger_fourier(model, 1.0, 50.0, box)
+    g = np.array([0.3 - 0.2j, -1.1 + 0.4j, 0.7 + 0.9j, 0.25 - 0.6j])
+    mid = len(table.frequencies) // 2
+    pinned = [(0.8412672296596314, 0.8412672296596313),
+              (0.03824991818868747, 0.038249918188687455),
+              (0.017887477817685203, 0.017887477817685203)]
+    for idx, (direct, dual) in zip((mid, mid + 2, mid - 3), pinned):
+        assert sp.quadratic_form_identity(model, table, g, idx) == \
+            pytest.approx((direct, dual), rel=1e-12)
+    chain3 = sp.build(Box(1, 3), EdgeSet.free(Box(1, 3)), 0.6, 1.0)
+    assert [sp.box_average(chain3, n, 1.5) for n in (0, 1, 2, 3)] == pytest.approx(
+        [1.006624941047881, 0.679305808422708, 0.5129989070508281, 0.4032815829862841],
+        rel=1e-12)
+    chain2 = sp.build(Box(1, 2), EdgeSet.free(Box(1, 2)), 0.8, 1.0)
+    assert [sp.box_average(chain2, n, None, r=4.0) for n in (0, 1, 2)] == pytest.approx(
+        [0.3703580940872712, 0.2957708880864956, 0.2422882487968855], rel=1e-12)

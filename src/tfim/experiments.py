@@ -17,7 +17,7 @@ import numpy as np
 
 from . import percolation, randomparity, spectral, spinrep
 from .config import ConfigError, RunConfig
-from .geometry import Box, Holes, SpaceTimeRegion
+from .geometry import Box, EdgeSet, Holes, SpaceTimeRegion
 from .poisson import verify_modification_identity
 from .rng import chain_generator
 from .stats import RatioAccumulator, ratio_estimate_independent
@@ -51,6 +51,11 @@ def _region(cfg: RunConfig, n: int | None = None,
     if cfg.ground_state:
         return SpaceTimeRegion.ground_state(box, bs, bt if bt != "p" else "f")
     return SpaceTimeRegion.finite_beta(box, cfg.beta, bs, bt)
+
+
+def _percolation_region(cfg: RunConfig) -> SpaceTimeRegion:
+    """Wired space; periodic time at finite beta, free time in the ground state."""
+    return _region(cfg, bc_space="w", bc_time="p")
 
 
 # -- correlation ---------------------------------------------------------------
@@ -197,7 +202,6 @@ def run_switching_verify(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, 
 def run_irb_check(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
     """Dual-lattice table rows (one per momentum-frequency point) with the
     bound and slack; the summary carries the worst slack per case."""
-    from .geometry import EdgeSet
     rows = []
     ok = True
     cases = {}
@@ -229,7 +233,7 @@ def run_irb_check(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
 def _percolation_chain(args) -> dict:
     cfg, lam, chain = args
     rng = chain_generator(cfg.seed, chain)
-    region = _region(cfg, bc_space="w", bc_time="f" if cfg.ground_state else "p")
+    region = _percolation_region(cfg)
     acc = RatioAccumulator()
     clusters = []
     boundary = []
@@ -277,7 +281,7 @@ def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict,
                 f"percolation-sweep: all {acc.n} coupled weights of the origin-to-ghost "
                 f"pool at lam={lam} are zero, so its ratio is undefined")
         est = acc.estimate()
-        region = _region(cfg, bc_space="w", bc_time="f" if cfg.ground_state else "p")
+        region = _percolation_region(cfg)
         ok = ok and violations == 0
         rows.append({"kind": cfg.kind, "d": cfg.d, "n": cfg.n, "r": region.r,
                      "lam": lam, "delta": cfg.delta,
@@ -287,8 +291,8 @@ def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict,
                      "n_trifurcations": trif, "leaf_violations": violations,
                      "n_samples": cfg.n_samples * cfg.n_chains,
                      "seed": cfg.seed, "wall_time": round(time.time() - t0, 3)})
-    return rows, {"leaf_bound": percolation.leaf_bound(_region(cfg, bc_space="w",
-                  bc_time="f" if cfg.ground_state else "p"), cfg.delta)}, ok
+    return rows, {"leaf_bound": percolation.leaf_bound(_percolation_region(cfg),
+                                                        cfg.delta)}, ok
 
 
 # -- identity suite -----------------------------------------------------------------
@@ -425,17 +429,10 @@ def correlation_ratio_curves(cfg: RunConfig) -> dict:
 
 
 def crossing_estimate(lam_grid, curves: dict) -> tuple[float, float, list]:
-    sizes = sorted(curves)
-    crossings = []
-    for i, a in enumerate(sizes):
-        for b in sizes[i + 1:]:
-            diff = [curves[a][j][0] - curves[b][j][0] for j in range(len(lam_grid))]
-            for j in range(len(diff) - 1):
-                if diff[j] == 0.0:
-                    crossings.append(lam_grid[j])
-                elif diff[j] * diff[j + 1] < 0:
-                    frac = diff[j] / (diff[j] - diff[j + 1])
-                    crossings.append(lam_grid[j] + frac * (lam_grid[j + 1] - lam_grid[j]))
+    """Mean of the pairwise crossings of the ratio curves; the spread of a
+    single crossing is the grid step."""
+    crossings = spectral.pairwise_crossings(
+        lam_grid, {n: [ratio for ratio, _ in values] for n, values in curves.items()})
     if not crossings:
         raise RuntimeError("correlation-ratio curves do not cross on the grid; "
                            f"curves: {curves}")

@@ -289,14 +289,9 @@ class Holes:
         return sorted({x for (x, _) in self.intervals})
 
 
-def line_components(region: SpaceTimeRegion, holes: Holes, site: Site) -> list:
-    """Connected components of a site line after removing the holes.
-
-    Interval topology returns (lo, hi) pairs inside [-r/2, r/2].  Circle
-    topology returns (start, length) arcs, where an uncut circle is the single
-    arc (t_min, r); a degenerate excised point still cuts the circle.
-    """
-    spans = holes.on_site(site)
+def _complement(region: SpaceTimeRegion, spans: list) -> list:
+    """Complement of sorted disjoint spans on a site line: (lo, hi) pairs on
+    the interval, (start, length) arcs on the circle."""
     if region.time_topology == "interval":
         comps = []
         lo = region.t_min
@@ -320,40 +315,32 @@ def line_components(region: SpaceTimeRegion, holes: Holes, site: Site) -> list:
     return arcs
 
 
+def line_components(region: SpaceTimeRegion, holes: Holes, site: Site) -> list:
+    """Connected components of a site line after removing the holes.
+
+    Interval topology returns (lo, hi) pairs inside [-r/2, r/2].  Circle
+    topology returns (start, length) arcs, where an uncut circle is the single
+    arc (t_min, r); a degenerate excised point still cuts the circle.
+    """
+    return _complement(region, holes.on_site(site))
+
+
 def edge_windows(region: SpaceTimeRegion, holes: Holes, x: Site, y: Site) -> list:
     """Time windows where both endpoints of an edge are present (holes removed).
 
     Returned as (lo, hi) in base coordinates; on the circle the windows are
     the complement of the union of the two sites' holes, possibly wrapping,
     reported as (start, start + length) with start in [-r/2, r/2)."""
-    spans = sorted(holes.on_site(x) + holes.on_site(y))
     merged = []
-    for (a, b) in spans:
+    for (a, b) in sorted(holes.on_site(x) + holes.on_site(y)):
         if merged and a <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], b))
         else:
             merged.append((a, b))
+    windows = _complement(region, merged)
     if region.time_topology == "interval":
-        out = []
-        lo = region.t_min
-        for (a, b) in merged:
-            if a > lo:
-                out.append((lo, a))
-            lo = max(lo, b)
-        if region.t_max > lo:
-            out.append((lo, region.t_max))
-        return out
-    if not merged:
-        return [(region.t_min, region.t_max)]
-    out = []
-    for i, (_, b) in enumerate(merged):
-        next_a = merged[(i + 1) % len(merged)][0]
-        length = (next_a - b) % region.r
-        if length == 0.0 and len(merged) == 1 and merged[0][0] == b:
-            length = region.r
-        if length > 0:
-            out.append((b, b + length))
-    return out
+        return windows
+    return [(b, b + length) for (b, length) in windows]
 
 
 def edge_shadow_length(region: SpaceTimeRegion, holes: Holes, edges: Iterable[Edge]) -> float:

@@ -10,6 +10,11 @@ is the matrix element in the s1 = +1 product state (the uniform superposition
 over s3 configurations), wired time is the matrix element in the all-plus s3
 eigenstate, and wired space adds a longitudinal boundary field from the
 frozen shell.
+
+A site is a bit of the basis-state index: site i of n is bit n - 1 - i, so
+the first site is the leading Kronecker factor.  s3_x flips that bit, which
+permutes the basis states, and s1_x is the sign (-1)^bit, so H is a sum of
+signed permutations.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import integrate
-from scipy.sparse import identity as sp_identity, kron as sp_kron, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import eigsh
 
 from .geometry import (Box, DualLattice, EdgeSet, GeometryError, SpaceTimeRegion,
@@ -46,11 +51,9 @@ class NumericalConsistencyError(RuntimeError):
     """Raised when a quantity that must be real carries too much imaginary part."""
 
 
-def _site_operator(op: np.ndarray, index: int, n_sites: int) -> csr_matrix:
-    mat = csr_matrix(op)
-    left = sp_identity(2**index, format="csr")
-    right = sp_identity(2 ** (n_sites - index - 1), format="csr")
-    return sp_kron(sp_kron(left, mat), right, format="csr")
+def _bit(index: int, n_sites: int) -> int:
+    """Mask of the basis-state bit that carries site ``index``."""
+    return 1 << (n_sites - 1 - index)
 
 
 @dataclass
@@ -89,8 +92,8 @@ class SpectralModel:
             self._s3_eigenbasis = {}
         i = self.site_index(x)
         if i not in self._s3_eigenbasis:
-            op = _site_operator(SIGMA3, i, self.n_sites).toarray()
-            self._s3_eigenbasis[i] = self.vectors.T @ op @ self.vectors
+            flip = np.arange(self.dim) ^ _bit(i, self.n_sites)
+            self._s3_eigenbasis[i] = self.vectors.T[:, flip] @ self.vectors
         return self._s3_eigenbasis[i]
 
     def ground_space(self) -> np.ndarray:
@@ -100,20 +103,30 @@ class SpectralModel:
 
 def build_hamiltonian(sites: Sequence, edges: Sequence, lam: float, delta: float,
                       gamma: float = 0.0, site_fields: dict | None = None) -> csr_matrix:
+    """H from (row, column, value) triples: -lam on s -> s ^ m_x ^ m_y for each
+    edge with both ends in ``sites``, -field on s -> s ^ m_x, and the diagonal
+    -delta * sum_x (-1)^bit_x; repeated edges add up."""
     sites = [tuple(x) for x in sites]
     n = len(sites)
-    index = {x: i for i, x in enumerate(sites)}
-    h = csr_matrix((2**n, 2**n))
+    states = np.arange(2**n)
+    mask = {x: _bit(i, n) for i, x in enumerate(sites)}
+    flips, values = [], []
     for (x, y) in edges:
-        if tuple(x) in index and tuple(y) in index:
-            h = h - lam * (_site_operator(SIGMA3, index[tuple(x)], n)
-                           @ _site_operator(SIGMA3, index[tuple(y)], n))
+        if tuple(x) in mask and tuple(y) in mask:
+            flips.append(mask[tuple(x)] ^ mask[tuple(y)])
+            values.append(-lam)
+    diagonal = np.zeros(2**n)
     for x in sites:
-        i = index[x]
-        h = h - delta * _site_operator(SIGMA1, i, n)
+        diagonal = diagonal - delta * np.where(states & mask[x], -1.0, 1.0)
         field = gamma + (site_fields.get(x, 0.0) if site_fields else 0.0)
         if field:
-            h = h - field * _site_operator(SIGMA3, i, n)
+            flips.append(mask[x])
+            values.append(-field)
+    rows = np.tile(states, len(flips) + 1)
+    cols = np.concatenate([states ^ f for f in flips] + [states])
+    data = np.concatenate([np.full(2**n, v) for v in values] + [diagonal])
+    h = coo_matrix((data, (rows, cols)), shape=(2**n, 2**n)).tocsr()
+    h.eliminate_zeros()
     return h
 
 
@@ -157,18 +170,19 @@ def thermal_expectation(model: SpectralModel, observable: np.ndarray,
                         beta: float | None) -> float:
     """tr(Q e^{-beta H}) / tr(e^{-beta H}); beta=None means the ground state
     (degenerate ground spaces averaged uniformly)."""
-    q_eig = model.vectors.T @ observable @ model.vectors
     if beta is None:
         g = model.ground_space()
         k = g.shape[1]
         q_g = g.T @ observable @ g
         return float(np.trace(q_g) / k)
+    q_eig = model.vectors.T @ observable @ model.vectors
     w = np.exp(-beta * (model.energies - model.energies[0]))
     return float(np.sum(w * np.diag(q_eig)) / np.sum(w))
 
 
 def site_observable(model: SpectralModel, op: np.ndarray, x) -> np.ndarray:
-    return _site_operator(op, model.site_index(x), model.n_sites).toarray()
+    i = model.site_index(x)
+    return np.kron(np.kron(np.eye(2**i), op), np.eye(2 ** (model.n_sites - i - 1)))
 
 
 def schwinger(model: SpectralModel, x, y, s: float, t: float,
@@ -260,6 +274,24 @@ def oracle_correlation(region: SpaceTimeRegion, lam: float, delta: float,
 
 # -- Fourier machinery -------------------------------------------------------
 
+def _eigenpair_time_integral(energies: np.ndarray, r: float, l: float = 0.0) -> np.ndarray:
+    """int_0^r e^{-(r-u) E_m - u E_n + i l u} du for every eigenpair (m, n),
+    with l zero or a multiple of 2 pi / r: (b_n - b_m) / (E_m - E_n + i l) for
+    b = e^{-r E}, and its limit r b_m where the denominator vanishes."""
+    boltz = np.exp(-r * energies)
+    denom = energies[:, None] - energies[None, :] + 1j * l
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integral = (boltz[None, :] - boltz[:, None]) / denom
+    return np.where(np.abs(denom) < 1e-12, r * boltz[:, None], integral)
+
+
+def _origin_pair_products(model: SpectralModel, sites):
+    """(x, T_x) with T_x[m, n] = <m|s3_x|n> <n|s3_0|m> for each site x."""
+    m0t = model.s3_matrix((0,) * len(model.sites[0])).T
+    for x in sites:
+        yield x, model.s3_matrix(x) * m0t
+
+
 def E_function(p: Sequence[float], q: float, lam: float, delta: float) -> float:
     """(2 lam Lhat(p) + q^2 / (2 delta)) / 48, positive away from (p, q) = 0."""
     if delta <= 0:
@@ -299,30 +331,18 @@ def schwinger_fourier(model: SpectralModel, r: float, l_max: float,
     dual = DualLattice(box, r, l_max)
     energies = model.energies - model.energies[0]
     z = float(np.sum(np.exp(-r * energies)))
-    boltz = np.exp(-r * energies)
-    a = energies[:, None] - energies[None, :]  # E_m - E_n
-
-    origin = (0,) * box.d
-    m0 = model.s3_matrix(origin)
-
     momenta = dual.momenta()
     freqs = dual.frequencies()
 
-    # T(k)[m, n] = sum_x e^{i k.x} <m|s3_x|n> <n|s3_0|m>
+    # T(k) = sum_x e^{i k.x} T_x
     t_k = np.zeros((len(momenta), model.dim, model.dim), dtype=complex)
-    for x in model.sites:
-        sx = model.s3_matrix(x) * m0.T
+    for x, sx in _origin_pair_products(model, model.sites):
         phase = np.array([np.exp(1j * np.dot(k, x)) for k in momenta])
         t_k += phase[:, None, None] * sx[None, :, :]
 
     c_hat = np.zeros((len(momenta), len(freqs)), dtype=complex)
     for j, l in enumerate(freqs):
-        denom = a + 1j * l
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integral = (boltz[None, :] - boltz[:, None]) / denom
-        degenerate = np.abs(denom) < 1e-12
-        if degenerate.any():
-            integral[degenerate] = (r * boltz[:, None] * np.ones_like(a))[degenerate]
+        integral = _eigenpair_time_integral(energies, r, l)
         c_hat[:, j] = np.einsum("kmn,mn->k", t_k, integral) / z
     residue = float(np.abs(c_hat.imag).max())
     if residue > imag_tol:
@@ -426,20 +446,10 @@ def quadratic_form_identity(model: SpectralModel, table: FourierTable,
     # Direct side: with both time integrals over the circle the double sum is
     # r * sum_xy g(x) conj(g(y)) int_0^r e^{-i l0 u} c(x - y, u) du.
     energies = model.energies - model.energies[0]
-    boltz = np.exp(-r * energies)
-    z = float(np.sum(boltz))
-    a = energies[:, None] - energies[None, :]
-    denom = a - 1j * l0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        iu = (boltz[None, :] - boltz[:, None]) / denom
-    deg = np.abs(denom) < 1e-12
-    if deg.any():
-        iu[deg] = (r * boltz[:, None] * np.ones_like(a))[deg]
-    origin = (0,) * table.box.d
-    ctilde = {}
-    for x in model.sites:
-        row = model.s3_matrix(x) * model.s3_matrix(origin).T
-        ctilde[tuple(x)] = complex(np.einsum("mn,mn->", row, iu) / z)
+    z = float(np.sum(np.exp(-r * energies)))
+    iu = _eigenpair_time_integral(energies, r, -l0)
+    ctilde = {tuple(x): complex(np.einsum("mn,mn->", tx, iu) / z)
+              for x, tx in _origin_pair_products(model, model.sites)}
     total = 0.0 + 0.0j
     for i, x in enumerate(model.sites):
         for j, y in enumerate(model.sites):
@@ -463,21 +473,13 @@ def box_average(model: SpectralModel, n: int, beta: float | None,
     inner = [x for x in model.sites if all(abs(c) <= n for c in x)]
     if not inner:
         raise ValueError("empty averaging box")
-    e0 = model.energies[0]
-    energies = model.energies - e0
+    energies = model.energies - model.energies[0]
     total = 0.0
     if beta is not None:
-        boltz = np.exp(-beta * energies)
-        z = float(np.sum(boltz))
-        a = energies[:, None] - energies[None, :]
-        denom = a
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integral = (boltz[None, :] - boltz[:, None]) / denom
-        deg = np.abs(denom) < 1e-12
-        integral[deg] = (beta * boltz[:, None] * np.ones_like(a))[deg]
-        for x in inner:
-            row = model.s3_matrix(x) * model.s3_matrix(origin).T
-            total += float(np.einsum("mn,mn->", row, integral) / z)
+        z = float(np.sum(np.exp(-beta * energies)))
+        integral = _eigenpair_time_integral(energies, beta).real
+        for _, tx in _origin_pair_products(model, inner):
+            total += float(np.einsum("mn,mn->", tx, integral) / z)
         return total / len(inner)
     if r is None:
         raise ValueError("ground-state box average needs the time length r")
@@ -499,24 +501,24 @@ def g_function_lattice(box: Box, r: float, lam: float, delta: float,
                        dx, du: float, l_max: float) -> tuple[float, float]:
     """Dual-lattice sum G_{N,r} at separation (dx, du), with a tail bound
     for the truncated frequencies."""
-    dual = DualLattice(box, r, l_max)
     dx = np.array(dx)
     total = 0.0
-    for k in dual.momenta():
-        for l in dual.frequencies():
-            if all(c == 0.0 for c in k) and l == 0.0:
-                continue
-            total += math.cos(np.dot(k, dx) + l * du) / E_function(k, l, lam, delta)
+    for k, l in DualLattice(box, r, l_max).points():
+        total += math.cos(np.dot(k, dx) + l * du) / E_function(k, l, lam, delta)
     vol = box.site_count * r
     j_max = int(math.floor(l_max * r / (2 * math.pi) + 1e-9))
     tail = box.site_count * 2 * 96.0 * delta * (r / (2 * math.pi)) ** 2 / max(j_max, 1)
     return total / vol, tail / vol
 
 
-def _midpoint_momentum_sum(d: int, grid: int, term) -> float:
+def _midpoint_mesh(d: int, grid: int) -> tuple[list, float]:
+    """Midpoint grid over (-pi, pi]^d as a meshgrid, and its cell volume."""
     pts = (np.arange(grid) + 0.5) / grid * 2 * math.pi - math.pi
-    cell = (2 * math.pi / grid) ** d
-    mesh = np.meshgrid(*([pts] * d), indexing="ij")
+    return np.meshgrid(*([pts] * d), indexing="ij"), (2 * math.pi / grid) ** d
+
+
+def _midpoint_momentum_sum(d: int, grid: int, term) -> float:
+    mesh, cell = _midpoint_mesh(d, grid)
     return float(term(mesh).sum() * cell)
 
 
@@ -595,9 +597,7 @@ def laplacian_integrability(d: int, alpha: float,
                                     eps, math.pi, limit=200)
             values.append(2 * val)
     else:
-        pts = (np.arange(grid) + 0.5) / grid * 2 * math.pi - math.pi
-        cell = (2 * math.pi / grid) ** d
-        mesh = np.meshgrid(*([pts] * d), indexing="ij")
+        mesh, cell = _midpoint_mesh(d, grid)
         radius2 = sum(m * m for m in mesh)
         lhat = sum(1.0 - np.cos(m) for m in mesh)
         with np.errstate(divide="ignore"):
@@ -612,7 +612,9 @@ def laplacian_integrability(d: int, alpha: float,
 # -- critical-point reference -------------------------------------------------
 
 def gap(sites_count: int, lam: float, delta: float, periodic: bool = True) -> float:
-    """Spectral gap of a d=1 chain (sparse Lanczos, two lowest levels)."""
+    """Spectral gap of a d=1 chain: the two lowest levels from a dense
+    ``eigvalsh`` up to 8 sites, above that from sparse Lanczos (``eigsh``)
+    with a seeded start vector."""
     sites = [(i,) for i in range(sites_count)]
     edges = [((i,), (i + 1,)) for i in range(sites_count - 1)]
     if periodic and sites_count > 2:
@@ -630,6 +632,22 @@ def gap(sites_count: int, lam: float, delta: float, periodic: bool = True) -> fl
     return float(vals[1] - vals[0])
 
 
+def pairwise_crossings(grid, curves: dict) -> list:
+    """Crossings of every pair of curves (size -> values on ``grid``), pairs
+    taken in increasing size: a grid point where the two agree, or the linear
+    interpolation of their difference to zero between neighbouring points."""
+    crossings = []
+    for a, b in itertools.combinations(sorted(curves), 2):
+        diff = np.asarray(curves[a], dtype=float) - np.asarray(curves[b], dtype=float)
+        for i in range(len(grid) - 1):
+            if diff[i] == 0.0:
+                crossings.append(float(grid[i]))
+            elif diff[i] * diff[i + 1] < 0:
+                frac = diff[i] / (diff[i] - diff[i + 1])
+                crossings.append(float(grid[i] + frac * (grid[i + 1] - grid[i])))
+    return crossings
+
+
 def gap_scaling_critical_point(sizes=(6, 8, 10, 12), lam_grid=None,
                                delta: float = 1.0) -> dict:
     """Crossing-point estimate of lambda_c from L * gap(lambda) curves.
@@ -643,16 +661,7 @@ def gap_scaling_critical_point(sizes=(6, 8, 10, 12), lam_grid=None,
     curves = {}
     for size in sizes:
         curves[size] = np.array([size * gap(size, lam, delta) for lam in lam_grid])
-    crossings = []
-    pairs = list(itertools.combinations(sorted(sizes), 2))
-    for (a, b) in pairs:
-        diff = curves[a] - curves[b]
-        for i in range(len(lam_grid) - 1):
-            if diff[i] == 0.0:
-                crossings.append(float(lam_grid[i]))
-            elif diff[i] * diff[i + 1] < 0:
-                frac = diff[i] / (diff[i] - diff[i + 1])
-                crossings.append(float(lam_grid[i] + frac * (lam_grid[i + 1] - lam_grid[i])))
+    crossings = pairwise_crossings(lam_grid, curves)
     if not crossings:
         raise RuntimeError("gap curves do not cross on the supplied grid")
     est = float(np.mean(crossings))

@@ -638,7 +638,7 @@ def pairwise_crossings(grid, curves: dict) -> list:
     interpolation of their difference to zero between neighbouring points."""
     crossings = []
     for a, b in itertools.combinations(sorted(curves), 2):
-        diff = np.asarray(curves[a], dtype=float) - np.asarray(curves[b], dtype=float)
+        diff = np.subtract(curves[a], curves[b])
         for i in range(len(grid) - 1):
             if diff[i] == 0.0:
                 crossings.append(float(grid[i]))

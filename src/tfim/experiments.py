@@ -444,7 +444,8 @@ def crossing_estimate(lam_grid, curves: dict) -> tuple[float, float, list]:
 
 def estimate_lambda_c_1d(cfg: RunConfig, workers: int = 1) -> dict:
     """Crossing-point estimate of the critical coupling ratio for d = 1
-    ground-state runs, with the exact-diagonalization gap scan as reference."""
+    ground-state runs, with the free-fermion gap scan of 6-, 8- and 10-site
+    rings as reference."""
     if cfg.d != 1:
         raise ConfigError("the crossing estimate is implemented for d = 1")
     curves = correlation_ratio_curves(cfg)
@@ -458,8 +459,8 @@ def estimate_lambda_c_1d(cfg: RunConfig, workers: int = 1) -> dict:
 
 
 def run_lambda_c(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
-    """The crossing estimate passes when it is within 15% of the gap-scan
-    reference."""
+    """The crossing estimate passes when it is within 15% of the free-fermion
+    gap-scan reference."""
     t0 = time.time()
     result = estimate_lambda_c_1d(cfg, workers)
     rows = [{"kind": cfg.kind, "method": "correlation-ratio",

@@ -240,11 +240,11 @@ class DualLattice:
         j_max = int(math.floor(self.l_max / step + 1e-9))
         return step * np.arange(-j_max, j_max + 1)
 
-    def points(self, include_zero: bool = False):
-        """Iterate over (k, l) pairs, excluding (0, 0) unless asked."""
+    def points(self):
+        """Iterate over (k, l) pairs, excluding the zero mode (0, 0)."""
         for k in self.momenta():
             for l in self.frequencies():
-                if not include_zero and all(c == 0.0 for c in k) and l == 0.0:
+                if all(c == 0.0 for c in k) and l == 0.0:
                     continue
                 yield k, float(l)
 

@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate
 from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.linalg import eigsh
 
 from .geometry import (Box, DualLattice, EdgeSet, GeometryError, SpaceTimeRegion,
                        graph_laplacian_ft)
@@ -37,6 +36,9 @@ SIGMA3 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 DEFAULT_DIM_CAP = 2**12
 _DEGENERACY_TOL = 1e-10
+_IMAG_TOL = 1e-9        # largest imaginary residue accepted in a Fourier table
+_IRB_TOL = 1e-9         # infrared-bound slack below -_IRB_TOL is a violation
+_CESARO_WINDOW = 64     # trailing partial sums averaged by fourier_inversion
 
 
 class ModelSizeError(ValueError):
@@ -131,7 +133,7 @@ def build_hamiltonian(sites: Sequence, edges: Sequence, lam: float, delta: float
 
 
 def build(box_or_sites, edges, lam: float, delta: float, gamma: float = 0.0,
-          site_fields: dict | None = None, dim_cap: int = DEFAULT_DIM_CAP) -> SpectralModel:
+          site_fields: dict | None = None) -> SpectralModel:
     """Assemble and fully diagonalize the Hamiltonian."""
     if isinstance(box_or_sites, Box):
         sites = box_or_sites.sites()
@@ -139,8 +141,8 @@ def build(box_or_sites, edges, lam: float, delta: float, gamma: float = 0.0,
         sites = [tuple(x) for x in box_or_sites]
     if isinstance(edges, EdgeSet):
         edges = list(edges.edges)
-    if 2 ** len(sites) > dim_cap:
-        raise ModelSizeError(f"2^{len(sites)} exceeds dimension cap {dim_cap}")
+    if 2 ** len(sites) > DEFAULT_DIM_CAP:
+        raise ModelSizeError(f"2^{len(sites)} exceeds dimension cap {DEFAULT_DIM_CAP}")
     h = build_hamiltonian(sites, edges, lam, delta, gamma, site_fields).toarray()
     asym = np.abs(h - h.T).max()
     if asym > 1e-12:
@@ -151,7 +153,7 @@ def build(box_or_sites, edges, lam: float, delta: float, gamma: float = 0.0,
 
 
 def build_for_region(region: SpaceTimeRegion, lam: float, delta: float,
-                     gamma: float = 0.0, dim_cap: int = DEFAULT_DIM_CAP) -> SpectralModel:
+                     gamma: float = 0.0) -> SpectralModel:
     """Model matching a region's spatial boundary condition.
 
     Wired space becomes a longitudinal field lam * (number of frozen
@@ -162,8 +164,8 @@ def build_for_region(region: SpaceTimeRegion, lam: float, delta: float,
     if region.bc_space == "w":
         fields = {x: lam * box.exterior_neighbour_count(x) for x in box.sites()
                   if box.exterior_neighbour_count(x) > 0}
-        return build(box, EdgeSet.free(box), lam, delta, gamma, fields, dim_cap)
-    return build(box, region.edge_set(), lam, delta, gamma, None, dim_cap)
+        return build(box, EdgeSet.free(box), lam, delta, gamma, fields)
+    return build(box, region.edge_set(), lam, delta, gamma)
 
 
 def thermal_expectation(model: SpectralModel, observable: np.ndarray,
@@ -265,10 +267,9 @@ def correlation(model: SpectralModel, points: Sequence, r: float, bc_time: str) 
 
 
 def oracle_correlation(region: SpaceTimeRegion, lam: float, delta: float,
-                       points: Sequence, gamma: float = 0.0,
-                       dim_cap: int = DEFAULT_DIM_CAP) -> float:
+                       points: Sequence, gamma: float = 0.0) -> float:
     """Exact correlation under the region's boundary conditions."""
-    model = build_for_region(region, lam, delta, gamma, dim_cap)
+    model = build_for_region(region, lam, delta, gamma)
     return correlation(model, points, region.r, region.bc_time)
 
 
@@ -314,18 +315,13 @@ class FourierTable:
     max_imag_residue: float
 
 
-def schwinger_fourier(model: SpectralModel, r: float, l_max: float,
-                      box: Box | None = None, imag_tol: float = 1e-9) -> FourierTable:
+def schwinger_fourier(model: SpectralModel, r: float, l_max: float, box: Box) -> FourierTable:
     """Fourier transform of the periodic two-point function.
 
     The time integral is done analytically per eigenpair, so the table is
     exact up to floating point.  Requires an even-side box and spatially
     periodic edges (the caller builds the model that way).
     """
-    if box is None:
-        d = 1
-        n = model.n_sites // 2
-        box = Box(d, n, "even-side")
     if box.convention != "even-side":
         raise GeometryError("Fourier sweeps use the even-side box convention")
     dual = DualLattice(box, r, l_max)
@@ -345,7 +341,7 @@ def schwinger_fourier(model: SpectralModel, r: float, l_max: float,
         integral = _eigenpair_time_integral(energies, r, l)
         c_hat[:, j] = np.einsum("kmn,mn->k", t_k, integral) / z
     residue = float(np.abs(c_hat.imag).max())
-    if residue > imag_tol:
+    if residue > _IMAG_TOL:
         raise NumericalConsistencyError(f"imaginary residue {residue} in hat c")
     return FourierTable(momenta, freqs, c_hat.real, r, box, residue)
 
@@ -386,7 +382,7 @@ class IrbReport:
 
 
 def irb_check(model: SpectralModel, r: float, l_max: float, lam: float, delta: float,
-              box: Box | None = None, tol: float = 1e-9) -> IrbReport:
+              box: Box) -> IrbReport:
     """Check hat c(xi) <= 1/E(xi) on the dual lattice away from the zero mode."""
     table = schwinger_fourier(model, r, l_max, box)
     rows = []
@@ -402,12 +398,12 @@ def irb_check(model: SpectralModel, r: float, l_max: float, lam: float, delta: f
             rows.append(IrbRow(k, float(l), float(table.c_hat[i, j]), bound, float(slack)))
             if slack < worst:
                 worst = slack
-            if slack < -tol:
+            if slack < -_IRB_TOL:
                 offenders.append(rows[-1])
     return IrbReport(rows, worst, not offenders, offenders)
 
 
-def fourier_inversion(table: FourierTable, x, t: float, cesaro_window: int = 64) -> float:
+def fourier_inversion(table: FourierTable, x, t: float) -> float:
     """Reconstruct c(x, t) from the table by the inverse transform.
 
     The frequency series converges only like 1/l^2 because of the kink of the
@@ -421,7 +417,7 @@ def fourier_inversion(table: FourierTable, x, t: float, cesaro_window: int = 64)
     freqs = table.frequencies[order]
     terms = (phase_k[:, None] * table.c_hat[:, order]).sum(axis=0) * np.exp(-1j * freqs * t)
     partial = np.cumsum(terms)
-    window = partial[-cesaro_window:]
+    window = partial[-_CESARO_WINDOW:]
     return float(np.mean(window).real / vol)
 
 
@@ -611,25 +607,23 @@ def laplacian_integrability(d: int, alpha: float,
 
 # -- critical-point reference -------------------------------------------------
 
-def gap(sites_count: int, lam: float, delta: float, periodic: bool = True) -> float:
-    """Spectral gap of a d=1 chain: the two lowest levels from a dense
-    ``eigvalsh`` up to 8 sites, above that from sparse Lanczos (``eigsh``)
-    with a seeded start vector."""
-    sites = [(i,) for i in range(sites_count)]
-    edges = [((i,), (i + 1,)) for i in range(sites_count - 1)]
-    if periodic and sites_count > 2:
-        edges.append(((sites_count - 1,), (0,)))
-    h = build_hamiltonian(sites, edges, lam, delta)
-    if sites_count <= 8:
-        vals = np.linalg.eigvalsh(h.toarray())
-        return float(vals[1] - vals[0])
-    # a fixed random start keeps reruns byte-identical; a symmetric start such
-    # as all-ones is even under the global spin flip, unlike the first
-    # excited state
-    v0 = np.random.default_rng(0).standard_normal(h.shape[0])
-    vals = eigsh(h, k=2, which="SA", v0=v0, return_eigenvectors=False, maxiter=5000)
-    vals = np.sort(vals)
-    return float(vals[1] - vals[0])
+def gap(sites_count: int, lam: float, delta: float) -> float:
+    """Spectral gap of the d=1 ring from its free fermions (Lieb-Schultz-Mattis
+    1961; Pfeuty 1970), eps(k) = 2 sqrt(lam^2 + delta^2 - 2 lam delta cos k).
+    The ground state is the even-parity vacuum over the antiperiodic momenta;
+    the lowest odd-parity state fills k = 0 of the periodic ones, where k = 0
+    and, for even L, k = pi carry the signed 2 (delta - lam) and 2 (delta + lam).
+    The sector assignment holds for lam, delta >= 0 only."""
+    if sites_count < 3:
+        raise ValueError(f"a ring needs at least 3 sites, got {sites_count}")
+    if lam < 0 or delta < 0:
+        raise ValueError(f"the free-fermion gap needs lam, delta >= 0, got {lam}, {delta}")
+    k = np.pi * np.arange(1, 2 * sites_count) / sites_count  # even index: antiperiodic
+    eps = 2.0 * np.sqrt(lam * lam + delta * delta - 2.0 * lam * delta * np.cos(k))
+    signed = np.concatenate(([2.0 * (delta - lam)], eps[1::2]))
+    if sites_count % 2 == 0:
+        signed[sites_count // 2] = 2.0 * (delta + lam)
+    return float(-0.5 * np.sum(signed) + signed[0] + 0.5 * np.sum(eps[0::2]))
 
 
 def pairwise_crossings(grid, curves: dict) -> list:

@@ -382,10 +382,9 @@ class TrotterSampler:
             flip[cells] = accept[cells]
             self.spins[flip] *= -1
 
-    def run(self, n_sweeps: int, rng: np.random.Generator, measure,
-            burn: int | None = None) -> np.ndarray:
-        burn = n_sweeps // 5 if burn is None else burn
-        for _ in range(burn):
+    def run(self, n_sweeps: int, rng: np.random.Generator, measure) -> np.ndarray:
+        """``n_sweeps`` measured sweeps after ``n_sweeps // 5`` burn-in sweeps."""
+        for _ in range(n_sweeps // 5):
             self.sweep(rng)
         out = []
         for _ in range(n_sweeps):

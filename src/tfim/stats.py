@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+LOW_ESS = 100.0  # ratio estimates with a smaller Kish ESS carry "low-ess"
+
 
 @dataclass
 class RunningMoments:
@@ -81,7 +83,7 @@ def effective_sample_size(weights) -> float:
     return float(s * s / s2) if s2 > 0 else 0.0
 
 
-def ratio_estimate_jackknife(num, den, ess_warn: float = 100.0) -> Estimate:
+def ratio_estimate_jackknife(num, den) -> Estimate:
     """Delete-one jackknife for a ratio mean(num)/mean(den) on a shared pool."""
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
@@ -94,11 +96,11 @@ def ratio_estimate_jackknife(num, den, ess_warn: float = 100.0) -> Estimate:
     theta_j = loo.mean()
     var = (n - 1) / n * ((loo - theta_j) ** 2).sum()
     ess = effective_sample_size(np.abs(den))
-    warnings = ("low-ess",) if ess < ess_warn else ()
+    warnings = ("low-ess",) if ess < LOW_ESS else ()
     return Estimate(float(n * theta - (n - 1) * theta_j), math.sqrt(var), n, ess, warnings)
 
 
-def ratio_estimate_independent(num, den, ess_warn: float = 100.0) -> Estimate:
+def ratio_estimate_independent(num, den) -> Estimate:
     """Delta-method SE for mean(num)/mean(den) from independent pools."""
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
@@ -109,7 +111,7 @@ def ratio_estimate_independent(num, den, ess_warn: float = 100.0) -> Estimate:
     vd = den.var(ddof=1) / den.size if den.size > 1 else 0.0
     var = vn / db**2 + nb**2 * vd / db**4
     ess = effective_sample_size(np.abs(den))
-    warnings = ("low-ess",) if ess < ess_warn else ()
+    warnings = ("low-ess",) if ess < LOW_ESS else ()
     return Estimate(float(nb / db), math.sqrt(var), num.size, ess, warnings)
 
 
@@ -151,7 +153,7 @@ class RatioAccumulator:
         self.sum_den2 += other.sum_den2
         self.sum_cross += other.sum_cross
 
-    def estimate(self, ess_warn: float = 100.0) -> Estimate:
+    def estimate(self) -> Estimate:
         if self.n < 2 or self.sum_den == 0:
             raise ZeroDivisionError("ratio accumulator needs data and nonzero denominator")
         n = self.n
@@ -161,7 +163,7 @@ class RatioAccumulator:
         cv = (self.sum_cross / n - mn * md) / n
         var = vn / md**2 + mn**2 * vd / md**4 - 2.0 * mn * cv / md**3
         ess = self.sum_den**2 / self.sum_den2 if self.sum_den2 > 0 else 0.0
-        warnings = ("low-ess",) if ess < ess_warn else ()
+        warnings = ("low-ess",) if ess < LOW_ESS else ()
         return Estimate(mn / md, math.sqrt(max(var, 0.0)), n, ess, warnings)
 
 

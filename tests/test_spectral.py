@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigvalsh
 from scipy.sparse import csr_matrix, identity as sp_identity, kron as sp_kron
 
 from tfim.geometry import Box, EdgeSet, SpaceTimeRegion
@@ -267,6 +268,39 @@ def test_gap_scan_reference():
     assert abs(result["estimate"] - 1.0) < 0.05
 
 
+def _ed_gap(sites_count, lam, delta):
+    """Test-only reference: the ring's gap from a dense diagonalization of
+    ``build_hamiltonian``, one block per eigenvalue of the diagonal parity
+    prod_x s1_x, which commutes with H."""
+    sites = [(i,) for i in range(sites_count)]
+    edges = [((i,), ((i + 1) % sites_count,)) for i in range(sites_count)]
+    h = sp.build_hamiltonian(sites, edges, lam, delta).toarray()
+    odd = np.array([bin(s).count("1") % 2 for s in range(2**sites_count)], dtype=bool)
+    lowest = np.sort(np.concatenate([eigvalsh(h[np.ix_(block, block)], subset_by_index=[0, 1])
+                                     for block in (odd, ~odd)]))
+    return lowest[1] - lowest[0]
+
+
+def test_gap_closed_form_matches_exact_diagonalization():
+    # absolute: in the ordered phase the gap itself is about 1e-7
+    for sites_count in range(3, 11):
+        for lam in (0.1, 0.5, 1.0, 1.7, 3.0):
+            for delta in (0.4, 0.7, 1.0, 1.3, 2.5):
+                assert abs(sp.gap(sites_count, lam, delta)
+                           - _ed_gap(sites_count, lam, delta)) <= 1e-12, (sites_count, lam, delta)
+
+
+# rings below 3 sites, and negative couplings, where the closed form puts the
+# lowest odd-parity state in the wrong sector (at 5 sites, lam = 0.5 and
+# delta = -1 it gives -0.0154 against 1.0154 from ED)
+@pytest.mark.parametrize("sites_count, lam, delta",
+                         ((0, 1.0, 1.0), (1, 1.0, 1.0), (2, 1.0, 1.0),
+                          (5, -0.5, 1.0), (5, 0.5, -1.0)))
+def test_gap_rejects_inputs_outside_the_closed_form(sites_count, lam, delta):
+    with pytest.raises(ValueError):
+        sp.gap(sites_count, lam, delta)
+
+
 # -- operator representation: Kronecker references ----------------------------
 
 def _kron_site(op, index, n_sites):
@@ -333,30 +367,35 @@ def test_s3_matrix_is_the_kronecker_transform(n_sites):
 # -- values pinned on a fixed build ------------------------------------------------
 
 def test_gap_scan_pinned():
-    # one BLAS thread, as in the benchmark: a threaded eigensolver rounds
-    # differently
+    result = sp.gap_scaling_critical_point(sizes=(6, 8, 10), lam_grid=np.linspace(0.8, 1.2, 9))
+    assert result["estimate"] == 0.9987659535783927
+    assert result["spread"] == 0.0009520008509605882
+    assert result["crossings"] == [0.9982870452915193, 0.998771769301179, 0.9992390461424799]
+    assert result["curves"] == {
+        6: [2.950045959987307, 2.5452371837867105, 2.1817193482955233,
+            1.8602195205162477, 1.5798299710487527, 1.338246258670953,
+            1.1321596776113285, 0.9576953147269336, 0.8108039981660582],
+        8: [3.5848238705098794, 2.980412567680233, 2.4407778971702356,
+            1.9720611753245407, 1.5758624537146204, 1.2491350282465845,
+            0.9851874414062678, 0.7752724754024456, 0.6101211407565472],
+        10: [4.26628435145906, 3.4489491726420063, 2.718071453156128,
+             2.090366109559696, 1.5740341364923616, 1.1663935747634646,
+             0.8554808473337872, 0.6243355385563198, 0.45532337347474083]}
+
+
+def test_gap_scan_does_not_depend_on_blas_threads():
     code = ("import json, numpy as np; from tfim import spectral as sp; "
             "r = sp.gap_scaling_critical_point(sizes=(6, 8, 10), "
             "lam_grid=np.linspace(0.8, 1.2, 9)); print(json.dumps(r))")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
-    result = json.loads(proc.stdout)
-    assert result["estimate"] == 0.9987659535783951
-    assert result["spread"] == 0.0009520008510968125
-    assert result["crossings"] == [0.998287045291453, 0.9987717693011829, 0.9992390461425498]
-    assert result["curves"] == {
-        "6": [2.9500459599872535, 2.5452371837867744, 2.1817193482954433,
-              1.860219520516221, 1.5798299710487633, 1.3382462586709956,
-              1.1321596776112592, 0.957695314726827, 0.8108039981661435],
-        "8": [3.5848238705099646, 2.9804125676800908, 2.4407778971702783,
-              1.9720611753243276, 1.5758624537144783, 1.2491350282472524,
-              0.9851874414065946, 0.7752724754026445, 0.6101211407567888],
-        "10": [4.266284351459184, 3.4489491726419352, 2.7180714531562877,
-               2.090366109560158, 1.5740341364923793, 1.166393574763429,
-               0.8554808473336806, 0.6243355385563198, 0.45532337347468754]}
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_fourier_table_and_irb_pinned(ring4):

@@ -1,10 +1,31 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tfim import discrete
+from tfim import experiments as ex
 from tfim.discrete import (DiscreteSystem, coupled_connected,
                            coupled_probability, enumerate_coupled,
                            switching_sides)
+from tfim.randomparity import switching_exact_discrete
+
+# (lhs, rhs) of the exact switching cases as given by the nested-loop
+# enumeration (``_reference_switching_sides`` below); the tests of this file
+# use the same four systems.
+PINNED_SIDES = {
+    "1edge-3slot-fw": (0.4501785278320313, 0.45017852783203144),
+    "2edge-3slot-fw": (0.1843031433993942, 0.18430314339939421),
+    "1edge-4slot-fw": (0.397460158151839, 0.3974601581518384),
+    "1edge-3slot-pp": (0.4368832192342155, 0.436883219234213),
+}
+
+
+def _assert_pinned(lhs, rhs, case):
+    pinned_lhs, pinned_rhs = PINNED_SIDES[case]
+    assert lhs == pytest.approx(pinned_lhs, rel=1e-13, abs=0)
+    assert rhs == pytest.approx(pinned_rhs, rel=1e-13, abs=0)
 
 
 def small_system(**overrides):
@@ -22,6 +43,7 @@ def test_switching_exact_interval_fw():
         ghost_multiplicity={"a": 1, "b": 1}, p_ghost=0.2)
     lhs, rhs = switching_sides(system, ("a", 1), ("b", 2))
     assert abs(lhs - rhs) <= 1e-12
+    _assert_pinned(lhs, rhs, "1edge-3slot-fw")
 
 
 def test_switching_exact_two_edges():
@@ -31,6 +53,7 @@ def test_switching_exact_two_edges():
         ghost_multiplicity={"a": 1, "c": 1}, p_ghost=0.1)
     lhs, rhs = switching_sides(system, ("a", 1), ("c", 2))
     assert abs(lhs - rhs) <= 1e-12
+    _assert_pinned(lhs, rhs, "2edge-3slot-fw")
 
 
 def test_switching_exact_four_slots():
@@ -40,11 +63,13 @@ def test_switching_exact_four_slots():
         ghost_multiplicity={"a": 1, "b": 1}, p_ghost=0.15)
     lhs, rhs = switching_sides(system, ("a", 1), ("b", 3))
     assert abs(lhs - rhs) <= 1e-12
+    _assert_pinned(lhs, rhs, "1edge-4slot-fw")
 
 
 def test_switching_exact_circle_pp():
     lhs, rhs = switching_sides(small_system(), ("a", 0), ("b", 1))
     assert abs(lhs - rhs) <= 1e-12
+    _assert_pinned(lhs, rhs, "1edge-3slot-pp")
 
 
 def test_switching_no_bridges_both_sides_vanish():
@@ -89,3 +114,116 @@ def test_coupled_connectivity_modes():
         if plain and not off:
             saw_plain_not_off = True
     assert saw_plain_not_off
+
+
+@pytest.mark.parametrize("case", ex.EXACT_SWITCHING_CASES, ids=lambda c: c["case"])
+def test_exact_switching_cases_pinned(case):
+    rep = switching_exact_discrete(**{k: v for k, v in case.items() if k != "case"})
+    _assert_pinned(rep.lhs, rep.rhs, case["case"])
+
+
+# -- nested-loop reference for the switching sides ------------------------------
+#
+# Every (copy 1, copy 2) state pair with both labellings, and a fresh
+# connectivity per cut set and latent-slot set: slow, but a direct transcription
+# of the two expectations.
+
+def _reference_switching_sides(system, source_a, source_b):
+    src_pair = (source_a, source_b)
+    lhs = 0.0
+    rhs = 0.0
+    tau_needed = system.bc1 == "p"
+    for bridges1, p1 in discrete._iter_processes(system):
+        for tau, pt in discrete._iter_taus(system, tau_needed):
+            par1_src = discrete._switch_parities(system, bridges1, (), src_pair)
+            lab1_src = discrete._labelling(system, par1_src, system.bc1, tau)
+            par1_emp = discrete._switch_parities(system, bridges1, (), ())
+            lab1_emp = discrete._labelling(system, par1_emp, system.bc1, tau)
+            if lab1_src is None and lab1_emp is None:
+                continue
+            for bridges2, p2 in discrete._iter_processes(system):
+                for ghost_list, ghosts, pg in discrete._iter_ghosts(system):
+                    for tau2, pt2 in discrete._iter_taus(system, system.bc2 == "p"):
+                        par2_emp = discrete._switch_parities(system, bridges2, ghost_list, ())
+                        lab2_emp = discrete._labelling(system, par2_emp, system.bc2, tau2)
+                        par2_src = discrete._switch_parities(system, bridges2, ghost_list,
+                                                             src_pair)
+                        lab2_src = discrete._labelling(system, par2_src, system.bc2, tau2)
+                        base = p1 * pt * p2 * pg * pt2
+                        if lab1_src is not None and lab2_emp is not None:
+                            lhs += (base * discrete._weight(system, lab1_src)
+                                    * discrete._weight(system, lab2_emp))
+                        if lab1_emp is not None and lab2_src is not None:
+                            w = (discrete._weight(system, lab1_emp)
+                                 * discrete._weight(system, lab2_src))
+                            union = set(bridges1) | set(bridges2)
+                            prob_conn = _reference_connection_probability(
+                                system, lab1_emp, lab2_src, union, ghosts,
+                                source_a, source_b)
+                            rhs += base * w * prob_conn
+    return lhs, rhs
+
+
+def _reference_connection_probability(system, labels1, labels2, bridges_union,
+                                      ghosts, start, end):
+    q = system.q_cut
+    p = system.p_bridge
+    latent_open = (p / (1.0 - p)) ** 2
+    ee = [(x, c) for x in system.sites for c in system.cells()
+          if labels1[x][c] and labels2[x][c]]
+    empty_slots = [((x, y), b) for (x, y) in system.edges
+                   for b in system.interior_boundaries
+                   if ((x, y), b) not in bridges_union]
+    prob = 0.0
+    for cut_bits in itertools.product((False, True), repeat=len(ee)):
+        cut = {cell for cell, bit in zip(ee, cut_bits) if bit}
+        p_cut = 1.0
+        for bit in cut_bits:
+            p_cut *= q if bit else (1.0 - q)
+        if p_cut == 0.0:
+            continue
+        for open_bits in itertools.product((False, True), repeat=len(empty_slots)):
+            extra = [slot for slot, bit in zip(empty_slots, open_bits) if bit]
+            p_lat = 1.0
+            for bit in open_bits:
+                p_lat *= latent_open if bit else (1.0 - latent_open)
+            if p_lat == 0.0:
+                continue
+            if discrete._connected(system, labels1, labels2, list(bridges_union) + extra,
+                                   ghosts, cut, start, end, use_ghost_jumps=False):
+                prob += p_cut * p_lat
+    return prob
+
+
+@st.composite
+def _small_switching_systems(draw):
+    """Interval f/w with 1-2 edges and 2-3 slots, or the circle p/p with 2
+    slots, at random valid parameters and sources."""
+    shape = draw(st.sampled_from(["interval-1edge", "interval-2edge", "circle"]))
+    if shape == "interval-2edge":
+        sites, edges = ("a", "b", "c"), (("a", "b"), ("b", "c"))
+    else:
+        sites, edges = ("a", "b"), (("a", "b"),)
+    if shape == "circle":
+        n_slots, topology, bc1, bc2 = 2, "circle", "p", "p"
+    else:
+        n_slots, topology, bc1, bc2 = draw(st.integers(2, 3)), "interval", "f", "w"
+    system = DiscreteSystem(
+        sites=sites, edges=edges, n_slots=n_slots, topology=topology, bc1=bc1, bc2=bc2,
+        p_bridge=draw(st.floats(0.0, 0.5)), w_even=draw(st.floats(1.0, 2.0)),
+        ghost_multiplicity={x: draw(st.integers(0, 1)) for x in sites},
+        p_ghost=draw(st.floats(0.0, 1.0)))
+    sources = st.tuples(st.sampled_from(sites),
+                        st.sampled_from(list(system.interior_boundaries)))
+    return system, draw(sources), draw(sources)
+
+
+@given(_small_switching_systems())
+@settings(max_examples=100)
+def test_switching_sides_match_nested_loop_reference(drawn):
+    system, source_a, source_b = drawn
+    lhs, rhs = switching_sides(system, source_a, source_b)
+    ref_lhs, ref_rhs = _reference_switching_sides(system, source_a, source_b)
+    assert lhs == pytest.approx(ref_lhs, rel=1e-12, abs=1e-15)
+    assert rhs == pytest.approx(ref_rhs, rel=1e-12, abs=1e-15)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)

@@ -27,9 +27,10 @@ class DiscreteSystem:
     ``topology`` is "interval" (boundaries 0..m, switching only at interior
     boundaries, anchored time ends) or "circle" (boundaries 0..m-1 with
     wrap-around, time-zero parities tau).  ``bc1``/``bc2`` are the time rules
-    of the plain and the ghosted labelling ("f"/"w"/"p"; circle requires "p"
-    on both).  ``ghost_multiplicity`` maps sites to the number of exterior
-    neighbours (0 for none).
+    of the plain and the ghosted labelling ("f"/"w" on an interval, "p" on a
+    circle).  ``ghost_multiplicity`` maps sites to the number of exterior
+    neighbours (0 for none).  Construction raises ``ValueError`` on a system
+    outside these rules or with probabilities that are not probabilities.
     """
 
     sites: tuple
@@ -43,6 +44,26 @@ class DiscreteSystem:
     ghost_multiplicity: dict = field(default_factory=dict)
     p_ghost: float = 0.0
 
+    def __post_init__(self):
+        rules = {"interval": ("f", "w"), "circle": ("p",)}.get(self.topology, ())
+        if self.bc1 not in rules or self.bc2 not in rules:
+            raise ValueError(f"time rules {self.bc1!r}/{self.bc2!r} do not fit the "
+                             f"topology {self.topology!r} (interval: f/w, circle: p)")
+        # latent slots open with (p/(1-p))^2 <= 1, and q_cut = 1 - w_even^-2 >= 0
+        if not (0.0 <= self.p_bridge <= 0.5 and self.w_even >= 1.0
+                and 0.0 <= self.p_ghost <= 1.0):
+            raise ValueError(f"need 0 <= p_bridge <= 0.5, w_even >= 1 and 0 <= p_ghost <= 1, "
+                             f"got {self.p_bridge}, {self.w_even}, {self.p_ghost}")
+        ghosts = self.ghost_multiplicity
+        if (self.n_slots < 1 or not set(itertools.chain(*self.edges)) <= set(self.sites)
+                or any(x not in self.sites or k < 0 for x, k in ghosts.items())):
+            raise ValueError("need n_slots >= 1, and edges and ghost multiplicities (>= 0) "
+                             "on the given sites")
+
+    def check_source(self, source) -> None:
+        if source[0] not in self.sites or source[1] not in self.interior_boundaries:
+            raise ValueError(f"source {source!r} is not a site at an interior boundary")
+
     @property
     def q_cut(self) -> float:
         return 1.0 - 1.0 / (self.w_even * self.w_even)
@@ -54,38 +75,34 @@ class DiscreteSystem:
     def cells(self) -> range:
         return range(self.n_slots)
 
+    def bridge_slots(self) -> list:
+        return [((x, y), b) for (x, y) in self.edges for b in self.interior_boundaries]
 
-def _bernoulli_weight(chosen: int, total: int, p: float) -> float:
-    return (p**chosen) * ((1.0 - p) ** (total - chosen))
+
+def _subsets(items, p: float):
+    """Yield (chosen, p^|chosen| (1-p)^|rest|) over every subset of ``items``."""
+    for k in range(len(items) + 1):
+        for chosen in itertools.combinations(items, k):
+            yield chosen, (p**k) * ((1.0 - p) ** (len(items) - k))
 
 
 def _labelling(system: DiscreteSystem, switch_parity: dict, bc: str, tau: dict | None):
     """Cell labels (True = even) per site, or None when inconsistent."""
     labels = {}
     m = system.n_slots
+    circle = system.topology == "circle"
     for x in system.sites:
         par = switch_parity.get(x, [0] * (m + 1))
-        if system.topology == "interval":
-            if sum(par[1:m]) % 2 != 0:
-                return None
-            anchor = bc == "f"  # even cells start at an even anchor
-            lab = []
-            current = anchor
-            for c in range(m):
-                if c > 0 and par[c] % 2 == 1:
-                    current = not current
-                lab.append(current)
-            labels[x] = lab
-        else:
-            if sum(par[b] for b in range(m)) % 2 != 0:
-                return None
-            current = tau[x] == 0
-            lab = []
-            for c in range(m):
-                if c > 0 and par[c] % 2 == 1:
-                    current = not current
-                lab.append(current)
-            labels[x] = lab
+        if sum(par[0:m] if circle else par[1:m]) % 2 != 0:
+            return None
+        # an interval starts even at an "f" anchor, a circle at tau = 0
+        current = tau[x] == 0 if circle else bc == "f"
+        lab = []
+        for c in range(m):
+            if c > 0 and par[c] % 2 == 1:
+                current = not current
+            lab.append(current)
+        labels[x] = lab
     return labels
 
 
@@ -107,69 +124,71 @@ def _switch_parities(system: DiscreteSystem, bridges, ghosts, sources):
     return par
 
 
-def _connected(system: DiscreteSystem, labels1, labels2, bridges_union, ghosts,
-               cut_cells, start, end, use_ghost_jumps: bool) -> bool:
-    """Open-path connectivity between two (site, boundary) nodes."""
+def _connected(system: DiscreteSystem, bridges_union, ghosts, blocked,
+               start, end, use_ghost_jumps: bool) -> bool:
+    """Open-path connectivity between two (site, boundary) nodes; a cell in
+    ``blocked`` (a cut in an even-even cell) stops its line."""
     m = system.n_slots
     n_b = m + 1 if system.topology == "interval" else m
     index = {(x, b): i * n_b + b for i, x in enumerate(system.sites) for b in range(n_b)}
     hub = len(system.sites) * n_b
     uf = _UnionFind(hub + 1)
 
-    for i, x in enumerate(system.sites):
+    for x in system.sites:
         for c in system.cells():
-            blocked = ((x, c) in cut_cells) and labels1[x][c] and labels2[x][c]
-            if not blocked:
-                b2 = (c + 1) % n_b if system.topology == "circle" else c + 1
-                uf.union(index[(x, c)], index[(x, b2)])
+            if (x, c) not in blocked:
+                uf.union(index[(x, c)], index[(x, (c + 1) % n_b)])
     for ((x, y), b) in bridges_union:
         uf.union(index[(x, b)], index[(y, b)])
+    ghost_nodes = [index[g] for g in ghosts]
+    if system.topology == "interval" and system.bc2 == "w":
+        ghost_nodes += [index[(x, b)] for x in system.sites for b in (0, m)]
     if use_ghost_jumps:
-        for (x, b) in ghosts:
-            uf.union(index[(x, b)], hub)
-        if system.topology == "interval" and system.bc2 == "w":
-            for x in system.sites:
-                uf.union(index[(x, 0)], hub)
-                uf.union(index[(x, m)], hub)
+        for g in ghost_nodes:
+            uf.union(g, hub)
     if end == "ghost":
-        ghost_nodes = [index[g] for g in ghosts]
-        if system.topology == "interval" and system.bc2 == "w":
-            ghost_nodes += [index[(x, 0)] for x in system.sites]
-            ghost_nodes += [index[(x, m)] for x in system.sites]
         root = uf.find(index[start])
         return any(uf.find(g) == root for g in ghost_nodes)
     return uf.find(index[start]) == uf.find(index[end])
 
 
-def _iter_processes(system: DiscreteSystem):
-    """Yield (bridges, prob) over all bridge assignments of one copy."""
-    slots = [((x, y), b) for (x, y) in system.edges for b in system.interior_boundaries]
-    for chosen in itertools.chain.from_iterable(
-            itertools.combinations(slots, k) for k in range(len(slots) + 1)):
-        yield frozenset(chosen), _bernoulli_weight(len(chosen), len(slots), system.p_bridge)
+def _iter_copy(system: DiscreteSystem, bc: str, ghosted: bool):
+    """Yield (bridges, ghost_list, ghosts, tau, prob) over the states of one
+    copy: bridge sets, ghost placements if ``ghosted`` and time-zero parities
+    tau if ``bc`` is "p"."""
+    ghost_slots = [(x, b, copy) for x in system.sites if ghosted
+                   for copy in range(system.ghost_multiplicity.get(x, 0))
+                   for b in system.interior_boundaries]
+    n = len(system.sites)
+    taus = ([(dict(zip(system.sites, bits)), 0.5**n)
+             for bits in itertools.product((0, 1), repeat=n)] if bc == "p" else [(None, 1.0)])
+    for bridges, p_bridges in _subsets(system.bridge_slots(), system.p_bridge):
+        bridges = frozenset(bridges)
+        for chosen, p_ghosts in _subsets(ghost_slots, system.p_ghost):
+            # distinct copies landing on one boundary toggle twice; keep multiset
+            ghost_list = tuple((x, b) for (x, b, _) in chosen)
+            for tau, p_tau in taus:
+                yield bridges, ghost_list, frozenset(ghost_list), tau, p_bridges * p_ghosts * p_tau
 
 
-def _iter_ghosts(system: DiscreteSystem):
-    slots = []
-    for x in system.sites:
-        mult = system.ghost_multiplicity.get(x, 0)
-        for copy in range(mult):
-            for b in system.interior_boundaries:
-                slots.append((x, b, copy))
-    for chosen in itertools.chain.from_iterable(
-            itertools.combinations(slots, k) for k in range(len(slots) + 1)):
-        ghosts = frozenset((x, b) for (x, b, _) in chosen)
-        # distinct copies landing on one boundary toggle twice; keep multiset
-        yield tuple((x, b) for (x, b, _) in chosen), ghosts, \
-            _bernoulli_weight(len(chosen), len(slots), system.p_ghost)
-
-
-def _iter_taus(system: DiscreteSystem, needed: bool):
-    if not needed:
-        yield None, 1.0
-        return
-    for bits in itertools.product((0, 1), repeat=len(system.sites)):
-        yield dict(zip(system.sites, bits)), 0.5 ** len(system.sites)
+def _copy_states(system: DiscreteSystem, bc: str, ghosted: bool, lhs_sources, rhs_sources):
+    """One enumeration of a copy: the sum of p * w over its labellings with
+    ``lhs_sources``, and the sums of p * w over its labellings with
+    ``rhs_sources`` per (bridges, even cells)."""
+    total = 0.0
+    states = {}
+    for bridges, ghost_list, _, tau, p in _iter_copy(system, bc, ghosted):
+        lab = _labelling(system, _switch_parities(system, bridges, ghost_list, lhs_sources),
+                         bc, tau)
+        if lab is not None:
+            total += p * _weight(system, lab)
+        lab = _labelling(system, _switch_parities(system, bridges, ghost_list, rhs_sources),
+                         bc, tau)
+        if lab is not None:
+            key = (bridges, frozenset((x, c) for x in system.sites for c in system.cells()
+                                      if lab[x][c]))
+            states[key] = states.get(key, 0.0) + p * _weight(system, lab)
+    return total, states
 
 
 def switching_sides(system: DiscreteSystem, source_a, source_b) -> tuple[float, float]:
@@ -179,43 +198,33 @@ def switching_sides(system: DiscreteSystem, source_a, source_b) -> tuple[float, 
     sources)].  Right: E[w(first, no sources) * w(ghosted, both sources) *
     1{sources connected avoiding ghost jumps}].  The cut probability is tied
     to the even-cell weight via q = 1 - w_even^{-2}.
+
+    The copies are independent, so the left side is the product of the two
+    per-copy sums, and the right side runs over pairs of per-copy states
+    aggregated by (bridges, even cells).  Connection probabilities are
+    memoised per call on (even-even cells, bridge union), and connectivity on
+    (cut cells, bridges with latent slots).
     """
-    sources = ((source_a,), (source_b,))
+    system.check_source(source_a)
+    system.check_source(source_b)
     src_pair = (source_a, source_b)
-    q = system.q_cut
-    lhs = 0.0
+    lhs1, states1 = _copy_states(system, system.bc1, False, src_pair, ())
+    lhs2, states2 = _copy_states(system, system.bc2, True, (), src_pair)
+    connected = {}
+    probability = {}
     rhs = 0.0
-    tau_needed = system.bc1 == "p"
-    for bridges1, p1 in _iter_processes(system):
-        for tau, pt in _iter_taus(system, tau_needed):
-            par1_src = _switch_parities(system, bridges1, (), src_pair)
-            lab1_src = _labelling(system, par1_src, system.bc1, tau)
-            par1_emp = _switch_parities(system, bridges1, (), ())
-            lab1_emp = _labelling(system, par1_emp, system.bc1, tau)
-            if lab1_src is None and lab1_emp is None:
-                continue
-            for bridges2, p2 in _iter_processes(system):
-                for ghost_list, ghosts, pg in _iter_ghosts(system):
-                    for tau2, pt2 in _iter_taus(system, system.bc2 == "p"):
-                        par2_emp = _switch_parities(system, bridges2, ghost_list, ())
-                        lab2_emp = _labelling(system, par2_emp, system.bc2, tau2)
-                        par2_src = _switch_parities(system, bridges2, ghost_list, src_pair)
-                        lab2_src = _labelling(system, par2_src, system.bc2, tau2)
-                        base = p1 * pt * p2 * pg * pt2
-                        if lab1_src is not None and lab2_emp is not None:
-                            lhs += base * _weight(system, lab1_src) * _weight(system, lab2_emp)
-                        if lab1_emp is not None and lab2_src is not None:
-                            w = _weight(system, lab1_emp) * _weight(system, lab2_src)
-                            union = set(bridges1) | set(bridges2)
-                            prob_conn = _connection_probability(
-                                system, lab1_emp, lab2_src, union, ghosts,
-                                source_a, source_b)
-                            rhs += base * w * prob_conn
-    return lhs, rhs
+    for (bridges1, even1), pw1 in states1.items():
+        for (bridges2, even2), pw2 in states2.items():
+            key = (even1 & even2, bridges1 | bridges2)
+            if key not in probability:
+                probability[key] = _connection_probability(system, *key, source_a, source_b,
+                                                           connected)
+            rhs += pw1 * pw2 * probability[key]
+    return lhs1 * lhs2, rhs
 
 
-def _connection_probability(system: DiscreteSystem, labels1, labels2,
-                            bridges_union, ghosts, start, end) -> float:
+def _connection_probability(system: DiscreteSystem, even_even: frozenset,
+                            bridges_union: frozenset, start, end, connected: dict) -> float:
     """P(start <-> end avoiding ghost edges | labellings and processes).
 
     Conditionally on the label parities, an even-even cell is traversable
@@ -223,33 +232,27 @@ def _connection_probability(system: DiscreteSystem, labels1, labels2,
     either copy is traversable with the latent doubled-bridge probability
     (p/(1-p))^2, the discrete remnant of coincident bridges.  These latent
     events vanish in the continuum limit but are needed for the identity to
-    be exact at a finite slot count.
+    be exact at a finite slot count.  ``connected`` memoises the open-path
+    connectivity on (cut cells, bridges).
     """
-    q = system.q_cut
     p = system.p_bridge
     latent_open = (p / (1.0 - p)) ** 2
-    ee = [(x, c) for x in system.sites for c in system.cells()
-          if labels1[x][c] and labels2[x][c]]
-    empty_slots = [((x, y), b) for (x, y) in system.edges
-                   for b in system.interior_boundaries
-                   if ((x, y), b) not in bridges_union]
+    # listed in system order, so the float sum does not follow set order
+    ee = [(x, c) for x in system.sites for c in system.cells() if (x, c) in even_even]
+    empty = [slot for slot in system.bridge_slots() if slot not in bridges_union]
+    opened = [(bridges_union.union(extra), p_lat)
+              for extra, p_lat in _subsets(empty, latent_open) if p_lat != 0.0]
     prob = 0.0
-    for cut_bits in itertools.product((False, True), repeat=len(ee)):
-        cut = {cell for cell, bit in zip(ee, cut_bits) if bit}
-        p_cut = 1.0
-        for bit in cut_bits:
-            p_cut *= q if bit else (1.0 - q)
+    for cut, p_cut in _subsets(ee, system.q_cut):
         if p_cut == 0.0:
             continue
-        for open_bits in itertools.product((False, True), repeat=len(empty_slots)):
-            extra = [slot for slot, bit in zip(empty_slots, open_bits) if bit]
-            p_lat = 1.0
-            for bit in open_bits:
-                p_lat *= latent_open if bit else (1.0 - latent_open)
-            if p_lat == 0.0:
-                continue
-            if _connected(system, labels1, labels2, list(bridges_union) + extra,
-                          ghosts, cut, start, end, use_ghost_jumps=False):
+        cut = frozenset(cut)
+        for bridges, p_lat in opened:
+            key = (cut, bridges)
+            if key not in connected:
+                connected[key] = _connected(system, bridges, (), cut, start, end,
+                                            use_ghost_jumps=False)
+            if connected[key]:
                 prob += p_cut * p_lat
     return prob
 
@@ -270,34 +273,23 @@ class DiscreteCoupled:
 
 def enumerate_coupled(system: DiscreteSystem, sources1=(), sources2=()):
     """All coupled configurations with nonzero labelling weights."""
-    q = system.q_cut
-    cells = [(x, c) for x in system.sites for c in system.cells()]
-    out = []
-    for bridges1, p1 in _iter_processes(system):
-        for tau, pt in _iter_taus(system, system.bc1 == "p"):
-            lab1 = _labelling(system, _switch_parities(system, bridges1, (), tuple(sources1)),
-                              system.bc1, tau)
-            if lab1 is None:
-                continue
-            w1 = _weight(system, lab1)
-            for bridges2, p2 in _iter_processes(system):
-                for ghost_list, ghosts, pg in _iter_ghosts(system):
-                    for tau2, pt2 in _iter_taus(system, system.bc2 == "p"):
-                        lab2 = _labelling(
-                            system,
-                            _switch_parities(system, bridges2, ghost_list, tuple(sources2)),
-                            system.bc2, tau2)
-                        if lab2 is None:
-                            continue
-                        w2 = _weight(system, lab2)
-                        base = p1 * pt * p2 * pg * pt2
-                        for k in range(len(cells) + 1):
-                            for cut in itertools.combinations(cells, k):
-                                out.append(DiscreteCoupled(
-                                    bridges1, bridges2, ghosts, frozenset(cut),
-                                    lab1, lab2, w1 * w2,
-                                    base * _bernoulli_weight(k, len(cells), q)))
-    return out
+    for source in (*sources1, *sources2):
+        system.check_source(source)
+    cuts = [(frozenset(cut), p_cut) for cut, p_cut in _subsets(
+        [(x, c) for x in system.sites for c in system.cells()], system.q_cut)]
+    copies = []
+    for bc, ghosted, sources in ((system.bc1, False, sources1), (system.bc2, True, sources2)):
+        copies.append([])
+        for bridges, ghost_list, ghosts, tau, p in _iter_copy(system, bc, ghosted):
+            lab = _labelling(system, _switch_parities(system, bridges, ghost_list, sources),
+                             bc, tau)
+            if lab is not None:
+                copies[-1].append((bridges, ghosts, lab, _weight(system, lab), p))
+    return [DiscreteCoupled(bridges1, bridges2, ghosts, cut, lab1, lab2, w1 * w2,
+                            p1 * p2 * p_cut)
+            for bridges1, _, lab1, w1, p1 in copies[0]
+            for bridges2, ghosts, lab2, w2, p2 in copies[1]
+            for cut, p_cut in cuts]
 
 
 def coupled_probability(system: DiscreteSystem, event: Callable[[DiscreteCoupled], bool],
@@ -315,10 +307,11 @@ def coupled_connected(system: DiscreteSystem, config: DiscreteCoupled,
 
     ``mode`` is "plain", "off-gamma" (no ghost jumps) or "to-gamma"
     (``end`` ignored)."""
+    if mode not in ("plain", "off-gamma", "to-gamma"):
+        raise ValueError(f"unknown connectivity mode {mode!r}")
     union = list(config.bridges1) + list(config.bridges2)
-    if mode == "to-gamma":
-        return _connected(system, config.labels1, config.labels2, union,
-                          config.ghosts, set(config.cuts), start, "ghost", True)
-    return _connected(system, config.labels1, config.labels2, union,
-                      config.ghosts, set(config.cuts), start, end,
-                      use_ghost_jumps=(mode == "plain"))
+    blocked = {(x, c) for (x, c) in config.cuts
+               if config.labels1[x][c] and config.labels2[x][c]}
+    return _connected(system, union, config.ghosts, blocked, start,
+                      "ghost" if mode == "to-gamma" else end,
+                      use_ghost_jumps=(mode != "off-gamma"))

@@ -78,6 +78,53 @@ def test_switching_no_bridges_both_sides_vanish():
     assert lhs == 0.0 and rhs == 0.0
 
 
+def test_switching_connectivity_memo_is_per_call(monkeypatch):
+    """Each distinct (cut cells, bridges) question is asked once per call, at
+    most 2^cells * 2^slots of them, and a second call asks them all again."""
+    calls = []
+    connected = discrete._connected
+    monkeypatch.setattr(discrete, "_connected",
+                        lambda *args, **kw: calls.append(args) or connected(*args, **kw))
+    system = small_system()
+    switching_sides(system, ("a", 0), ("b", 1))
+    first = len(calls)
+    assert 0 < first <= 2**6 * 2**3
+    assert len({(frozenset(args[1]), frozenset(args[3])) for args in calls}) == first
+    switching_sides(system, ("a", 0), ("b", 1))
+    assert len(calls) == 2 * first
+
+
+@pytest.mark.parametrize("overrides, source, match", [
+    (dict(w_even=0.8), None, "w_even >= 1"),
+    (dict(p_bridge=0.6), None, "p_bridge"),
+    (dict(p_bridge=1.0), None, "p_bridge"),
+    (dict(p_bridge=-0.1), None, "p_bridge"),
+    (dict(p_ghost=1.5), None, "p_ghost <= 1"),
+    (dict(bc2="x"), None, "time rules"),
+    (dict(bc1="f"), None, "time rules"),
+    (dict(topology="interval"), None, "time rules"),
+    (dict(topology="torus"), None, "time rules"),
+    (dict(n_slots=0), None, "n_slots"),
+    (dict(edges=(("a", "z"),)), None, "edges"),
+    (dict(ghost_multiplicity={"z": 1}), None, "ghost multiplicities"),
+    (dict(ghost_multiplicity={"a": -1}), None, "ghost multiplicities"),
+    ({}, ("z", 0), "source"),
+    ({}, ("a", 3), "source"),
+    (dict(topology="interval", bc1="f", bc2="w"), ("a", 0), "source"),
+    (dict(topology="interval", bc1="f", bc2="w"), ("a", 3), "source"),
+])
+def test_invalid_discrete_system_raises(overrides, source, match):
+    if source is None:
+        with pytest.raises(ValueError, match=match):
+            small_system(**overrides)
+        return
+    system = small_system(**overrides)
+    with pytest.raises(ValueError, match=match):
+        switching_sides(system, source, ("b", 1))
+    with pytest.raises(ValueError, match=match):
+        enumerate_coupled(system, sources2=(source,))
+
+
 def test_cut_probability_tied_to_weight():
     system = small_system(w_even=1.25)
     assert system.q_cut == pytest.approx(1.0 - 1.25**-2)
@@ -113,7 +160,11 @@ def test_coupled_connectivity_modes():
             assert plain
         if plain and not off:
             saw_plain_not_off = True
+            # the plain path runs through a ghost jump
+            assert coupled_connected(system, c, ("a", 0), None, "to-gamma")
     assert saw_plain_not_off
+    with pytest.raises(ValueError, match="unknown connectivity mode"):
+        coupled_connected(system, configs[0], ("a", 0), ("b", 1), "ghost")
 
 
 @pytest.mark.parametrize("case", ex.EXACT_SWITCHING_CASES, ids=lambda c: c["case"])
@@ -132,35 +183,29 @@ def _reference_switching_sides(system, source_a, source_b):
     src_pair = (source_a, source_b)
     lhs = 0.0
     rhs = 0.0
-    tau_needed = system.bc1 == "p"
-    for bridges1, p1 in discrete._iter_processes(system):
-        for tau, pt in discrete._iter_taus(system, tau_needed):
-            par1_src = discrete._switch_parities(system, bridges1, (), src_pair)
-            lab1_src = discrete._labelling(system, par1_src, system.bc1, tau)
-            par1_emp = discrete._switch_parities(system, bridges1, (), ())
-            lab1_emp = discrete._labelling(system, par1_emp, system.bc1, tau)
-            if lab1_src is None and lab1_emp is None:
-                continue
-            for bridges2, p2 in discrete._iter_processes(system):
-                for ghost_list, ghosts, pg in discrete._iter_ghosts(system):
-                    for tau2, pt2 in discrete._iter_taus(system, system.bc2 == "p"):
-                        par2_emp = discrete._switch_parities(system, bridges2, ghost_list, ())
-                        lab2_emp = discrete._labelling(system, par2_emp, system.bc2, tau2)
-                        par2_src = discrete._switch_parities(system, bridges2, ghost_list,
-                                                             src_pair)
-                        lab2_src = discrete._labelling(system, par2_src, system.bc2, tau2)
-                        base = p1 * pt * p2 * pg * pt2
-                        if lab1_src is not None and lab2_emp is not None:
-                            lhs += (base * discrete._weight(system, lab1_src)
-                                    * discrete._weight(system, lab2_emp))
-                        if lab1_emp is not None and lab2_src is not None:
-                            w = (discrete._weight(system, lab1_emp)
-                                 * discrete._weight(system, lab2_src))
-                            union = set(bridges1) | set(bridges2)
-                            prob_conn = _reference_connection_probability(
-                                system, lab1_emp, lab2_src, union, ghosts,
-                                source_a, source_b)
-                            rhs += base * w * prob_conn
+    for bridges1, _, _, tau, p1 in discrete._iter_copy(system, system.bc1, False):
+        par1_src = discrete._switch_parities(system, bridges1, (), src_pair)
+        lab1_src = discrete._labelling(system, par1_src, system.bc1, tau)
+        par1_emp = discrete._switch_parities(system, bridges1, (), ())
+        lab1_emp = discrete._labelling(system, par1_emp, system.bc1, tau)
+        if lab1_src is None and lab1_emp is None:
+            continue
+        for bridges2, ghost_list, ghosts, tau2, p2 in discrete._iter_copy(
+                system, system.bc2, True):
+            par2_emp = discrete._switch_parities(system, bridges2, ghost_list, ())
+            lab2_emp = discrete._labelling(system, par2_emp, system.bc2, tau2)
+            par2_src = discrete._switch_parities(system, bridges2, ghost_list, src_pair)
+            lab2_src = discrete._labelling(system, par2_src, system.bc2, tau2)
+            base = p1 * p2
+            if lab1_src is not None and lab2_emp is not None:
+                lhs += (base * discrete._weight(system, lab1_src)
+                        * discrete._weight(system, lab2_emp))
+            if lab1_emp is not None and lab2_src is not None:
+                w = discrete._weight(system, lab1_emp) * discrete._weight(system, lab2_src)
+                union = set(bridges1) | set(bridges2)
+                prob_conn = _reference_connection_probability(
+                    system, lab1_emp, lab2_src, union, ghosts, source_a, source_b)
+                rhs += base * w * prob_conn
     return lhs, rhs
 
 
@@ -189,8 +234,9 @@ def _reference_connection_probability(system, labels1, labels2, bridges_union,
                 p_lat *= latent_open if bit else (1.0 - latent_open)
             if p_lat == 0.0:
                 continue
-            if discrete._connected(system, labels1, labels2, list(bridges_union) + extra,
-                                   ghosts, cut, start, end, use_ghost_jumps=False):
+            # cut cells are even-even, so each blocks its line
+            if discrete._connected(system, list(bridges_union) + extra, ghosts, cut,
+                                   start, end, use_ghost_jumps=False):
                 prob += p_cut * p_lat
     return prob
 

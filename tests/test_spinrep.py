@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tfim.config import RunConfig
 from tfim.geometry import Box, Holes, SpaceTimeRegion
+from tfim import experiments as ex
 from tfim import spectral as sp
 from tfim import spinrep as sr
 from tfim.rng import chain_generator
@@ -202,3 +205,145 @@ def test_trotter_matches_oracle_wired_magnetization():
     result = sr.trotter_magnetization(region, 1.0, 1.0, 6000, rng, dt=0.05)
     # approximate sampler: agreement within errors plus the recorded step bias
     assert abs(result.estimate.value - exact) <= 3 * result.estimate.stderr + 0.05
+
+
+# -- Trotter sweep against the full-lattice reference -------------------------
+
+class _ReferenceTrotter:
+    """The full-lattice checkerboard sweep: for every colour it computes the
+    field at every site-slot, draws a uniform for every site-slot and flips
+    only the cells of that colour.  ``TrotterSampler`` must reproduce its
+    spins and its RNG stream exactly."""
+
+    def __init__(self, region, lam, delta, dt):
+        self.region = region
+        self.n_slots = max(4, int(round(region.r / dt)))
+        step = region.r / self.n_slots
+        self.k_time = -0.5 * math.log(math.tanh(delta * step))
+        self.k_space = lam * step
+        sites = region.box.sites()
+        index = {x: i for i, x in enumerate(sites)}
+        nbrs = [[] for _ in sites]
+        field = np.zeros(len(sites))
+        for (x, y) in region.edge_set().edges:
+            xi, yi = index.get(tuple(x)), index.get(tuple(y))
+            if xi is not None and yi is not None:
+                nbrs[xi].append(yi)
+                nbrs[yi].append(xi)
+            elif xi is not None:
+                field[xi] += 1.0
+            elif yi is not None:
+                field[yi] += 1.0
+        self.field = field * self.k_space
+        max_deg = max((len(v) for v in nbrs), default=0)
+        self.nbr_idx = np.zeros((len(sites), max_deg), dtype=int)
+        self.nbr_mask = np.zeros((len(sites), max_deg))
+        for i, v in enumerate(nbrs):
+            for j, w in enumerate(v):
+                self.nbr_idx[i, j] = w
+                self.nbr_mask[i, j] = 1.0
+        site_colors = sr._proper_ring_colors(len(sites), nbrs)
+        m = self.n_slots
+        time_nbrs = [[(i - 1) % m, (i + 1) % m] if region.bc_time == "p"
+                     else [j for j in (i - 1, i + 1) if 0 <= j < m]
+                     for i in range(m)]
+        slot_colors = sr._proper_ring_colors(m, time_nbrs)
+        full = site_colors[:, None] * (slot_colors.max() + 1) + slot_colors[None, :]
+        self.cells_by_color = {int(c): np.nonzero(full == c) for c in np.unique(full)}
+        self.spins = np.ones((len(sites), m), dtype=np.int8)
+
+    def _space_field(self):
+        gathered = self.spins[self.nbr_idx, :] * self.nbr_mask[:, :, None]
+        return self.k_space * gathered.sum(axis=1) + self.field[:, None]
+
+    def _time_field(self):
+        s = self.spins
+        if self.region.bc_time == "p":
+            tf = np.roll(s, 1, axis=1) + np.roll(s, -1, axis=1)
+        else:
+            tf = np.zeros_like(s, dtype=float)
+            tf[:, 1:] += s[:, :-1]
+            tf[:, :-1] += s[:, 1:]
+            if self.region.bc_time == "w":
+                tf[:, 0] += 1.0
+                tf[:, -1] += 1.0
+        return self.k_time * tf
+
+    def sweep(self, rng):
+        for cells in self.cells_by_color.values():
+            local = self._space_field() + self._time_field()
+            d_e = 2.0 * self.spins * local
+            accept = rng.random(size=self.spins.shape) < np.exp(-np.clip(d_e, 0, 700))
+            flip = np.zeros_like(self.spins, dtype=bool)
+            flip[cells] = accept[cells]
+            self.spins[flip] *= -1
+
+    def pair_correlation(self, distance):
+        s = self.spins.astype(float)
+        return float((s * np.roll(s, -distance, axis=0)).mean())
+
+
+def _same_state(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
+
+
+@settings(max_examples=80)
+@given(d=st.sampled_from([1, 2]), n=st.integers(0, 2),
+       convention=st.sampled_from(["symmetric", "even-side"]),
+       bc_space=st.sampled_from("fpw"), bc_time=st.sampled_from("fpw"),
+       r=st.floats(0.3, 4.0), lam=st.floats(0.0, 3.0), delta=st.floats(0.05, 3.0),
+       dt=st.floats(0.08, 0.6), n_sweeps=st.integers(1, 4), seed=st.integers(0, 2**32))
+def test_trotter_sweep_matches_full_lattice_reference(d, n, convention, bc_space, bc_time,
+                                                      r, lam, delta, dt, n_sweeps, seed):
+    if convention == "even-side":
+        n = max(n, 1)
+    if d == 2:
+        n = min(n, 1)
+    region = SpaceTimeRegion(Box(d, n, convention), r, bc_space, bc_time)
+    sampler = sr.TrotterSampler(region, lam, delta, dt)
+    reference = _ReferenceTrotter(region, lam, delta, dt)
+    rng_a = chain_generator(seed, 0)
+    rng_b = chain_generator(seed, 0)
+    for _ in range(n_sweeps):
+        sampler.sweep(rng_a)
+        reference.sweep(rng_b)
+        assert sampler.spins.dtype == np.int8
+        assert np.array_equal(sampler.spins, reference.spins)
+    assert _same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
+    if d == 1 and bc_space == "p":
+        for distance in range(region.box.side + 1):
+            assert sampler.pair_correlation(distance) == \
+                reference.pair_correlation(distance)
+
+
+def test_trotter_estimates_pinned():
+    region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p")
+    res = sr.trotter_magnetization(region, 1.0, 1.0, 300, chain_generator(4, 7), dt=0.1)
+    assert (res.estimate.value, res.estimate.stderr, res.dt, res.n_slots) == \
+        (0.24666666666666667, 0.13502119212103017, 0.1, 10)
+    region = SpaceTimeRegion.ground_state(Box(1, 2), "p", "f")
+    out = sr.trotter_pair_correlations(region, 0.9, 1.0, [1, 2], 200,
+                                       chain_generator(4, 8), dt=0.1)
+    assert {d: (r.estimate.value, r.estimate.stderr) for d, r in out.items()} == \
+        {1: (0.5269, 0.020342022590305913), 2: (0.4256999999999999, 0.030640237184862387)}
+
+
+def test_lambda_c_summary_pinned():
+    cfg = RunConfig(kind="lambda-c", d=1, ground_state=True, n_schedule=[3, 4],
+                    lam_grid=[0.8, 0.9, 1.0, 1.1, 1.2], delta=1.0, n_sweeps=200,
+                    dt=0.1, seed=11).validate()
+    _, summary, _ = ex.run_lambda_c(cfg)
+    assert summary["estimate"] == 1.054575123817957
+    assert summary["curves"] == {
+        "3": [(0.756493175133527, 0.08129097734216881),
+              (0.7919218365909062, 0.06664766229815733),
+              (0.9065227109692409, 0.04862909110141708),
+              (0.8784563515290312, 0.06041779283306196),
+              (0.9554158082682871, 0.033812729501959626)],
+        "4": [(0.46880232168768843, 0.11575798601178881),
+              (0.6596397087006516, 0.12092665844197854),
+              (0.8133652666627723, 0.09103468261177906),
+              (0.9559947074138888, 0.039822823614094775),
+              (0.9589680485424535, 0.04453618292974875)]}

@@ -10,8 +10,10 @@ bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -58,6 +60,19 @@ def _percolation_region(cfg: RunConfig) -> SpaceTimeRegion:
     return _region(cfg, bc_space="w", bc_time="p")
 
 
+@contextmanager
+def _point_map(workers: int):
+    """A map of a function over tasks with results in task order: in this
+    process, or in one pool of ``workers`` spawned processes for the whole
+    ``with`` block when ``workers > 1``."""
+    if workers <= 1:
+        yield lambda fn, tasks: [fn(t) for t in tasks]
+        return
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield lambda fn, tasks: list(pool.map(fn, tasks))
+
+
 # -- correlation ---------------------------------------------------------------
 
 def _correlation_chain(args) -> tuple:
@@ -81,60 +96,62 @@ def run_correlation(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]
     rows = []
     origin = (0,) * cfg.d
     points = [(origin, 0.0), (tuple(cfg.point_site), cfg.point_time)]
-    for lam in cfg.lam_grid:
-        t0 = time.time()
-        tasks = [(cfg, lam, k) for k in range(cfg.n_chains)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_correlation_chain, tasks))
-        else:
-            results = [_correlation_chain(t) for t in tasks]
-        # pooled in chain order; spin weights share one normalization
-        logs, vals, num, den = (np.concatenate(parts) for parts in zip(*results))
-        w = np.exp(logs - logs.max())
-        acc_spin = RatioAccumulator()
-        acc_spin.push_many(w * vals, w)
-        spin_est = acc_spin.estimate()
-        rpr_est = ratio_estimate_independent(num, den)
-        wall = time.time() - t0
-        region = _region(cfg)
-        base = {"kind": cfg.kind, "d": cfg.d, "n": cfg.n, "r": region.r,
-                "bc_space": region.bc_space, "bc_time": region.bc_time,
-                "lam": lam, "delta": cfg.delta, "seed": cfg.seed,
-                "n_samples": cfg.n_samples * cfg.n_chains, "wall_time": round(wall, 3)}
-        rows.append({**base, "method": "spin", "estimate": spin_est.value,
-                     "stderr": spin_est.stderr, "n_effective": spin_est.ess})
-        rows.append({**base, "method": "random-parity", "estimate": rpr_est.value,
-                     "stderr": rpr_est.stderr, "n_effective": rpr_est.ess})
-        if 2 ** region.box.site_count <= spectral.DEFAULT_DIM_CAP:
-            exact = spectral.oracle_correlation(region, lam, cfg.delta, points)
-            rows.append({**base, "method": "oracle", "estimate": exact,
-                         "stderr": 0.0, "n_effective": float("inf"),
-                         "wall_time": 0.0})
+    with _point_map(workers) as map_points:
+        for lam in cfg.lam_grid:
+            t0 = time.time()
+            results = map_points(_correlation_chain,
+                                 [(cfg, lam, k) for k in range(cfg.n_chains)])
+            # pooled in chain order; spin weights share one normalization
+            logs, vals, num, den = (np.concatenate(parts) for parts in zip(*results))
+            w = np.exp(logs - logs.max())
+            acc_spin = RatioAccumulator()
+            acc_spin.push_many(w * vals, w)
+            spin_est = acc_spin.estimate()
+            rpr_est = ratio_estimate_independent(num, den)
+            wall = time.time() - t0
+            region = _region(cfg)
+            base = {"kind": cfg.kind, "d": cfg.d, "n": cfg.n, "r": region.r,
+                    "bc_space": region.bc_space, "bc_time": region.bc_time,
+                    "lam": lam, "delta": cfg.delta, "seed": cfg.seed,
+                    "n_samples": cfg.n_samples * cfg.n_chains, "wall_time": round(wall, 3)}
+            rows.append({**base, "method": "spin", "estimate": spin_est.value,
+                         "stderr": spin_est.stderr, "n_effective": spin_est.ess})
+            rows.append({**base, "method": "random-parity", "estimate": rpr_est.value,
+                         "stderr": rpr_est.stderr, "n_effective": rpr_est.ess})
+            if 2 ** region.box.site_count <= spectral.DEFAULT_DIM_CAP:
+                exact = spectral.oracle_correlation(region, lam, cfg.delta, points)
+                rows.append({**base, "method": "oracle", "estimate": exact,
+                             "stderr": 0.0, "n_effective": float("inf"),
+                             "wall_time": 0.0})
     return rows, {"points": [str(p) for p in points]}, True
 
 
 # -- magnetization sweep --------------------------------------------------------
 
+def _magnetization_point(args) -> dict:
+    """The row of one (n, lam) point, drawn from its own chain stream."""
+    cfg, n, j = args
+    t0 = time.time()
+    lam = cfg.lam_grid[j]
+    rng = chain_generator(cfg.seed, 1000 * n + j)
+    if cfg.ground_state:
+        region = SpaceTimeRegion.ground_state(Box(cfg.d, n), "w", "w")
+    else:
+        region = SpaceTimeRegion.finite_beta(Box(cfg.d, n), cfg.beta, "w", "p")
+    result = spinrep.trotter_magnetization(region, lam, cfg.delta, cfg.n_sweeps, rng, cfg.dt)
+    return {"kind": cfg.kind, "method": "trotter", "d": cfg.d,
+            "n": n, "r": region.r, "lam": lam, "delta": cfg.delta,
+            "estimate": result.estimate.value,
+            "stderr": result.estimate.stderr, "dt": result.dt,
+            "n_samples": cfg.n_sweeps, "seed": cfg.seed,
+            "flip_frac": result.flip_frac, "wall_time": round(time.time() - t0, 3)}
+
+
 def run_magnetization_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
-    rows = []
     schedule = cfg.n_schedule or [cfg.n]
-    for n in schedule:
-        for lam in cfg.lam_grid:
-            t0 = time.time()
-            rng = chain_generator(cfg.seed, 1000 * n + cfg.lam_grid.index(lam))
-            if cfg.ground_state:
-                region = SpaceTimeRegion.ground_state(Box(cfg.d, n), "w", "w")
-            else:
-                region = SpaceTimeRegion.finite_beta(Box(cfg.d, n), cfg.beta, "w", "p")
-            result = spinrep.trotter_magnetization(region, lam, cfg.delta,
-                                                   cfg.n_sweeps, rng, cfg.dt)
-            rows.append({"kind": cfg.kind, "method": "trotter", "d": cfg.d,
-                         "n": n, "r": region.r, "lam": lam, "delta": cfg.delta,
-                         "estimate": result.estimate.value,
-                         "stderr": result.estimate.stderr, "dt": result.dt,
-                         "n_samples": cfg.n_sweeps, "seed": cfg.seed,
-                         "wall_time": round(time.time() - t0, 3)})
+    with _point_map(workers) as map_points:
+        rows = map_points(_magnetization_point,
+                          [(cfg, n, j) for n in schedule for j in range(len(cfg.lam_grid))])
     # Griffiths monotonicity across the coupling grid, per size
     monotone = True
     for n in schedule:
@@ -257,40 +274,37 @@ def _percolation_chain(args) -> dict:
 def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
     rows = []
     ok = True
-    for lam in cfg.lam_grid:
-        t0 = time.time()
-        tasks = [(cfg, lam, k) for k in range(cfg.n_chains)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_percolation_chain, tasks))
-        else:
-            results = [_percolation_chain(t) for t in tasks]
-        acc = RatioAccumulator()
-        clusters = []
-        boundary = []
-        trif = 0
-        violations = 0
-        for res in results:
-            acc.merge(res["acc"])
-            clusters.extend(res["clusters"])
-            boundary.extend(res["boundary"])
-            trif += res["trif"]
-            violations += res["violations"]
-        if acc.sum_den == 0:
-            raise spinrep.SamplingError(
-                f"percolation-sweep: all {acc.n} coupled weights of the origin-to-ghost "
-                f"pool at lam={lam} are zero, so its ratio is undefined")
-        est = acc.estimate()
-        region = _percolation_region(cfg)
-        ok = ok and violations == 0
-        rows.append({"kind": cfg.kind, "d": cfg.d, "n": cfg.n, "r": region.r,
-                     "lam": lam, "delta": cfg.delta,
-                     "p_origin_ghost": est.value, "stderr": est.stderr,
-                     "mean_clusters": float(np.mean(clusters)),
-                     "mean_boundary_intervals": float(np.mean(boundary)),
-                     "n_trifurcations": trif, "leaf_violations": violations,
-                     "n_samples": cfg.n_samples * cfg.n_chains,
-                     "seed": cfg.seed, "wall_time": round(time.time() - t0, 3)})
+    with _point_map(workers) as map_points:
+        for lam in cfg.lam_grid:
+            t0 = time.time()
+            results = map_points(_percolation_chain,
+                                 [(cfg, lam, k) for k in range(cfg.n_chains)])
+            acc = RatioAccumulator()
+            clusters = []
+            boundary = []
+            trif = 0
+            violations = 0
+            for res in results:
+                acc.merge(res["acc"])
+                clusters.extend(res["clusters"])
+                boundary.extend(res["boundary"])
+                trif += res["trif"]
+                violations += res["violations"]
+            if acc.sum_den == 0:
+                raise spinrep.SamplingError(
+                    f"percolation-sweep: all {acc.n} coupled weights of the origin-to-ghost "
+                    f"pool at lam={lam} are zero, so its ratio is undefined")
+            est = acc.estimate()
+            region = _percolation_region(cfg)
+            ok = ok and violations == 0
+            rows.append({"kind": cfg.kind, "d": cfg.d, "n": cfg.n, "r": region.r,
+                         "lam": lam, "delta": cfg.delta,
+                         "p_origin_ghost": est.value, "stderr": est.stderr,
+                         "mean_clusters": float(np.mean(clusters)),
+                         "mean_boundary_intervals": float(np.mean(boundary)),
+                         "n_trifurcations": trif, "leaf_violations": violations,
+                         "n_samples": cfg.n_samples * cfg.n_chains,
+                         "seed": cfg.seed, "wall_time": round(time.time() - t0, 3)})
     return rows, {"leaf_bound": percolation.leaf_bound(_percolation_region(cfg),
                                                         cfg.delta)}, ok
 
@@ -392,47 +406,54 @@ def run_identity_suite(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bo
 
 # -- critical point -----------------------------------------------------------------
 
-def correlation_ratio_curves(cfg: RunConfig) -> dict:
-    """R_n(lam) = C(n)/C(n/2) with spatially periodic space and r = 2n.
+def _ratio_point(args) -> tuple[float, float, float]:
+    """R_n at one coupling, drawn from its own chain stream: the ratio, its
+    standard error and the sampler's flip fraction."""
+    cfg, n, j = args
+    far = n
+    lo = n // 2
+    distances = sorted({max(1, lo), max(1, lo + (n % 2)), far})
+    rng = chain_generator(cfg.seed, 10000 * n + j)
+    region = SpaceTimeRegion.ground_state(Box(cfg.d, n), "p", "f")
+    res = spinrep.trotter_pair_correlations(region, cfg.lam_grid[j], cfg.delta,
+                                            distances, cfg.n_sweeps, rng, cfg.dt)
+    c_far = res[far].estimate
+    if n % 2 == 0:
+        near_val = res[n // 2].estimate.value
+        near_rel = res[n // 2].estimate.stderr / near_val
+    else:
+        a = res[max(1, lo)].estimate
+        b = res[lo + 1].estimate
+        near_val = math.sqrt(a.value * b.value)
+        near_rel = 0.5 * math.hypot(a.stderr / a.value, b.stderr / b.value)
+    ratio = c_far.value / near_val
+    se = abs(ratio) * math.hypot(c_far.stderr / c_far.value, near_rel)
+    return ratio, se, res[far].flip_frac
+
+
+def correlation_ratio_curves(cfg: RunConfig, workers: int = 1) -> dict:
+    """R_n(lam) = C(n)/C(n/2) with spatially periodic space and r = 2n, as
+    (ratio, stderr, flip fraction) per coupling for each size.
 
     The far distance is half the ring diameter-ish scale n, the near distance
     exactly half of it, so the distance ratio is the same for every size and
     the curves cross at the critical coupling.  Half-integer distances are
     evaluated by geometric interpolation between the neighbouring integers.
+    Each (n, lam) point has its own chain stream, so the curves are the same
+    for any worker count.
     """
-    curves = {}
-    for n in cfg.n_schedule:
-        far = n
-        lo = n // 2
-        distances = sorted({max(1, lo), max(1, lo + (n % 2)), far})
-        values = []
-        for j, lam in enumerate(cfg.lam_grid):
-            rng = chain_generator(cfg.seed, 10000 * n + j)
-            region = SpaceTimeRegion.ground_state(Box(cfg.d, n), "p", "f")
-            res = spinrep.trotter_pair_correlations(region, lam, cfg.delta,
-                                                    distances, cfg.n_sweeps,
-                                                    rng, cfg.dt)
-            c_far = res[far].estimate
-            if n % 2 == 0:
-                near_val = res[n // 2].estimate.value
-                near_rel = res[n // 2].estimate.stderr / near_val
-            else:
-                a = res[max(1, lo)].estimate
-                b = res[lo + 1].estimate
-                near_val = math.sqrt(a.value * b.value)
-                near_rel = 0.5 * math.hypot(a.stderr / a.value, b.stderr / b.value)
-            ratio = c_far.value / near_val
-            se = abs(ratio) * math.hypot(c_far.stderr / c_far.value, near_rel)
-            values.append((ratio, se))
-        curves[n] = values
-    return curves
+    tasks = [(cfg, n, j) for n in cfg.n_schedule for j in range(len(cfg.lam_grid))]
+    with _point_map(workers) as map_points:
+        points = iter(map_points(_ratio_point, tasks))
+    return {n: [next(points) for _ in cfg.lam_grid] for n in cfg.n_schedule}
 
 
 def crossing_estimate(lam_grid, curves: dict) -> tuple[float, float, list]:
-    """Mean of the pairwise crossings of the ratio curves; the spread of a
-    single crossing is the grid step."""
+    """Mean of the pairwise crossings of the ratio curves (per size, one
+    tuple per coupling that starts with the ratio); the spread of a single
+    crossing is the grid step."""
     crossings = spectral.pairwise_crossings(
-        lam_grid, {n: [ratio for ratio, _ in values] for n, values in curves.items()})
+        lam_grid, {n: [point[0] for point in values] for n, values in curves.items()})
     if not crossings:
         raise RuntimeError("correlation-ratio curves do not cross on the grid; "
                            f"curves: {curves}")
@@ -448,14 +469,16 @@ def estimate_lambda_c_1d(cfg: RunConfig, workers: int = 1) -> dict:
     rings as reference."""
     if cfg.d != 1:
         raise ConfigError("the crossing estimate is implemented for d = 1")
-    curves = correlation_ratio_curves(cfg)
+    curves = correlation_ratio_curves(cfg, workers)
     est, spread, crossings = crossing_estimate(cfg.lam_grid, curves)
     reference = spectral.gap_scaling_critical_point(
         sizes=(6, 8, 10), lam_grid=cfg.delta * np.linspace(0.8, 1.2, 9),
         delta=cfg.delta)
     return {"estimate": est / cfg.delta, "uncertainty": spread / cfg.delta,
             "crossings": crossings, "reference": reference["estimate"] / cfg.delta,
-            "curves": {str(n): v for n, v in curves.items()}}
+            "curves": {str(n): [(ratio, se) for ratio, se, _ in v]
+                       for n, v in curves.items()},
+            "flip_frac": {str(n): [flip for _, _, flip in v] for n, v in curves.items()}}
 
 
 def run_lambda_c(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:

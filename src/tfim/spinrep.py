@@ -9,7 +9,11 @@ handled in log space so large boxes do not overflow.  Importance sampling
 from the a-priori measure degrades exponentially with space-time volume, so
 a Suzuki-Trotter discretized Metropolis sampler is provided behind the same
 estimator surface for the larger magnetization sweeps; it is approximate and
-its time step is recorded in every result it produces.
+its time step is recorded in every result it produces.  Its sweep updates
+one colour class of site-slot cells at a time from precomputed neighbour
+indices and an acceptance table over integer neighbour sums, and draws its
+uniforms so that the stream and the spins are those of a full-lattice update
+per colour.
 """
 
 from __future__ import annotations
@@ -294,7 +298,15 @@ class TrotterResult:
     estimate: Estimate
     dt: float
     n_slots: int
+    flip_frac: float  # accepted flips per site-slot per measured sweep
     approximate: bool = True
+
+
+# A cell's table code is s + 3 T + 15 S for its spin s = +-1, its time
+# neighbour sum |T| <= 2 and its space neighbour sum S: s + 3 T is one-to-one
+# on those s and T and spans fewer than ``_S_STRIDE`` values.
+_T_STRIDE = 3
+_S_STRIDE = 15
 
 
 class TrotterSampler:
@@ -304,6 +316,18 @@ class TrotterSampler:
     per slot is lam*dt and the time coupling is -log(tanh(delta*dt))/2.
     Results are approximate with an O(dt^2) bias; the step used is recorded
     in every result.
+
+    The site-slot cells are coloured so that no two cells of a colour are
+    neighbours.  Set-up stores, per colour, the flat indices of its cells and
+    of their space and time neighbours (a padded zero cell stands in for a
+    missing neighbour) and a table of acceptance probabilities over the
+    integer neighbour sums; frozen +1 neighbours (wired space) and the wired
+    time ends are constants of each cell.  A sweep draws one uniform per
+    colour and site-slot, in one call, then visits the colours in order:
+    gather, look up, compare and flip only that colour's cells.  The uniforms
+    of the other cells are drawn and unused, which keeps the stream and the
+    spins of every run equal to those of a sweep that updates the whole
+    lattice once per colour.
     """
 
     def __init__(self, region: SpaceTimeRegion, lam: float, delta: float,
@@ -318,79 +342,100 @@ class TrotterSampler:
 
         self.sites = region.box.sites()
         index = {x: i for i, x in enumerate(self.sites)}
-        edge_set = region.edge_set()
         nbrs = [[] for _ in self.sites]
-        field = np.zeros(len(self.sites))
-        for (x, y) in edge_set.edges:
+        frozen = np.zeros(len(self.sites), dtype=int)  # frozen +1 neighbours
+        for (x, y) in region.edge_set().edges:
             xi = index.get(tuple(x))
             yi = index.get(tuple(y))
             if xi is not None and yi is not None:
                 nbrs[xi].append(yi)
                 nbrs[yi].append(xi)
             elif xi is not None:
-                field[xi] += 1.0  # frozen +1 neighbour
+                frozen[xi] += 1
             elif yi is not None:
-                field[yi] += 1.0
-        self.field = field * self.k_space
+                frozen[yi] += 1
+
+        n, m = len(self.sites), self.n_slots
+        pad = n * m  # flat index of the zero cell; cell c = site * m + slot
         max_deg = max((len(v) for v in nbrs), default=0)
-        self.nbr_idx = np.zeros((len(self.sites), max_deg), dtype=int)
-        self.nbr_mask = np.zeros((len(self.sites), max_deg))
+        space_nbr = np.full((n, max_deg), -1)
         for i, v in enumerate(nbrs):
-            for j, w in enumerate(v):
-                self.nbr_idx[i, j] = w
-                self.nbr_mask[i, j] = 1.0
+            space_nbr[i, :len(v)] = v
+        slots = np.arange(m)
+        time_nbr = np.stack([slots - 1, slots + 1], axis=1)
+        if region.bc_time == "p":
+            time_nbr %= m
+        else:
+            time_nbr[(time_nbr < 0) | (time_nbr >= m)] = -1
+        wired = np.zeros(m, dtype=int)  # wired time ends read a frozen +1
+        if region.bc_time == "w":
+            wired[[0, -1]] = 1
 
-        site_colors = _proper_ring_colors(len(self.sites), nbrs)
-        m = self.n_slots
-        time_nbrs = [[(i - 1) % m, (i + 1) % m] if region.bc_time == "p"
-                     else [j for j in (i - 1, i + 1) if 0 <= j < m]
-                     for i in range(m)]
-        slot_colors = _proper_ring_colors(m, time_nbrs)
-        n_slot_colors = slot_colors.max() + 1
-        self.cells_by_color = {}
-        full = site_colors[:, None] * n_slot_colors + slot_colors[None, :]
+        # gather columns: the cell, its space neighbours, its time neighbours
+        site_of, slot_of = np.divmod(np.arange(pad), m)
+        gather = np.hstack([
+            np.arange(pad)[:, None],
+            np.where(space_nbr[site_of] >= 0, space_nbr[site_of] * m + slot_of[:, None], pad),
+            np.where(time_nbr[slot_of] >= 0, site_of[:, None] * m + time_nbr[slot_of], pad)])
+        centre = _S_STRIDE * max_deg + 2 * _T_STRIDE + 1
+        block = 2 * centre + 1
+        # int8 codes (no cast of the gathered spins) while they fit
+        code_type = np.int8 if centre <= np.iinfo(np.int8).max else np.int64
+        self._weights = np.array([1] + [_S_STRIDE] * max_deg + [_T_STRIDE] * 2,
+                                 dtype=code_type)
+
+        # one table block per (frozen neighbours, wired ends) pair, each
+        # entry in the floating operations of a full-lattice field
+        n_frozen = frozen.max(initial=0) + 1
+        f, w, S, T, s = np.meshgrid(np.arange(n_frozen), [0, 1],
+                                    np.arange(-max_deg, max_deg + 1),
+                                    np.arange(-2, 3), [-1, 1], indexing="ij")
+        local = (self.k_space * S.astype(float) + f * self.k_space) + \
+            self.k_time * (T + w).astype(float)
+        code = (2 * f + w) * block + centre + s + _T_STRIDE * T + _S_STRIDE * S
+        self._table = np.zeros(2 * n_frozen * block)
+        self._table[code.ravel()] = np.exp(-np.clip((2.0 * s) * local, 0, 700)).ravel()
+        base = (2 * frozen[site_of] + wired[slot_of]) * block + centre
+
+        site_colors = _proper_ring_colors(n, nbrs)
+        slot_colors = _proper_ring_colors(m, [[j for j in row if j >= 0] for row in time_nbr])
+        full = (site_colors[:, None] * (slot_colors.max() + 1) + slot_colors[None, :]).ravel()
+        self._plan = []
         for c in np.unique(full):
-            self.cells_by_color[int(c)] = np.nonzero(full == c)
+            cells = np.flatnonzero(full == c)
+            self._plan.append((cells, gather[cells], base[cells]))
 
-        self.spins = np.ones((len(self.sites), m), dtype=np.int8)
+        # spins is a (sites, slots) view; the extra cell stays 0
+        self._cells = np.ones(pad + 1, dtype=np.int8)
+        self._cells[pad] = 0
+        self.spins = self._cells[:pad].reshape(n, m)
         self.origin = index[(0,) * region.box.d]
 
-    def _space_field(self) -> np.ndarray:
-        gathered = self.spins[self.nbr_idx, :] * self.nbr_mask[:, :, None]
-        return self.k_space * gathered.sum(axis=1) + self.field[:, None]
+    def sweep(self, rng: np.random.Generator) -> int:
+        """One Metropolis update of every colour; returns the accepted flips."""
+        cells = self._cells
+        uniforms = rng.random(size=(len(self._plan), self.spins.size))
+        flips = 0
+        for u, (idx, gather, base) in zip(uniforms, self._plan):
+            accept = u[idx] < self._table[cells[gather] @ self._weights + base]
+            flipped = idx[accept]
+            cells[flipped] *= -1
+            flips += flipped.size
+        return flips
 
-    def _time_field(self) -> np.ndarray:
-        m = self.n_slots
-        s = self.spins
-        if self.region.bc_time == "p":
-            tf = np.roll(s, 1, axis=1) + np.roll(s, -1, axis=1)
-        else:
-            tf = np.zeros_like(s, dtype=float)
-            tf[:, 1:] += s[:, :-1]
-            tf[:, :-1] += s[:, 1:]
-            if self.region.bc_time == "w":
-                tf[:, 0] += 1.0
-                tf[:, -1] += 1.0
-        return self.k_time * tf
-
-    def sweep(self, rng: np.random.Generator) -> None:
-        for c, cells in self.cells_by_color.items():
-            local = self._space_field() + self._time_field()
-            d_e = 2.0 * self.spins * local
-            accept = rng.random(size=self.spins.shape) < np.exp(-np.clip(d_e, 0, 700))
-            flip = np.zeros_like(self.spins, dtype=bool)
-            flip[cells] = accept[cells]
-            self.spins[flip] *= -1
-
-    def run(self, n_sweeps: int, rng: np.random.Generator, measure) -> np.ndarray:
-        """``n_sweeps`` measured sweeps after ``n_sweeps // 5`` burn-in sweeps."""
+    def run(self, n_sweeps: int, rng: np.random.Generator,
+            measure) -> tuple[np.ndarray, float]:
+        """``n_sweeps`` measured sweeps after ``n_sweeps // 5`` burn-in sweeps:
+        the measurement series and the accepted flips per site-slot per
+        measured sweep."""
         for _ in range(n_sweeps // 5):
             self.sweep(rng)
         out = []
+        flips = 0
         for _ in range(n_sweeps):
-            self.sweep(rng)
+            flips += self.sweep(rng)
             out.append(measure(self))
-        return np.asarray(out)
+        return np.asarray(out), flips / (n_sweeps * self.spins.size)
 
     # measurement helpers ---------------------------------------------------
     def magnetization_origin(self) -> float:
@@ -399,25 +444,33 @@ class TrotterSampler:
 
     def pair_correlation(self, distance: int) -> float:
         """Translation-averaged equal-time pair correlation at a lattice
-        distance (d=1, spatially periodic regions)."""
-        s = self.spins.astype(float)
-        rolled = np.roll(s, -distance, axis=0)
-        return float((s * rolled).mean())
+        distance (d=1, spatially periodic regions), summed in integers."""
+        s = self.spins
+        k = distance % len(s)
+        return int((s * np.concatenate((s[k:], s[:k]))).sum()) / s.size
 
 
 def trotter_magnetization(region: SpaceTimeRegion, lam: float, delta: float,
                           n_sweeps: int, rng: np.random.Generator,
                           dt: float = 0.1) -> TrotterResult:
     sampler = TrotterSampler(region, lam, delta, dt)
-    series = sampler.run(n_sweeps, rng, TrotterSampler.magnetization_origin)
-    return TrotterResult(batch_means_estimate(series), sampler.dt, sampler.n_slots)
+    series, flip_frac = sampler.run(n_sweeps, rng, TrotterSampler.magnetization_origin)
+    return TrotterResult(batch_means_estimate(series), sampler.dt, sampler.n_slots,
+                         flip_frac)
 
 
 def trotter_pair_correlations(region: SpaceTimeRegion, lam: float, delta: float,
                               distances: Sequence[int], n_sweeps: int,
                               rng: np.random.Generator, dt: float = 0.1) -> dict:
+    """Equal-time pair correlations at the given distances.  Only on a d=1
+    ring is a roll over the site axis a lattice translation, so other
+    regions raise ``ValueError``."""
+    if region.box.d != 1 or region.bc_space != "p":
+        raise ValueError("pair correlations need d = 1 and periodic space, got "
+                         f"d = {region.box.d} and bc_space = {region.bc_space!r}")
     sampler = TrotterSampler(region, lam, delta, dt)
-    series = sampler.run(n_sweeps, rng,
-                         lambda s: [s.pair_correlation(d) for d in distances])
-    return {d: TrotterResult(batch_means_estimate(series[:, i]), sampler.dt, sampler.n_slots)
+    series, flip_frac = sampler.run(n_sweeps, rng,
+                                    lambda s: [s.pair_correlation(d) for d in distances])
+    return {d: TrotterResult(batch_means_estimate(series[:, i]), sampler.dt,
+                             sampler.n_slots, flip_frac)
             for i, d in enumerate(distances)}

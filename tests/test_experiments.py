@@ -120,6 +120,55 @@ def test_lambda_c_csv_byte_identical_across_reruns(tmp_path):
         (tmp_path / "b" / "run-lambda-c.csv").read_bytes()
 
 
+SWEEP_CONFIGS = {
+    "magnetization-sweep": "kind = magnetization-sweep\nbeta = 1.0\nn_grid = 1, 2\n"
+                           "lam = 0.5, 1.0\nn_sweeps = 100\nseed = 3\n",
+    "lambda-c": "kind = lambda-c\nground_state = true\nn_grid = 3, 4\n"
+                "lam = 0.8, 0.9, 1.0, 1.1, 1.2\nn_sweeps = 100\nseed = 11\n",
+}
+
+# CSV bytes of the configs above as written by one worker before the Trotter
+# sweep was restricted to each colour's cells and the flip fraction reported
+PINNED_SWEEP_CSV = {
+    "magnetization-sweep":
+        "kind,method,d,n,r,lam,delta,estimate,stderr,dt,n_samples,seed\n"
+        "magnetization-sweep,trotter,1,1,1,0.5,1,-0.059999999999999998,"
+        "0.14849717603484108,0.10000000000000001,100,3\n"
+        "magnetization-sweep,trotter,1,1,1,1,1,0.80000000000000004,"
+        "0.086951042955031546,0.10000000000000001,100,3\n"
+        "magnetization-sweep,trotter,1,2,1,0.5,1,0.16,"
+        "0.16514764763602677,0.10000000000000001,100,3\n"
+        "magnetization-sweep,trotter,1,2,1,1,1,0.66000000000000003,"
+        "0.11143964645882264,0.10000000000000001,100,3\n",
+    "lambda-c":
+        "kind,method,estimate,uncertainty,reference,n_sizes,seed\n"
+        "lambda-c,correlation-ratio,0.98397011399595147,0.099999999999999978,"
+        "0.99876595357839271,2,11\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_CONFIGS))
+def test_sweep_csv_pinned_for_any_worker_count(tmp_path, kind):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(SWEEP_CONFIGS[kind])
+    flips = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--workers", str(workers)]) == 0
+        assert (out / f"run-{kind}.csv").read_text() == PINNED_SWEEP_CSV[kind]
+        payload = json.loads((out / f"run-{kind}.json").read_text())
+        if kind == "lambda-c":
+            summary = payload["summary"]
+            assert summary["flip_frac"].keys() == summary["curves"].keys()
+            flips.append([f for n in ("3", "4") for f in summary["flip_frac"][n]])
+        else:
+            flips.append([row["flip_frac"] for row in payload["rows"]])
+    # the flip fraction is in the JSON only, and the same for any worker count
+    assert flips[0] == flips[1] and all(0.0 < f < 1.0 for f in flips[0])
+    assert len(flips[0]) == (10 if kind == "lambda-c" else 4)
+
+
 def test_lambda_c_fails_beyond_15_percent_of_reference(monkeypatch):
     monkeypatch.setattr(ex.spectral, "gap_scaling_critical_point",
                         lambda **kwargs: {"estimate": 1.5})

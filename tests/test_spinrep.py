@@ -269,11 +269,14 @@ class _ReferenceTrotter:
                 tf[:, -1] += 1.0
         return self.k_time * tf
 
+    def acceptance(self):
+        local = self._space_field() + self._time_field()
+        d_e = 2.0 * self.spins * local
+        return np.exp(-np.clip(d_e, 0, 700))
+
     def sweep(self, rng):
         for cells in self.cells_by_color.values():
-            local = self._space_field() + self._time_field()
-            d_e = 2.0 * self.spins * local
-            accept = rng.random(size=self.spins.shape) < np.exp(-np.clip(d_e, 0, 700))
+            accept = rng.random(size=self.spins.shape) < self.acceptance()
             flip = np.zeros_like(self.spins, dtype=bool)
             flip[cells] = accept[cells]
             self.spins[flip] *= -1
@@ -307,11 +310,20 @@ def test_trotter_sweep_matches_full_lattice_reference(d, n, convention, bc_space
     rng_a = chain_generator(seed, 0)
     rng_b = chain_generator(seed, 0)
     for _ in range(n_sweeps):
-        sampler.sweep(rng_a)
+        before = sampler.spins.copy()
+        assert sampler.sweep(rng_a) == np.count_nonzero(sampler.spins != before)
         reference.sweep(rng_b)
         assert sampler.spins.dtype == np.int8
         assert np.array_equal(sampler.spins, reference.spins)
     assert _same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
+    # every acceptance probability of a random configuration, bit for bit
+    spins = np.where(rng_a.random(sampler.spins.shape) < 0.5, 1, -1)
+    sampler.spins[...] = spins
+    reference.spins[...] = spins
+    expected = reference.acceptance().ravel()
+    for idx, gather, base in sampler._plan:
+        looked_up = sampler._table[sampler._cells[gather] @ sampler._weights + base]
+        assert np.array_equal(looked_up, expected[idx])
     if d == 1 and bc_space == "p":
         for distance in range(region.box.side + 1):
             assert sampler.pair_correlation(distance) == \
@@ -347,3 +359,30 @@ def test_lambda_c_summary_pinned():
               (0.8133652666627723, 0.09103468261177906),
               (0.9559947074138888, 0.039822823614094775),
               (0.9589680485424535, 0.04453618292974875)]}
+
+
+@pytest.mark.parametrize("region", [
+    SpaceTimeRegion.ground_state(Box(2, 1), "p", "f"),
+    SpaceTimeRegion.ground_state(Box(1, 2), "f", "f"),
+    SpaceTimeRegion.finite_beta(Box(1, 2), 1.0, "w", "p")])
+def test_trotter_pair_correlations_need_a_ring(region):
+    # a roll over the site axis is a lattice translation only on a d=1 ring
+    with pytest.raises(ValueError, match="d = 1 and periodic space"):
+        sr.trotter_pair_correlations(region, 1.0, 1.0, [1], 10, chain_generator(4, 9))
+
+
+def test_trotter_flip_fraction_counts_measured_sweeps():
+    region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p")
+    _, flip_frac = sr.TrotterSampler(region, 1.0, 1.0).run(
+        10, chain_generator(4, 10), sr.TrotterSampler.magnetization_origin)
+    # the same stream by hand: 2 burn-in sweeps, then 10 counted ones
+    sampler = sr.TrotterSampler(region, 1.0, 1.0)
+    rng = chain_generator(4, 10)
+    sampler.sweep(rng)
+    sampler.sweep(rng)
+    changed = 0
+    for _ in range(10):
+        before = sampler.spins.copy()
+        sampler.sweep(rng)
+        changed += np.count_nonzero(sampler.spins != before)
+    assert 0 < changed and flip_frac == changed / (10 * sampler.spins.size)

@@ -53,6 +53,73 @@ def test_correlation_spin_row_pools_chains_under_one_maximum():
     assert spin["stderr"] == acc.estimate().stderr
 
 
+CORRELATION_CONFIGS = {
+    "estimators-2-chains":
+        "kind = correlation\nd = 1\nn = 1\nbeta = 1.0\nbc_space = f\n"
+        "bc_time = p\nlam = 0.5, 1.0, 1.5\ndelta = 1.0\n"
+        "n_samples = 150\nn_chains = 2\npoint_site = 1\n"
+        "point_time = 0.0\nseed = 1\n",
+    "wired-space":
+        "kind = correlation\nd = 1\nn = 1\nbeta = 2.0\nbc_space = w\n"
+        "bc_time = p\nlam = 1.0\ndelta = 1.0\nn_samples = 200\n"
+        "n_chains = 1\npoint_site = 1\npoint_time = 0.25\nseed = 3\n",
+    "ground-state":
+        "kind = correlation\nd = 1\nn = 1\nground_state = true\n"
+        "bc_space = f\nbc_time = f\nlam = 0.8\ndelta = 1.0\n"
+        "n_samples = 200\nn_chains = 1\npoint_site = 1\n"
+        "point_time = 0.5\nseed = 7\n",
+}
+
+# CSV bytes of the configs above as written before the overlap walk read one
+# sign per window and the labelling build appended whole arrays
+PINNED_CORRELATION_CSV = {
+    "estimators-2-chains":
+        "kind,method,d,n,r,bc_space,bc_time,lam,delta,estimate,stderr,"
+        "n_samples,n_effective,seed\n"
+        "correlation,spin,1,1,1,f,p,0.5,1,0.2440136933875946,"
+        "0.059650208437960373,300,231.50546402510963,1\n"
+        "correlation,random-parity,1,1,1,f,p,0.5,1,0.2923364444599581,"
+        "0.063372862342535641,300,42.658325338565781,1\n"
+        "correlation,oracle,1,1,1,f,p,0.5,1,0.28855401527202285,0,300,inf,1\n"
+        "correlation,spin,1,1,1,f,p,1,1,0.48319445128496735,"
+        "0.060040023306886653,300,127.51636393319556,1\n"
+        "correlation,random-parity,1,1,1,f,p,1,1,0.57206392243426329,"
+        "0.16592488183869369,300,23.444862032622009,1\n"
+        "correlation,oracle,1,1,1,f,p,1,1,0.53632714683908178,0,300,inf,1\n"
+        "correlation,spin,1,1,1,f,p,1.5,1,0.67399251607864485,"
+        "0.054546197193909227,300,72.418442882582553,1\n"
+        "correlation,random-parity,1,1,1,f,p,1.5,1,0.73950792667678855,"
+        "0.20549011330690484,300,25.250161263378153,1\n"
+        "correlation,oracle,1,1,1,f,p,1.5,1,0.71467901460070593,0,300,inf,1\n",
+    "wired-space":
+        "kind,method,d,n,r,bc_space,bc_time,lam,delta,estimate,stderr,"
+        "n_samples,n_effective,seed\n"
+        "correlation,spin,1,1,2,w,p,1,1,0.91926627684498263,"
+        "0.048123534304784214,200,3.337975039066345,3\n"
+        "correlation,random-parity,1,1,2,w,p,1,1,1.5531097203954205,"
+        "1.1407041153065609,200,2.9803622076068059,3\n"
+        "correlation,oracle,1,1,2,w,p,1,1,0.74786177027567236,0,200,inf,3\n",
+    "ground-state":
+        "kind,method,d,n,r,bc_space,bc_time,lam,delta,estimate,stderr,"
+        "n_samples,n_effective,seed\n"
+        "correlation,spin,1,1,2,f,f,0.80000000000000004,1,0.43963276288864545,"
+        "0.086106583392992014,200,71.831374038220801,7\n"
+        "correlation,random-parity,1,1,2,f,f,0.80000000000000004,1,"
+        "0.23511585429164519,0.075023591303718218,200,17.912941711524571,7\n"
+        "correlation,oracle,1,1,2,f,f,0.80000000000000004,1,"
+        "0.28997408155725896,0,200,inf,7\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRELATION_CONFIGS))
+def test_correlation_csv_pinned(tmp_path, name):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CORRELATION_CONFIGS[name])
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "run-correlation.csv").read_bytes() == \
+        PINNED_CORRELATION_CSV[name].encode()
+
+
 def test_magnetization_sweep_monotone_in_coupling():
     cfg = make_config(kind="magnetization-sweep", bc_space="w",
                       lam_grid=[0.5, 1.0, 2.0], n_sweeps=1500, dt=0.1)

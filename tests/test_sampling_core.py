@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tfim import poisson
 from tfim import randomparity as rp
@@ -345,21 +346,27 @@ PINNED_CUT_PARTITION = [(1.4877040248310889, 0.12300381510511336),
                         (1.1743664940724328, 0.078065774433901)]
 
 
-def _brute_overlap(config, x, y, windows):
-    """Split each window at every flip time of x and y shifted by -r, 0 and
-    +r (a superset of the real breaks) and read the product at each midpoint."""
-    region = config.region
-    cands = [start + f + k * region.r for site in (x, y)
-             for (start, _, _, flips) in config.components[site] for f in flips
-             for k in (-1, 0, 1)]
+def _midpoint_overlap(region, sign_x, sign_y, times, windows):
+    """Split each window at every time of ``times`` shifted by -r, 0 and +r
+    (a superset of the real breaks) and read the product of the two sign
+    functions at each midpoint, wrapped into [t_min, t_max]."""
+    cands = [t + k * region.r for t in times for k in (-1, 0, 1)]
     total = 0.0
     for (lo, hi) in windows:
         breaks = sorted({lo, hi, *(c for c in cands if lo < c < hi)})
         for a, b in zip(breaks, breaks[1:]):
             mid = (a + b) / 2.0
             base = mid if mid <= region.t_max else mid - region.r
-            total += (b - a) * config.value(x, base) * config.value(y, base)
+            total += (b - a) * sign_x(base) * sign_y(base)
     return total
+
+
+def _brute_overlap(config, x, y, windows):
+    """The midpoint integral of a cut configuration, read with its values."""
+    times = [start + f for site in (x, y)
+             for (start, _, _, flips) in config.components[site] for f in flips]
+    return _midpoint_overlap(config.region, lambda t: config.value(x, t),
+                             lambda t: config.value(y, t), times, windows)
 
 
 @pytest.mark.parametrize("bc_time", ["p", "f"])
@@ -374,3 +381,203 @@ def test_cut_overlap_matches_brute_force(bc_time):
                 windows = edge_windows(region, holes, x, y)
                 assert sr.overlap_integral(config, x, y, windows) == pytest.approx(
                     _brute_overlap(config, x, y, windows), rel=1e-12, abs=1e-12)
+
+
+def _apriori_sign(config, x, t):
+    """sigma(x, t) of a plain configuration: the initial value times -1 per
+    flip in (0, t] or (t, 0]; sites outside the box read +1."""
+    if x not in config.initial:
+        return 1
+    lo, hi = min(0.0, t), max(0.0, t)
+    count = sum(1 for f in config.flips[x] if lo < f <= hi)
+    return config.initial[x] * (-1) ** count
+
+
+PLAIN_OVERLAP_REGIONS = [
+    SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "p"),
+    SpaceTimeRegion.finite_beta(Box(1, 1), 1.5, "p", "p"),
+    SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "f"),
+    SpaceTimeRegion.finite_beta(Box(1, 1), 0.8, "f", "w"),
+    SpaceTimeRegion.ground_state(Box(1, 1), "w", "f"),
+]
+
+
+def _window(region, ends, draw):
+    """One window from two drawn ends: sorted on the interval; on the circle
+    it starts at the first end and runs forward to the second, wrapping past
+    t_max when the second is not later (a full turn when they are equal)."""
+    lo, hi = draw(ends), draw(ends)
+    if region.time_topology == "circle":
+        return (lo, hi if hi > lo else hi + region.r)
+    assume(lo != hi)
+    return (min(lo, hi), max(lo, hi))
+
+
+@st.composite
+def _plain_overlap_cases(draw):
+    region = draw(st.sampled_from(PLAIN_OVERLAP_REGIONS))
+    circle = region.time_topology == "circle"
+    times = st.floats(region.t_min, region.t_max, exclude_max=circle)
+    initial, flips = {}, {}
+    for x in region.box.sites():
+        ts = sorted(set(draw(st.lists(times, max_size=6))))
+        if circle and len(ts) % 2:
+            ts.pop()  # circle lines carry an even flip count
+        initial[x] = draw(st.sampled_from((-1, 1)))
+        flips[x] = np.array(ts)
+    config = sr.SpinConfiguration(region, initial, flips)
+    x, y = draw(st.sampled_from(region.edge_set().edges))
+    on_flips = [float(t) for site in (x, y) for t in config.flip_times(site)]
+    ends = st.one_of(times, st.sampled_from(on_flips)) if on_flips else times
+    windows = [_window(region, ends, draw) for _ in range(draw(st.integers(0, 3)))]
+    return config, x, y, windows or None
+
+
+@given(_plain_overlap_cases())
+@settings(max_examples=150)
+def test_overlap_of_plain_configurations_matches_midpoint_integral(case):
+    # flips of x and y may land on window ends, coincide, or wrap past t_max
+    config, x, y, windows = case
+    region = config.region
+    want = _midpoint_overlap(
+        region, lambda t: _apriori_sign(config, x, t), lambda t: _apriori_sign(config, y, t),
+        [*config.flip_times(x), *config.flip_times(y)],
+        windows or [(region.t_min, region.t_max)])
+    assert sr.overlap_integral(config, x, y, windows) == want
+
+
+@st.composite
+def _cut_overlap_cases(draw):
+    bc_time = draw(st.sampled_from(("p", "f")))
+    region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", bc_time)
+    holes = draw(st.sampled_from(HOLE_SETS))
+    edges = region.edge_set().edges
+    window_ends = [end for (x, y) in edges
+                   for window in edge_windows(region, holes, x, y) for end in window]
+    circle = region.time_topology == "circle"
+    components = {}
+    for x in region.box.sites():
+        comps = []
+        for part in line_components(region, holes, x):
+            start, length = part if circle else (part[0], part[1] - part[0])
+            # component offsets of the window ends, so some flips land on them
+            ends = [(e - start) % region.r if circle else e - start for e in window_ends]
+            ends = [o for o in ends if 0.0 <= o < length]
+            offsets = st.floats(0.0, length, exclude_max=True)
+            if ends:
+                offsets = st.one_of(offsets, st.sampled_from(ends))
+            fs = sorted(set(draw(st.lists(offsets, max_size=5))))
+            if circle and not holes.on_site(x) and len(fs) % 2:
+                fs.pop()  # an uncut circle carries an even flip count
+            comps.append((start, length, draw(st.sampled_from((-1, 1))), np.array(fs)))
+        components[x] = comps
+    config = sr.CutSpinConfiguration(region, components)
+    x, y = draw(st.sampled_from(edges))
+    return config, x, y, edge_windows(region, holes, x, y)
+
+
+@given(_cut_overlap_cases())
+@settings(max_examples=150)
+def test_overlap_of_cut_configurations_matches_midpoint_integral(case):
+    config, x, y, windows = case
+    assert sr.overlap_integral(config, x, y, windows) == pytest.approx(
+        _brute_overlap(config, x, y, windows), rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def _source_labellings(draw):
+    region = draw(st.sampled_from(REGIONS))
+    periodic = region.bc_time == "p"
+    inside = st.floats(region.t_min + 1e-9, region.t_max - 1e-9)
+    sources = []
+    for x in region.box.sites():
+        ts = sorted(set(draw(st.lists(inside, max_size=5))))
+        if periodic and len(ts) % 2:
+            ts.pop()  # odd length is walked on consistent circles only
+        sources += [(x, t) for t in ts]
+    tau = ({x: draw(st.sampled_from((0, 1))) for x in region.box.sites()}
+           if periodic else None)
+    return rp.build_labelling(region, {}, None, sources, region.bc_time, tau)
+
+
+@given(_source_labellings())
+@settings(max_examples=150)
+def test_odd_length_matches_reference_walk_property(lab):
+    assert lab.odd_length() == _ref_odd_length(lab)
+
+
+# -- pinned outputs of the weight code --------------------------------------------------
+
+SPIN_WEIGHT_REGIONS = [
+    SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "f"),
+    SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "p"),
+    SpaceTimeRegion.finite_beta(Box(1, 1), 1.5, "w", "w"),
+    SpaceTimeRegion.ground_state(Box(1, 1), "w", "f"),
+]
+
+
+@pytest.mark.parametrize("k", range(len(SPIN_WEIGHT_REGIONS)))
+def test_spin_log_weights_pinned(k):
+    # values recorded before the overlap walk read one sign per window
+    points = [((0,), 0.0), ((1,), 0.25)]
+    logs, vals = sr._weights_and_values(SPIN_WEIGHT_REGIONS[k], 1.2, 0.9, 6,
+                                        chain_generator(31, k),
+                                        lambda c: c.product_over(points))
+    assert (logs.tolist(), vals.tolist()) == PINNED_SPIN_WEIGHTS[k]
+
+
+PINNED_SPIN_WEIGHTS = [
+    ([-1.160362761115391, -1.1384474005000529, 2.2191844800968097, 0.0,
+      -0.3318062372598803, 0.5083943170326621], [-1.0, 1.0, 1.0, 1.0, -1.0, -1.0]),
+    ([-0.3591567890714179, -2.06969579910111, 0.0, -2.4, 2.4, 0.0],
+     [-1.0, -1.0, -1.0, -1.0, 1.0, 1.0]),
+    ([6.185313736725791, 7.167998217640744, 3.501138485404326, 2.3459652630320496,
+      2.862373230053159, 5.848049613370825], [1.0, 1.0, 1.0, 1.0, -1.0, 1.0]),
+    ([0.0, 0.0, -2.2317438262987097, 0.4710944753979017, 4.126503082993981,
+      -0.2018361278265889], [1.0, -1.0, -1.0, -1.0, 1.0, -1.0]),
+]
+
+LABELLING_WEIGHT_REGIONS = [
+    SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "p"),
+    SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "f"),
+    SpaceTimeRegion.ground_state(Box(1, 1), "f", "f"),
+    SpaceTimeRegion.finite_beta(Box(1, 1), 1.5, "w", "p"),
+    SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "w"),
+    SpaceTimeRegion.ground_state(Box(1, 1), "w", "f"),
+]
+
+
+@pytest.mark.parametrize("k", range(len(LABELLING_WEIGHT_REGIONS)))
+def test_labelling_weights_pinned(k):
+    # values recorded before the labelling build appended whole arrays; wired
+    # space draws ghost points
+    region = LABELLING_WEIGHT_REGIONS[k]
+    rng = chain_generator(43, k)
+    got = [rp._labelling_weights(region, 0.6, 0.7, srcs, 12, rng, region.bc_space == "w")
+           for srcs in ([((0,), 0.0), ((1,), 0.2)], ())]
+    assert tuple(w.tolist() for w in got) == PINNED_LABELLING_WEIGHTS[k]
+
+
+PINNED_LABELLING_WEIGHTS = [
+    ([0.041745505572923246, 0.0, 0.0, 0.0, 0.10120525466966974, 0.17562487899634363,
+      0.06276138648929164, 0.0, 0.0, 0.0, 0.0, 0.0],
+     [0.21055517345583238, 0.0, 0.014995576820477717, 0.0, 0.0, 0.014995576820477717,
+      0.0, 0.0, 0.2465969639416065, 0.0, 0.0, 1.0]),
+    ([0.0, 0.0, 0.0, 0.0, 0.0, 0.6853562702177776, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+     [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.5315767369673149, 0.0, 0.0, 1.0, 1.0]),
+    ([0.018806033015614034, 0.0, 0.0, 0.0, 0.0, 0.12955716223022276, 0.0, 0.0, 0.0,
+      0.0, 0.0, 0.0],
+     [0.0, 0.09303287756393189, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0,
+      0.015472637667403448]),
+    ([0.0, 0.0, 0.0, 0.11003719619441742, 0.0, 0.04733952805473449, 0.0, 0.0,
+      0.05099439884125269, 0.0, 0.0, 0.0],
+     [0.0, 0.0, 0.009453346986164134, 0.0, 0.0018363047770289071, 0.9846254485100997,
+      0.0, 0.08204478565726393, 0.0, 0.0, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.06932831803872869, 0.021750400072012014, 0.0,
+      0.0, 0.0, 0.0],
+     [0.0, 0.0, 0.08772851195450328, 0.02195291642701173, 0.019091348188137198,
+      0.014995576820477717, 0.0, 0.047936186728990964, 0.0, 0.0, 0.0, 0.0]),
+    ([0.08636583980383568, 0.0, 0.0, 0.0, 0.0, 0.0, 0.06961554168409609, 0.0, 0.0,
+      0.0, 0.0686622320609661, 0.0],
+     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.03662937431523797, 0.0, 0.0, 0.0, 0.0]),
+]

@@ -76,33 +76,49 @@ def _point_map(workers: int):
 # -- correlation ---------------------------------------------------------------
 
 def _correlation_chain(args) -> tuple:
-    """Per-sample arrays of one chain: spin log-weights and values, then the
-    random-parity numerator (sources) and denominator labelling weights."""
+    """Per-sample arrays of one chain (spin log-weights and values, then the
+    random-parity numerator (sources) and denominator labelling weights),
+    and the seconds its spin and labelling stages took."""
     cfg, lam, chain = args
     rng = chain_generator(cfg.seed, chain)
     region = _region(cfg)
     points = [((0,) * cfg.d, 0.0), (tuple(cfg.point_site), cfg.point_time)]
+    t0 = time.perf_counter()
     logs, vals = spinrep._weights_and_values(region, lam, cfg.delta, cfg.n_samples, rng,
                                              lambda c: c.product_over(points))
+    t1 = time.perf_counter()
     with_ghosts = region.bc_space == "w"
     num = randomparity._labelling_weights(region, lam, cfg.delta, points,
                                           cfg.n_samples, rng, with_ghosts)
     den = randomparity._labelling_weights(region, lam, cfg.delta, (),
                                           cfg.n_samples, rng, with_ghosts)
-    return logs, vals, num, den
+    return (logs, vals, num, den), (t1 - t0, time.perf_counter() - t1)
+
+
+def _pool_diagnostics(est, num, den) -> dict:
+    """JSON-only fields of a ratio row: its warnings and the share of zero
+    weights in its numerator and denominator pools."""
+    return {"warnings": list(est.warnings),
+            "zero_weight_frac_num": float(np.mean(num == 0)),
+            "zero_weight_frac_den": float(np.mean(den == 0))}
 
 
 def run_correlation(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
     rows = []
     origin = (0,) * cfg.d
     points = [(origin, 0.0), (tuple(cfg.point_site), cfg.point_time)]
+    spin_s = labelling_s = 0.0
     with _point_map(workers) as map_points:
         for lam in cfg.lam_grid:
             t0 = time.time()
             results = map_points(_correlation_chain,
                                  [(cfg, lam, k) for k in range(cfg.n_chains)])
             # pooled in chain order; spin weights share one normalization
-            logs, vals, num, den = (np.concatenate(parts) for parts in zip(*results))
+            arrays, seconds = zip(*results)
+            logs, vals, num, den = (np.concatenate(parts) for parts in zip(*arrays))
+            spin_s += sum(s for s, _ in seconds)
+            labelling_s += sum(s for _, s in seconds)
+            randomparity.check_denominator_pool(den, lam)
             w = np.exp(logs - logs.max())
             acc_spin = RatioAccumulator()
             acc_spin.push_many(w * vals, w)
@@ -115,15 +131,24 @@ def run_correlation(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]
                     "lam": lam, "delta": cfg.delta, "seed": cfg.seed,
                     "n_samples": cfg.n_samples * cfg.n_chains, "wall_time": round(wall, 3)}
             rows.append({**base, "method": "spin", "estimate": spin_est.value,
-                         "stderr": spin_est.stderr, "n_effective": spin_est.ess})
+                         "stderr": spin_est.stderr, "n_effective": spin_est.ess,
+                         **_pool_diagnostics(spin_est, w * vals, w)})
             rows.append({**base, "method": "random-parity", "estimate": rpr_est.value,
-                         "stderr": rpr_est.stderr, "n_effective": rpr_est.ess})
+                         "stderr": rpr_est.stderr, "n_effective": rpr_est.ess,
+                         **_pool_diagnostics(rpr_est, num, den)})
             if 2 ** region.box.site_count <= spectral.DEFAULT_DIM_CAP:
                 exact = spectral.oracle_correlation(region, lam, cfg.delta, points)
                 rows.append({**base, "method": "oracle", "estimate": exact,
                              "stderr": 0.0, "n_effective": float("inf"),
                              "wall_time": 0.0})
-    return rows, {"points": [str(p) for p in points]}, True
+    # the spin stage draws one pool per chain and coupling, the labelling
+    # stage two (numerator and denominator); times are summed over chains
+    draws = cfg.n_samples * cfg.n_chains * len(cfg.lam_grid)
+    stages = {name: {"wall_time": seconds, "samples": samples,
+                     "samples_per_s": samples / seconds if seconds > 0 else None}
+              for name, seconds, samples in (("spin", spin_s, draws),
+                                             ("labelling", labelling_s, 2 * draws))}
+    return rows, {"points": [str(p) for p in points], "stages": stages}, True
 
 
 # -- magnetization sweep --------------------------------------------------------

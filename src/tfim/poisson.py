@@ -124,7 +124,9 @@ def draw_times(lo: float, hi: float, rate: float, rng: np.random.Generator) -> n
     then that many uniform times (a count of zero draws no uniforms).  Every
     point-process draw of the package goes through here."""
     n = rng.poisson(rate * (hi - lo))
-    return np.sort(rng.uniform(lo, hi, size=n))
+    times = rng.uniform(lo, hi, size=n)
+    times.sort()
+    return times
 
 
 def sample(profile: IntensityProfile, rng: np.random.Generator) -> PointSet:

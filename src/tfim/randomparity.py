@@ -41,8 +41,18 @@ class InconsistentSourceError(ValueError):
     """Raised for source points at the time endpoints."""
 
 
-def _check_sources(region: SpaceTimeRegion, sources: Sequence) -> list:
-    pts = [(tuple(x), float(t)) for (x, t) in sources]
+class _CheckedSources(tuple):
+    """Source points that passed :func:`_check_sources` for ``region``."""
+
+    region: SpaceTimeRegion
+
+
+def _check_sources(region: SpaceTimeRegion, sources: Sequence) -> _CheckedSources:
+    """The sources as (site, time) pairs, checked against the region; points
+    this returned for the same region are returned as they are."""
+    if isinstance(sources, _CheckedSources) and sources.region is region:
+        return sources
+    pts = _CheckedSources((tuple(x), float(t)) for (x, t) in sources)
     for (x, t) in pts:
         if not region.contains_point((x, t)):
             raise InconsistentSourceError(f"source {(x, t)} outside region")
@@ -50,6 +60,7 @@ def _check_sources(region: SpaceTimeRegion, sources: Sequence) -> list:
             raise InconsistentSourceError("sources must avoid the time endpoints")
     if len(set(pts)) != len(pts):
         raise InconsistentSourceError("duplicate source points")
+    pts.region = region
     return pts
 
 
@@ -146,15 +157,13 @@ def build_labelling(region: SpaceTimeRegion, bridges: dict, ghosts: dict | None,
         raise ValueError("tau is supplied exactly for periodic time")
     per_site = {x: [] for x in region.box.sites()}
     for (x, y), times in bridges.items():
-        for t in np.asarray(times):
-            if tuple(x) in per_site:
-                per_site[tuple(x)].append(float(t))
-            if tuple(y) in per_site:
-                per_site[tuple(y)].append(float(t))
+        times = np.asarray(times, dtype=float).tolist()
+        for end in (tuple(x), tuple(y)):
+            if end in per_site:
+                per_site[end].extend(times)
     if ghosts:
         for x, times in ghosts.items():
-            for t in np.asarray(times):
-                per_site[tuple(x)].append(float(t))
+            per_site[tuple(x)].extend(np.asarray(times, dtype=float).tolist())
     for (x, t) in pts:
         per_site[x].append(t)
 
@@ -495,16 +504,18 @@ def _labellings(region: SpaceTimeRegion, lam: float, sources: Sequence, n_sample
                 rng: np.random.Generator, with_ghosts: bool):
     """Yield ``n_samples`` labellings of the region's time condition, each
     drawn as bridges on the free edges, then ghost points (``with_ghosts``),
-    then the periodic anchors tau."""
+    then the periodic anchors tau.  The sources are checked once per pool."""
     lo, hi = region.t_min, region.t_max
     box = region.box
+    sites = box.sites()
     free_edges = list(EdgeSet.free(box).edges)
     bc = region.bc_time
     rates = ghost_rates(box, lam) if with_ghosts else {}
+    sources = _check_sources(region, sources)
     for _ in range(n_samples):
         bridges = {e: draw_times(lo, hi, lam, rng) for e in free_edges}
         ghosts = {x: draw_times(lo, hi, rate, rng) for x, rate in rates.items()}
-        tau = {x: int(rng.integers(2)) for x in box.sites()} if bc == "p" else None
+        tau = {x: int(rng.integers(2)) for x in sites} if bc == "p" else None
         yield build_labelling(region, bridges, ghosts, sources, bc, tau)
 
 
@@ -526,9 +537,18 @@ def estimate_rpr_correlation(sources: Sequence, region: SpaceTimeRegion,
     with_ghosts = region.bc_space == "w"
     num = _labelling_weights(region, lam, delta, sources, n_samples, rng, with_ghosts)
     den = _labelling_weights(region, lam, delta, (), n_samples, rng, with_ghosts)
-    if den.sum() == 0:
-        raise RuntimeError("no consistent source-free labelling sampled")
+    check_denominator_pool(den, lam)
     return ratio_estimate_independent(num, den)
+
+
+def check_denominator_pool(den: np.ndarray, lam: float) -> None:
+    """Raise ``SamplingError`` when every weight of a source-free labelling
+    pool is zero: the random-parity ratio is then undefined."""
+    if not den.any():
+        raise spinrep.SamplingError(
+            f"random-parity correlation: all {den.size} weights of the denominator "
+            f"(source-free) labelling pool at lam={lam} are zero, so its ratio is "
+            "undefined")
 
 
 @dataclass

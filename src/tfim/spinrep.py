@@ -5,7 +5,10 @@ A configuration assigns each site a +-1 value at time zero and a finite set
 of flip times; the trajectory is right-continuous and switches value exactly
 at the flips.  Correlations are estimated by reweighting a-priori samples
 with exp(lam * sum over edges of the pair-overlap integral); the weights are
-handled in log space so large boxes do not overflow.  Importance sampling
+handled in log space so large boxes do not overflow.  The overlap integral
+reads the spin product once per time window and flips its sign at every
+flip of either site, and spin values are bisect counts on per-site flip
+lists built once per configuration.  Importance sampling
 from the a-priori measure degrades exponentially with space-time volume, so
 a Suzuki-Trotter discretized Metropolis sampler is provided behind the same
 estimator surface for the larger magnetization sweeps; it is approximate and
@@ -18,6 +21,8 @@ per colour.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -54,16 +59,23 @@ class SpinConfiguration:
     initial: dict
     flips: dict
 
+    @functools.cached_property
+    def _flip_lists(self) -> dict:
+        """Site -> (flip times as a float list, flips at or before time 0)."""
+        out = {}
+        for x, times in self.flips.items():
+            times = times.tolist()
+            out[x] = (times, bisect.bisect_right(times, 0.0))
+        return out
+
     def value(self, x, t: float) -> int:
         x = tuple(x)
         if x not in self.initial:
             # frozen exterior sites under the wired spatial condition
             return 1
-        times = self.flips[x]
-        if t >= 0:
-            count = int(np.searchsorted(times, t, side="right") - np.searchsorted(times, 0.0, side="right"))
-        else:
-            count = int(np.searchsorted(times, 0.0, side="right") - np.searchsorted(times, t, side="right"))
+        times, at_zero = self._flip_lists[x]
+        # the parity of the flips between 0 and t, on either side of 0
+        count = bisect.bisect_right(times, t) - at_zero
         return self.initial[x] * (1 if count % 2 == 0 else -1)
 
     def flip_times(self, x) -> np.ndarray:
@@ -108,20 +120,26 @@ def overlap_integral(config, x, y, windows: Sequence | None = None) -> float:
     """int sigma(x,t) sigma(y,t) dt over the line (or the given windows, which
     may wrap past t_max on the circle) for a :class:`SpinConfiguration` or a
     :class:`CutSpinConfiguration`.  The product is constant between the flips
-    of x and y, so it is read at the midpoint of each piece."""
+    of x and y.  Every break inside a window is a flip of x or of y, so the
+    product is read once per window and changes sign at each break.  It is
+    read at the midpoint of the longest piece, which rounding cannot move
+    across a break."""
     region = config.region
     if windows is None:
         windows = [(region.t_min, region.t_max)]
     x, y = tuple(x), tuple(y)
-    flips = np.concatenate([config.flip_times(x), config.flip_times(y)])
+    flips = [*config.flip_times(x).tolist(), *config.flip_times(y).tolist()]
     total = 0.0
     for (lo, hi) in windows:
-        cand = flips if hi <= region.t_max else np.concatenate([flips, flips + region.r])
-        breaks = [lo, *np.sort(cand[(cand > lo) & (cand < hi)]).tolist(), hi]
+        cand = flips if hi <= region.t_max else flips + [t + region.r for t in flips]
+        breaks = [lo, *sorted(t for t in cand if lo < t < hi), hi]
+        k = max(range(len(breaks) - 1), key=lambda i: breaks[i + 1] - breaks[i])
+        mid = (breaks[k] + breaks[k + 1]) / 2.0
+        base = mid if mid <= region.t_max else mid - region.r
+        sign = config.value(x, base) * config.value(y, base) * (-1) ** k
         for a, b in zip(breaks, breaks[1:]):
-            mid = (a + b) / 2.0
-            base = mid if mid <= region.t_max else mid - region.r
-            total += (b - a) * config.value(x, base) * config.value(y, base)
+            total += (b - a) * sign
+            sign = -sign
     return total
 
 

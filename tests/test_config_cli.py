@@ -206,6 +206,30 @@ seed = 1
     assert "SamplingError" in err and "lam=1.0" in err and "zero" in err
 
 
+def test_cli_correlation_all_zero_pool_exits_three(tmp_path, capsys):
+    # 11 sites at beta = 6: every source-free labelling of the pool is inconsistent
+    cfg = _write_config(tmp_path, """
+kind = correlation
+d = 1
+n = 5
+beta = 6.0
+bc_space = f
+bc_time = p
+lam = 1.0
+delta = 1.0
+n_samples = 20
+n_chains = 1
+point_site = 1
+point_time = 0.0
+seed = 1
+""", name="zero.cfg")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "SamplingError" in err and "denominator" in err and "lam=1.0" in err
+    assert "ZeroDivisionError" not in err
+
+
 @pytest.mark.parametrize("argv,seed", [([], 1), (["--seed", "0"], 0), (["--seed", "5"], 5)])
 def test_cli_verify_default_seed(monkeypatch, tmp_path, argv, seed):
     seen = []

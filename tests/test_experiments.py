@@ -118,6 +118,32 @@ def test_correlation_csv_pinned(tmp_path, name):
     assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "run-correlation.csv").read_bytes() == \
         PINNED_CORRELATION_CSV[name].encode()
+    # the diagnostics are in the JSON only
+    payload = json.loads((tmp_path / "run-correlation.json").read_text())
+    for row in payload["rows"]:
+        if row["method"] == "oracle":
+            assert "warnings" not in row
+            continue
+        assert row["warnings"] == (["low-ess"] if row["n_effective"] < 100 else [])
+        assert 0.0 <= row["zero_weight_frac_num"] <= 1.0
+        assert 0.0 <= row["zero_weight_frac_den"] < 1.0
+    n_draws = {"estimators-2-chains": 900, "wired-space": 200, "ground-state": 200}[name]
+    stages = payload["summary"]["stages"]
+    assert stages["spin"]["samples"] == n_draws
+    assert stages["labelling"]["samples"] == 2 * n_draws
+    for stage in stages.values():
+        assert stage["samples_per_s"] == pytest.approx(stage["samples"] / stage["wall_time"])
+
+
+def test_correlation_json_shows_an_all_zero_numerator_pool():
+    # 7 sites at beta = 4: no sourced labelling of 20 is consistent, so the
+    # random-parity row reads 0 +- 0 against an oracle value of about 0.6
+    cfg = make_config(n=3, beta=4.0, n_samples=20, seed=1)
+    rows, _, _ = ex.run_correlation(cfg)
+    rpr = next(r for r in rows if r["method"] == "random-parity")
+    assert (rpr["estimate"], rpr["stderr"]) == (0.0, 0.0)
+    assert rpr["zero_weight_frac_num"] == 1.0 and rpr["zero_weight_frac_den"] < 1.0
+    assert rpr["warnings"] == ["low-ess"]
 
 
 def test_magnetization_sweep_monotone_in_coupling():

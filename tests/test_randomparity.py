@@ -99,6 +99,27 @@ def test_rpr_zero_coupling_pair_vanishes():
     assert est.value == 0.0
 
 
+def test_rpr_all_zero_denominator_pool_raises_sampling_error():
+    # 11 sites at beta = 6: none of the 20 source-free labellings is consistent
+    region = SpaceTimeRegion.finite_beta(Box(1, 5), 6.0, "f", "p")
+    with pytest.raises(SamplingError, match=r"all 20 weights of the denominator .*lam=1\.0"):
+        rp.estimate_rpr_correlation([((0,), 0.0), ((1,), 0.0)], region, 1.0, 1.0, 20,
+                                    chain_generator(1, 0))
+
+
+def test_labelling_pool_checks_sources_before_drawing():
+    region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "f")
+    rng = chain_generator(3, 0)
+    with pytest.raises(rp.InconsistentSourceError):
+        rp._labelling_weights(region, 1.0, 1.0, [((0,), 0.5)], 10, rng, False)
+    assert rng.random() == chain_generator(3, 0).random()
+    # points checked for one region are checked again for another
+    checked = rp._check_sources(SpaceTimeRegion.finite_beta(Box(1, 1), 2.0, "f", "f"),
+                                [((0,), 0.5)])
+    with pytest.raises(rp.InconsistentSourceError):
+        rp.build_labelling(region, {}, None, checked, "f")
+
+
 def test_rpr_matches_oracle_and_spin():
     rng = chain_generator(11, 2)
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "p")

@@ -69,6 +69,17 @@ def test_gibbs_weight_examples():
     assert sr.gibbs_weight(config2, 1.3, edges) == pytest.approx(1.0)
 
 
+def test_spin_value_is_right_continuous_at_flips():
+    region = SpaceTimeRegion(Box(1, 1, "even-side"), 1.0, "f", "f")
+    config = sr.SpinConfiguration(region, {(0,): 1, (1,): -1},
+                                  {(0,): np.array([-0.25, 0.25]), (1,): np.array([0.0])})
+    got = [config.value((0,), t) for t in (-0.3, -0.25, 0.0, 0.2, 0.25, 0.3)]
+    assert got == [-1, 1, 1, 1, -1, -1]
+    # the initial value is the value at time 0, after a flip there
+    assert [config.value((1,), t) for t in (-0.1, 0.0, 0.1)] == [1, -1, -1]
+    assert config.value((5,), 0.1) == 1  # outside the box
+
+
 def test_overlap_integral_with_windows():
     region = SpaceTimeRegion(Box(1, 1, "even-side"), 2.0, "f", "f")
     config = sr.SpinConfiguration(region, {(0,): 1, (1,): -1},

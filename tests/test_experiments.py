@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -164,6 +165,157 @@ def test_switching_verify_driver():
     exact = [r for r in rows if r["mode"] == "exact"]
     assert len(exact) == len(ex.EXACT_SWITCHING_CASES)
     assert all(r["gap"] <= 1e-12 for r in exact)
+
+
+VERIFY_CONFIGS = {
+    "verify-suite": "d = 1\nn = 1\nbeta = 1.0\nbc_space = f\nbc_time = p\nlam = 1.0\n"
+                    "delta = 1.0\nn_samples = 300\npoint_site = 1\npoint_time = 0.25\n"
+                    "seed = 1\n",
+    "wired-space": "d = 1\nn = 1\nbeta = 2.0\nbc_space = w\nbc_time = p\nlam = 1.0\n"
+                   "delta = 1.0\nn_samples = 200\npoint_site = 1\npoint_time = 0.25\n"
+                   "seed = 3\n",
+}
+
+# CSV bytes, and the sha256 of the JSON rows without their wall times, of the
+# verification kinds on the configs above as written while each verifier
+# built its own report
+PINNED_VERIFY_CSV = {
+    ('verify-suite', 'switching-verify'):
+        'kind,case,mode,lhs,rhs,se_lhs,se_rhs,gap,pass,seed\n'
+        'switching-verify,1edge-3slot-fw,exact,0.45017852783203133,'
+        '0.45017852783203144,0,0,1.1102230246251565e-16,true,1\n'
+        'switching-verify,2edge-3slot-fw,exact,0.1843031433993943,'
+        '0.18430314339939421,0,0,8.3266726846886741e-17,true,1\n'
+        'switching-verify,1edge-4slot-fw,exact,0.39746015815183838,'
+        '0.39746015815183849,0,0,1.1102230246251565e-16,true,1\n'
+        'switching-verify,1edge-3slot-pp,exact,0.43688321923422102,'
+        '0.43688321923421297,0,0,8.0491169285323849e-15,true,1\n'
+        'switching-verify,continuum,mc,0.00042458898792898623,'
+        '0.00088153845550397456,0.00034511541655233126,0.00071460076264631797,'
+        '0.57581240714247151,true,1\n',
+    ('verify-suite', 'identity-suite'):
+        'kind,identity,case,lhs,rhs,se_lhs,se_rhs,gap,pass,seed\n'
+        'identity-suite,modification-bound,delete-all-at0.5,'
+        '0.75434263870397578,1.055181613248082,0.01928250010341442,'
+        '0.045767046215819417,0,true,1\n'
+        'identity-suite,modification-bound,add-two-if-empty-at0.5,'
+        '0.75653004218897568,7.5277514875379508,0.019225667347507188,'
+        '0.6285296886578513,0,true,1\n'
+        'identity-suite,modification-bound,add-or-delete-at0.5,'
+        '0.73434690938978431,1.4802705215599381,0.019723939829515657,'
+        '0.11754271771134844,0,true,1\n'
+        'identity-suite,modification-bound,delete-all-at1.0,'
+        '0.54021567390829717,1.0148252159580435,0.021373481411641127,'
+        '0.076037104229362329,0,true,1\n'
+        'identity-suite,modification-bound,add-two-if-empty-at1.0,'
+        '0.50871615117396796,3.8877404394389545,0.021004820775290554,'
+        '0.20915687530337271,0,true,1\n'
+        'identity-suite,modification-bound,add-or-delete-at1.0,'
+        '0.57654390568926028,1.276591362573368,0.021586646516101624,'
+        '0.077816408683182736,0,true,1\n'
+        'identity-suite,modification-bound,delete-all-at2.0,'
+        '0.2992619666507732,1.1822489758289041,0.019219136096611501,'
+        '0.15665815375729439,0,true,1\n'
+        'identity-suite,modification-bound,add-two-if-empty-at2.0,'
+        '0.27932425772702046,1.6919932564088527,0.017678055133471569,'
+        '0.093969997045738496,0,true,1\n'
+        'identity-suite,modification-bound,add-or-delete-at2.0,'
+        '0.28853247271602867,1.2384421828447991,0.018134313649626914,'
+        '0.069708929492866695,0,true,1\n'
+        'identity-suite,holes,centre-interval,0.082919617547261057,'
+        '0.099302701213904263,0.012866481681437265,0.026993540895080124,'
+        '0.54787173936425526,true,1\n'
+        'identity-suite,event-probability,centre-interval,0.65449904007226678,'
+        '0.65737402048140248,0.090016376049925226,0.053558965861498102,'
+        '0.0274474291388076,true,1\n'
+        'identity-suite,connectivity-product,two-point,0.62736438169324538,'
+        '0.34120213543435995,0.60796893139471908,0.15865502841008505,'
+        '0.45543359430140085,true,1\n'
+        'identity-suite,local-modification-A,"kappa=((1,), 0.25)",'
+        '0.23958921528836141,435.53509418946931,0.40183340918758109,'
+        '437.56748053574296,0,true,1\n'
+        'identity-suite,local-modification-B,no-cuts-on-far-site,0,0,0,0,0,'
+        'true,1\n',
+    ('wired-space', 'switching-verify'):
+        'kind,case,mode,lhs,rhs,se_lhs,se_rhs,gap,pass,seed\n'
+        'switching-verify,1edge-3slot-fw,exact,0.45017852783203133,'
+        '0.45017852783203144,0,0,1.1102230246251565e-16,true,3\n'
+        'switching-verify,2edge-3slot-fw,exact,0.1843031433993943,'
+        '0.18430314339939421,0,0,8.3266726846886741e-17,true,3\n'
+        'switching-verify,1edge-4slot-fw,exact,0.39746015815183838,'
+        '0.39746015815183849,0,0,1.1102230246251565e-16,true,3\n'
+        'switching-verify,1edge-3slot-pp,exact,0.43688321923422102,'
+        '0.43688321923421297,0,0,8.0491169285323849e-15,true,3\n'
+        'switching-verify,continuum,mc,3.7608791013897229e-07,'
+        '4.657607948619285e-06,2.3225091564397487e-07,2.81799023610876e-06,'
+        '1.5142182982447785,true,3\n',
+    ('wired-space', 'identity-suite'):
+        'kind,identity,case,lhs,rhs,se_lhs,se_rhs,gap,pass,seed\n'
+        'identity-suite,modification-bound,delete-all-at0.5,'
+        '0.69474633487271231,0.91504030523857127,0.024669413327042502,'
+        '0.058082753932992594,0,true,3\n'
+        'identity-suite,modification-bound,add-two-if-empty-at0.5,'
+        '0.73611203077732146,7.721624782569509,0.024328709688510024,'
+        '0.76253384085269249,0,true,3\n'
+        'identity-suite,modification-bound,add-or-delete-at0.5,'
+        '0.72208621487825497,1.5545526684804081,0.024357027821611796,'
+        '0.14591714214946463,0,true,3\n'
+        'identity-suite,modification-bound,delete-all-at1.0,'
+        '0.53644005790977611,1.0057642765298467,0.0261601599699927,'
+        '0.093033440161293043,0,true,3\n'
+        'identity-suite,modification-bound,add-two-if-empty-at1.0,'
+        '0.49625157924715951,4.0178342612311075,0.0254065717434106,'
+        '0.25756774660919929,0,true,3\n'
+        'identity-suite,modification-bound,add-or-delete-at1.0,'
+        '0.52723021592683228,1.363736571369571,0.026261612401567588,'
+        '0.095428205629657495,0,true,3\n'
+        'identity-suite,modification-bound,delete-all-at2.0,'
+        '0.29003923180199059,0.99752257335563788,0.021978542034537241,'
+        '0.17899354259878317,0,true,3\n'
+        'identity-suite,modification-bound,add-two-if-empty-at2.0,'
+        '0.29733075809714704,1.7992066172426397,0.02180958784260811,'
+        '0.11576740711026658,0,true,3\n'
+        'identity-suite,modification-bound,add-or-delete-at2.0,'
+        '0.3120971649237208,1.1180061964362096,0.0242799434924536,'
+        '0.083617516783262916,0,true,3\n'
+        'identity-suite,holes,centre-interval,0.007548789508034455,'
+        '0.013339211290374324,0.0022115125518136773,0.0078433870760281025,'
+        '0.71055069109135083,true,3\n'
+        'identity-suite,event-probability,centre-interval,0.21206779322904623,'
+        '0.60534359553678208,0.099043719630091634,0.10703767244662946,'
+        '2.696788897637588,true,3\n'
+        'identity-suite,connectivity-product,two-point,0.99519672922336233,'
+        '0.48866227179171745,1.065790726757236,0.37190695721290978,'
+        '0.44873091546430283,true,3\n'
+        'identity-suite,local-modification-A,"kappa=((1,), 0.25)",'
+        '2.4946879752345721,488264.37425701175,1.5201129837065097,'
+        '486825.00264343404,0,true,3\n'
+        'identity-suite,local-modification-B,no-cuts-on-far-site,0,0,0,0,0,'
+        'true,3\n',
+}
+PINNED_VERIFY_JSON_ROWS = {
+    ('verify-suite', 'switching-verify'):
+        'e4b123375b07000f9f74307dcf0579cffbd334506e3822c7bb0cd8a79add8df1',
+    ('verify-suite', 'identity-suite'):
+        '4cf95aff2b84be2318738f40913f20d7f98986f97b21dc4a9e6ce67e9f76b160',
+    ('wired-space', 'switching-verify'):
+        'b07110dee0b07fdff20b4cc8e169c262573a97faa14ccfba223db1cc4233c841',
+    ('wired-space', 'identity-suite'):
+        '8ef3d92e1a37f08d1b8e01f5932fba7b617fdc9ce89ac41bc249e446af34815e',
+}
+
+
+@pytest.mark.parametrize("name, kind", sorted(PINNED_VERIFY_CSV))
+def test_verification_rows_pinned(tmp_path, name, kind):
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(f"kind = {kind}\n" + VERIFY_CONFIGS[name])
+    assert cli_main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / f"run-{kind}.csv").read_bytes() == \
+        PINNED_VERIFY_CSV[name, kind].encode()
+    rows = json.loads((tmp_path / f"run-{kind}.json").read_text())["rows"]
+    blob = json.dumps([{k: v for k, v in row.items() if k != "wall_time"} for row in rows],
+                      sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_VERIFY_JSON_ROWS[name, kind]
 
 
 def test_irb_driver_table_rows():

@@ -24,11 +24,11 @@ from .spectral import (SpectralModel, E_function, build, build_for_region,
                        schwinger_fourier, thermal_expectation)
 from .spinrep import (SpinConfiguration, TrotterSampler, estimate_correlation,
                       estimate_magnetization, gibbs_weight, sample_apriori)
-from .stats import Estimate
+from .stats import Check, Estimate
 from .rng import chain_generator
 
 __all__ = [
-    "Box", "Carrier", "ClusterPartition", "CoupledConfiguration",
+    "Box", "Carrier", "Check", "ClusterPartition", "CoupledConfiguration",
     "DualLattice", "E_function", "EdgeSet", "Estimate", "Holes",
     "IntensityProfile", "Labelling", "PointSet", "SpaceTimeRegion",
     "SpectralModel", "SpinConfiguration", "TrotterSampler",

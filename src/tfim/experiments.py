@@ -19,10 +19,11 @@ import numpy as np
 
 from . import percolation, randomparity, spectral, spinrep
 from .config import ConfigError, RunConfig
+from .discrete import DiscreteSystem, switching_sides
 from .geometry import Box, EdgeSet, Holes, SpaceTimeRegion
 from .poisson import verify_modification_identity
 from .rng import chain_generator
-from .stats import RatioAccumulator, ratio_estimate_independent
+from .stats import Check, RatioAccumulator, ratio_estimate_independent
 
 KIND_COLUMNS = {
     "correlation": ["kind", "method", "d", "n", "r", "bc_space", "bc_time",
@@ -182,61 +183,69 @@ def run_magnetization_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dic
     for n in schedule:
         sub = [r for r in rows if r["n"] == n]
         for a, b in zip(sub, sub[1:]):
-            se = math.hypot(a["stderr"], b["stderr"])
-            if b["estimate"] < a["estimate"] - 3.0 * se:
-                monotone = False
+            monotone = monotone and Check("bound", a["estimate"], b["estimate"],
+                                          a["stderr"], b["stderr"]).passed
     return rows, {"griffiths_monotone": monotone}, monotone
 
 
-# -- switching verification ------------------------------------------------------
+# -- verification rows ------------------------------------------------------------
+
+EXACT_TOL = 1e-12  # exact rows pass when |lhs - rhs| is at most this
+
+
+def _check_row(cfg: RunConfig, labels: dict, check: Check, t0: float) -> dict:
+    """The row of one check: its labelling columns, both sides with their
+    standard errors, and its gap and verdict."""
+    return {"kind": cfg.kind, **labels, "lhs": check.lhs, "rhs": check.rhs,
+            "se_lhs": check.se_lhs, "se_rhs": check.se_rhs, "gap": check.gap,
+            "pass": check.passed, "seed": cfg.seed,
+            "wall_time": round(time.time() - t0, 3)}
+
 
 EXACT_SWITCHING_CASES = [
-    dict(case="1edge-3slot-fw", n_slots=3, sites=("a", "b"),
-         edges=(("a", "b"),), topology="interval", bc_pair=("f", "w"),
-         p_bridge=0.3, w_even=1.25, ghost_multiplicity={"a": 1, "b": 1},
-         p_ghost=0.2, source_a=("a", 1), source_b=("b", 2)),
-    dict(case="2edge-3slot-fw", n_slots=3, sites=("a", "b", "c"),
-         edges=(("a", "b"), ("b", "c")), topology="interval", bc_pair=("f", "w"),
-         p_bridge=0.3, w_even=1.2, ghost_multiplicity={"a": 1, "c": 1},
-         p_ghost=0.1, source_a=("a", 1), source_b=("c", 2)),
-    dict(case="1edge-4slot-fw", n_slots=4, sites=("a", "b"),
-         edges=(("a", "b"),), topology="interval", bc_pair=("f", "w"),
-         p_bridge=0.35, w_even=1.15, ghost_multiplicity={"a": 1, "b": 1},
-         p_ghost=0.15, source_a=("a", 1), source_b=("b", 3)),
-    dict(case="1edge-3slot-pp", n_slots=3, sites=("a", "b"),
-         edges=(("a", "b"),), topology="circle", bc_pair=("p", "p"),
-         p_bridge=0.3, w_even=1.2, ghost_multiplicity={"a": 1, "b": 1},
-         p_ghost=0.15, source_a=("a", 0), source_b=("b", 1)),
+    dict(case="1edge-3slot-fw", sources=(("a", 1), ("b", 2)),
+         system=DiscreteSystem(sites=("a", "b"), edges=(("a", "b"),), n_slots=3,
+                               topology="interval", bc1="f", bc2="w", p_bridge=0.3,
+                               w_even=1.25, ghost_multiplicity={"a": 1, "b": 1},
+                               p_ghost=0.2)),
+    dict(case="2edge-3slot-fw", sources=(("a", 1), ("c", 2)),
+         system=DiscreteSystem(sites=("a", "b", "c"), edges=(("a", "b"), ("b", "c")),
+                               n_slots=3, topology="interval", bc1="f", bc2="w",
+                               p_bridge=0.3, w_even=1.2,
+                               ghost_multiplicity={"a": 1, "c": 1}, p_ghost=0.1)),
+    dict(case="1edge-4slot-fw", sources=(("a", 1), ("b", 3)),
+         system=DiscreteSystem(sites=("a", "b"), edges=(("a", "b"),), n_slots=4,
+                               topology="interval", bc1="f", bc2="w", p_bridge=0.35,
+                               w_even=1.15, ghost_multiplicity={"a": 1, "b": 1},
+                               p_ghost=0.15)),
+    dict(case="1edge-3slot-pp", sources=(("a", 0), ("b", 1)),
+         system=DiscreteSystem(sites=("a", "b"), edges=(("a", "b"),), n_slots=3,
+                               topology="circle", bc1="p", bc2="p", p_bridge=0.3,
+                               w_even=1.2, ghost_multiplicity={"a": 1, "b": 1},
+                               p_ghost=0.15)),
 ]
 
 
 def run_switching_verify(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
+    """Exactly enumerated switching cases, whose rows keep the absolute rule
+    gap = |lhs - rhs| <= ``EXACT_TOL``, then the continuum Monte Carlo check."""
     rows = []
-    ok = True
     for case in EXACT_SWITCHING_CASES:
         t0 = time.time()
-        params = {k: v for k, v in case.items() if k != "case"}
-        rep = randomparity.switching_exact_discrete(**params)
-        diff = abs(rep.lhs - rep.rhs)
-        passed = diff <= 1e-12
-        ok = ok and passed
-        rows.append({"kind": cfg.kind, "case": case["case"], "mode": "exact",
-                     "lhs": rep.lhs, "rhs": rep.rhs, "se_lhs": 0.0, "se_rhs": 0.0,
-                     "gap": diff, "pass": passed, "seed": cfg.seed,
-                     "wall_time": round(time.time() - t0, 3)})
+        lhs, rhs = switching_sides(case["system"], *case["sources"])
+        row = _check_row(cfg, {"case": case["case"], "mode": "exact"},
+                         Check("identity", lhs, rhs, 0.0, 0.0), t0)
+        row["gap"] = abs(lhs - rhs)
+        row["pass"] = row["gap"] <= EXACT_TOL
+        rows.append(row)
     t0 = time.time()
     rng = chain_generator(cfg.seed, 0)
     region = _region(cfg, bc_space="w")
     kappa = (tuple(cfg.point_site), cfg.point_time)
-    rep = randomparity.verify_switching(region, cfg.lam_grid[0], cfg.delta,
-                                        kappa, cfg.n_samples, rng)
-    passed = rep.agrees(3.0)
-    ok = ok and passed
-    rows.append({"kind": cfg.kind, "case": "continuum", "mode": "mc",
-                 "lhs": rep.lhs, "rhs": rep.rhs, "se_lhs": rep.se_lhs,
-                 "se_rhs": rep.se_rhs, "gap": rep.gap_in_se, "pass": passed,
-                 "seed": cfg.seed, "wall_time": round(time.time() - t0, 3)})
-    return rows, {"n_cases": len(rows)}, ok
+    check = randomparity.verify_switching(region, cfg.lam_grid[0], cfg.delta,
+                                          kappa, cfg.n_samples, rng)
+    rows.append(_check_row(cfg, {"case": "continuum", "mode": "mc"}, check, t0))
+    return rows, {"n_cases": len(rows)}, all(row["pass"] for row in rows)
 
 
 # -- infrared bound ---------------------------------------------------------------
@@ -338,51 +347,34 @@ def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict,
 
 def run_identity_suite(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
     rows = []
-    ok = True
     lam = cfg.lam_grid[0]
     rng = chain_generator(cfg.seed, 0)
 
-    def add(identity, case, lhs, rhs, se_lhs, se_rhs, t0):
-        nonlocal ok
-        se = math.hypot(se_lhs, se_rhs)
-        gap = abs(lhs - rhs) / se if se > 0 else (0.0 if lhs == rhs else math.inf)
-        passed = gap <= 3.0
-        ok = ok and passed
-        rows.append({"kind": cfg.kind, "identity": identity, "case": case,
-                     "lhs": lhs, "rhs": rhs, "se_lhs": se_lhs, "se_rhs": se_rhs,
-                     "gap": gap, "pass": passed, "seed": cfg.seed,
-                     "wall_time": round(time.time() - t0, 3)})
+    def add(identity, case, check, t0):
+        rows.append(_check_row(cfg, {"identity": identity, "case": case}, check, t0))
 
     # point-process modification identities
     for at in (0.5, 1.0, 2.0):
         for scheme in ("delete-all", "add-two-if-empty", "add-or-delete"):
             t0 = time.time()
-            rep = verify_modification_identity(lambda x: math.exp(-len(x)), scheme,
-                                               1.0, at, cfg.n_samples, rng)
-            passed = rep.holds
-            ok = ok and passed
-            rows.append({"kind": cfg.kind, "identity": "modification-bound",
-                         "case": f"{scheme}-at{at}", "lhs": rep.lhs.value,
-                         "rhs": rep.rhs.value, "se_lhs": rep.lhs.stderr,
-                         "se_rhs": rep.rhs.stderr, "gap": rep.holds_within,
-                         "pass": passed, "seed": cfg.seed,
-                         "wall_time": round(time.time() - t0, 3)})
+            check = verify_modification_identity(lambda x: math.exp(-len(x)), scheme,
+                                                 1.0, at, cfg.n_samples, rng)
+            add("modification-bound", f"{scheme}-at{at}", check, t0)
 
     # holes identity
     region = _region(cfg, bc_space="f")
     span = (-region.r / 8.0, region.r / 8.0)
     holes = Holes.of({(0,) * cfg.d: [span]})
     t0 = time.time()
-    rep = randomparity.holes_identity_check(holes, region, lam, cfg.delta,
-                                            cfg.n_samples, rng)
-    add("holes", "centre-interval", rep.lhs, rep.rhs, rep.se_lhs, rep.se_rhs, t0)
+    add("holes", "centre-interval",
+        randomparity.holes_identity_check(holes, region, lam, cfg.delta,
+                                          cfg.n_samples, rng), t0)
 
     # event-probability identity
     t0 = time.time()
-    rep = randomparity.event_probability_identity(holes, region, lam, cfg.delta,
-                                                  cfg.n_samples, rng)
-    add("event-probability", "centre-interval", rep.lhs, rep.rhs,
-        rep.se_lhs, rep.se_rhs, t0)
+    add("event-probability", "centre-interval",
+        randomparity.event_probability_identity(holes, region, lam, cfg.delta,
+                                                cfg.n_samples, rng), t0)
 
     # connectivity = correlation product
     t0 = time.time()
@@ -397,36 +389,22 @@ def run_identity_suite(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bo
                                                    lam, cfg.delta, cfg.n_samples, rng)
     prod = corr_f.value * corr_w.value
     prod_se = math.hypot(corr_f.stderr * corr_w.value, corr_w.stderr * corr_f.value)
-    add("connectivity-product", "two-point", conn.value, prod, conn.stderr, prod_se, t0)
+    add("connectivity-product", "two-point",
+        Check("identity", conn.value, prod, conn.stderr, prod_se), t0)
 
     # local modifications
     t0 = time.time()
-    rep_a = randomparity.verify_local_modification_A(regionw, lam, cfg.delta, q,
-                                                     cfg.n_samples, rng)
-    passed = rep_a["holds"]
-    ok = ok and passed
-    rows.append({"kind": cfg.kind, "identity": "local-modification-A",
-                 "case": f"kappa={q}", "lhs": rep_a["difference"].value,
-                 "rhs": rep_a["rhs"], "se_lhs": rep_a["difference"].stderr,
-                 "se_rhs": rep_a["constant"] * rep_a["p_origin_ghost"].stderr,
-                 "gap": 0.0, "pass": passed, "seed": cfg.seed,
-                 "wall_time": round(time.time() - t0, 3)})
+    add("local-modification-A", f"kappa={q}",
+        randomparity.verify_local_modification_A(regionw, lam, cfg.delta, q,
+                                                 cfg.n_samples, rng), t0)
     t0 = time.time()
     events = {"no-cuts-on-far-site": lambda c: len(c.cuts.get(q[0], ())) == 0}
-    rep_b = randomparity.verify_local_modification_B(regionw, lam, cfg.delta, 0,
-                                                     region.r, events,
-                                                     cfg.n_samples, rng)
-    for name, res in rep_b.items():
-        passed = res["holds"]
-        ok = ok and passed
-        rows.append({"kind": cfg.kind, "identity": "local-modification-B",
-                     "case": name, "lhs": res["p_event"].value,
-                     "rhs": res["constant"] * res["p_event_and_connected"].value,
-                     "se_lhs": res["p_event"].stderr,
-                     "se_rhs": res["constant"] * res["p_event_and_connected"].stderr,
-                     "gap": 0.0, "pass": passed, "seed": cfg.seed,
-                     "wall_time": round(time.time() - t0, 3)})
-    return rows, {"n_identities": len(rows)}, ok
+    checks = randomparity.verify_local_modification_B(regionw, lam, cfg.delta, 0,
+                                                      region.r, events,
+                                                      cfg.n_samples, rng)
+    for name, check in checks.items():
+        add("local-modification-B", name, check, t0)
+    return rows, {"n_identities": len(rows)}, all(row["pass"] for row in rows)
 
 
 # -- critical point -----------------------------------------------------------------

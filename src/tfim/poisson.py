@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import stats as sps
 
-from .stats import Estimate, mean_estimate
+from .stats import Check, mean_estimate
 
 
 class DegenerateRateError(ValueError):
@@ -218,50 +218,32 @@ def rn_add_or_delete(x: PointSet, alpha: float, t: float,
     return modified, density
 
 
+# scheme -> (modify, c2 as a function of (alpha, t), the event A)
 SCHEMES = {
     "delete-all": (lambda x, a, t, rng: (PointSet.empty(x.carrier), delete_all_density(x, a, t)),
-                   delete_all_density,
                    lambda a, t: math.exp(a * t),
                    lambda x: len(x) == 0),
     "add-two-if-empty": (rn_add_two_if_empty,
-                         add_two_if_empty_density,
                          lambda a, t: 1.0 + 2.0 / (a * t) ** 2,
                          lambda x: len(x) > 0),
     "add-or-delete": (rn_add_or_delete,
-                      add_or_delete_density,
                       lambda a, t: 2.0 / (a * t) + a * t,
                       lambda x: len(x) > 0),
 }
 
 
-@dataclass(frozen=True)
-class ModificationReport:
-    """Both sides of E[f(X)] <= c1 c2 E[f(X) 1_A(X)], with standard errors."""
-
-    scheme: str
-    c1: float
-    c2: float
-    lhs: Estimate
-    rhs: Estimate
-    holds_within: float
-
-    @property
-    def holds(self) -> bool:
-        return self.holds_within <= 3.0
-
-
 def verify_modification_identity(f: Callable[[PointSet], float], scheme: str,
                                  alpha: float, t: float, n_samples: int,
-                                 rng: np.random.Generator,
-                                 c1: float | None = None) -> ModificationReport:
-    """Monte Carlo check of the modification bound for a functional f >= 0.
+                                 rng: np.random.Generator) -> Check:
+    """Monte Carlo check of the bound E[f(X)] <= c1 c2 E[f(X) 1_A(X)] for a
+    functional f >= 0.
 
-    c1 must bound f(X)/f(modified X); when omitted it is measured empirically
-    over the joint draws (and reported, so the check is self-describing).
+    c1 bounds f(X)/f(modified X); it is measured over the joint draws and
+    reported with c2 in the check's detail.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    modify, _, c2_of, in_a = SCHEMES[scheme]
+    modify, c2_of, in_a = SCHEMES[scheme]
     carrier = Carrier.interval(0.0, t)
     c2 = c2_of(alpha, t)
 
@@ -279,16 +261,12 @@ def verify_modification_identity(f: Callable[[PointSet], float], scheme: str,
             ratio_max = max(ratio_max, fx / fm)
         elif fx > 0:
             ratio_max = math.inf
-    if c1 is None:
-        c1 = ratio_max if ratio_max > 0 else 1.0
+    c1 = ratio_max if ratio_max > 0 else 1.0
 
     lhs = mean_estimate(f_x)
-    rhs_raw = mean_estimate(f_x_ind)
-    rhs = Estimate(c1 * c2 * rhs_raw.value, c1 * c2 * rhs_raw.stderr, rhs_raw.n)
-    gap = lhs.value - rhs.value
-    se = math.hypot(lhs.stderr, rhs.stderr)
-    holds_within = 0.0 if gap <= 0 else (gap / se if se > 0 else math.inf)
-    return ModificationReport(scheme, c1, c2, lhs, rhs, holds_within)
+    rhs = mean_estimate(f_x_ind)
+    return Check("bound", lhs.value, c1 * c2 * rhs.value, lhs.stderr, c1 * c2 * rhs.stderr,
+                 {"scheme": scheme, "c1": c1, "c2": c2})
 
 
 # -- Bernoulli-slot discretization -----------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from .geometry import (Box, EdgeSet, Holes, SpaceTimeRegion, edge_shadow_length,
                        edge_windows, l1_norm, line_components)
 from .poisson import draw_times
-from .stats import (Estimate, difference_estimate, mean_estimate,
+from .stats import (Check, Estimate, difference_estimate, mean_estimate,
                     ratio_estimate_independent, ratio_estimate_jackknife)
 from . import spinrep
 
@@ -551,31 +551,9 @@ def check_denominator_pool(den: np.ndarray, lam: float) -> None:
             "undefined")
 
 
-@dataclass
-class IdentityReport:
-    """Two-sided verification record, JSON-serializable via __dict__."""
-
-    identity: str
-    lhs: float
-    rhs: float
-    se_lhs: float
-    se_rhs: float
-    n: int
-    params: dict
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def gap_in_se(self) -> float:
-        se = math.hypot(self.se_lhs, self.se_rhs)
-        return abs(self.lhs - self.rhs) / se if se > 0 else math.inf
-
-    def agrees(self, n_se: float = 3.0) -> bool:
-        return self.gap_in_se <= n_se
-
-
 def verify_switching(region: SpaceTimeRegion, lam: float, delta: float,
                      kappa: tuple, n_samples: int,
-                     rng: np.random.Generator) -> IdentityReport:
+                     rng: np.random.Generator) -> Check:
     """Monte Carlo check of the switching identity at sources {origin, kappa}.
 
     Left side needs no cuts; the right side carries the off-ghost
@@ -595,33 +573,18 @@ def verify_switching(region: SpaceTimeRegion, lam: float, delta: float,
         else:
             rhs[i] = 0.0
     el, er = mean_estimate(lhs), mean_estimate(rhs)
-    return IdentityReport("switching", el.value, er.value, el.stderr, er.stderr,
-                          n_samples, {"lam": lam, "delta": delta, "kappa": kappa})
-
-
-def switching_exact_discrete(n_slots: int, sites, edges, topology: str,
-                             bc_pair: tuple, p_bridge: float, w_even: float,
-                             ghost_multiplicity: dict, p_ghost: float,
-                             source_a, source_b) -> IdentityReport:
-    """Exhaustively enumerated switching check on a Bernoulli discretization."""
-    from .discrete import DiscreteSystem, switching_sides
-    system = DiscreteSystem(tuple(sites), tuple(edges), n_slots, topology,
-                            bc_pair[0], bc_pair[1], p_bridge, w_even,
-                            dict(ghost_multiplicity), p_ghost)
-    lhs, rhs = switching_sides(system, source_a, source_b)
-    return IdentityReport("switching-exact", lhs, rhs, 0.0, 0.0, 0,
-                          {"n_slots": n_slots, "p_bridge": p_bridge,
-                           "w_even": w_even, "p_ghost": p_ghost})
+    return Check("identity", el.value, er.value, el.stderr, er.stderr)
 
 
 def correlation_difference_bound(region: SpaceTimeRegion, lam: float, delta: float,
                                  kappa: tuple, n_samples: int,
-                                 rng: np.random.Generator) -> dict:
-    """The two-sided bound chain for the wired/free correlation difference.
+                                 rng: np.random.Generator) -> tuple[Check, Check]:
+    """The two-sided bound chain for the wired/free correlation difference:
+    free <= wired, and wired - free <= the ghost-connection bound
+    E(w1 w2(0k) 1{0<->Gamma}) / E(w1 w2).
 
-    Estimates the wired and free correlations (ghosted and plain labelling
-    ratios), and the ghost-connection bound E(w1 w2(0k) 1{0<->Gamma}) /
-    E(w1 w2); returns the three estimates and the checked inequalities."""
+    The correlations are ghosted and plain labelling ratios; returns the lower
+    and the upper check."""
     origin = ((0,) * region.box.d, 0.0)
     kappa = (tuple(kappa[0]), float(kappa[1]))
     sources = (origin, kappa)
@@ -641,16 +604,8 @@ def correlation_difference_bound(region: SpaceTimeRegion, lam: float, delta: flo
         num[i] = w if (w > 0 and connectivity(c, origin, None, "to-gamma")) else 0.0
     bound = ratio_estimate_independent(num, den)
     diff = difference_estimate(corr_w, corr_f)
-    se_low = diff.stderr
-    se_high = math.hypot(diff.stderr, bound.stderr)
-    return {
-        "difference": diff,
-        "wired": corr_w,
-        "free": corr_f,
-        "ghost_bound": bound,
-        "lower_ok": diff.value >= -3.0 * se_low,
-        "upper_ok": diff.value <= bound.value + 3.0 * se_high,
-    }
+    return (Check("bound", corr_f.value, corr_w.value, corr_f.stderr, corr_w.stderr),
+            Check("bound", diff.value, bound.value, diff.stderr, bound.stderr))
 
 
 # -- local modification constants and verifiers -------------------------------
@@ -682,20 +637,17 @@ def constant_B(n0: int, r0: float, lam: float, delta: float, d: int) -> float:
 
 def verify_local_modification_A(region: SpaceTimeRegion, lam: float, delta: float,
                                 kappa: tuple, n_samples: int,
-                                rng: np.random.Generator) -> dict:
+                                rng: np.random.Generator) -> Check:
     """Checks wired-minus-free correlation <= C_kappa * Pbar(origin <-> Gamma)."""
     beta = region.r if region.bc_time == "p" else None
     c_k = constant_A(kappa, lam, delta, beta)
-    chain = correlation_difference_bound(region, lam, delta, kappa, n_samples, rng)
+    _, upper = correlation_difference_bound(region, lam, delta, kappa, n_samples, rng)
     origin = ((0,) * region.box.d, 0.0)
     p_ghost = coupled_event_probability(
         region, lam, delta, lambda c: connectivity(c, origin, None, "to-gamma"),
         n_samples, rng)
-    diff = chain["difference"]
-    rhs = c_k * p_ghost.value
-    se = math.hypot(diff.stderr, c_k * p_ghost.stderr)
-    return {"difference": diff, "p_origin_ghost": p_ghost, "constant": c_k,
-            "rhs": rhs, "holds": diff.value <= rhs + 3.0 * se}
+    return Check("bound", upper.lhs, c_k * p_ghost.value, upper.se_lhs, c_k * p_ghost.stderr,
+                 {"p_origin_ghost": p_ghost, "constant": c_k})
 
 
 def verify_local_modification_B(region: SpaceTimeRegion, lam: float, delta: float,
@@ -703,7 +655,7 @@ def verify_local_modification_B(region: SpaceTimeRegion, lam: float, delta: floa
                                 n_samples: int, rng: np.random.Generator) -> dict:
     """Checks Pbar(A) <= c(n0, r0) Pbar(A and block fully connected) for each
     named event A (callables on coupled configurations, measurable outside
-    the block)."""
+    the block); returns one check per event name."""
     c = constant_B(n0, r0, lam, delta, region.box.d)
     origin = ((0,) * region.box.d, 0.0)
     weights = np.empty(n_samples)
@@ -727,10 +679,8 @@ def verify_local_modification_B(region: SpaceTimeRegion, lam: float, delta: floa
     for name in events:
         pa = ratio_estimate_independent(hits[name], weights)
         pac = ratio_estimate_independent(joint[name], weights)
-        se = math.hypot(pa.stderr, c * pac.stderr)
-        results[name] = {"p_event": pa, "p_event_and_connected": pac,
-                         "constant": c,
-                         "holds": pa.value <= c * pac.value + 3.0 * se}
+        results[name] = Check("bound", pa.value, c * pac.value, pa.stderr, c * pac.stderr,
+                              {"constant": c})
     return results
 
 
@@ -791,7 +741,7 @@ def sample_cut_labelling_weight(region: SpaceTimeRegion, holes: Holes, lam: floa
 
 def holes_identity_check(holes: Holes, region: SpaceTimeRegion, lam: float,
                          delta: float, n_samples: int,
-                         rng: np.random.Generator) -> IdentityReport:
+                         rng: np.random.Generator) -> Check:
     """Both sides of the holes identity, in normalized-weight form:
 
         E_{cut}[W'] = 2^{m_p} e^{lam |Jt|} E[W 1{even in J}],
@@ -799,7 +749,7 @@ def holes_identity_check(holes: Holes, region: SpaceTimeRegion, lam: float,
     where W, W' are the weights normalized by their regions' volumes, |Jt| is
     the shadowed edge measure, and m_p counts cut circles (periodic time
     only).  The printed form of the identity omits the e^{lam |Jt|} and
-    2^{m_p} factors; the report carries the residual of that form too."""
+    2^{m_p} factors; the check's detail carries that form and its residual."""
     if region.bc_space != "f":
         raise ValueError("the holes identity concerns the plain labelling")
     bc = region.bc_time
@@ -816,25 +766,21 @@ def holes_identity_check(holes: Holes, region: SpaceTimeRegion, lam: float,
         rhs[i] = w if w > 0 and lab.even_throughout(holes) else 0.0
     scale = (2.0**m_p) * math.exp(lam * shadow)
     el = mean_estimate(lhs)
-    er_raw = mean_estimate(rhs)
-    er = Estimate(scale * er_raw.value, scale * er_raw.stderr, er_raw.n)
-    printed_rhs = er_raw.value * 1.0  # identity as printed: no shadow factor
-    return IdentityReport(
-        "holes", el.value, er.value, el.stderr, er.stderr, n_samples,
-        {"lam": lam, "delta": delta, "hole_length": holes.total_length,
-         "shadow": shadow, "m_p": m_p},
-        extra={"printed_rhs": printed_rhs,
-               "printed_residual": el.value - printed_rhs})
+    er = mean_estimate(rhs)
+    # the identity as printed has no shadow or cut-circle factor
+    return Check("identity", el.value, scale * er.value, el.stderr, scale * er.stderr,
+                 {"shadow": shadow, "m_p": m_p, "printed_rhs": er.value,
+                  "printed_residual": el.value - er.value})
 
 
 def event_probability_identity(holes: Holes, region: SpaceTimeRegion, lam: float,
                                delta: float, n_samples: int,
-                               rng: np.random.Generator) -> IdentityReport:
+                               rng: np.random.Generator) -> Check:
     """Cross-representation identity for P(labelling even throughout J).
 
     Left: the tilted-labelling probability.  Right: 2^{-m_p} times the ratio
-    of spin-side partition values of the cut and full regions.  The report
-    also evaluates the printed closed form c(J) mu[exp(-lam L_J)] with
+    of spin-side partition values of the cut and full regions.  The check's
+    detail also carries the printed closed form c(J) mu[exp(-lam L_J)] with
     c(J) = 2^{-n} e^{delta |J| + lam |Jt|} for reference."""
     if region.bc_space != "f":
         raise ValueError("the tilted measure concerns the plain labelling")
@@ -853,7 +799,7 @@ def event_probability_identity(holes: Holes, region: SpaceTimeRegion, lam: float
     rhs_se = (0.5**m_p) * math.hypot(z_cut.stderr / z_full.value,
                                      z_cut.value * z_full.stderr / z_full.value**2)
 
-    # printed closed form, for the report only
+    # printed closed form, for the detail only
     edges = EdgeSet.free(region.box).edges
     shadow = edge_shadow_length(region, holes, edges)
     n_extra = 0
@@ -862,10 +808,6 @@ def event_probability_identity(holes: Holes, region: SpaceTimeRegion, lam: float
         n_extra += len(comps) - 1
     c_printed = (0.5**n_extra) * math.exp(delta * holes.total_length + lam * shadow)
     mu = spinrep.estimate_exp_overlap_in(holes, region, lam, delta, n_samples, rng)
-    return IdentityReport(
-        "event-probability", lhs.value, rhs_val, lhs.stderr, rhs_se, n_samples,
-        {"lam": lam, "delta": delta, "hole_length": holes.total_length,
-         "shadow": shadow, "m_p": m_p},
-        extra={"printed_rhs": c_printed * mu.value,
-               "printed_c": c_printed,
-               "mu_exp_L": mu.value})
+    return Check("identity", lhs.value, rhs_val, lhs.stderr, rhs_se,
+                 {"shadow": shadow, "m_p": m_p, "printed_rhs": c_printed * mu.value,
+                  "printed_c": c_printed, "mu_exp_L": mu.value})

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 LOW_ESS = 100.0  # ratio estimates with a smaller Kish ESS carry "low-ess"
+N_SE = 3.0  # a check passes when its gap is at most N_SE combined standard errors
+BATCHES = 32  # batch count of batch_means_estimate
 
 
 @dataclass
@@ -62,11 +64,49 @@ class Estimate:
     ess: float = float("nan")
     warnings: tuple = ()
 
-    def agrees_with(self, other: "Estimate | float", n_se: float = 3.0) -> bool:
+    def agrees_with(self, other: "Estimate | float") -> bool:
+        """The identity check of this estimate against another or an exact value."""
         if isinstance(other, Estimate):
-            se = math.hypot(self.stderr, other.stderr)
-            return abs(self.value - other.value) <= n_se * se
-        return abs(self.value - other) <= n_se * self.stderr
+            return Check("identity", self.value, other.value, self.stderr, other.stderr).passed
+        return Check("identity", self.value, other, self.stderr, 0.0).passed
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verification: both sides with their standard errors.
+
+    An ``identity`` claims lhs = rhs, a ``bound`` claims lhs <= rhs.  ``gap``
+    is the violation in units of the combined standard error
+    hypot(se_lhs, se_rhs): |lhs - rhs| for an identity, max(lhs - rhs, 0) for
+    a bound.  With a zero combined error it is 0.0 when the claim holds
+    exactly and inf when it does not.  The check passes when the gap is at
+    most ``N_SE``.  ``detail`` carries extras such as constants and the
+    printed forms of an identity.
+    """
+
+    kind: str
+    lhs: float
+    rhs: float
+    se_lhs: float
+    se_rhs: float
+    detail: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in ("identity", "bound"):
+            raise ValueError(f"unknown check kind {self.kind!r}")
+
+    @property
+    def gap(self) -> float:
+        excess = (abs(self.lhs - self.rhs) if self.kind == "identity"
+                  else max(self.lhs - self.rhs, 0.0))
+        if excess == 0:
+            return 0.0
+        se = math.hypot(self.se_lhs, self.se_rhs)
+        return excess / se if se > 0 else math.inf
+
+    @property
+    def passed(self) -> bool:
+        return self.gap <= N_SE
 
 
 def mean_estimate(xs) -> Estimate:
@@ -167,13 +207,14 @@ class RatioAccumulator:
         return Estimate(mn / md, math.sqrt(max(var, 0.0)), n, ess, warnings)
 
 
-def batch_means_estimate(xs, n_batches: int = 32) -> Estimate:
-    """Mean with an autocorrelation-robust SE from batch means (for MCMC)."""
+def batch_means_estimate(xs) -> Estimate:
+    """Mean with an autocorrelation-robust SE from ``BATCHES`` batch means
+    (for MCMC)."""
     xs = np.asarray(xs, dtype=float)
     n = xs.size
-    if n < 2 * n_batches:
+    if n < 2 * BATCHES:
         return mean_estimate(xs)
-    b = n // n_batches
-    batches = xs[: b * n_batches].reshape(n_batches, b).mean(axis=1)
-    se = batches.std(ddof=1) / math.sqrt(n_batches)
+    b = n // BATCHES
+    batches = xs[: b * BATCHES].reshape(BATCHES, b).mean(axis=1)
+    se = batches.std(ddof=1) / math.sqrt(BATCHES)
     return Estimate(float(xs.mean()), float(se), n)

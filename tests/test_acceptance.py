@@ -14,6 +14,7 @@ import pytest
 
 from tfim.cli import main as cli_main
 from tfim.config import RunConfig
+from tfim.discrete import switching_sides
 from tfim.geometry import Box, Holes, SpaceTimeRegion
 from tfim import experiments as ex
 from tfim import percolation as pc
@@ -55,17 +56,16 @@ def test_criterion_02_switching_lemma():
     t0 = time.time()
     worst = 0.0
     for case in ex.EXACT_SWITCHING_CASES:
-        params = {k: v for k, v in case.items() if k != "case"}
-        rep = rp.switching_exact_discrete(**params)
-        worst = max(worst, abs(rep.lhs - rep.rhs))
+        lhs, rhs = switching_sides(case["system"], *case["sources"])
+        worst = max(worst, abs(lhs - rhs))
     region = SpaceTimeRegion.finite_beta(Box(1, 1, "even-side"), 1.0, "w", "p")
     mc = rp.verify_switching(region, 1.0, 1.0, ((1,), 0.25), 20000,
                              chain_generator(102, 0))
     elapsed = time.time() - t0
-    ok = worst <= 1e-12 and mc.agrees(3.0) and elapsed < 120
+    ok = worst <= 1e-12 and mc.passed and elapsed < 120
     _report(2, "switching identity", ok,
             f"exact worst |lhs-rhs|={worst:.2e} over {len(ex.EXACT_SWITCHING_CASES)} "
-            f"discretizations; continuum gap={mc.gap_in_se:.2f} SE ({elapsed:.0f}s)")
+            f"discretizations; continuum gap={mc.gap:.2f} SE ({elapsed:.0f}s)")
 
 
 def test_criterion_03_infrared_bound():
@@ -130,9 +130,8 @@ def test_criterion_06_local_modification_bounds():
     for i, kappa in enumerate(kappas):
         rep = rp.verify_local_modification_A(region, 1.0, 1.0, kappa, 15000,
                                              chain_generator(106, i))
-        ok = ok and rep["holds"]
-        details.append(f"A{kappa}: diff={rep['difference'].value:.4f} "
-                       f"<= {rep['rhs']:.4f}")
+        ok = ok and rep.passed
+        details.append(f"A{kappa}: diff={rep.lhs:.4f} <= {rep.rhs:.4f}")
     # five events measurable away from the centre block (site 0 line)
     events = {
         "far-no-cuts": lambda c: len(c.cuts.get((1,), ())) == 0,
@@ -144,9 +143,8 @@ def test_criterion_06_local_modification_bounds():
     rep_b = rp.verify_local_modification_B(region, 1.0, 1.0, 0, 1.0, events,
                                            15000, chain_generator(106, 10))
     for name, res in rep_b.items():
-        ok = ok and res["holds"]
-        details.append(f"B[{name}]: {res['p_event'].value:.3f} <= "
-                       f"{res['constant'] * res['p_event_and_connected'].value:.3f}")
+        ok = ok and res.passed
+        details.append(f"B[{name}]: {res.lhs:.3f} <= {res.rhs:.3f}")
     _report(6, "local-modification bounds (A) and (B)", ok, "; ".join(details))
 
 
@@ -158,22 +156,22 @@ def test_criterion_07_holes_and_event_probability():
     holes_f = Holes.of({(0,): [(-0.2, 0.5)]})
     rep = rp.holes_identity_check(holes_f, region_f, 1.0, 1.0, 20000,
                                   chain_generator(107, 0))
-    ok = ok and rep.agrees(3.0)
-    details.append(f"holes[f]: {rep.lhs:.4f} vs {rep.rhs:.4f} ({rep.gap_in_se:.2f} SE)")
+    ok = ok and rep.passed
+    details.append(f"holes[f]: {rep.lhs:.4f} vs {rep.rhs:.4f} ({rep.gap:.2f} SE)")
     # holes identity, periodic circle with a cut site
     region_p = SpaceTimeRegion.finite_beta(Box(1, 1, "even-side"), 1.0, "f", "p")
     holes_p = Holes.of({(0,): [(-0.25, 0.1)]})
     rep = rp.holes_identity_check(holes_p, region_p, 1.0, 1.0, 20000,
                                   chain_generator(107, 1))
-    ok = ok and rep.agrees(3.0)
-    details.append(f"holes[p]: {rep.lhs:.4f} vs {rep.rhs:.4f} ({rep.gap_in_se:.2f} SE)")
+    ok = ok and rep.passed
+    details.append(f"holes[p]: {rep.lhs:.4f} vs {rep.rhs:.4f} ({rep.gap:.2f} SE)")
     # event-probability identity on the three-site chain
     region3 = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "p")
     holes3 = Holes.of({(0,): [(-0.25, 0.25)]})
     rep = rp.event_probability_identity(holes3, region3, 1.0, 1.0, 20000,
                                         chain_generator(107, 2))
-    ok = ok and rep.agrees(3.0)
-    details.append(f"event[p]: {rep.lhs:.4f} vs {rep.rhs:.4f} ({rep.gap_in_se:.2f} SE)")
+    ok = ok and rep.passed
+    details.append(f"event[p]: {rep.lhs:.4f} vs {rep.rhs:.4f} ({rep.gap:.2f} SE)")
     _report(7, "holes and event-probability identities", ok, "; ".join(details))
 
 
@@ -201,7 +199,7 @@ def test_criterion_08_rn_density_suite():
         for scheme in ("delete-all", "add-two-if-empty", "add-or-delete"):
             rep = verify_modification_identity(lambda x: math.exp(-len(x)),
                                                scheme, 1.0, at, 20000, rng)
-            ok = ok and rep.holds
+            ok = ok and rep.passed
     _report(8, "point-process modification densities", ok, "; ".join(details))
 
 

@@ -9,7 +9,6 @@ from tfim import experiments as ex
 from tfim.discrete import (DiscreteSystem, coupled_connected,
                            coupled_probability, enumerate_coupled,
                            switching_sides)
-from tfim.randomparity import switching_exact_discrete
 
 # (lhs, rhs) of the exact switching cases as given by the nested-loop
 # enumeration (``_reference_switching_sides`` below); the tests of this file
@@ -169,8 +168,8 @@ def test_coupled_connectivity_modes():
 
 @pytest.mark.parametrize("case", ex.EXACT_SWITCHING_CASES, ids=lambda c: c["case"])
 def test_exact_switching_cases_pinned(case):
-    rep = switching_exact_discrete(**{k: v for k, v in case.items() if k != "case"})
-    _assert_pinned(rep.lhs, rep.rhs, case["case"])
+    lhs, rhs = switching_sides(case["system"], *case["sources"])
+    _assert_pinned(lhs, rhs, case["case"])
 
 
 # -- nested-loop reference for the switching sides ------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tfim.discrete import DiscreteSystem, switching_sides
 from tfim.geometry import Box, Holes, SpaceTimeRegion
 from tfim import randomparity as rp
 from tfim import spectral as sp
@@ -242,21 +243,21 @@ def test_two_source_odd_path():
 
 
 def test_switching_exact_modes():
-    rep = rp.switching_exact_discrete(
-        3, ("a", "b"), (("a", "b"),), "interval", ("f", "w"), 0.3, 1.25,
-        {"a": 1, "b": 1}, 0.2, ("a", 1), ("b", 2))
-    assert abs(rep.lhs - rep.rhs) <= 1e-12
-    rep2 = rp.switching_exact_discrete(
-        3, ("a", "b"), (("a", "b"),), "circle", ("p", "p"), 0.3, 1.2,
-        {"a": 1, "b": 1}, 0.15, ("a", 0), ("b", 1))
-    assert abs(rep2.lhs - rep2.rhs) <= 1e-12
+    # the interval f/w and circle p/p exact modes, enumerated
+    for topology, bc, w_even, p_ghost, sources in (
+            ("interval", "fw", 1.25, 0.2, (("a", 1), ("b", 2))),
+            ("circle", "pp", 1.2, 0.15, (("a", 0), ("b", 1)))):
+        system = DiscreteSystem(("a", "b"), (("a", "b"),), 3, topology, bc[0], bc[1],
+                                0.3, w_even, {"a": 1, "b": 1}, p_ghost)
+        lhs, rhs = switching_sides(system, *sources)
+        assert abs(lhs - rhs) <= 1e-12
 
 
 def test_switching_continuum_mc():
     rng = chain_generator(13, 0)
     region = SpaceTimeRegion.finite_beta(Box(1, 1, "even-side"), 1.0, "w", "p")
     rep = rp.verify_switching(region, 1.0, 1.0, ((1,), 0.25), 8000, rng)
-    assert rep.agrees(3.0)
+    assert rep.kind == "identity" and rep.passed
 
 
 def test_switching_zero_coupling_both_sides_vanish():
@@ -264,22 +265,28 @@ def test_switching_zero_coupling_both_sides_vanish():
     region = SpaceTimeRegion.finite_beta(Box(1, 1, "even-side"), 1.0, "w", "p")
     rep = rp.verify_switching(region, 0.0, 1.0, ((1,), 0.25), 500, rng)
     assert rep.lhs == 0.0 and rep.rhs == 0.0
+    # both sides vanish with zero standard errors: the identity holds exactly
+    assert rep.se_lhs == rep.se_rhs == 0.0
+    assert rep.gap == 0.0 and rep.passed
 
 
 def test_correlation_difference_chain():
     rng = chain_generator(13, 2)
     region = SpaceTimeRegion.finite_beta(Box(1, 1, "even-side"), 1.0, "f", "p")
-    out = rp.correlation_difference_bound(region, 1.0, 1.0, ((1,), 0.0), 8000, rng)
-    assert out["lower_ok"] and out["upper_ok"]
+    lower, upper = rp.correlation_difference_bound(region, 1.0, 1.0, ((1,), 0.0), 8000, rng)
+    assert lower.kind == upper.kind == "bound"
+    assert lower.passed and upper.passed
+    # the upper check's left side is the wired-minus-free difference
+    assert upper.lhs == lower.rhs - lower.lhs
 
 
 def test_correlation_difference_ghost_free_collapses():
     rng = chain_generator(13, 3)
     region = SpaceTimeRegion.finite_beta(Box(1, 1, "even-side"), 1.0, "f", "p")
-    out = rp.correlation_difference_bound(region, 0.0, 1.0, ((0,), 0.3), 4000, rng)
+    _, upper = rp.correlation_difference_bound(region, 0.0, 1.0, ((0,), 0.3), 4000, rng)
     # zero coupling: no ghosts reachable, difference = 0, bound = 0
-    assert out["ghost_bound"].value == pytest.approx(0.0, abs=1e-12)
-    assert abs(out["difference"].value) <= 3 * out["difference"].stderr
+    assert upper.rhs == pytest.approx(0.0, abs=1e-12)
+    assert abs(upper.lhs) <= 3 * upper.se_lhs
 
 
 def test_constants_closed_forms():
@@ -298,12 +305,13 @@ def test_local_modification_bounds():
     rng = chain_generator(14, 0)
     region = SpaceTimeRegion.finite_beta(Box(1, 1, "even-side"), 1.0, "w", "p")
     rep = rp.verify_local_modification_A(region, 1.0, 1.0, ((1,), 0.0), 6000, rng)
-    assert rep["holds"]
+    assert rep.kind == "bound" and rep.passed
     events = {"far-site-no-cuts": lambda c: len(c.cuts.get((1,), ())) == 0,
               "far-site-many-cuts": lambda c: len(c.cuts.get((1,), ())) >= 2}
     out = rp.verify_local_modification_B(region, 1.0, 1.0, 0, 1.0, events,
                                          6000, rng)
-    assert all(res["holds"] for res in out.values())
+    assert list(out) == list(events)
+    assert all(res.kind == "bound" and res.passed for res in out.values())
 
 
 # (difference, its stderr, P(origin <-> Gamma), its stderr, rhs) on the
@@ -323,9 +331,10 @@ def test_local_modification_A_pinned(k):
               else SpaceTimeRegion(Box(1, 1), 2.0, "w", "f"))
     rep = rp.verify_local_modification_A(region, 1.0, 1.0, ((1,), 0.25), 200,
                                          chain_generator(43, k))
-    assert (rep["difference"].value, rep["difference"].stderr, rep["p_origin_ghost"].value,
-            rep["p_origin_ghost"].stderr, rep["rhs"]) == _LOCAL_MODIFICATION_A_PINS[k]
-    assert rep["holds"]
+    p_ghost = rep.detail["p_origin_ghost"]
+    assert (rep.lhs, rep.se_lhs, p_ghost.value, p_ghost.stderr,
+            rep.rhs) == _LOCAL_MODIFICATION_A_PINS[k]
+    assert rep.passed
 
 
 def test_holes_identity_zero_coupling_closed_form():
@@ -342,8 +351,8 @@ def test_holes_identity_periodic_cut_factor():
     region = SpaceTimeRegion.finite_beta(Box(1, 0), 2.0)
     holes = Holes.of({(0,): [(-0.3, 0.4)]})
     rep = rp.holes_identity_check(holes, region, 0.0, 1.0, 6000, rng)
-    assert rep.params["m_p"] == 1
-    assert rep.agrees(3.0)
+    assert rep.detail["m_p"] == 1
+    assert rep.kind == "identity" and rep.passed
 
 
 def test_holes_identity_with_coupling():
@@ -351,9 +360,9 @@ def test_holes_identity_with_coupling():
     region = SpaceTimeRegion(Box(1, 1, "even-side"), 2.0, "f", "f")
     holes = Holes.of({(0,): [(-0.2, 0.5)]})
     rep = rp.holes_identity_check(holes, region, 1.0, 1.0, 20000, rng)
-    assert rep.agrees(3.0)
+    assert rep.passed
     # the identity with the printed constant misses the shadow factor
-    assert abs(rep.extra["printed_residual"]) > 10 * rep.se_lhs
+    assert abs(rep.detail["printed_residual"]) > 10 * rep.se_lhs
 
 
 def test_event_probability_identity():
@@ -361,7 +370,7 @@ def test_event_probability_identity():
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "p")
     holes = Holes.of({(0,): [(-0.25, 0.25)]})
     rep = rp.event_probability_identity(holes, region, 1.0, 1.0, 15000, rng)
-    assert rep.agrees(3.0)
+    assert rep.kind == "identity" and rep.passed
     assert 0.0 <= rep.lhs <= 1.0
 
 

@@ -315,13 +315,15 @@ def test_local_modification_bounds():
 
 
 # (difference, its stderr, P(origin <-> Gamma), its stderr, rhs) on the
-# 3-site circle and interval, recorded before the origin-to-ghost ratio
-# shared the weighted-event loop of the connectivity ratios
+# 3-site circle and interval; the difference was recorded before the
+# origin-to-ghost ratio shared the weighted-event loop of the connectivity
+# ratios, P(origin <-> Gamma) and rhs once A stopped drawing the unread
+# ghost-connection bound of the correlation-difference chain
 _LOCAL_MODIFICATION_A_PINS = [
-    (-0.20748077566543077, 0.28909759874245045, 0.6188135733175274,
-     0.4832863492221187, 748.9416398412548),
-    (0.13816995164615214, 0.23756107963787243, 1.0, 0.700637480959623,
-     10456503206.094297),
+    (-0.20748077566543077, 0.28909759874245045, 0.9388909134877359,
+     0.7907490227814492, 1136.3268853489476),
+    (0.13816995164615214, 0.23756107963787243, 0.35408081819960635,
+     0.32164915689464463, 3702447210.720676),
 ]
 
 

@@ -9,6 +9,7 @@ to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,8 +60,13 @@ class Box:
     def side(self) -> int:
         return 2 * self.n + 1 if self.convention == SYMMETRIC else 2 * self.n
 
+    @functools.cached_property
+    def _sites(self) -> tuple:
+        return tuple(itertools.product(self.coord_range, repeat=self.d))
+
     def sites(self) -> list[Site]:
-        return [tuple(p) for p in itertools.product(self.coord_range, repeat=self.d)]
+        """The sites in lexicographic order, as a fresh list per call."""
+        return list(self._sites)
 
     @property
     def site_count(self) -> int:

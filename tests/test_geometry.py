@@ -1,4 +1,6 @@
+import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,22 @@ def test_box_site_counts():
     assert Box(2, 1).site_count == 9
     assert Box(1, 2, "even-side").site_count == 4
     assert Box(3, 1, "even-side").site_count == 8
+
+
+def test_box_sites_fresh_list_in_lexicographic_order():
+    box = Box(2, 1, "even-side")
+    first = box.sites()
+    assert first == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert first == [tuple(p) for p in itertools.product(box.coord_range, repeat=2)]
+    # a caller mutating the returned list does not change the next call
+    first.append((9, 9))
+    first[0] = (7, 7)
+    first.sort(reverse=True)
+    assert box.sites() == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert box.sites() is not box.sites()
+    # a box that built its sites still compares, hashes and pickles by its fields
+    assert box == Box(2, 1, "even-side") and hash(box) == hash(Box(2, 1, "even-side"))
+    assert pickle.loads(pickle.dumps(box)).sites() == box.sites()
 
 
 def test_boundary_partition_is_disjoint_cover():

@@ -349,6 +349,33 @@ def test_identity_suite_driver_small():
             "local-modification-B"} <= identities
 
 
+# one tiny config per experiment kind
+TINY_CONFIGS = {
+    "correlation": dict(n_samples=50),
+    "magnetization-sweep": dict(bc_space="w", lam_grid=[0.5, 1.0], n_sweeps=100),
+    "switching-verify": dict(bc_space="w", point_time=0.25, n_samples=50),
+    "irb-check": dict(n_schedule=[2], l_max_factor=2.0),
+    "percolation-sweep": dict(bc_space="w", n_samples=300),
+    "identity-suite": dict(point_time=0.25, n_samples=50),
+    "lambda-c": dict(ground_state=True, beta=None, n_schedule=[3, 4],
+                     lam_grid=[0.8, 0.9, 1.0, 1.1, 1.2], n_sweeps=100, seed=11),
+}
+
+
+def test_every_kind_has_a_tiny_config():
+    assert TINY_CONFIGS.keys() == ex.KIND_COLUMNS.keys() == ex.DRIVERS.keys()
+
+
+@pytest.mark.parametrize("kind", sorted(TINY_CONFIGS))
+def test_every_row_has_every_column(kind):
+    # the CSV writer fills a missing key with "" and would hide it
+    rows, _, _ = ex.run_experiment(make_config(kind=kind, **TINY_CONFIGS[kind]))
+    assert rows
+    for row in rows:
+        missing = [c for c in ex.KIND_COLUMNS[kind] if c not in row]
+        assert not missing, (row, missing)
+
+
 def test_lambda_c_requires_two_sizes():
     with pytest.raises(ConfigError):
         make_config(kind="lambda-c", ground_state=True, beta=None,

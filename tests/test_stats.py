@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tfim.rng import chain_generator
-from tfim.stats import (Estimate, RatioAccumulator, RunningMoments,
+from tfim.stats import (N_SE, Check, Estimate, RatioAccumulator, RunningMoments,
                         batch_means_estimate, effective_sample_size,
                         mean_estimate, ratio_estimate_independent,
                         ratio_estimate_jackknife)
@@ -64,6 +67,58 @@ def test_agreement_helper():
     assert a.agrees_with(1.2)
     assert not a.agrees_with(1.5)
     assert a.agrees_with(Estimate(1.25, 0.1, 100))
+
+
+_sides = st.floats(-1e6, 1e6, allow_nan=False)
+_errors = st.floats(0.0, 1e3, allow_nan=False)
+
+
+@given(_sides, _sides, _errors, _errors)
+def test_check_gap_and_pass_rule(lhs, rhs, se_lhs, se_rhs):
+    identity = Check("identity", lhs, rhs, se_lhs, se_rhs)
+    bound = Check("bound", lhs, rhs, se_lhs, se_rhs)
+    se = math.hypot(se_lhs, se_rhs)
+    if lhs == rhs:
+        assert identity.gap == bound.gap == 0.0
+    elif se == 0:
+        assert identity.gap == math.inf
+        assert bound.gap == (0.0 if lhs < rhs else math.inf)
+    else:
+        assert identity.gap == abs(lhs - rhs) / se
+        assert bound.gap == max(lhs - rhs, 0.0) / se
+    # a bound is the one-sided identity: equal gaps above, zero gap below
+    assert bound.gap == (identity.gap if lhs >= rhs else 0.0)
+    for check in (identity, bound):
+        assert check.passed == (check.gap <= N_SE)
+    # the identity gap does not depend on which side is which
+    assert identity.gap == Check("identity", rhs, lhs, se_rhs, se_lhs).gap
+    # agrees_with is the identity check
+    assert Estimate(lhs, se_lhs, 10).agrees_with(Estimate(rhs, se_rhs, 10)) == identity.passed
+    assert Estimate(lhs, se_lhs, 10).agrees_with(rhs) == \
+        Check("identity", lhs, rhs, se_lhs, 0.0).passed
+
+
+@given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.floats(0.0, 10.0))
+def test_check_passes_within_n_se(rhs, se, k):
+    # sides k combined standard errors apart pass exactly when k <= N_SE;
+    # rounding moves k by under 1e-9 at these magnitudes
+    if abs(k - N_SE) < 1e-6:
+        return
+    lhs = rhs + k * se
+    assert Check("identity", lhs, rhs, se, 0.0).passed == (k <= N_SE)
+    assert Check("identity", rhs, lhs, 0.0, se).passed == (k <= N_SE)
+    assert Check("bound", lhs, rhs, 0.0, se).passed == (k <= N_SE)
+    assert Check("bound", rhs, lhs, 0.0, se).passed
+
+
+def test_check_zero_errors_and_kind():
+    assert Check("identity", 0.5, 0.5, 0.0, 0.0).gap == 0.0
+    assert Check("identity", 0.5, 0.5 + 1e-15, 0.0, 0.0).gap == math.inf
+    assert Check("bound", 0.4, 0.5, 0.0, 0.0).gap == 0.0
+    assert not Check("bound", 0.6, 0.5, 0.0, 0.0).passed
+    assert Check("bound", 0.0, 0.0, 0.0, 0.0, {"c1": 2.0}).detail == {"c1": 2.0}
+    with pytest.raises(ValueError, match="unknown check kind"):
+        Check("equality", 1.0, 1.0, 0.0, 0.0)
 
 
 def test_batch_means_reports_wider_errors_for_correlated_series():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tfim.discrete import DiscreteSystem, switching_sides
 from tfim.geometry import Box, Holes, SpaceTimeRegion
 from tfim import randomparity as rp
 from tfim import spectral as sp
@@ -240,17 +239,6 @@ def test_two_source_odd_path():
         found += 1
         assert rp.odd_path_exists(c.labelling1, c.bridges1, *sources)
     assert found > 5
-
-
-def test_switching_exact_modes():
-    # the interval f/w and circle p/p exact modes, enumerated
-    for topology, bc, w_even, p_ghost, sources in (
-            ("interval", "fw", 1.25, 0.2, (("a", 1), ("b", 2))),
-            ("circle", "pp", 1.2, 0.15, (("a", 0), ("b", 1)))):
-        system = DiscreteSystem(("a", "b"), (("a", "b"),), 3, topology, bc[0], bc[1],
-                                0.3, w_even, {"a": 1, "b": 1}, p_ghost)
-        lhs, rhs = switching_sides(system, *sources)
-        assert abs(lhs - rhs) <= 1e-12
 
 
 def test_switching_continuum_mc():

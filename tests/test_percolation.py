@@ -1,4 +1,6 @@
 import collections
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -248,6 +250,34 @@ def test_circle_and_interval_reports_pinned(case):
         assert rep.largest_cluster_measure == pytest.approx(largest, abs=1e-12)
 
 
+# sha256 of the criterion-10 loop output, one line per draw of
+# chain_generator(seed, 0) at lam = delta = 1: weight repr, the four
+# trifurcation counts and the cluster report, recorded while every probe
+# built its own partition.
+_LOOP_PINS = {
+    ("ground-state", 1, 150): "5f30c4492a0ebfa824ff9c09e89f5b2701a473bea4520bf2891668760da82e03",
+    ("ground-state", 2, 150): "f14c5e059998bbcdec6930ddef9651e637baef03fba9ad008708314642c18659",
+    ("circle", 1, 40): "b4b095541bcf263c87dc2b9b52696e2a3a864a870c96560b82e840a222dfdfc4",
+}
+
+
+@pytest.mark.parametrize("shape,seed,n_draws", sorted(_LOOP_PINS))
+def test_leaf_bound_loop_digest_pinned(shape, seed, n_draws):
+    region = (SpaceTimeRegion.ground_state(Box(1, 4), "w", "f") if shape == "ground-state"
+              else SpaceTimeRegion.finite_beta(Box(1, 4), 8.0, "w", "p"))
+    rng = chain_generator(seed, 0)
+    lines = []
+    for _ in range(n_draws):
+        c = rp.sample_coupled(region, 1.0, 1.0, (), (), rng)
+        t = pc.trifurcation_diagnostic(c, 1, 1.0, 1.0)
+        r = pc.cluster_report(c, 1, 1.0)
+        lines.append(f"{c.weight!r},{t.n_trifurcations},{t.n_boundary_intervals},{t.n_probes},"
+                     f"{t.n_clipped},{r.n_clusters},{r.boundary_touching},{r.origin_to_ghost},"
+                     f"{r.origin_to_boundary},{r.largest_cluster_measure!r}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _LOOP_PINS[shape, seed, n_draws]
+
+
 # (value, stderr) of the two connectivity ratios on the 3-site circle and
 # interval, recorded before they shared one weighted-event loop
 _CONNECTIVITY_PINS = {
@@ -373,10 +403,14 @@ def _reference_connectivity(c, points, ghost_jumps):
 
 
 def _reference_window(region, t0, r0):
-    """(open, closed, ends) of the time window of length r0 around t0."""
+    """(open, closed, ends) of the time window of length r0 around t0.  On
+    intervals a window end that lands on a time end is open too: the point
+    left there is no branch of the complement."""
     if region.time_topology == "interval":
         lo, hi = t0 - r0 / 2.0, t0 + r0 / 2.0
-        return (lambda t: lo < t < hi), (lambda t: lo <= t <= hi), [lo, hi]
+        at_end = {lo, hi} & {region.t_min, region.t_max}
+        return ((lambda t: lo < t < hi or t in at_end), (lambda t: lo <= t <= hi),
+                [lo, hi])
     r = region.r
     if r0 >= r:
         return (lambda t: True), (lambda t: True), []
@@ -422,6 +456,27 @@ def _reference_block(c, x0, t0, n0, r0):
                                            and node[2] in (region.t_min, region.t_max))}
     branches = {rest[n] for n in attached if n in rest} & touching
     return connected, len(branches)
+
+
+def _reference_trifurcations(c, n0, r0):
+    """(probes, trifurcations) over the probe grid of the trifurcation
+    diagnostic, every probe answered by ``_reference_block``."""
+    region = c.region
+    lo, hi = region.box.coord_range[0], region.box.coord_range[-1]
+    step_x, step_t = 2 * n0 + 1, 2.0 * r0
+    coords = range(-(abs(lo) // step_x) * step_x, hi + 1, step_x)
+    n_t = int(region.r / step_t) + 1
+    probes = trifurcations = 0
+    for cx in itertools.product(coords, repeat=region.box.d):
+        if not all(lo <= a - n0 and a + n0 <= hi for a in cx):
+            continue
+        for t0 in (k * step_t for k in range(-n_t, n_t + 1)):
+            if (region.t_min <= t0 < region.t_max if region.time_topology == "circle"
+                    else region.t_min <= t0 - r0 / 2 and t0 + r0 / 2 <= region.t_max):
+                probes += 1
+                connected, branches = _reference_block(c, cx, t0, n0, r0)
+                trifurcations += connected and branches >= 3
+    return probes, trifurcations
 
 
 def _reference_odd_path(lab, bridges, p, q):
@@ -486,6 +541,8 @@ def test_interval_graph_matches_brute_force(draw, n0, r0_frac, centre):
     assert rp.block_fully_connected(c, (x0, t0), n0, r0) == connected
     assert pc._block_fully_connected(c, x0, t0, n0, r0) == connected
     assert pc._complement_branches(c, x0, t0, n0, r0) == branches
+    trif = pc.trifurcation_diagnostic(c, n0, r0, 1.0)
+    assert (trif.n_probes, trif.n_trifurcations) == _reference_trifurcations(c, n0, r0)
 
     for p, q in [*zip(points, points[1:]), *([sources] if sources else [])]:
         assert (rp.odd_path_exists(c.labelling1, c.bridges1, p, q)

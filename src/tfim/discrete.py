@@ -14,6 +14,7 @@ and time-zero parities, so expectations are exact up to float rounding.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -174,21 +175,22 @@ def _iter_copy(system: DiscreteSystem, bc: str, ghosted: bool):
 def _copy_states(system: DiscreteSystem, bc: str, ghosted: bool, lhs_sources, rhs_sources):
     """One enumeration of a copy: the sum of p * w over its labellings with
     ``lhs_sources``, and the sums of p * w over its labellings with
-    ``rhs_sources`` per (bridges, even cells)."""
-    total = 0.0
+    ``rhs_sources`` per (bridges, even cells).  All sums are compensated
+    (``math.fsum``)."""
+    total = []
     states = {}
     for bridges, ghost_list, _, tau, p in _iter_copy(system, bc, ghosted):
         lab = _labelling(system, _switch_parities(system, bridges, ghost_list, lhs_sources),
                          bc, tau)
         if lab is not None:
-            total += p * _weight(system, lab)
+            total.append(p * _weight(system, lab))
         lab = _labelling(system, _switch_parities(system, bridges, ghost_list, rhs_sources),
                          bc, tau)
         if lab is not None:
             key = (bridges, frozenset((x, c) for x in system.sites for c in system.cells()
                                       if lab[x][c]))
-            states[key] = states.get(key, 0.0) + p * _weight(system, lab)
-    return total, states
+            states.setdefault(key, []).append(p * _weight(system, lab))
+    return math.fsum(total), {key: math.fsum(terms) for key, terms in states.items()}
 
 
 def switching_sides(system: DiscreteSystem, source_a, source_b) -> tuple[float, float]:
@@ -212,15 +214,15 @@ def switching_sides(system: DiscreteSystem, source_a, source_b) -> tuple[float, 
     lhs2, states2 = _copy_states(system, system.bc2, True, (), src_pair)
     connected = {}
     probability = {}
-    rhs = 0.0
+    rhs = []
     for (bridges1, even1), pw1 in states1.items():
         for (bridges2, even2), pw2 in states2.items():
             key = (even1 & even2, bridges1 | bridges2)
             if key not in probability:
                 probability[key] = _connection_probability(system, *key, source_a, source_b,
                                                            connected)
-            rhs += pw1 * pw2 * probability[key]
-    return lhs1 * lhs2, rhs
+            rhs.append(pw1 * pw2 * probability[key])
+    return lhs1 * lhs2, math.fsum(rhs)
 
 
 def _connection_probability(system: DiscreteSystem, even_even: frozenset,
@@ -242,7 +244,7 @@ def _connection_probability(system: DiscreteSystem, even_even: frozenset,
     empty = [slot for slot in system.bridge_slots() if slot not in bridges_union]
     opened = [(bridges_union.union(extra), p_lat)
               for extra, p_lat in _subsets(empty, latent_open) if p_lat != 0.0]
-    prob = 0.0
+    terms = []
     for cut, p_cut in _subsets(ee, system.q_cut):
         if p_cut == 0.0:
             continue
@@ -253,8 +255,8 @@ def _connection_probability(system: DiscreteSystem, even_even: frozenset,
                 connected[key] = _connected(system, bridges, (), cut, start, end,
                                             use_ghost_jumps=False)
             if connected[key]:
-                prob += p_cut * p_lat
-    return prob
+                terms.append(p_cut * p_lat)
+    return math.fsum(terms)
 
 
 @dataclass

@@ -11,13 +11,14 @@ trifurcation inequality structural rather than statistical.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import SpaceTimeRegion
-from .randomparity import (ClusterPartition, CoupledConfiguration, block_fully_connected,
+from .randomparity import (CoupledConfiguration, _UnionFind, block_fully_connected,
                            block_of, connectivity, coupled_event_probability)
 from .stats import Estimate
 
@@ -31,20 +32,11 @@ class ClusterReport:
     largest_cluster_measure: float
 
 
-def _boundary_roots(part: ClusterPartition) -> set:
-    """Roots of the classes that touch the region boundary: a vertex on a
-    spatial-boundary site or, on intervals, at a time endpoint."""
-    region = part.region
-    boundary_sites = set(region.box.boundary_sites())
-    interval = region.time_topology == "interval"
-    eps = 1e-12
-    roots = set()
-    for x, offset in part.offsets.items():
-        for i, (start, end) in enumerate(zip(part.starts[x], part.ends[x])):
-            if x in boundary_sites or (interval and (start <= region.t_min + eps
-                                                     or end >= region.t_max - eps)):
-                roots.add(part.uf.find(offset + i))
-    return roots
+def _boundary_roots(coupled: CoupledConfiguration) -> set:
+    """Roots of the classes of the configuration's clusters that touch the
+    region boundary (see :meth:`~tfim.randomparity.VertexIndex.boundary_vertices`)."""
+    find = coupled.clusters.uf.find
+    return {find(v) for ids in coupled.index.boundary.values() for v in ids}
 
 
 def cluster_report(coupled: CoupledConfiguration, probe_n0: int | None = None,
@@ -66,7 +58,7 @@ def cluster_report(coupled: CoupledConfiguration, probe_n0: int | None = None,
                           or part.starts[x][i] < -probe_r0 / 2 - eps
                           or part.ends[x][i] > probe_r0 / 2 + eps
                           for (x, i) in classes.get(root, []))
-    return ClusterReport(len(classes), len(_boundary_roots(part)),
+    return ClusterReport(len(classes), len(_boundary_roots(coupled)),
                          root in coupled.ghost_roots, to_boundary, largest)
 
 
@@ -130,18 +122,52 @@ def leaf_bound_printed_form(region: SpaceTimeRegion, delta: float) -> float:
 def _complement_branches(coupled: CoupledConfiguration, center_x, t0: float,
                          n0: int, r0: float) -> int:
     """Boundary-touching components of the region minus the block that attach
-    to the block, by a bridge into it or along a line through a window end."""
+    to the block, by a bridge into it or along a line through a window end.
+
+    The union-find runs over the vertex ids of
+    :attr:`~tfim.randomparity.CoupledConfiguration.index`: whole lines off
+    the block, and on block sites the pieces in the closed rest spans outside
+    the window (:meth:`~tfim.randomparity.VertexIndex.clip`).  A bridge end
+    inside the open window is not kept, so the bridge's other end, if kept,
+    attaches to the block."""
     region = coupled.region
+    index = coupled.index
     sites, window = block_of(region, (center_x, t0), n0, r0)
     bounds = [region.t_min, *itertools.chain(*window), region.t_max]
-    rest = [(a, b) for a, b in zip(bounds[::2], bounds[1::2]) if b > a]
-    kept = {x: rest if x in sites else [(region.t_min, region.t_max)]
-            for x in region.box.sites()}
-    part = ClusterPartition.from_spans(region, kept, coupled.blocking_cuts)
-    attached = part.join(coupled.bridge_times_union)
-    attached += [part.vertex(x, t) for x in sites for span in window for t in span]
-    attached_roots = {part.uf.find(v) for v in attached if v is not None}
-    return len(attached_roots & _boundary_roots(part))
+    rest = list(zip(bounds[::2], bounds[1::2]))
+    pieces, seams, n = index.clip(sites, rest)
+    seams += [seam for x, seam in index.seams.items() if x not in pieces]
+    boundary = [v for x, ids in index.boundary.items() if x not in pieces for v in ids]
+    boundary += [index.piece(x, span, j) for x, spans in pieces.items() for span in spans
+                 for j in index.boundary_vertices(x, *span[3:], *span[:2])]
+    uf = _UnionFind(n)
+    for i, j in seams:
+        uf.union(i, j)
+    attached = []
+    for (x, y, times, ids_x, ids_y) in index.edges:
+        px, py = pieces.get(x), pieces.get(y)
+        if px is None and py is None:
+            for i, j in zip(ids_x, ids_y):
+                uf.union(i, j)
+            continue
+        # a bridge outside every rest span has its block end in the open
+        # window, and attaches its other end if that end is kept
+        dangling = ids_x if px is None else ids_y if py is None else []
+        ox, oy = index.offsets[x], index.offsets[y]
+        done = 0
+        for k, span in enumerate(py if px is None else px):
+            lo = bisect.bisect_left(times, span[0], done)
+            hi = bisect.bisect_right(times, span[1], done)
+            attached += dangling[done:lo]
+            for i, j in zip(ids_x[lo:hi], ids_y[lo:hi]):
+                uf.union(i if px is None else index.piece(x, px[k], i - ox),
+                         j if py is None else index.piece(y, py[k], j - oy))
+            done = hi
+        attached += dangling[done:]
+    attached += [index.piece_at(x, spans, t) for x, spans in pieces.items()
+                 for t in itertools.chain(*window)]
+    attached_roots = {uf.find(v) for v in attached if v is not None}
+    return len(attached_roots & {uf.find(v) for v in boundary})
 
 
 def _block_fully_connected(coupled: CoupledConfiguration, center_x, t0: float,

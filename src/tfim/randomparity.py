@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -105,6 +106,17 @@ class Labelling:
         if idx < len(times) and times[idx] == t:
             return False
         return self.span_even(x, idx)
+
+    def even_points(self, x, times: Sequence) -> list:
+        """The sorted ``times`` that are labelled even at x, as
+        :meth:`label_is_even` reads them: one merge of the times against the
+        switches, which slices out the times strictly inside each even span."""
+        bounds = [-math.inf, *self.switches[tuple(x)], math.inf]
+        out = []
+        for k in range(0 if self.span_even(x, 0) else 1, len(bounds) - 1, 2):
+            out += times[bisect.bisect_right(times, bounds[k]):
+                         bisect.bisect_left(times, bounds[k + 1])]
+        return out
 
     def even_in(self, x, span: tuple) -> bool:
         """True when the whole closed span [a, b] is labelled even."""
@@ -221,28 +233,31 @@ class CoupledConfiguration:
                 * self.labelling2.weight_normalized(self.delta))
 
     @functools.cached_property
-    def bridge_times_union(self) -> list:
-        """Every ((x, y), t) bridge of both bridge sets."""
-        return [*_edge_times(self.bridges1), *_edge_times(self.bridges2)]
-
-    @functools.cached_property
     def blocking_cuts(self) -> dict:
         """Site -> sorted cut times labelled even in both labellings; all
         other cuts are invisible to open paths."""
-        return {x: sorted(float(c) for c in np.asarray(self.cuts.get(x, ()))
-                          if self.labelling1.label_is_even(x, float(c))
-                          and self.labelling2.label_is_even(x, float(c)))
+        return {x: self.labelling2.even_points(x, self.labelling1.even_points(
+                    x, sorted(np.asarray(self.cuts.get(x, ()), dtype=float).tolist())))
                 for x in self.region.box.sites()}
+
+    @functools.cached_property
+    def index(self) -> "VertexIndex":
+        """The whole-region vertices and the vertex of every bridge end, built
+        once and shared by :attr:`clusters` and the trifurcation probes."""
+        return VertexIndex.build(self)
 
     @functools.cached_property
     def clusters(self) -> "ClusterPartition":
         """The ghost-free partition of the whole region: every site line split
         at its blocking cuts, joined by both bridge sets."""
-        region = self.region
-        whole = {x: [(region.t_min, region.t_max)] for x in region.box.sites()}
-        part = ClusterPartition.from_spans(region, whole, self.blocking_cuts)
-        part.join(self.bridge_times_union)
-        return part
+        index = self.index
+        uf = _UnionFind(index.n_vertices)
+        for i, j in index.seams.values():
+            uf.union(i, j)
+        for (_, _, _, ids_x, ids_y) in index.edges:
+            for i, j in zip(ids_x, ids_y):
+                uf.union(i, j)
+        return ClusterPartition(self.region, index.starts, index.ends, index.offsets, uf)
 
     @functools.cached_property
     def ghost_roots(self) -> set:
@@ -314,8 +329,18 @@ class _UnionFind:
             i = self.parent[i]
         return i
 
-    def union(self, i: int, j: int) -> None:
-        self.parent[self.find(i)] = self.find(j)
+    def union(self, i: int, j: int) -> bool:
+        """Join the classes of i and j; True when they were apart.  (The
+        finds are inlined: the trifurcation probes make most of the calls.)"""
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        parent[i] = j
+        return i != j
 
 
 @dataclass
@@ -330,9 +355,11 @@ class ClusterPartition:
     stored as given, so lookups need no tolerance.  On circles t_min and
     t_max name one point: the vertex ending at t_max is joined to the one
     starting at t_min, and a lookup at either name falls back on the other.
-    Bridges join the vertices at their two ends (:meth:`join`).  Ghost jumps
-    are not edges of the graph: :attr:`CoupledConfiguration.ghost_roots`
-    names the classes that reach the ghost.
+    Bridges join the vertices at their two ends (:meth:`join`;
+    :attr:`CoupledConfiguration.clusters` joins the bridge-end ids of its
+    :class:`VertexIndex`).  Ghost jumps are not edges of the graph:
+    :attr:`CoupledConfiguration.ghost_roots` names the classes that reach the
+    ghost.
     """
 
     region: SpaceTimeRegion
@@ -385,17 +412,13 @@ class ClusterPartition:
                 return self.offsets[x]
         return None
 
-    def join(self, bridges) -> list:
+    def join(self, bridges) -> None:
         """Union the end vertices of every ((x, y), t) bridge with both ends
-        kept; returns the kept end of each bridge with exactly one."""
-        dangling = []
+        kept."""
         for ((x, y), t) in bridges:
             vx, vy = self.vertex(x, t), self.vertex(y, t)
             if vx is not None and vy is not None:
                 self.uf.union(vx, vy)
-            elif vx is not None or vy is not None:
-                dangling.append(vy if vx is None else vx)
-        return dangling
 
     def root(self, p: tuple) -> int | None:
         """Class root of the point p = (x, t), or None off the kept spans."""
@@ -413,6 +436,128 @@ class ClusterPartition:
             for i in range(len(self.starts[x])):
                 out.setdefault(self.uf.find(offset + i), []).append((x, i))
         return out
+
+
+@dataclass
+class VertexIndex:
+    """The vertices of a configuration's whole-region partition and the
+    vertex ids of its bridge ends, from which the trifurcation probes build
+    small union-finds without a partition of their own.
+
+    ``starts``, ``ends`` and ``offsets`` lay out the site lines split at the
+    blocking cuts (vertex ``offsets[x] + i`` spans ``[starts[x][i],
+    ends[x][i]]``), as in :class:`ClusterPartition`.  ``seams`` maps each
+    site of a circle to its first and last vertex.  ``edges`` holds one
+    ``(x, y, times, ids_x, ids_y)`` record per edge with bridges: the times of
+    both bridge sets in order, and the vertex of each bridge end at x and at y.
+    """
+
+    region: SpaceTimeRegion
+    starts: dict
+    ends: dict
+    offsets: dict
+    n_vertices: int
+    seams: dict
+    edges: list
+
+    @staticmethod
+    def build(coupled: CoupledConfiguration) -> "VertexIndex":
+        region = coupled.region
+        whole = {x: [(region.t_min, region.t_max)] for x in region.box.sites()}
+        layout = ClusterPartition.from_spans(region, whole, coupled.blocking_cuts)
+        starts, offsets = layout.starts, layout.offsets
+        seams = ({x: (offsets[x], offsets[x] + len(starts[x]) - 1) for x in starts}
+                 if region.time_topology == "circle" else {})
+        times = {}
+        for bridges in (coupled.bridges1, coupled.bridges2):
+            for (x, y), ts in bridges.items():
+                times.setdefault((tuple(x), tuple(y)), []).extend(
+                    np.asarray(ts, dtype=float).tolist())
+        edges = []
+        find = bisect.bisect_right
+        for (x, y), ts in times.items():
+            ts.sort()
+            sx, sy, ox, oy = starts[x], starts[y], offsets[x] - 1, offsets[y] - 1
+            edges.append((x, y, ts, [ox + find(sx, t) for t in ts],
+                          [oy + find(sy, t) for t in ts]))
+        return VertexIndex(region, starts, layout.ends, offsets,
+                           sum(map(len, starts.values())), seams, edges)
+
+    def clip(self, sites, spans: list) -> tuple[dict, list, int]:
+        """The pieces of the vertices of each site that the closed ``spans``
+        (sorted, disjoint) meet, as a partition of those spans would cut them.
+
+        Returns (pieces, seams, next free id).  ``pieces`` maps each site to
+        one (a, b, first, lo, hi) per span with b > a: vertices ``lo..hi``
+        (counted from ``offsets[x]``) meet [a, b], and ``first`` is the id of
+        the piece of vertex lo.  A piece keeps its vertex's id, except that a
+        vertex met by two spans takes a new id, from ``n_vertices`` up, in the
+        second.  ``seams`` pairs the first and last piece of each site whose
+        spans run from t_min to t_max on a circle."""
+        region = self.region
+        pieces, seams, fresh = {}, [], self.n_vertices
+        for x in sites:
+            starts, site = self.starts[x], []
+            for (a, b) in spans:
+                if b <= a:
+                    continue
+                lo = bisect.bisect_right(starts, a) - 1
+                first = self.offsets[x] + lo
+                if site and site[-1][4] == lo:
+                    first, fresh = fresh, fresh + 1
+                site.append((a, b, first, lo, bisect.bisect_left(starts, b) - 1))
+            pieces[x] = site
+            if (region.time_topology == "circle" and site and site[0][0] == region.t_min
+                    and site[-1][1] == region.t_max):
+                seams.append((site[0][2], self.piece(x, site[-1], site[-1][4])))
+        return pieces, seams, fresh
+
+    def piece(self, x, span: tuple, j: int) -> int:
+        """Id of the piece of vertex j of site x in a clipped ``span``."""
+        return span[2] if j == span[3] else self.offsets[x] + j
+
+    def piece_at(self, x, spans: list, t: float) -> int | None:
+        """The piece of site x holding time t among its clipped ``spans``, as
+        :meth:`ClusterPartition.vertex` finds it: at a shared end the later
+        piece, on circles t_min and t_max as one point, None off the spans."""
+        j = bisect.bisect_right(self.starts[x], t) - 1
+        for span in reversed(spans):
+            if span[0] <= t <= span[1]:
+                return self.piece(x, span, min(max(j, span[3]), span[4]))
+        region = self.region
+        if region.time_topology == "circle" and spans:
+            if t == region.t_min and spans[-1][1] == region.t_max:
+                return self.piece(x, spans[-1], spans[-1][4])
+            if t == region.t_max and spans[0][0] == region.t_min:
+                return spans[0][2]
+        return None
+
+    @functools.cached_property
+    def boundary_sites(self) -> frozenset:
+        return frozenset(self.region.box.boundary_sites())
+
+    def boundary_vertices(self, x, lo: int, hi: int, a: float, b: float) -> list:
+        """The vertices ``lo..hi`` of site x (counted from ``offsets[x]``) that
+        meet the region boundary once clipped to [a, b]: all of them on a
+        spatial-boundary site; on intervals, those reaching a time end to
+        within 1e-12."""
+        if x in self.boundary_sites:
+            return list(range(lo, hi + 1))
+        region = self.region
+        if region.time_topology == "circle":
+            return []
+        t_lo, t_hi = region.t_min + 1e-12, region.t_max - 1e-12
+        early = bisect.bisect_right(self.starts[x], t_lo, lo, hi + 1) if a <= t_lo else lo
+        late = bisect.bisect_left(self.ends[x], t_hi, lo, hi + 1) if b >= t_hi else hi + 1
+        return [*range(lo, early), *range(max(early, late), hi + 1)]
+
+    @functools.cached_property
+    def boundary(self) -> dict:
+        """Site -> the ids of its vertices that meet the region boundary."""
+        region = self.region
+        return {x: [offset + j for j in self.boundary_vertices(
+                    x, 0, len(self.starts[x]) - 1, region.t_min, region.t_max)]
+                for x, offset in self.offsets.items()}
 
 
 def connectivity(coupled: CoupledConfiguration, p: tuple, q: tuple,
@@ -441,8 +586,10 @@ def block_of(region: SpaceTimeRegion, center: tuple, n0: int, r0: float) -> tupl
     wrap it modulo r (an end less than 1e-9 max(r, 1) past the seam is
     clipped instead) and take the whole circle when r0 >= r."""
     x0, t0 = center
-    sites = [x for x in region.box.sites()
-             if all(abs(c - c0) <= n0 for c, c0 in zip(x, x0))]
+    coords = region.box.coord_range
+    sites = list(itertools.product(*(range(max(math.ceil(c0 - n0), coords[0]),
+                                           min(math.floor(c0 + n0), coords[-1]) + 1)
+                                     for c0 in x0)))
     lo, hi = t0 - r0 / 2.0, t0 + r0 / 2.0
     t_min, t_max = region.t_min, region.t_max
     if region.time_topology == "circle":
@@ -463,12 +610,27 @@ def block_fully_connected(coupled: CoupledConfiguration, center: tuple, n0: int,
                           r0: float) -> bool:
     """Whether every pair of points of the block around center = (x, t0)
     (see :func:`block_of`) is joined by an open path inside the block.  Only
-    bridges between two block sites can join block vertices."""
+    bridges between two block sites can join block vertices.
+
+    The block's vertices are the pieces of those of
+    :attr:`CoupledConfiguration.index` in the window
+    (:meth:`VertexIndex.clip`), and a bisect of each block edge's times finds
+    its bridges there."""
+    index = coupled.index
     sites, window = block_of(coupled.region, center, n0, r0)
-    kept = dict.fromkeys(sites, window)
-    part = ClusterPartition.from_spans(coupled.region, kept, coupled.blocking_cuts)
-    part.join(b for b in coupled.bridge_times_union if b[0][0] in kept and b[0][1] in kept)
-    return len(part.classes()) == 1
+    pieces, seams, n = index.clip(sites, window)
+    uf = _UnionFind(n)
+    classes = sum(hi - lo + 1 for spans in pieces.values() for (*_, lo, hi) in spans)
+    classes -= sum(uf.union(i, j) for i, j in seams)
+    for (x, y, times, ids_x, ids_y) in index.edges:
+        if x in pieces and y in pieces:
+            ox, oy = index.offsets[x], index.offsets[y]
+            for span_x, span_y in zip(pieces[x], pieces[y]):
+                for k in range(bisect.bisect_left(times, span_x[0]),
+                               bisect.bisect_right(times, span_x[1])):
+                    classes -= uf.union(index.piece(x, span_x, ids_x[k] - ox),
+                                        index.piece(y, span_y, ids_y[k] - oy))
+    return classes == 1
 
 
 def odd_path_exists(lab: Labelling, bridges: dict, p: tuple, q: tuple) -> bool:

@@ -480,9 +480,14 @@ def trotter_magnetization(region: SpaceTimeRegion, lam: float, delta: float,
 def trotter_pair_correlations(region: SpaceTimeRegion, lam: float, delta: float,
                               distances: Sequence[int], n_sweeps: int,
                               rng: np.random.Generator, dt: float = 0.1) -> dict:
-    """Equal-time pair correlations at the given distances.  Only on a d=1
-    ring is a roll over the site axis a lattice translation, so other
-    regions raise ``ValueError``."""
+    """Equal-time pair correlations at the given distances.  Each estimate
+    averages the equal-time correlation over the sites and over every
+    Trotter slice of the region's time extent.  On a free-time slab this is
+    the slab average, not the mid-time (t = 0) correlation that
+    :func:`tfim.spectral.oracle_correlation` gives: near the free time ends
+    the correlations are weaker, so the average sits below the mid-time
+    value.  Only on a d=1 ring is a roll over the site axis a lattice
+    translation, so other regions raise ``ValueError``."""
     if region.box.d != 1 or region.bc_space != "p":
         raise ValueError("pair correlations need d = 1 and periodic space, got "
                          f"d = {region.box.d} and bc_space = {region.bc_space!r}")

@@ -71,6 +71,19 @@ def test_switching_exact_circle_pp():
     _assert_pinned(lhs, rhs, "1edge-3slot-pp")
 
 
+@pytest.mark.parametrize("ghosts", [{}, {"a": 1, "b": 1, "c": 1}], ids=["no-ghosts", "ghosts"])
+def test_switching_exact_on_a_cycle(ghosts):
+    # a 2-slot circle on the triangle: the naive float sums missed by 1.6e-14
+    # (no ghosts) and 7.1e-14 (one ghost per site); compensated sums do not
+    system = DiscreteSystem(
+        sites=("a", "b", "c"), edges=(("a", "b"), ("b", "c"), ("a", "c")), n_slots=2,
+        topology="circle", bc1="p", bc2="p", p_bridge=0.3, w_even=1.2,
+        ghost_multiplicity=ghosts, p_ghost=0.15 if ghosts else 0.0)
+    lhs, rhs = switching_sides(system, ("a", 0), ("b", 1))
+    assert lhs > 0.1
+    assert abs(lhs - rhs) <= 1e-15
+
+
 def test_switching_no_bridges_both_sides_vanish():
     system = small_system(p_bridge=0.0, ghost_multiplicity={}, p_ghost=0.0)
     lhs, rhs = switching_sides(system, ("a", 0), ("b", 1))

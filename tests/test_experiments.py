@@ -179,18 +179,20 @@ VERIFY_CONFIGS = {
 # CSV bytes, and the sha256 of the JSON rows without their wall times, of the
 # verification kinds on the configs above as written while each verifier
 # built its own report; the local-modification-A rows (rhs and se_rhs) were
-# re-pinned when A stopped drawing the unread ghost-connection bound
+# re-pinned when A stopped drawing the unread ghost-connection bound, and the
+# exact switching rows (last bits of lhs, rhs and gap) when the enumeration
+# took compensated sums
 PINNED_VERIFY_CSV = {
     ('verify-suite', 'switching-verify'):
         'kind,case,mode,lhs,rhs,se_lhs,se_rhs,gap,pass,seed\n'
         'switching-verify,1edge-3slot-fw,exact,0.45017852783203133,'
-        '0.45017852783203144,0,0,1.1102230246251565e-16,true,1\n'
-        'switching-verify,2edge-3slot-fw,exact,0.1843031433993943,'
-        '0.18430314339939421,0,0,8.3266726846886741e-17,true,1\n'
-        'switching-verify,1edge-4slot-fw,exact,0.39746015815183838,'
-        '0.39746015815183849,0,0,1.1102230246251565e-16,true,1\n'
-        'switching-verify,1edge-3slot-pp,exact,0.43688321923422102,'
-        '0.43688321923421297,0,0,8.0491169285323849e-15,true,1\n'
+        '0.45017852783203127,0,0,5.5511151231257827e-17,true,1\n'
+        'switching-verify,2edge-3slot-fw,exact,0.18430314339939419,'
+        '0.18430314339939421,0,0,2.7755575615628914e-17,true,1\n'
+        'switching-verify,1edge-4slot-fw,exact,0.39746015815183861,'
+        '0.39746015815183861,0,0,0,true,1\n'
+        'switching-verify,1edge-3slot-pp,exact,0.43688321923421919,'
+        '0.43688321923421924,0,0,5.5511151231257827e-17,true,1\n'
         'switching-verify,continuum,mc,0.00042458898792898623,'
         '0.00088153845550397456,0.00034511541655233126,0.00071460076264631797,'
         '0.57581240714247151,true,1\n',
@@ -240,13 +242,13 @@ PINNED_VERIFY_CSV = {
     ('wired-space', 'switching-verify'):
         'kind,case,mode,lhs,rhs,se_lhs,se_rhs,gap,pass,seed\n'
         'switching-verify,1edge-3slot-fw,exact,0.45017852783203133,'
-        '0.45017852783203144,0,0,1.1102230246251565e-16,true,3\n'
-        'switching-verify,2edge-3slot-fw,exact,0.1843031433993943,'
-        '0.18430314339939421,0,0,8.3266726846886741e-17,true,3\n'
-        'switching-verify,1edge-4slot-fw,exact,0.39746015815183838,'
-        '0.39746015815183849,0,0,1.1102230246251565e-16,true,3\n'
-        'switching-verify,1edge-3slot-pp,exact,0.43688321923422102,'
-        '0.43688321923421297,0,0,8.0491169285323849e-15,true,3\n'
+        '0.45017852783203127,0,0,5.5511151231257827e-17,true,3\n'
+        'switching-verify,2edge-3slot-fw,exact,0.18430314339939419,'
+        '0.18430314339939421,0,0,2.7755575615628914e-17,true,3\n'
+        'switching-verify,1edge-4slot-fw,exact,0.39746015815183861,'
+        '0.39746015815183861,0,0,0,true,3\n'
+        'switching-verify,1edge-3slot-pp,exact,0.43688321923421919,'
+        '0.43688321923421924,0,0,5.5511151231257827e-17,true,3\n'
         'switching-verify,continuum,mc,3.7608791013897229e-07,'
         '4.657607948619285e-06,2.3225091564397487e-07,2.81799023610876e-06,'
         '1.5142182982447785,true,3\n',
@@ -296,11 +298,11 @@ PINNED_VERIFY_CSV = {
 }
 PINNED_VERIFY_JSON_ROWS = {
     ('verify-suite', 'switching-verify'):
-        'e4b123375b07000f9f74307dcf0579cffbd334506e3822c7bb0cd8a79add8df1',
+        '42687b68c01ac2026c504dfa52cf46a24e4dc797952182a29bf281303c24ce99',
     ('verify-suite', 'identity-suite'):
         '510841cf4f7acbfb4b7f39fdad41d90f41016faad1402ccb60bcd687e220d9da',
     ('wired-space', 'switching-verify'):
-        'b07110dee0b07fdff20b4cc8e169c262573a97faa14ccfba223db1cc4233c841',
+        'e8133430c3121a2c16eb77b05eab50ef30eb8a8e29f11fa771fb3bf19e643597',
     ('wired-space', 'identity-suite'):
         '0017b1b4a39c2669c66a9e294208c56935805b3ddca9d17f7a2c474948ce9097',
 }

@@ -169,12 +169,28 @@ def test_coupled_draw_raises_when_retries_run_out(monkeypatch):
         rp.sample_coupled(region, 1.0, 1.0, (), (), chain_generator(1, 0))
 
 
-def test_bridge_times_union_built_once():
+def test_bridge_ends_resolved_once():
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p")
     c = rp.sample_coupled(region, 2.0, 1.0, (), (), chain_generator(2, 0))
-    assert c.bridge_times_union is c.bridge_times_union
+    assert c.index is c.index
     times = [t for bridges in (c.bridges1, c.bridges2) for ts in bridges.values() for t in ts]
-    assert sorted(t for (_, t) in c.bridge_times_union) == sorted(times)
+    assert sorted(t for (_, _, ts, _, _) in c.index.edges for t in ts) == sorted(times)
+    for (x, y, ts, ids_x, ids_y) in c.index.edges:
+        assert ts == sorted(ts)
+        assert ids_x == [c.clusters.vertex(x, t) for t in ts]
+        assert ids_y == [c.clusters.vertex(y, t) for t in ts]
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=50)
+def test_even_points_match_label_is_even(seed, circle):
+    region = SpaceTimeRegion(Box(1, 2), 3.0, "w", "p" if circle else "f")
+    c = rp.sample_coupled(region, 1.0, 1.0, (), (), np.random.default_rng(seed))
+    for lab in (c.labelling1, c.labelling2):
+        for x in region.box.sites():
+            # switching points themselves are odd
+            times = sorted([*lab.switches[x][::2], *c.cuts[x].tolist()])
+            assert lab.even_points(x, times) == [t for t in times if lab.label_is_even(x, t)]
 
 
 def test_connectivity_examples():

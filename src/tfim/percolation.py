@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SpaceTimeRegion
-from .randomparity import (CoupledConfiguration, _UnionFind, block_fully_connected,
+from .randomparity import (CoupledConfiguration, _piece, _UnionFind, block_fully_connected,
                            block_of, connectivity, coupled_event_probability)
 from .stats import Estimate
 
@@ -138,8 +138,8 @@ def _complement_branches(coupled: CoupledConfiguration, center_x, t0: float,
     pieces, seams, n = index.clip(sites, rest)
     seams += [seam for x, seam in index.seams.items() if x not in pieces]
     boundary = [v for x, ids in index.boundary.items() if x not in pieces for v in ids]
-    boundary += [index.piece(x, span, j) for x, spans in pieces.items() for span in spans
-                 for j in index.boundary_vertices(x, *span[3:], *span[:2])]
+    boundary += [_piece(span, v) for x, spans in pieces.items() for span in spans
+                 for v in index.boundary_vertices(x, *span[3:], *span[:2])]
     uf = _UnionFind(n)
     for i, j in seams:
         uf.union(i, j)
@@ -153,15 +153,14 @@ def _complement_branches(coupled: CoupledConfiguration, center_x, t0: float,
         # a bridge outside every rest span has its block end in the open
         # window, and attaches its other end if that end is kept
         dangling = ids_x if px is None else ids_y if py is None else []
-        ox, oy = index.offsets[x], index.offsets[y]
         done = 0
         for k, span in enumerate(py if px is None else px):
             lo = bisect.bisect_left(times, span[0], done)
             hi = bisect.bisect_right(times, span[1], done)
             attached += dangling[done:lo]
             for i, j in zip(ids_x[lo:hi], ids_y[lo:hi]):
-                uf.union(i if px is None else index.piece(x, px[k], i - ox),
-                         j if py is None else index.piece(y, py[k], j - oy))
+                uf.union(i if px is None else _piece(px[k], i),
+                         j if py is None else _piece(py[k], j))
             done = hi
         attached += dangling[done:]
     attached += [index.piece_at(x, spans, t) for x, spans in pieces.items()

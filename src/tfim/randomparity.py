@@ -488,46 +488,41 @@ class VertexIndex:
         (sorted, disjoint) meet, as a partition of those spans would cut them.
 
         Returns (pieces, seams, next free id).  ``pieces`` maps each site to
-        one (a, b, first, lo, hi) per span with b > a: vertices ``lo..hi``
-        (counted from ``offsets[x]``) meet [a, b], and ``first`` is the id of
-        the piece of vertex lo.  A piece keeps its vertex's id, except that a
-        vertex met by two spans takes a new id, from ``n_vertices`` up, in the
-        second.  ``seams`` pairs the first and last piece of each site whose
-        spans run from t_min to t_max on a circle."""
+        one (a, b, first, lo, hi) per span with b > a: vertices lo..hi meet
+        [a, b], and ``first`` is the id of the piece of vertex lo.  A piece
+        keeps its vertex's id (see :func:`_piece`), except that a vertex met
+        by two spans takes a new id, from ``n_vertices`` up, in the second.
+        ``seams`` pairs the first and last piece of each site whose spans run
+        from t_min to t_max on a circle."""
         region = self.region
         pieces, seams, fresh = {}, [], self.n_vertices
         for x in sites:
-            starts, site = self.starts[x], []
+            starts, offset, site = self.starts[x], self.offsets[x] - 1, []
             for (a, b) in spans:
                 if b <= a:
                     continue
-                lo = bisect.bisect_right(starts, a) - 1
-                first = self.offsets[x] + lo
+                lo = first = offset + bisect.bisect_right(starts, a)
                 if site and site[-1][4] == lo:
                     first, fresh = fresh, fresh + 1
-                site.append((a, b, first, lo, bisect.bisect_left(starts, b) - 1))
+                site.append((a, b, first, lo, offset + bisect.bisect_left(starts, b)))
             pieces[x] = site
             if (region.time_topology == "circle" and site and site[0][0] == region.t_min
                     and site[-1][1] == region.t_max):
-                seams.append((site[0][2], self.piece(x, site[-1], site[-1][4])))
+                seams.append((site[0][2], _piece(site[-1], site[-1][4])))
         return pieces, seams, fresh
-
-    def piece(self, x, span: tuple, j: int) -> int:
-        """Id of the piece of vertex j of site x in a clipped ``span``."""
-        return span[2] if j == span[3] else self.offsets[x] + j
 
     def piece_at(self, x, spans: list, t: float) -> int | None:
         """The piece of site x holding time t among its clipped ``spans``, as
         :meth:`ClusterPartition.vertex` finds it: at a shared end the later
         piece, on circles t_min and t_max as one point, None off the spans."""
-        j = bisect.bisect_right(self.starts[x], t) - 1
+        v = self.offsets[x] + bisect.bisect_right(self.starts[x], t) - 1
         for span in reversed(spans):
             if span[0] <= t <= span[1]:
-                return self.piece(x, span, min(max(j, span[3]), span[4]))
+                return _piece(span, min(max(v, span[3]), span[4]))
         region = self.region
         if region.time_topology == "circle" and spans:
             if t == region.t_min and spans[-1][1] == region.t_max:
-                return self.piece(x, spans[-1], spans[-1][4])
+                return _piece(spans[-1], spans[-1][4])
             if t == region.t_max and spans[0][0] == region.t_min:
                 return spans[0][2]
         return None
@@ -537,27 +532,35 @@ class VertexIndex:
         return frozenset(self.region.box.boundary_sites())
 
     def boundary_vertices(self, x, lo: int, hi: int, a: float, b: float) -> list:
-        """The vertices ``lo..hi`` of site x (counted from ``offsets[x]``) that
-        meet the region boundary once clipped to [a, b]: all of them on a
-        spatial-boundary site; on intervals, those reaching a time end to
-        within 1e-12."""
+        """The vertices lo..hi of site x that meet the region boundary once
+        clipped to [a, b]: all of them on a spatial-boundary site; on
+        intervals, those reaching a time end to within 1e-12."""
         if x in self.boundary_sites:
             return list(range(lo, hi + 1))
         region = self.region
         if region.time_topology == "circle":
             return []
+        offset = self.offsets[x]
         t_lo, t_hi = region.t_min + 1e-12, region.t_max - 1e-12
-        early = bisect.bisect_right(self.starts[x], t_lo, lo, hi + 1) if a <= t_lo else lo
-        late = bisect.bisect_left(self.ends[x], t_hi, lo, hi + 1) if b >= t_hi else hi + 1
+        early = (offset + bisect.bisect_right(self.starts[x], t_lo, lo - offset, hi - offset + 1)
+                 if a <= t_lo else lo)
+        late = (offset + bisect.bisect_left(self.ends[x], t_hi, lo - offset, hi - offset + 1)
+                if b >= t_hi else hi + 1)
         return [*range(lo, early), *range(max(early, late), hi + 1)]
 
     @functools.cached_property
     def boundary(self) -> dict:
         """Site -> the ids of its vertices that meet the region boundary."""
         region = self.region
-        return {x: [offset + j for j in self.boundary_vertices(
-                    x, 0, len(self.starts[x]) - 1, region.t_min, region.t_max)]
+        return {x: self.boundary_vertices(x, offset, offset + len(self.starts[x]) - 1,
+                                          region.t_min, region.t_max)
                 for x, offset in self.offsets.items()}
+
+
+def _piece(span: tuple, vertex: int) -> int:
+    """Id of the piece of ``vertex`` in a clipped span (a, b, first, lo, hi)
+    (see :meth:`VertexIndex.clip`)."""
+    return span[2] if vertex == span[3] else vertex
 
 
 def connectivity(coupled: CoupledConfiguration, p: tuple, q: tuple,
@@ -624,12 +627,10 @@ def block_fully_connected(coupled: CoupledConfiguration, center: tuple, n0: int,
     classes -= sum(uf.union(i, j) for i, j in seams)
     for (x, y, times, ids_x, ids_y) in index.edges:
         if x in pieces and y in pieces:
-            ox, oy = index.offsets[x], index.offsets[y]
             for span_x, span_y in zip(pieces[x], pieces[y]):
                 for k in range(bisect.bisect_left(times, span_x[0]),
                                bisect.bisect_right(times, span_x[1])):
-                    classes -= uf.union(index.piece(x, span_x, ids_x[k] - ox),
-                                        index.piece(y, span_y, ids_y[k] - oy))
+                    classes -= uf.union(_piece(span_x, ids_x[k]), _piece(span_y, ids_y[k]))
     return classes == 1
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -445,3 +446,61 @@ def test_time_integrals_pinned(ring4):
     chain2 = sp.build(Box(1, 2), EdgeSet.free(Box(1, 2)), 0.8, 1.0)
     assert [sp.box_average(chain2, n, None, r=4.0) for n in (0, 1, 2)] == pytest.approx(
         [0.3703580940872712, 0.2957708880864956, 0.2422882487968855], rel=1e-12)
+
+
+def _wired_fields(box, lam):
+    return {x: lam * box.exterior_neighbour_count(x) for x in box.sites()
+            if box.exterior_neighbour_count(x) > 0}
+
+
+# (box, edges, lam, delta, gamma, site fields) -> sha256 of the dense H bytes;
+# the side-2 torus carries doubled edges, the wired boxes boundary fields
+DENSE_HAMILTONIANS = {
+    "3-site chain": ((Box(1, 1), EdgeSet.free(Box(1, 1)), 0.9, 1.1, 0.2, None),
+                     "777da3b6163e416a9a89899c626357c2ac816dd3f056d3f82aa4bf304812f557"),
+    "n=4 chain, wired": ((Box(1, 4), EdgeSet.free(Box(1, 4)), 1.0, 1.0, 0.0,
+                          _wired_fields(Box(1, 4), 1.0)),
+                         "1e92e077882ae45f84cbb19bb40d676a0bbad2003f0b1ae3f1c68fa853755c57"),
+    "2x2 torus": ((Box(2, 1, "even-side"), EdgeSet.spatially_periodic(Box(2, 1, "even-side")),
+                   0.7, 1.3, 0.0, None),
+                  "ed368d69c6c6f11bad5015f42f2c17bd7ee176dc73b35f5af07f536ca6c0ac35"),
+    "3x3 box, wired": ((Box(2, 1), EdgeSet.free(Box(2, 1)), 0.8, 1.0, 0.1,
+                        _wired_fields(Box(2, 1), 0.8)),
+                       "25c03169f265474ad9f3859c53656f119ce1a06d62540eb6a853f69b9cc2da5e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_HAMILTONIANS))
+def test_dense_hamiltonian_pinned(name):
+    (box, edges, lam, delta, gamma, fields), digest = DENSE_HAMILTONIANS[name]
+    h = sp.build_hamiltonian(box.sites(), edges.edges, lam, delta, gamma, fields).toarray()
+    assert h.shape == (2**box.site_count, 2**box.site_count) and h.dtype == np.float64
+    assert hashlib.sha256(h.tobytes()).hexdigest() == digest
+
+
+def test_oracle_correlations_pinned():
+    # one BLAS thread: the 512-state eigensolves differ in the last digits
+    # between one and two threads
+    code = """if True:
+        import json
+        from tfim.geometry import Box, SpaceTimeRegion
+        from tfim import spectral as sp
+        cases = [
+            (SpaceTimeRegion(Box(1, 1), 2.0, "f", "p"), [((0,), 0.0), ((1,), 0.25)]),
+            (SpaceTimeRegion(Box(1, 1), 2.0, "w", "f"), [((0,), 0.0), ((1,), 0.25)]),
+            (SpaceTimeRegion.ground_state(Box(1, 4), "w", "w"), [((0,), 0.0), ((2,), 0.5)]),
+            (SpaceTimeRegion(Box(2, 1, "even-side"), 1.5, "p", "p"),
+             [((0, 0), 0.0), ((1, 1), 0.3)]),
+            (SpaceTimeRegion.ground_state(Box(2, 1), "w", "f"),
+             [((0, 0), 0.0), ((1, 0), 0.25)]),
+        ]
+        print(json.dumps([sp.oracle_correlation(r, 1.0, 1.0, p) for r, p in cases]))
+    """
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert json.loads(proc.stdout) == [0.5143535914615388, 0.6946321857575892,
+                                       0.6220455887076963, 0.9307128189241869,
+                                       0.9357908767455467]

@@ -97,6 +97,17 @@ class Box:
         lo, hi = self.coord_range[0], self.coord_range[-1]
         return sum((c == lo) + (c == hi) for c in x)
 
+    @functools.cached_property
+    def exterior_counts(self) -> tuple:
+        """(site, exterior neighbour count) for every site with a neighbour
+        outside the box, in site order; built once per box."""
+        return tuple((x, c) for x in self._sites if (c := self.exterior_neighbour_count(x)))
+
+    @functools.cached_property
+    def free_edges(self) -> Tuple[Edge, ...]:
+        """The sorted nearest-neighbour pairs inside the box; built once per box."""
+        return tuple(_nn_pairs(self._sites))
+
 
 def _nn_pairs(sites: Iterable[Site]) -> list[Edge]:
     site_set = set(sites)
@@ -126,7 +137,7 @@ class EdgeSet:
 
     @staticmethod
     def free(box: Box) -> "EdgeSet":
-        return EdgeSet("free", tuple(_nn_pairs(box.sites())))
+        return EdgeSet("free", box.free_edges)
 
     @staticmethod
     def wired_extended(box: Box) -> "EdgeSet":

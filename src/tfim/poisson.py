@@ -2,10 +2,10 @@
 
 The three modification schemes (delete everything; add two points when empty;
 add a point to small configurations, delete one from large) come with their
-exact likelihood ratios relative to the unmodified process.  The ratios can
-be checked against a Bernoulli-slot discretization: put a point in each of n
-slots independently with probability alpha/n and compare the count law with
-the Poisson law as n grows.
+exact likelihood ratios relative to the unmodified process.  The tests
+check the count law against a Bernoulli-slot discretization: put a point in
+each of n slots independently with probability alpha/n and compare with the
+Poisson law as n grows.
 
 Likelihood-ratio conventions.  For the two "add" schemes the returned density
 is d(modified law)/d(original law) evaluated at the *input* configuration,
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .stats import Check, mean_estimate
 
@@ -267,22 +266,3 @@ def verify_modification_identity(f: Callable[[PointSet], float], scheme: str,
     rhs = mean_estimate(f_x_ind)
     return Check("bound", lhs.value, c1 * c2 * rhs.value, lhs.stderr, c1 * c2 * rhs.stderr,
                  {"scheme": scheme, "c1": c1, "c2": c2})
-
-
-# -- Bernoulli-slot discretization -----------------------------------------
-
-def bernoulli_count_tv_distance(alpha: float, t: float, n: int) -> float:
-    """Total-variation distance between the slot-count law and Poisson(alpha t).
-
-    Slots sit at 0, 1/n, ..., floor(t n)/n and each succeeds with probability
-    alpha/n, so the count is Binomial(floor(t n) + 1, alpha/n).
-    """
-    m = int(math.floor(t * n)) + 1
-    p = alpha / n
-    if not (0 <= p <= 1):
-        raise ValueError("need alpha <= n")
-    k = np.arange(0, max(4 * m, 64))
-    binom = sps.binom.pmf(k[: m + 1], m, p)
-    pois = sps.poisson.pmf(k, alpha * t)
-    tv = 0.5 * (np.abs(binom - pois[: m + 1]).sum() + pois[m + 1:].sum())
-    return float(tv)

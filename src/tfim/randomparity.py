@@ -199,8 +199,7 @@ def build_labelling(region: SpaceTimeRegion, bridges: dict, ghosts: dict | None,
 # -- process sampling ---------------------------------------------------------
 
 def ghost_rates(box: Box, lam: float) -> dict:
-    return {x: lam * box.exterior_neighbour_count(x) for x in box.sites()
-            if box.exterior_neighbour_count(x) > 0}
+    return {x: lam * count for x, count in box.exterior_counts}
 
 
 def _edge_times(bridges: dict):
@@ -296,13 +295,12 @@ def sample_coupled(region: SpaceTimeRegion, lam: float, delta: float,
     t1, t2 = coupled_bc_pair(region)
     box = region.box
     lo, hi = region.t_min, region.t_max
-    free_edges = list(EdgeSet.free(box).edges)
+    free_edges = box.free_edges
+    rates = {} if ghost_free else ghost_rates(box, lam)
     for _ in range(100):
         bridges1 = {e: draw_times(lo, hi, lam, rng) for e in free_edges}
         bridges2 = {e: draw_times(lo, hi, lam, rng) for e in free_edges}
-        ghosts = ({} if ghost_free else
-                  {x: draw_times(lo, hi, rate, rng)
-                   for x, rate in ghost_rates(box, lam).items()})
+        ghosts = {x: draw_times(lo, hi, rate, rng) for x, rate in rates.items()}
         cuts = {x: draw_times(lo, hi, 4.0 * delta, rng) for x in box.sites()}
         if _distinct([*bridges1.values(), *bridges2.values(), *ghosts.values()]):
             break

@@ -15,6 +15,10 @@ A site is a bit of the basis-state index: site i of n is bit n - 1 - i, so
 the first site is the leading Kronecker factor.  s3_x flips that bit, which
 permutes the basis states, and s1_x is the sign (-1)^bit, so H is a sum of
 signed permutations.
+
+scipy is imported only inside the two numeric-integral checks
+(``susceptibility_direct`` and ``laplacian_integrability``), so the oracle
+and every CLI run load numpy alone.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.sparse import coo_matrix, csr_matrix
 
 from .geometry import (Box, DualLattice, EdgeSet, GeometryError, SpaceTimeRegion,
                        graph_laplacian_ft)
@@ -104,10 +106,10 @@ class SpectralModel:
 
 
 def build_hamiltonian(sites: Sequence, edges: Sequence, lam: float, delta: float,
-                      gamma: float = 0.0, site_fields: dict | None = None) -> csr_matrix:
-    """H from (row, column, value) triples: -lam on s -> s ^ m_x ^ m_y for each
-    edge with both ends in ``sites``, -field on s -> s ^ m_x, and the diagonal
-    -delta * sum_x (-1)^bit_x; repeated edges add up."""
+                      gamma: float = 0.0, site_fields: dict | None = None) -> np.ndarray:
+    """Dense H: -lam on s -> s ^ m_x ^ m_y for each edge with both ends in
+    ``sites``, -field on s -> s ^ m_x, and the diagonal -delta * sum_x
+    (-1)^bit_x, added in that order; repeated edges add up."""
     sites = [tuple(x) for x in sites]
     n = len(sites)
     states = np.arange(2**n)
@@ -124,11 +126,11 @@ def build_hamiltonian(sites: Sequence, edges: Sequence, lam: float, delta: float
         if field:
             flips.append(mask[x])
             values.append(-field)
-    rows = np.tile(states, len(flips) + 1)
-    cols = np.concatenate([states ^ f for f in flips] + [states])
-    data = np.concatenate([np.full(2**n, v) for v in values] + [diagonal])
-    h = coo_matrix((data, (rows, cols)), shape=(2**n, 2**n)).tocsr()
-    h.eliminate_zeros()
+    h = np.zeros((2**n, 2**n))
+    # a flip permutes the states, so no entry repeats within one add
+    for f, v in zip(flips, values):
+        h[states, states ^ f] += v
+    h[states, states] += diagonal
     return h
 
 
@@ -143,7 +145,7 @@ def build(box_or_sites, edges, lam: float, delta: float, gamma: float = 0.0,
         edges = list(edges.edges)
     if 2 ** len(sites) > DEFAULT_DIM_CAP:
         raise ModelSizeError(f"2^{len(sites)} exceeds dimension cap {DEFAULT_DIM_CAP}")
-    h = build_hamiltonian(sites, edges, lam, delta, gamma, site_fields).toarray()
+    h = build_hamiltonian(sites, edges, lam, delta, gamma, site_fields)
     asym = np.abs(h - h.T).max()
     if asym > 1e-12:
         raise NumericalConsistencyError(f"Hamiltonian asymmetry {asym}")
@@ -162,8 +164,7 @@ def build_for_region(region: SpaceTimeRegion, lam: float, delta: float,
     """
     box = region.box
     if region.bc_space == "w":
-        fields = {x: lam * box.exterior_neighbour_count(x) for x in box.sites()
-                  if box.exterior_neighbour_count(x) > 0}
+        fields = {x: lam * count for x, count in box.exterior_counts}
         return build(box, EdgeSet.free(box), lam, delta, gamma, fields)
     return build(box, region.edge_set(), lam, delta, gamma)
 
@@ -355,6 +356,8 @@ def susceptibility(table: FourierTable) -> float:
 
 def susceptibility_direct(model: SpectralModel, r: float, n_grid: int = 2001) -> float:
     """Independent susceptibility: direct site sum and numeric time integral."""
+    from scipy import integrate
+
     ts = np.linspace(0.0, r, n_grid)
     total = 0.0
     origin = (0,) * len(model.sites[0])
@@ -587,6 +590,8 @@ def laplacian_integrability(d: int, alpha: float,
     if grid is None:
         grid = max(40, int(round(2e6 ** (1.0 / d))))
     if d == 1:
+        from scipy import integrate
+
         values = []
         for eps in cutoffs:
             val, _ = integrate.quad(lambda p: (1 - math.cos(p)) ** (-alpha),

@@ -1,6 +1,11 @@
+import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ from tfim import experiments as ex
 from tfim import spinrep as sr
 from tfim.rng import chain_generator
 from tfim.stats import RatioAccumulator
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_config(**overrides):
@@ -376,6 +383,28 @@ def test_every_row_has_every_column(kind):
     for row in rows:
         missing = [c for c in ex.KIND_COLUMNS[kind] if c not in row]
         assert not missing, (row, missing)
+
+
+def test_cli_kinds_load_no_scipy(tmp_path):
+    # scipy serves only the tests and two integral checks; a CLI run of any
+    # kind, oracle rows included, must start without it
+    paths = []
+    for kind, overrides in sorted(TINY_CONFIGS.items()):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(dataclasses.asdict(make_config(kind=kind, **overrides))))
+        paths.append(str(path))
+    code = ("import json, sys, tfim.cli\n"
+            "codes = [tfim.cli.main(['run', '--config', p, '--out', sys.argv[1]])"
+            " for p in sys.argv[2:]]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), *paths],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(paths), proc.stderr
+    assert scipy_modules == []
 
 
 def test_lambda_c_requires_two_sizes():

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from tfim.poisson import (Carrier, DegenerateRateError, IntensityProfile,
                           PointSet, add_or_delete_density,
-                          add_two_if_empty_density, bernoulli_count_tv_distance,
-                          delete_all_density, rn_add_or_delete,
-                          rn_add_two_if_empty, rn_delete_all, sample,
-                          sample_constant, verify_modification_identity)
+                          add_two_if_empty_density, delete_all_density,
+                          rn_add_or_delete, rn_add_two_if_empty, rn_delete_all,
+                          sample, sample_constant, verify_modification_identity)
 from tfim.rng import chain_generator
 
 
@@ -133,6 +133,23 @@ def test_modification_identity_reports():
     rep_cnt = verify_modification_identity(lambda x: float(len(x)), "add-or-delete",
                                            1.0, 1.0, 20000, rng)
     assert rep_cnt.passed
+
+
+def bernoulli_count_tv_distance(alpha: float, t: float, n: int) -> float:
+    """Total-variation distance between the slot-count law and Poisson(alpha t).
+
+    Slots sit at 0, 1/n, ..., floor(t n)/n and each succeeds with probability
+    alpha/n, so the count is Binomial(floor(t n) + 1, alpha/n).
+    """
+    m = int(math.floor(t * n)) + 1
+    p = alpha / n
+    if not (0 <= p <= 1):
+        raise ValueError("need alpha <= n")
+    k = np.arange(0, max(4 * m, 64))
+    binom = sps.binom.pmf(k[: m + 1], m, p)
+    pois = sps.poisson.pmf(k, alpha * t)
+    tv = 0.5 * (np.abs(binom - pois[: m + 1]).sum() + pois[m + 1:].sum())
+    return float(tv)
 
 
 def test_bernoulli_discretization_converges_to_poisson():

@@ -302,10 +302,11 @@ def test_one_whole_region_partition_per_configuration(monkeypatch):
     region = SpaceTimeRegion.ground_state(Box(1, 2), "w", "f")
     coupled = rp.sample_coupled(region, 1.0, 1.0, (), (), chain_generator(45, 0))
     calls = []
-    build = rp.ClusterPartition.from_spans
-    monkeypatch.setattr(rp.ClusterPartition, "from_spans",
+    build = rp.VertexIndex.build
+    monkeypatch.setattr(rp.VertexIndex, "build",
                         staticmethod(lambda *args: calls.append(args) or build(*args)))
     pc.cluster_report(coupled, 1, 1.0)
+    pc.trifurcation_diagnostic(coupled, 1, 1.0, 1.0)
     for mode in ("plain", "off-gamma", "to-gamma"):
         rp.connectivity(coupled, ((0,), 0.0), ((1,), 0.3), mode)
     assert len(calls) == 1

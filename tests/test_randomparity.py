@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -179,6 +180,39 @@ def test_bridge_ends_resolved_once():
         assert ts == sorted(ts)
         assert ids_x == [c.clusters.vertex(x, t) for t in ts]
         assert ids_y == [c.clusters.vertex(y, t) for t in ts]
+
+
+# sha256 of the whole-region vertex layout and its clusters over 20 successive
+# draws of chain_generator(46, k) at lam = delta = 1, one line per draw:
+# starts, ends, offsets, seams and edges of the index, then the sorted member
+# lists of the classes.  Recorded while the index copied its layout from a
+# span partition.
+_LAYOUT_PINS = {
+    "3-site circle": "b303fce51c69c91afd172f7b755e2d83c06ea052649c71171a619ea18fda1767",
+    "3-site interval": "cac76cc3cf9fe9196dffe00b15bbd64637b3802831e5b7e6293b08b3eb59dbcc",
+    "3x3 wired circle": "07b78f2c5d2e3ed3f19a8d0244d63bc624d127d3956ea02490945d21db98c8ca",
+    "3x3 wired interval": "f4a441268c35c9ecd0454dd3b969a6ce6c9d74ca509018d94d4c4fce62a3da85",
+}
+_LAYOUT_REGIONS = {
+    "3-site circle": SpaceTimeRegion.finite_beta(Box(1, 1), 2.0, "w", "p"),
+    "3-site interval": SpaceTimeRegion(Box(1, 1), 2.0, "w", "f"),
+    "3x3 wired circle": SpaceTimeRegion.finite_beta(Box(2, 1), 2.0, "w", "p"),
+    "3x3 wired interval": SpaceTimeRegion(Box(2, 1), 2.0, "w", "f"),
+}
+
+
+@pytest.mark.parametrize("k,shape", enumerate(_LAYOUT_PINS))
+def test_vertex_layout_pinned(k, shape):
+    rng = chain_generator(46, k)
+    lines = []
+    for _ in range(20):
+        c = rp.sample_coupled(_LAYOUT_REGIONS[shape], 1.0, 1.0, (), (), rng)
+        index = c.index
+        classes = sorted(sorted(members) for members in c.clusters.classes().values())
+        lines.append(repr((index.starts, index.ends, index.offsets, index.seams,
+                           index.edges, classes)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _LAYOUT_PINS[shape]
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())

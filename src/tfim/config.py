@@ -7,6 +7,7 @@ rejected at validation.  Lists are comma-separated in the text format.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +46,14 @@ class RunConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.seed is None:
             raise ConfigError("a seed is required (no wall-clock seeding)")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed {self.seed} must lie in [0, 2^64)")
+        for key in sorted(_FLOAT_KEYS):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, not {value}")
+        if not all(map(math.isfinite, self.lam_grid)):
+            raise ConfigError("couplings must be finite")
         if not self.lam_grid:
             raise ConfigError("empty coupling grid")
         if any(b >= a for a, b in zip(self.lam_grid[1:], self.lam_grid)):
@@ -71,6 +80,8 @@ class RunConfig:
             raise ConfigError("couplings must be nonnegative")
         if self.dt <= 0 or self.n_sweeps <= 0:
             raise ConfigError("dt and n_sweeps must be positive")
+        if self.l_max_factor < 0:
+            raise ConfigError("l_max_factor must be nonnegative")
         if self.point_site:
             self._check_point()
         elif self.kind in ("correlation", "switching-verify", "identity-suite"):

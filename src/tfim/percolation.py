@@ -45,18 +45,18 @@ def cluster_report(coupled: CoupledConfiguration, probe_n0: int | None = None,
 
     Cluster counts use ghost-free connectivity (the ghost class is a
     boundary artifact); origin-to-ghost uses the ghost-jump rules."""
-    part = coupled.clusters
-    classes = part.classes()
-    largest = max(sum(part.ends[x][i] - part.starts[x][i] for (x, i) in members)
+    index = coupled.index
+    classes = coupled.clusters.classes()
+    largest = max(sum(index.ends[x][i] - index.starts[x][i] for (x, i) in members)
                   for members in classes.values())
     origin = (0,) * coupled.region.box.d
-    root = part.root((origin, 0.0))
+    root = coupled.clusters.root((origin, 0.0))
     to_boundary = False
     if probe_n0 is not None and probe_r0 is not None:
         eps = 1e-12
         to_boundary = any(any(abs(c) > probe_n0 for c in x)
-                          or part.starts[x][i] < -probe_r0 / 2 - eps
-                          or part.ends[x][i] > probe_r0 / 2 + eps
+                          or index.starts[x][i] < -probe_r0 / 2 - eps
+                          or index.ends[x][i] > probe_r0 / 2 + eps
                           for (x, i) in classes.get(root, []))
     return ClusterReport(len(classes), len(_boundary_roots(coupled)),
                          root in coupled.ghost_roots, to_boundary, largest)

@@ -202,11 +202,6 @@ def ghost_rates(box: Box, lam: float) -> dict:
     return {x: lam * count for x, count in box.exterior_counts}
 
 
-def _edge_times(bridges: dict):
-    return (((tuple(x), tuple(y)), float(t))
-            for (x, y), times in bridges.items() for t in np.asarray(times))
-
-
 @dataclass
 class CoupledConfiguration:
     """Two independent labellings plus the cut process.
@@ -247,8 +242,8 @@ class CoupledConfiguration:
 
     @functools.cached_property
     def clusters(self) -> "ClusterPartition":
-        """The ghost-free partition of the whole region: every site line split
-        at its blocking cuts, joined by both bridge sets."""
+        """The ghost-free partition of the whole region: the vertices of
+        :attr:`index` joined at the circle seams and by both bridge sets."""
         index = self.index
         uf = _UnionFind(index.n_vertices)
         for i, j in index.seams.values():
@@ -256,7 +251,7 @@ class CoupledConfiguration:
         for (_, _, _, ids_x, ids_y) in index.edges:
             for i, j in zip(ids_x, ids_y):
                 uf.union(i, j)
-        return ClusterPartition(self.region, index.starts, index.ends, index.offsets, uf)
+        return ClusterPartition(index, uf)
 
     @functools.cached_property
     def ghost_roots(self) -> set:
@@ -342,112 +337,21 @@ class _UnionFind:
 
 
 @dataclass
-class ClusterPartition:
-    """Open-path connectivity on an interval graph over the site lines.
-
-    Each site keeps a list of closed spans of [t_min, t_max] (the whole line,
-    a block window, the line minus a window, or the odd set of a labelling),
-    and each span is split at the site's blocking cuts into vertices.  A
-    point maps by bisect to the vertex whose span contains it (at a shared
-    endpoint, the later one), or to None off the kept spans.  Span ends are
-    stored as given, so lookups need no tolerance.  On circles t_min and
-    t_max name one point: the vertex ending at t_max is joined to the one
-    starting at t_min, and a lookup at either name falls back on the other.
-    Bridges join the vertices at their two ends (:meth:`join`;
-    :attr:`CoupledConfiguration.clusters` joins the bridge-end ids of its
-    :class:`VertexIndex`).  Ghost jumps are not edges of the graph:
-    :attr:`CoupledConfiguration.ghost_roots` names the classes that reach the
-    ghost.
-    """
-
-    region: SpaceTimeRegion
-    starts: dict            # site -> sorted vertex start times
-    ends: dict              # site -> vertex end times
-    offsets: dict           # site -> first vertex id
-    uf: _UnionFind
-
-    @staticmethod
-    def from_spans(region: SpaceTimeRegion, kept: dict,
-                   cuts: dict) -> "ClusterPartition":
-        """Vertices of the sorted disjoint ``kept`` spans per site (sites
-        without spans have no vertices), split at the sorted ``cuts``."""
-        starts, ends, offsets = {}, {}, {}
-        seams = []
-        total = 0
-        for x in region.box.sites():
-            blocking = cuts.get(x, [])
-            site_starts, site_ends = [], []
-            for (a, b) in kept.get(x, ()):
-                if b <= a:
-                    continue
-                inner = blocking[bisect.bisect_right(blocking, a):
-                                 bisect.bisect_left(blocking, b)]
-                bounds = [a, *inner, b]
-                site_starts.extend(bounds[:-1])
-                site_ends.extend(bounds[1:])
-            if (region.time_topology == "circle" and site_starts
-                    and site_starts[0] == region.t_min and site_ends[-1] == region.t_max):
-                seams.append((total, total + len(site_starts) - 1))
-            starts[x], ends[x], offsets[x] = site_starts, site_ends, total
-            total += len(site_starts)
-        uf = _UnionFind(total)
-        for (i, j) in seams:
-            uf.union(i, j)
-        return ClusterPartition(region, starts, ends, offsets, uf)
-
-    def vertex(self, x, t: float) -> int | None:
-        x = tuple(x)
-        starts, ends = self.starts[x], self.ends[x]
-        i = bisect.bisect_right(starts, t) - 1
-        if i >= 0 and t <= ends[i]:
-            return self.offsets[x] + i
-        region = self.region
-        if region.time_topology == "circle" and starts:
-            # t_min and t_max name one point of the circle
-            if t == region.t_min and ends[-1] == region.t_max:
-                return self.offsets[x] + len(starts) - 1
-            if t == region.t_max and starts[0] == region.t_min:
-                return self.offsets[x]
-        return None
-
-    def join(self, bridges) -> None:
-        """Union the end vertices of every ((x, y), t) bridge with both ends
-        kept."""
-        for ((x, y), t) in bridges:
-            vx, vy = self.vertex(x, t), self.vertex(y, t)
-            if vx is not None and vy is not None:
-                self.uf.union(vx, vy)
-
-    def root(self, p: tuple) -> int | None:
-        """Class root of the point p = (x, t), or None off the kept spans."""
-        v = self.vertex(*p)
-        return None if v is None else self.uf.find(v)
-
-    def connected(self, p: tuple, q: tuple) -> bool:
-        root = self.root(p)
-        return root is not None and root == self.root(q)
-
-    def classes(self) -> dict:
-        """Map class representative -> list of (site, vertex index)."""
-        out = {}
-        for x, offset in self.offsets.items():
-            for i in range(len(self.starts[x])):
-                out.setdefault(self.uf.find(offset + i), []).append((x, i))
-        return out
-
-
-@dataclass
 class VertexIndex:
-    """The vertices of a configuration's whole-region partition and the
-    vertex ids of its bridge ends, from which the trifurcation probes build
-    small union-finds without a partition of their own.
+    """The interval graph of a configuration: its vertices and the vertex
+    ids of its bridge ends, read by :attr:`CoupledConfiguration.clusters` and
+    by the trifurcation probes, which build small union-finds of their own.
 
     ``starts``, ``ends`` and ``offsets`` lay out the site lines split at the
-    blocking cuts (vertex ``offsets[x] + i`` spans ``[starts[x][i],
-    ends[x][i]]``), as in :class:`ClusterPartition`.  ``seams`` maps each
-    site of a circle to its first and last vertex.  ``edges`` holds one
+    blocking cuts: vertex ``offsets[x] + i`` spans ``[starts[x][i],
+    ends[x][i]]``.  Span ends are the cut times as drawn, so lookups need no
+    tolerance.  ``seams`` maps each site of a circle to its first and last
+    vertex, which meet at the point t_min = t_max.  ``edges`` holds one
     ``(x, y, times, ids_x, ids_y)`` record per edge with bridges: the times of
-    both bridge sets in order, and the vertex of each bridge end at x and at y.
+    both bridge sets in order, and the vertex of each bridge end at x and at
+    y.  Ghost jumps are not edges of the graph:
+    :attr:`CoupledConfiguration.ghost_roots` names the classes that reach the
+    ghost.
     """
 
     region: SpaceTimeRegion
@@ -461,9 +365,12 @@ class VertexIndex:
     @staticmethod
     def build(coupled: CoupledConfiguration) -> "VertexIndex":
         region = coupled.region
-        whole = {x: [(region.t_min, region.t_max)] for x in region.box.sites()}
-        layout = ClusterPartition.from_spans(region, whole, coupled.blocking_cuts)
-        starts, offsets = layout.starts, layout.offsets
+        t_min, t_max = region.t_min, region.t_max
+        starts, ends, offsets, total = {}, {}, {}, 0
+        for x, cuts in coupled.blocking_cuts.items():
+            inner = cuts[bisect.bisect_right(cuts, t_min):bisect.bisect_left(cuts, t_max)]
+            starts[x], ends[x], offsets[x] = [t_min, *inner], [*inner, t_max], total
+            total += len(inner) + 1
         seams = ({x: (offsets[x], offsets[x] + len(starts[x]) - 1) for x in starts}
                  if region.time_topology == "circle" else {})
         times = {}
@@ -478,8 +385,14 @@ class VertexIndex:
             sx, sy, ox, oy = starts[x], starts[y], offsets[x] - 1, offsets[y] - 1
             edges.append((x, y, ts, [ox + find(sx, t) for t in ts],
                           [oy + find(sy, t) for t in ts]))
-        return VertexIndex(region, starts, layout.ends, offsets,
-                           sum(map(len, starts.values())), seams, edges)
+        return VertexIndex(region, starts, ends, offsets, total, seams, edges)
+
+    def vertex(self, x, t: float) -> int | None:
+        """The vertex of site x holding time t (at a cut, the later one), or
+        None off [t_min, t_max]."""
+        if not self.region.t_min <= t <= self.region.t_max:
+            return None
+        return self.offsets[x] + bisect.bisect_right(self.starts[x], t) - 1
 
     def clip(self, sites, spans: list) -> tuple[dict, list, int]:
         """The pieces of the vertices of each site that the closed ``spans``
@@ -511,9 +424,9 @@ class VertexIndex:
 
     def piece_at(self, x, spans: list, t: float) -> int | None:
         """The piece of site x holding time t among its clipped ``spans``, as
-        :meth:`ClusterPartition.vertex` finds it: at a shared end the later
-        piece, on circles t_min and t_max as one point, None off the spans."""
-        v = self.offsets[x] + bisect.bisect_right(self.starts[x], t) - 1
+        :meth:`vertex` finds it: at a shared end the later piece, on circles
+        t_min and t_max as one point, None off the spans."""
+        v = self.vertex(x, t)
         for span in reversed(spans):
             if span[0] <= t <= span[1]:
                 return _piece(span, min(max(v, span[3]), span[4]))
@@ -553,6 +466,28 @@ class VertexIndex:
         return {x: self.boundary_vertices(x, offset, offset + len(self.starts[x]) - 1,
                                           region.t_min, region.t_max)
                 for x, offset in self.offsets.items()}
+
+
+@dataclass
+class ClusterPartition:
+    """Open-path clusters: a union-find over the vertex ids of a
+    :class:`VertexIndex` (see :attr:`CoupledConfiguration.clusters`)."""
+
+    index: VertexIndex
+    uf: _UnionFind
+
+    def root(self, p: tuple) -> int | None:
+        """Class root of the point p = (x, t), or None off [t_min, t_max]."""
+        v = self.index.vertex(tuple(p[0]), p[1])
+        return None if v is None else self.uf.find(v)
+
+    def classes(self) -> dict:
+        """Map class representative -> list of (site, vertex index)."""
+        out = {}
+        for x, offset in self.index.offsets.items():
+            for i in range(len(self.index.starts[x])):
+                out.setdefault(self.uf.find(offset + i), []).append((x, i))
+        return out
 
 
 def _piece(span: tuple, vertex: int) -> int:
@@ -630,18 +565,6 @@ def block_fully_connected(coupled: CoupledConfiguration, center: tuple, n0: int,
                                bisect.bisect_right(times, span_x[1])):
                     classes -= uf.union(_piece(span_x, ids_x[k]), _piece(span_y, ids_y[k]))
     return classes == 1
-
-
-def odd_path_exists(lab: Labelling, bridges: dict, p: tuple, q: tuple) -> bool:
-    """Connectivity inside the closed odd set of a single labelling, crossing
-    bridges at their (odd) endpoints.  The kept spans are the odd intervals,
-    so a bridge end, which sits on a switch time, resolves to the odd side."""
-    region = lab.region
-    odd = {x: _odd_spans([region.t_min, *lab.switches[x], region.t_max], lab.span_even(x, 0))
-           for x in region.box.sites()}
-    part = ClusterPartition.from_spans(region, odd, {})
-    part.join(_edge_times(bridges))
-    return part.connected((tuple(p[0]), float(p[1])), (tuple(q[0]), float(q[1])))
 
 
 # -- estimators and verifiers -------------------------------------------------

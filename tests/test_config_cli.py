@@ -67,6 +67,16 @@ def test_parse_json_config():
      r"ground-state runs .* n_schedule entries >= 1"),
     ({"kind": "irb-check", "n": 0}, r"irb-check .* need n >= 1"),
     ({"kind": "irb-check", "n_schedule": [0, 2]}, r"irb-check .* n_schedule entries >= 1"),
+    ({"seed": -1}, r"seed -1 must lie in \[0, 2\^64\)"),
+    ({"seed": 2**64}, r"seed 18446744073709551616 must lie in"),
+    ({"beta": float("nan")}, "beta must be finite, not nan"),
+    ({"beta": float("inf")}, "beta must be finite, not inf"),
+    ({"delta": float("nan")}, "delta must be finite"),
+    ({"lam_grid": [float("nan")]}, "couplings must be finite"),
+    ({"lam_grid": [0.5, float("inf")]}, "couplings must be finite"),
+    ({"point_time": float("nan")}, "point_time must be finite"),
+    ({"dt": float("inf")}, "dt must be finite"),
+    ({"kind": "irb-check", "l_max_factor": -1}, "l_max_factor must be nonnegative"),
 ])
 def test_validation_errors(mutation, message):
     payload = {"kind": "correlation", "beta": 1.0, "lam_grid": [1.0],
@@ -107,11 +117,21 @@ def test_cli_bad_config_exits_two(tmp_path):
 
 @pytest.mark.parametrize("line", ["bc_space = x", "n_samples = abc", "delta = -1",
                                   "point_site = 5", "point_site =", "dt = 0",
-                                  "n_sweeps = 0"])
+                                  "n_sweeps = 0", "seed = -1", "beta = nan", "lam = inf",
+                                  "point_time = nan", "--seed -1"])
 def test_cli_bad_value_exits_two(tmp_path, capsys, line):
-    cfg = _write_config(tmp_path, TEXT_CONFIG + line + "\n")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    # a line starting with -- is a command-line flag, not a config line
+    flags = line.split() if line.startswith("--") else []
+    cfg = _write_config(tmp_path, TEXT_CONFIG + ("" if flags else line + "\n"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("seed", ["-3", "18446744073709551616"])
+def test_cli_verify_seed_out_of_range_exits_two(tmp_path, capsys, seed):
+    assert main(["verify", "--seed", seed, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_empty_ground_state_box_exits_two(tmp_path, capsys):

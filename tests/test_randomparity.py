@@ -178,8 +178,8 @@ def test_bridge_ends_resolved_once():
     assert sorted(t for (_, _, ts, _, _) in c.index.edges for t in ts) == sorted(times)
     for (x, y, ts, ids_x, ids_y) in c.index.edges:
         assert ts == sorted(ts)
-        assert ids_x == [c.clusters.vertex(x, t) for t in ts]
-        assert ids_y == [c.clusters.vertex(y, t) for t in ts]
+        assert ids_x == [c.index.vertex(x, t) for t in ts]
+        assert ids_y == [c.index.vertex(y, t) for t in ts]
 
 
 # sha256 of the whole-region vertex layout and its clusters over 20 successive
@@ -275,20 +275,6 @@ def test_cut_thinning_never_disconnects():
             assert after
         pairs_checked += 1
     assert pairs_checked > 10
-
-
-def test_two_source_odd_path():
-    rng = chain_generator(12, 4)
-    region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "p")
-    sources = (((0,), 0.0), ((1,), 0.2))
-    found = 0
-    for _ in range(400):
-        c = rp.sample_coupled(region, 1.0, 1.0, sources, (), rng)
-        if not c.labelling1.consistent:
-            continue
-        found += 1
-        assert rp.odd_path_exists(c.labelling1, c.bridges1, *sources)
-    assert found > 5
 
 
 def test_switching_continuum_mc():

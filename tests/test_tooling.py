@@ -1,11 +1,14 @@
 """The benchmark's span tracer still finds every function it wraps, so a
 deletion or rename of a traced function fails here and not only in a traced
-benchmark run; and the traced probe call counts keep their meaning."""
+benchmark run; and the traced probe call counts keep their meaning.  Every
+name the package exports resolves, so a deletion or move leaves no dangling
+export."""
 
 import inspect
 import sys
 from pathlib import Path
 
+import tfim
 import tfim.cli
 import tfim.discrete  # imported lazily by tfim; the tracer needs it loaded
 from tfim import percolation, randomparity
@@ -22,6 +25,12 @@ def _resolve(module: str, qualname: str) -> tuple:
     for part in path:
         owner = getattr(owner, part)
     return owner, attr, inspect.getattr_static(owner, attr)
+
+
+def test_every_public_name_resolves():
+    assert len(set(tfim.__all__)) == len(tfim.__all__)
+    for name in tfim.__all__:
+        assert getattr(tfim, name, None) is not None, name
 
 
 def test_every_traced_target_resolves_and_is_restored():

@@ -10,9 +10,8 @@ against exhaustive enumeration and an exact-diagonalization oracle.
 
 from .geometry import (Box, DualLattice, EdgeSet, Holes, SpaceTimeRegion,
                        graph_laplacian_ft, l1_norm)
-from .poisson import (Carrier, IntensityProfile, PointSet, rn_add_or_delete,
-                      rn_add_two_if_empty, rn_delete_all, sample,
-                      verify_modification_identity)
+from .poisson import (Carrier, PointSet, rn_add_or_delete, rn_add_two_if_empty,
+                      rn_delete_all, verify_modification_identity)
 from .randomparity import (ClusterPartition, CoupledConfiguration, Labelling,
                            build_labelling, connectivity, constant_A,
                            constant_B, correlation_difference_bound,
@@ -30,7 +29,7 @@ from .rng import chain_generator
 __all__ = [
     "Box", "Carrier", "Check", "ClusterPartition", "CoupledConfiguration",
     "DualLattice", "E_function", "EdgeSet", "Estimate", "Holes",
-    "IntensityProfile", "Labelling", "PointSet", "SpaceTimeRegion",
+    "Labelling", "PointSet", "SpaceTimeRegion",
     "SpectralModel", "SpinConfiguration", "TrotterSampler",
     "build", "build_for_region", "build_labelling", "chain_generator",
     "connectivity", "constant_A", "constant_B",
@@ -38,7 +37,7 @@ __all__ = [
     "estimate_magnetization", "estimate_rpr_correlation",
     "event_probability_identity", "gibbs_weight", "graph_laplacian_ft",
     "holes_identity_check", "irb_check", "l1_norm", "oracle_correlation",
-    "rn_add_or_delete", "rn_add_two_if_empty", "rn_delete_all", "sample",
+    "rn_add_or_delete", "rn_add_two_if_empty", "rn_delete_all",
     "sample_apriori", "sample_coupled", "schwinger", "schwinger_fourier",
     "thermal_expectation", "verify_modification_identity", "verify_switching",
 ]

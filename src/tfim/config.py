@@ -67,6 +67,8 @@ class RunConfig:
                 what = ("ground-state runs (time length 2n)" if self.ground_state
                         else "irb-check (even-side box)")
                 raise ConfigError(f"{what} need n >= 1 and n_schedule entries >= 1")
+        if self.ground_state and self.kind == "irb-check":
+            raise ConfigError("irb-check is a finite-temperature run (beta is its time length)")
         if self.ground_state and self.beta is not None:
             raise ConfigError("ground-state runs take no beta (time length is 2n)")
         if not self.ground_state and (self.beta is None or self.beta <= 0):
@@ -96,10 +98,12 @@ class RunConfig:
         return self
 
     def _check_point(self) -> None:
-        """The second correlation point lies in the region, and off the time
-        endpoints when time is an interval."""
+        """The second correlation point lies in the region, off the origin,
+        and off the time endpoints when time is an interval."""
         if len(self.point_site) != self.d:
             raise ConfigError(f"point_site {self.point_site} needs d = {self.d} coordinates")
+        if not any(self.point_site) and self.point_time == 0:
+            raise ConfigError("the second correlation point must differ from the origin")
         if any(abs(c) > self.n for c in self.point_site):
             raise ConfigError(f"point_site {self.point_site} is outside the box of half-side {self.n}")
         half = self.n if self.ground_state else self.beta / 2.0

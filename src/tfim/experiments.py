@@ -178,13 +178,16 @@ def run_magnetization_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dic
     with _point_map(workers) as map_points:
         rows = map_points(_magnetization_point,
                           [(cfg, n, j) for n in schedule for j in range(len(cfg.lam_grid))])
-    # Griffiths monotonicity across the coupling grid, per size
-    monotone = True
+    # Griffiths monotonicity across the coupling grid, per size: a failing
+    # pair fails its later row (JSON only, as "pass")
+    for row in rows:
+        row["pass"] = True
     for n in schedule:
         sub = [r for r in rows if r["n"] == n]
         for a, b in zip(sub, sub[1:]):
-            monotone = monotone and Check("bound", a["estimate"], b["estimate"],
-                                          a["stderr"], b["stderr"]).passed
+            b["pass"] = Check("bound", a["estimate"], b["estimate"],
+                              a["stderr"], b["stderr"]).passed
+    monotone = all(row["pass"] for row in rows)
     return rows, {"griffiths_monotone": monotone}, monotone
 
 
@@ -307,7 +310,6 @@ def _percolation_chain(args) -> dict:
 
 def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
     rows = []
-    ok = True
     with _point_map(workers) as map_points:
         for lam in cfg.lam_grid:
             t0 = time.time()
@@ -330,7 +332,6 @@ def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict,
                     f"pool at lam={lam} are zero, so its ratio is undefined")
             est = acc.estimate()
             region = _percolation_region(cfg)
-            ok = ok and violations == 0
             rows.append({"kind": cfg.kind, "d": cfg.d, "n": cfg.n, "r": region.r,
                          "lam": lam, "delta": cfg.delta,
                          "p_origin_ghost": est.value, "stderr": est.stderr,
@@ -338,9 +339,10 @@ def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict,
                          "mean_boundary_intervals": float(np.mean(boundary)),
                          "n_trifurcations": trif, "leaf_violations": violations,
                          "n_samples": cfg.n_samples * cfg.n_chains,
-                         "seed": cfg.seed, "wall_time": round(time.time() - t0, 3)})
-    return rows, {"leaf_bound": percolation.leaf_bound(_percolation_region(cfg),
-                                                        cfg.delta)}, ok
+                         "seed": cfg.seed, "pass": violations == 0,
+                         "wall_time": round(time.time() - t0, 3)})
+    return (rows, {"leaf_bound": percolation.leaf_bound(_percolation_region(cfg), cfg.delta)},
+            all(row["pass"] for row in rows))
 
 
 # -- identity suite -----------------------------------------------------------------
@@ -489,11 +491,11 @@ def run_lambda_c(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
     gap-scan reference."""
     t0 = time.time()
     result = estimate_lambda_c_1d(cfg, workers)
+    ok = abs(result["estimate"] / result["reference"] - 1.0) <= 0.15
     rows = [{"kind": cfg.kind, "method": "correlation-ratio",
              "estimate": result["estimate"], "uncertainty": result["uncertainty"],
              "reference": result["reference"], "n_sizes": len(cfg.n_schedule),
-             "seed": cfg.seed, "wall_time": round(time.time() - t0, 3)}]
-    ok = abs(result["estimate"] / result["reference"] - 1.0) <= 0.15
+             "seed": cfg.seed, "pass": ok, "wall_time": round(time.time() - t0, 3)}]
     return rows, result, ok
 
 

@@ -83,12 +83,9 @@ class Box:
         return Box(self.d, self.n - 1, self.convention)
 
     def boundary_sites(self) -> list[Site]:
-        """Sites of the box not contained in the next-smaller box."""
-        try:
-            inner = self.shrunk()
-        except GeometryError:
-            return self.sites()
-        return [x for x in self.sites() if x not in inner]
+        """Sites of the box not contained in the next-smaller box (all of a
+        minimal box): those with a neighbour outside, in site order."""
+        return [x for x, _ in self.exterior_counts]
 
     def exterior_neighbour_count(self, x: Site) -> int:
         """Number of nearest neighbours of x lying outside the box."""
@@ -131,20 +128,19 @@ class EdgeSet:
     periodic box carries a doubled edge.
     """
 
-    mode: str
     edges: Tuple[Edge, ...]
     frozen_sites: Tuple[Site, ...] = ()
 
     @staticmethod
     def free(box: Box) -> "EdgeSet":
-        return EdgeSet("free", box.free_edges)
+        return EdgeSet(box.free_edges)
 
     @staticmethod
     def wired_extended(box: Box) -> "EdgeSet":
         extended = Box(box.d, box.n + 1, box.convention)
         inner = set(box.sites())
         frozen = tuple(x for x in extended.sites() if x not in inner)
-        return EdgeSet("wired-extended", tuple(_nn_pairs(extended.sites())), frozen)
+        return EdgeSet(tuple(_nn_pairs(extended.sites())), frozen)
 
     @staticmethod
     def spatially_periodic(box: Box) -> "EdgeSet":
@@ -156,7 +152,7 @@ class EdgeSet:
                     if x[j] == hi:
                         y = tuple(lo if i == j else c for i, c in enumerate(x))
                         edges.append((y, x) if y <= x else (x, y))
-        return EdgeSet("spatially-periodic", tuple(sorted(edges)))
+        return EdgeSet(tuple(sorted(edges)))
 
 
 def edges_for_bc(box: Box, bc_space: str) -> EdgeSet:
@@ -368,18 +364,6 @@ def edge_shadow_length(region: SpaceTimeRegion, holes: Holes, edges: Iterable[Ed
         present = sum(hi - lo for (lo, hi) in edge_windows(region, holes, x, y))
         total += region.r - present
     return total
-
-
-def frequency_cutoff(lam: float, delta: float, r: float, tol: float = 1e-3) -> float:
-    """Frequency cutoff making the discarded tail of sum 1/E below tol.
-
-    The tail of sum_{|l|>L} 1/E(p, l) is at most 2 * 96*delta*(r/2pi)^2 / j
-    with j = L r / (2 pi), independently of the momentum.
-    """
-    if tol <= 0:
-        raise GeometryError("tolerance must be positive")
-    j = max(1.0, 192.0 * delta * (r / (2.0 * math.pi)) ** 2 / tol)
-    return 2.0 * math.pi * j / r
 
 
 def l1_norm(point) -> float:

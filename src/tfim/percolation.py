@@ -73,14 +73,6 @@ def two_point_connectivity(region: SpaceTimeRegion, lam: float, delta: float,
                                      n_samples, rng)
 
 
-def origin_ghost_probability(region: SpaceTimeRegion, lam: float, delta: float,
-                             n_samples: int, rng: np.random.Generator) -> Estimate:
-    origin = ((0,) * region.box.d, 0.0)
-    return coupled_event_probability(region, lam, delta,
-                                     lambda c: connectivity(c, origin, None, "to-gamma"),
-                                     n_samples, rng)
-
-
 # -- trifurcation diagnostic ---------------------------------------------------
 
 def boundary_interval_count(coupled: CoupledConfiguration) -> int:

@@ -1,4 +1,5 @@
-"""Poisson point processes on intervals and circles, with local modifications.
+"""Poisson point sets on time intervals, drawn by :func:`draw_times`, with
+local modifications.
 
 The three modification schemes (delete everything; add two points when empty;
 add a point to small configurations, delete one from large) come with their
@@ -35,28 +36,17 @@ class DegenerateRateError(ValueError):
 
 @dataclass(frozen=True)
 class Carrier:
-    """An interval [a, b], or a circle of circumference b - a ([a, b) wrapped)."""
+    """A time interval [a, b]."""
 
     a: float
     b: float
-    circle: bool = False
 
     def __post_init__(self):
         if self.b <= self.a:
             raise ValueError(f"empty carrier [{self.a}, {self.b}]")
 
-    @property
-    def length(self) -> float:
-        return self.b - self.a
-
     def contains(self, t: float) -> bool:
-        if self.circle:
-            return self.a <= t < self.b
         return self.a <= t <= self.b
-
-    @staticmethod
-    def interval(a: float, b: float) -> "Carrier":
-        return Carrier(a, b, circle=False)
 
 
 @dataclass(frozen=True)
@@ -86,38 +76,6 @@ class PointSet:
         return PointSet(carrier, tuple(sorted(float(t) for t in times)))
 
 
-@dataclass(frozen=True)
-class IntensityProfile:
-    """Piecewise-constant nonnegative rate over a carrier.
-
-    ``pieces`` are (start, end, rate) with the starts increasing and the
-    pieces tiling the carrier.
-    """
-
-    carrier: Carrier
-    pieces: tuple
-
-    def __post_init__(self):
-        lo = self.carrier.a
-        for (a, b, rate) in self.pieces:
-            if rate < 0:
-                raise ValueError(f"negative rate {rate}")
-            if not math.isclose(a, lo, abs_tol=1e-12):
-                raise ValueError("pieces must tile the carrier")
-            if b <= a:
-                raise ValueError("empty piece")
-            lo = b
-        if not math.isclose(lo, self.carrier.b, abs_tol=1e-12):
-            raise ValueError("pieces must cover the carrier")
-
-    @staticmethod
-    def constant(carrier: Carrier, rate: float) -> "IntensityProfile":
-        return IntensityProfile(carrier, ((carrier.a, carrier.b, float(rate)),))
-
-
-_MAX_RESAMPLE = 1000
-
-
 def draw_times(lo: float, hi: float, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Sorted times of a rate-``rate`` Poisson process on [lo, hi): the count,
     then that many uniform times (a count of zero draws no uniforms).  Every
@@ -128,28 +86,13 @@ def draw_times(lo: float, hi: float, rate: float, rng: np.random.Generator) -> n
     return times
 
 
-def sample(profile: IntensityProfile, rng: np.random.Generator) -> PointSet:
-    """Draw an inhomogeneous Poisson point set; coincident times are resampled."""
-    for _ in range(_MAX_RESAMPLE):
-        times: list[float] = []
-        for (a, b, rate) in profile.pieces:
-            times.extend(draw_times(a, b, rate, rng))
-        times.sort()
-        if all(times[i] < times[i + 1] for i in range(len(times) - 1)):
-            return PointSet(profile.carrier, tuple(times))
-    raise RuntimeError("could not draw distinct event times")
-
-
 def sample_constant(carrier: Carrier, rate: float, rng: np.random.Generator) -> PointSet:
-    return sample(IntensityProfile.constant(carrier, rate), rng)
+    """A rate-``rate`` Poisson point set on the carrier.  Coincident times
+    (probability zero) make :class:`PointSet` raise ``ValueError``."""
+    return PointSet.of(carrier, draw_times(carrier.a, carrier.b, rate, rng))
 
 
 # -- local modification schemes -------------------------------------------
-
-def delete_all_density(x: PointSet, alpha: float, t: float) -> float:
-    """Exact likelihood ratio of the deleted law at configuration x."""
-    return math.exp(alpha * t) if len(x) == 0 else 0.0
-
 
 def rn_delete_all(x: PointSet, alpha: float, t: float) -> tuple[PointSet, float]:
     """Delete every point.  Returns the density e^{alpha t} at the modified
@@ -219,7 +162,7 @@ def rn_add_or_delete(x: PointSet, alpha: float, t: float,
 
 # scheme -> (modify, c2 as a function of (alpha, t), the event A)
 SCHEMES = {
-    "delete-all": (lambda x, a, t, rng: (PointSet.empty(x.carrier), delete_all_density(x, a, t)),
+    "delete-all": (lambda x, a, t, rng: rn_delete_all(x, a, t),
                    lambda a, t: math.exp(a * t),
                    lambda x: len(x) == 0),
     "add-two-if-empty": (rn_add_two_if_empty,
@@ -243,7 +186,7 @@ def verify_modification_identity(f: Callable[[PointSet], float], scheme: str,
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     modify, c2_of, in_a = SCHEMES[scheme]
-    carrier = Carrier.interval(0.0, t)
+    carrier = Carrier(0.0, t)
     c2 = c2_of(alpha, t)
 
     f_x = np.empty(n_samples)

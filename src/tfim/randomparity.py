@@ -584,6 +584,15 @@ def coupled_event_probability(region: SpaceTimeRegion, lam: float, delta: float,
     return ratio_estimate_independent(num, den)
 
 
+def origin_ghost_probability(region: SpaceTimeRegion, lam: float, delta: float,
+                             n_samples: int, rng: np.random.Generator) -> Estimate:
+    """Weighted frequency of {origin <-> Gamma} over source-free coupled draws."""
+    origin = ((0,) * region.box.d, 0.0)
+    return coupled_event_probability(region, lam, delta,
+                                     lambda c: connectivity(c, origin, None, "to-gamma"),
+                                     n_samples, rng)
+
+
 def _labellings(region: SpaceTimeRegion, lam: float, sources: Sequence, n_samples: int,
                 rng: np.random.Generator, with_ghosts: bool):
     """Yield ``n_samples`` labellings of the region's time condition, each
@@ -730,9 +739,7 @@ def verify_local_modification_A(region: SpaceTimeRegion, lam: float, delta: floa
     origin = ((0,) * region.box.d, 0.0)
     sources = (origin, (tuple(kappa[0]), float(kappa[1])))
     diff = difference_estimate(*_wired_and_free(region, lam, delta, sources, n_samples, rng))
-    p_ghost = coupled_event_probability(
-        region, lam, delta, lambda c: connectivity(c, origin, None, "to-gamma"),
-        n_samples, rng)
+    p_ghost = origin_ghost_probability(region, lam, delta, n_samples, rng)
     return Check("bound", diff.value, c_k * p_ghost.value, diff.stderr, c_k * p_ghost.stderr,
                  {"p_origin_ghost": p_ghost, "constant": c_k})
 

@@ -1,4 +1,4 @@
-"""Streaming moments, chain merging, and error estimates for ratio estimators."""
+"""Means, mergeable ratio sums, and error estimates for ratio estimators."""
 
 from __future__ import annotations
 
@@ -10,48 +10,6 @@ import numpy as np
 LOW_ESS = 100.0  # ratio estimates with a smaller Kish ESS carry "low-ess"
 N_SE = 3.0  # a check passes when its gap is at most N_SE combined standard errors
 BATCHES = 32  # batch count of batch_means_estimate
-
-
-@dataclass
-class RunningMoments:
-    """Streaming mean/variance (Welford), mergeable across chains.
-
-    Merging two accumulators gives exactly the pooled-sample moments, which is
-    what makes parallel chains reproducible independently of scheduling.
-    """
-
-    n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def push_many(self, xs) -> None:
-        xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            return
-        n_b = xs.size
-        mean_b = float(xs.mean())
-        m2_b = float(((xs - mean_b) ** 2).sum())
-        self.merge(RunningMoments(n_b, mean_b, m2_b))
-
-    def merge(self, other: "RunningMoments") -> None:
-        if other.n == 0:
-            return
-        if self.n == 0:
-            self.n, self.mean, self.m2 = other.n, other.mean, other.m2
-            return
-        n = self.n + other.n
-        d = other.mean - self.mean
-        self.mean += d * other.n / n
-        self.m2 += other.m2 + d * d * self.n * other.n / n
-        self.n = n
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / (self.n - 1) if self.n > 1 else float("nan")
-
-    @property
-    def stderr(self) -> float:
-        return math.sqrt(self.variance / self.n) if self.n > 1 else float("nan")
 
 
 @dataclass(frozen=True)
@@ -110,10 +68,15 @@ class Check:
 
 
 def mean_estimate(xs) -> Estimate:
+    """Sample mean with the standard error sqrt(var / n) (nan below two
+    values; an empty input reads 0.0)."""
     xs = np.asarray(xs, dtype=float)
-    m = RunningMoments()
-    m.push_many(xs)
-    return Estimate(m.mean, m.stderr, m.n)
+    n = xs.size
+    if n == 0:
+        return Estimate(0.0, math.nan, 0)
+    mean = float(xs.mean())
+    m2 = float(((xs - mean) ** 2).sum())
+    return Estimate(mean, math.sqrt(m2 / (n - 1) / n) if n > 1 else math.nan, n)
 
 
 def effective_sample_size(weights) -> float:

@@ -182,7 +182,7 @@ def test_criterion_08_rn_density_suite():
     cases = {"add-two-if-empty": (rn_add_two_if_empty, add_two_if_empty_density),
              "add-or-delete": (rn_add_or_delete, add_or_delete_density)}
     for at in (0.5, 1.0, 2.0):
-        carrier = Carrier.interval(0.0, at)
+        carrier = Carrier(0.0, at)
         for name, (modify, density) in cases.items():
             lhs = np.empty(30000)
             rhs = np.empty(30000)

@@ -77,6 +77,12 @@ def test_parse_json_config():
     ({"point_time": float("nan")}, "point_time must be finite"),
     ({"dt": float("inf")}, "dt must be finite"),
     ({"kind": "irb-check", "l_max_factor": -1}, "l_max_factor must be nonnegative"),
+    ({"kind": "irb-check", "beta": None, "ground_state": True, "l_max_factor": 2},
+     "irb-check is a finite-temperature run"),
+    ({"point_site": [0]}, "must differ from the origin"),
+    ({"kind": "switching-verify", "point_site": [0], "point_time": -0.0},
+     "must differ from the origin"),
+    ({"kind": "identity-suite", "point_site": [0]}, "must differ from the origin"),
 ])
 def test_validation_errors(mutation, message):
     payload = {"kind": "correlation", "beta": 1.0, "lam_grid": [1.0],
@@ -118,7 +124,8 @@ def test_cli_bad_config_exits_two(tmp_path):
 @pytest.mark.parametrize("line", ["bc_space = x", "n_samples = abc", "delta = -1",
                                   "point_site = 5", "point_site =", "dt = 0",
                                   "n_sweeps = 0", "seed = -1", "beta = nan", "lam = inf",
-                                  "point_time = nan", "--seed -1"])
+                                  "point_time = nan", "--seed -1", "point_site = 0",
+                                  "kind = irb-check\nground_state = true\nbeta = none"])
 def test_cli_bad_value_exits_two(tmp_path, capsys, line):
     # a line starting with -- is a command-line flag, not a config line
     flags = line.split() if line.startswith("--") else []

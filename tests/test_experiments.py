@@ -523,6 +523,90 @@ def test_cli_verification_failure_writes_manifest(tmp_path, monkeypatch):
     assert manifest["failing"][0]["case"] == "forced"
 
 
+# sweep rows carry "pass" in the JSON only: these CSV bytes are those written
+# before the rows had it
+MANIFEST_SWEEP_CONFIGS = {
+    # a Griffiths pair fails at lam = 0.14 -> 0.15 (0.2 +- 0.33 against -1 +- 0)
+    "magnetization-sweep": "kind = magnetization-sweep\nbeta = 2.0\nn = 1\n"
+                           "lam = 0.1, 0.11, 0.12, 0.13, 0.14, 0.15, 0.16, 0.17\n"
+                           "n_sweeps = 10\nseed = 1\n",
+    "percolation-sweep": "kind = percolation-sweep\nbeta = 1.0\nbc_space = w\n"
+                         "lam = 0.4, 1.2\nn_samples = 100\nn_chains = 2\nseed = 5\n",
+}
+PINNED_MANIFEST_SWEEP_CSV = {
+    "magnetization-sweep":
+        "kind,method,d,n,r,lam,delta,estimate,stderr,dt,n_samples,seed\n"
+        "magnetization-sweep,trotter,1,1,2,0.10000000000000001,1,-0.20000000000000001,"
+        "0.32659863237109044,0.10000000000000001,10,1\n"
+        "magnetization-sweep,trotter,1,1,2,0.11,1,0.80000000000000004,"
+        "0.20000000000000001,0.10000000000000001,10,1\n"
+        "magnetization-sweep,trotter,1,1,2,0.12,1,0.59999999999999998,"
+        "0.26666666666666672,0.10000000000000001,10,1\n"
+        "magnetization-sweep,trotter,1,1,2,0.13,1,-0.40000000000000002,"
+        "0.30550504633038927,0.10000000000000001,10,1\n"
+        "magnetization-sweep,trotter,1,1,2,0.14000000000000001,1,0.20000000000000001,"
+        "0.32659863237109044,0.10000000000000001,10,1\n"
+        "magnetization-sweep,trotter,1,1,2,0.14999999999999999,1,-1,0,"
+        "0.10000000000000001,10,1\n"
+        "magnetization-sweep,trotter,1,1,2,0.16,1,1,0,0.10000000000000001,10,1\n"
+        "magnetization-sweep,trotter,1,1,2,0.17000000000000001,1,0.80000000000000004,"
+        "0.20000000000000001,0.10000000000000001,10,1\n",
+    "percolation-sweep":
+        "kind,d,n,r,lam,delta,p_origin_ghost,stderr,mean_clusters,"
+        "mean_boundary_intervals,n_trifurcations,leaf_violations,n_samples,seed\n"
+        "percolation-sweep,1,1,1,0.40000000000000002,1,0,0,3.7200000000000002,"
+        "7.9100000000000001,2,0,200,5\n"
+        "percolation-sweep,1,1,1,1.2,1,0.32651906671863512,0.27585247086718667,"
+        "2.4350000000000001,7.7450000000000001,6,0,200,5\n",
+}
+
+
+def _sweep(out: Path, text: str, kind: str) -> tuple[int, str, list, list | None]:
+    """Exit code, CSV text, JSON rows and failure manifest (None when not
+    written) of one sweep."""
+    out.mkdir(parents=True)
+    cfg = out / "f.cfg"
+    cfg.write_text(text)
+    code = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+    manifest = out / f"run-{kind}-failures.json"
+    return (code, (out / f"run-{kind}.csv").read_text(),
+            json.loads((out / f"run-{kind}.json").read_text())["rows"],
+            json.loads(manifest.read_text())["failing"] if manifest.exists() else None)
+
+
+def test_failed_griffiths_pair_names_its_later_row(tmp_path):
+    kind = "magnetization-sweep"
+    code, csv_text, rows, failing = _sweep(tmp_path / "m", MANIFEST_SWEEP_CONFIGS[kind], kind)
+    assert code == 1
+    assert csv_text == PINNED_MANIFEST_SWEEP_CSV[kind]
+    assert [row["pass"] for row in rows] == [True] * 5 + [False] + [True] * 2
+    assert [row["lam"] for row in failing] == [0.15]
+
+
+def test_failed_percolation_and_lambda_c_rows_reach_the_manifest(tmp_path, monkeypatch):
+    kind = "percolation-sweep"
+    code, csv_text, rows, failing = _sweep(tmp_path / "ok", MANIFEST_SWEEP_CONFIGS[kind], kind)
+    assert (code, failing) == (0, None)
+    assert csv_text == PINNED_MANIFEST_SWEEP_CSV[kind]
+    assert [row["pass"] for row in rows] == [True, True]
+    diagnostic = ex.percolation.trifurcation_diagnostic
+
+    def violating(*args):
+        # one trifurcation more than boundary intervals in every configuration
+        rep = diagnostic(*args)
+        return dataclasses.replace(rep, n_trifurcations=rep.n_boundary_intervals + 1)
+
+    monkeypatch.setattr(ex.percolation, "trifurcation_diagnostic", violating)
+    code, _, rows, failing = _sweep(tmp_path / "bad", MANIFEST_SWEEP_CONFIGS[kind], kind)
+    assert code == 1 and failing == rows and len(rows) == 2
+    assert all(row["leaf_violations"] == 200 and row["pass"] is False for row in rows)
+    monkeypatch.setattr(ex.spectral, "gap_scaling_critical_point",
+                        lambda **kwargs: {"estimate": 1.5})
+    code, _, rows, failing = _sweep(tmp_path / "lc", SWEEP_CONFIGS["lambda-c"], "lambda-c")
+    assert code == 1 and failing == rows
+    assert rows[0]["pass"] is False and rows[0]["reference"] == 1.5
+
+
 def test_cli_sweep_rejects_non_sweep_kind(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("kind = correlation\nbeta = 1.0\nlam = 1.0\nseed = 1\n"

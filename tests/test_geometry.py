@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tfim.geometry import (Box, DualLattice, EdgeSet, GeometryError, Holes,
                            SpaceTimeRegion, edge_shadow_length, edge_windows,
-                           frequency_cutoff, graph_laplacian_ft, l1_norm,
-                           line_components)
+                           graph_laplacian_ft, l1_norm, line_components)
 
 
 def test_box_site_counts():
@@ -116,10 +115,6 @@ def test_dual_lattice_grid():
     assert all(abs(l) <= 10.0 + 1e-9 for l in freqs)
     pts = list(dual.points())
     assert ((0.0,), 0.0) not in [(k, l) for (k, l) in pts]
-
-
-def test_frequency_cutoff_monotone_in_tolerance():
-    assert frequency_cutoff(1.0, 1.0, 2.0, 1e-4) > frequency_cutoff(1.0, 1.0, 2.0, 1e-2)
 
 
 def test_line_components_interval():

@@ -5,27 +5,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tfim.rng import chain_generator
-from tfim.stats import (N_SE, Check, Estimate, RatioAccumulator, RunningMoments,
-                        batch_means_estimate, effective_sample_size,
-                        mean_estimate, ratio_estimate_independent,
-                        ratio_estimate_jackknife)
+from tfim.stats import (N_SE, Check, Estimate, RatioAccumulator, batch_means_estimate,
+                        effective_sample_size, mean_estimate,
+                        ratio_estimate_independent, ratio_estimate_jackknife)
 
 
-def test_merge_equals_pooled():
+def test_mean_estimate_matches_numpy():
     rng = np.random.default_rng(0)
     xs = rng.normal(size=1000)
-    pooled = RunningMoments()
-    pooled.push_many(xs)
-    merged = RunningMoments()
-    for part in np.array_split(xs, 7):
-        chunk = RunningMoments()
-        chunk.push_many(part)
-        merged.merge(chunk)
-    assert merged.n == pooled.n
-    assert merged.mean == pytest.approx(pooled.mean, abs=1e-12)
-    assert merged.variance == pytest.approx(pooled.variance, abs=1e-12)
-    assert pooled.mean == pytest.approx(xs.mean(), abs=1e-12)
-    assert pooled.variance == pytest.approx(xs.var(ddof=1), abs=1e-12)
+    est = mean_estimate(xs)
+    assert est.n == 1000
+    assert est.value == pytest.approx(xs.mean(), abs=1e-12)
+    assert est.stderr == pytest.approx(xs.std(ddof=1) / math.sqrt(1000), abs=1e-12)
+    empty, one = mean_estimate([]), mean_estimate([2.5])
+    assert (empty.value, empty.n, one.value, one.n) == (0.0, 0, 2.5, 1)
+    assert math.isnan(empty.stderr) and math.isnan(one.stderr)
 
 
 def test_ratio_accumulator_merge_and_estimate():

@@ -195,43 +195,43 @@ def test_criterion_10_reports_pinned(seed):
     region = SpaceTimeRegion.ground_state(Box(1, 4), "w", "f")
     coupled = rp.sample_coupled(region, 1.0, 1.0, (), (), chain_generator(seed, 0))
     trif = pc.trifurcation_diagnostic(coupled, 1, 1.0, 1.0)
-    clusters = pc.cluster_report(coupled, 1, 1.0)
+    clusters = pc.cluster_report(coupled)
     (counts, (n_clusters, touching, largest)) = _CRITERION_10_PINS[seed]
     assert (trif.n_trifurcations, trif.n_boundary_intervals, trif.n_probes,
             trif.n_clipped) == counts
     assert (clusters.n_clusters, clusters.boundary_touching) == (n_clusters, touching)
     assert clusters.largest_cluster_measure == pytest.approx(largest, abs=1e-12)
-    assert clusters.origin_to_ghost and clusters.origin_to_boundary
+    assert clusters.origin_to_ghost
 
 
 # Reports of successive draws of chain_generator(44, case), recorded before
 # the whole-region partition was cached per configuration: (trifurcations,
 # boundary intervals, probes, clipped), (clusters, boundary-touching,
-# origin-to-ghost, origin-to-boundary, largest measure).
+# origin-to-ghost, largest measure).
 _REPORT_CASES = [(SpaceTimeRegion.finite_beta(Box(1, 4), 8.0, "w", "p"), 1.0, 1.5),
                  (SpaceTimeRegion.finite_beta(Box(1, 4), 8.0, "w", "p"), 0.5, 1.0),
                  (SpaceTimeRegion(Box(1, 4), 6.0, "w", "f"), 1.0, 1.5)]
 _REPORT_PINS = {
-    0: [((0, 104, 12, 0), (56, 7, True, True, 68.26442118421181)),
-        ((0, 89, 12, 0), (44, 7, True, True, 67.65305935488418)),
-        ((0, 97, 12, 0), (70, 20, True, True, 65.17358949888148)),
-        ((0, 95, 12, 0), (76, 4, True, True, 64.75732206565888)),
-        ((0, 92, 12, 0), (65, 12, True, True, 64.72010294287844)),
-        ((0, 105, 12, 0), (64, 11, True, True, 65.49922972757376)),
-        ((0, 94, 12, 0), (46, 9, True, True, 67.94788831796903)),
-        ((1, 104, 12, 0), (84, 19, True, True, 62.361969967716256))],
-    1: [((0, 62, 12, 0), (48, 8, True, True, 65.05502387744711)),
-        ((0, 60, 12, 0), (46, 18, True, True, 63.0521217082552)),
-        ((0, 74, 12, 0), (43, 10, True, True, 65.0339774645079)),
-        ((0, 59, 12, 0), (38, 11, True, True, 66.84674110033863)),
-        ((0, 63, 12, 0), (49, 7, True, True, 66.10798769322199)),
-        ((0, 58, 12, 0), (51, 13, False, True, 61.47840854711019))],
-    2: [((0, 96, 9, 0), (61, 15, True, True, 48.64772181909072)),
-        ((1, 83, 9, 0), (44, 8, False, False, 49.76332602399535)),
-        ((0, 95, 9, 0), (75, 27, True, True, 41.21630045417012)),
-        ((0, 86, 9, 0), (68, 17, True, True, 44.79116096522481)),
-        ((0, 83, 9, 0), (33, 8, True, True, 50.12445782586646)),
-        ((1, 80, 9, 0), (55, 4, True, True, 48.82899629288974))],
+    0: [((0, 104, 12, 0), (56, 7, True, 68.26442118421181)),
+        ((0, 89, 12, 0), (44, 7, True, 67.65305935488418)),
+        ((0, 97, 12, 0), (70, 20, True, 65.17358949888148)),
+        ((0, 95, 12, 0), (76, 4, True, 64.75732206565888)),
+        ((0, 92, 12, 0), (65, 12, True, 64.72010294287844)),
+        ((0, 105, 12, 0), (64, 11, True, 65.49922972757376)),
+        ((0, 94, 12, 0), (46, 9, True, 67.94788831796903)),
+        ((1, 104, 12, 0), (84, 19, True, 62.361969967716256))],
+    1: [((0, 62, 12, 0), (48, 8, True, 65.05502387744711)),
+        ((0, 60, 12, 0), (46, 18, True, 63.0521217082552)),
+        ((0, 74, 12, 0), (43, 10, True, 65.0339774645079)),
+        ((0, 59, 12, 0), (38, 11, True, 66.84674110033863)),
+        ((0, 63, 12, 0), (49, 7, True, 66.10798769322199)),
+        ((0, 58, 12, 0), (51, 13, False, 61.47840854711019))],
+    2: [((0, 96, 9, 0), (61, 15, True, 48.64772181909072)),
+        ((1, 83, 9, 0), (44, 8, False, 49.76332602399535)),
+        ((0, 95, 9, 0), (75, 27, True, 41.21630045417012)),
+        ((0, 86, 9, 0), (68, 17, True, 44.79116096522481)),
+        ((0, 83, 9, 0), (33, 8, True, 50.12445782586646)),
+        ((1, 80, 9, 0), (55, 4, True, 48.82899629288974))],
 }
 
 
@@ -242,22 +242,22 @@ def test_circle_and_interval_reports_pinned(case):
     for trif_pin, (*counts, largest) in _REPORT_PINS[case]:
         coupled = rp.sample_coupled(region, lam, delta, (), (), rng)
         trif = pc.trifurcation_diagnostic(coupled, 1, 1.0, delta)
-        rep = pc.cluster_report(coupled, 1, 1.0)
+        rep = pc.cluster_report(coupled)
         assert (trif.n_trifurcations, trif.n_boundary_intervals, trif.n_probes,
                 trif.n_clipped) == trif_pin
-        assert [rep.n_clusters, rep.boundary_touching, rep.origin_to_ghost,
-                rep.origin_to_boundary] == counts
+        assert [rep.n_clusters, rep.boundary_touching, rep.origin_to_ghost] == counts
         assert rep.largest_cluster_measure == pytest.approx(largest, abs=1e-12)
 
 
 # sha256 of the criterion-10 loop output, one line per draw of
 # chain_generator(seed, 0) at lam = delta = 1: weight repr, the four
-# trifurcation counts and the cluster report, recorded while every probe
-# built its own partition.
+# trifurcation counts and the cluster report (clusters, boundary-touching,
+# origin-to-ghost, largest measure), recorded before the report lost its
+# origin-to-boundary probe.
 _LOOP_PINS = {
-    ("ground-state", 1, 150): "5f30c4492a0ebfa824ff9c09e89f5b2701a473bea4520bf2891668760da82e03",
-    ("ground-state", 2, 150): "f14c5e059998bbcdec6930ddef9651e637baef03fba9ad008708314642c18659",
-    ("circle", 1, 40): "b4b095541bcf263c87dc2b9b52696e2a3a864a870c96560b82e840a222dfdfc4",
+    ("ground-state", 1, 150): "9694305c45b76be8e3855ee834d4bba1da279f2073e4c98d56545f2886cf2f07",
+    ("ground-state", 2, 150): "3210fa90db03c8c1a0732dbd20cf28597aef9650d7755df7113b52d54d8ed98a",
+    ("circle", 1, 40): "e8012f138a1b672e8d8246da61028dbe038220567e60c491639c3a6ec3eb60fa",
 }
 
 
@@ -270,10 +270,10 @@ def test_leaf_bound_loop_digest_pinned(shape, seed, n_draws):
     for _ in range(n_draws):
         c = rp.sample_coupled(region, 1.0, 1.0, (), (), rng)
         t = pc.trifurcation_diagnostic(c, 1, 1.0, 1.0)
-        r = pc.cluster_report(c, 1, 1.0)
+        r = pc.cluster_report(c)
         lines.append(f"{c.weight!r},{t.n_trifurcations},{t.n_boundary_intervals},{t.n_probes},"
                      f"{t.n_clipped},{r.n_clusters},{r.boundary_touching},{r.origin_to_ghost},"
-                     f"{r.origin_to_boundary},{r.largest_cluster_measure!r}")
+                     f"{r.largest_cluster_measure!r}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _LOOP_PINS[shape, seed, n_draws]
 
@@ -305,7 +305,7 @@ def test_one_whole_region_partition_per_configuration(monkeypatch):
     build = rp.VertexIndex.build
     monkeypatch.setattr(rp.VertexIndex, "build",
                         staticmethod(lambda *args: calls.append(args) or build(*args)))
-    pc.cluster_report(coupled, 1, 1.0)
+    pc.cluster_report(coupled)
     pc.trifurcation_diagnostic(coupled, 1, 1.0, 1.0)
     for mode in ("plain", "off-gamma", "to-gamma"):
         rp.connectivity(coupled, ((0,), 0.0), ((1,), 0.3), mode)

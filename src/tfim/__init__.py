@@ -12,9 +12,9 @@ from .geometry import (Box, DualLattice, EdgeSet, Holes, SpaceTimeRegion,
                        graph_laplacian_ft, l1_norm)
 from .poisson import (Carrier, PointSet, rn_add_or_delete, rn_add_two_if_empty,
                       rn_delete_all, verify_modification_identity)
-from .randomparity import (ClusterPartition, CoupledConfiguration, Labelling,
-                           build_labelling, connectivity, constant_A,
-                           constant_B, correlation_difference_bound,
+from .randomparity import (CoupledConfiguration, Labelling, build_labelling,
+                           connectivity, constant_A, constant_B,
+                           correlation_difference_bound,
                            estimate_rpr_correlation, event_probability_identity,
                            holes_identity_check, sample_coupled,
                            verify_switching)
@@ -27,7 +27,7 @@ from .stats import Check, Estimate
 from .rng import chain_generator
 
 __all__ = [
-    "Box", "Carrier", "Check", "ClusterPartition", "CoupledConfiguration",
+    "Box", "Carrier", "Check", "CoupledConfiguration",
     "DualLattice", "E_function", "EdgeSet", "Estimate", "Holes",
     "Labelling", "PointSet", "SpaceTimeRegion",
     "SpectralModel", "SpinConfiguration", "TrotterSampler",

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .geometry import Box, SpaceTimeRegion
+
 KINDS = ("correlation", "magnetization-sweep", "switching-verify", "irb-check",
          "percolation-sweep", "identity-suite", "lambda-c")
 
@@ -97,9 +99,22 @@ class RunConfig:
             raise ConfigError("bad sampling parameters")
         return self
 
+    def region(self, n: int | None = None, bc_space: str | None = None,
+               bc_time: str | None = None) -> SpaceTimeRegion:
+        """The run's region, with the half-side and the boundary conditions
+        given here in place of the config's.  Ground-state regions have time
+        length 2n and take free time for periodic."""
+        box = Box(self.d, self.n if n is None else n)
+        bs = self.bc_space if bc_space is None else bc_space
+        bt = self.bc_time if bc_time is None else bc_time
+        if self.ground_state:
+            return SpaceTimeRegion.ground_state(box, bs, bt if bt != "p" else "f")
+        return SpaceTimeRegion.finite_beta(box, self.beta, bs, bt)
+
     def _check_point(self) -> None:
         """The second correlation point lies in the region, off the origin,
-        and off the time endpoints when time is an interval."""
+        and off the time endpoints (:meth:`SpaceTimeRegion.at_time_end`) when
+        time is an interval."""
         if len(self.point_site) != self.d:
             raise ConfigError(f"point_site {self.point_site} needs d = {self.d} coordinates")
         if not any(self.point_site) and self.point_time == 0:
@@ -107,9 +122,9 @@ class RunConfig:
         if any(abs(c) > self.n for c in self.point_site):
             raise ConfigError(f"point_site {self.point_site} is outside the box of half-side {self.n}")
         half = self.n if self.ground_state else self.beta / 2.0
-        interval = self.ground_state or self.bc_time != "p"
-        if abs(self.point_time) > half or (interval and abs(self.point_time) == half):
-            lo, hi = "()" if interval else "[]"
+        region = self.region()
+        if abs(self.point_time) > half or region.at_time_end(self.point_time):
+            lo, hi = "()" if region.time_topology == "interval" else "[]"
             raise ConfigError(f"point_time {self.point_time} must lie in {lo}-{half}, {half}{hi}")
 
 

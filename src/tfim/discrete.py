@@ -9,6 +9,8 @@ flips from even-even to odd-odd trades a w_even^2 weight factor for the
 freedom of carrying a cut), and the switching identity holds exactly at any
 slot count.  Enumeration is over every assignment of bridges, ghosts, cuts
 and time-zero parities, so expectations are exact up to float rounding.
+Connectivity is open-path connectivity without ghost jumps, the one the
+switching identity reads.
 """
 
 from __future__ import annotations
@@ -125,31 +127,19 @@ def _switch_parities(system: DiscreteSystem, bridges, ghosts, sources):
     return par
 
 
-def _connected(system: DiscreteSystem, bridges_union, ghosts, blocked,
-               start, end, use_ghost_jumps: bool) -> bool:
-    """Open-path connectivity between two (site, boundary) nodes; a cell in
-    ``blocked`` (a cut in an even-even cell) stops its line."""
+def _connected(system: DiscreteSystem, bridges_union, blocked, start, end) -> bool:
+    """Open-path connectivity, without ghost jumps, between two (site,
+    boundary) nodes; a cut in an even-even cell (``blocked``) stops its line."""
     m = system.n_slots
     n_b = m + 1 if system.topology == "interval" else m
     index = {(x, b): i * n_b + b for i, x in enumerate(system.sites) for b in range(n_b)}
-    hub = len(system.sites) * n_b
-    uf = _UnionFind(hub + 1)
-
+    uf = _UnionFind(len(system.sites) * n_b)
     for x in system.sites:
         for c in system.cells():
             if (x, c) not in blocked:
                 uf.union(index[(x, c)], index[(x, (c + 1) % n_b)])
     for ((x, y), b) in bridges_union:
         uf.union(index[(x, b)], index[(y, b)])
-    ghost_nodes = [index[g] for g in ghosts]
-    if system.topology == "interval" and system.bc2 == "w":
-        ghost_nodes += [index[(x, b)] for x in system.sites for b in (0, m)]
-    if use_ghost_jumps:
-        for g in ghost_nodes:
-            uf.union(g, hub)
-    if end == "ghost":
-        root = uf.find(index[start])
-        return any(uf.find(g) == root for g in ghost_nodes)
     return uf.find(index[start]) == uf.find(index[end])
 
 
@@ -252,8 +242,7 @@ def _connection_probability(system: DiscreteSystem, even_even: frozenset,
         for bridges, p_lat in opened:
             key = (cut, bridges)
             if key not in connected:
-                connected[key] = _connected(system, bridges, (), cut, start, end,
-                                            use_ghost_jumps=False)
+                connected[key] = _connected(system, bridges, cut, start, end)
             if connected[key]:
                 terms.append(p_cut * p_lat)
     return math.fsum(terms)
@@ -301,19 +290,3 @@ def coupled_probability(system: DiscreteSystem, event: Callable[[DiscreteCoupled
     num = sum(c.prob * c.weight for c in configs if event(c))
     den = sum(c.prob * c.weight for c in configs)
     return num / den
-
-
-def coupled_connected(system: DiscreteSystem, config: DiscreteCoupled,
-                      start, end, mode: str = "plain") -> bool:
-    """Connectivity query on an enumerated configuration.
-
-    ``mode`` is "plain", "off-gamma" (no ghost jumps) or "to-gamma"
-    (``end`` ignored)."""
-    if mode not in ("plain", "off-gamma", "to-gamma"):
-        raise ValueError(f"unknown connectivity mode {mode!r}")
-    union = list(config.bridges1) + list(config.bridges2)
-    blocked = {(x, c) for (x, c) in config.cuts
-               if config.labels1[x][c] and config.labels2[x][c]}
-    return _connected(system, union, config.ghosts, blocked, start,
-                      "ghost" if mode == "to-gamma" else end,
-                      use_ghost_jumps=(mode != "off-gamma"))

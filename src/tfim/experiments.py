@@ -20,7 +20,7 @@ import numpy as np
 from . import percolation, randomparity, spectral, spinrep
 from .config import ConfigError, RunConfig
 from .discrete import DiscreteSystem, switching_sides
-from .geometry import Box, EdgeSet, Holes, SpaceTimeRegion
+from .geometry import Box, EdgeSet, Holes
 from .poisson import verify_modification_identity
 from .rng import chain_generator
 from .stats import Check, RatioAccumulator, ratio_estimate_independent
@@ -46,21 +46,6 @@ KIND_COLUMNS = {
 }
 
 
-def _region(cfg: RunConfig, n: int | None = None,
-            bc_space: str | None = None, bc_time: str | None = None) -> SpaceTimeRegion:
-    box = Box(cfg.d, cfg.n if n is None else n)
-    bs = cfg.bc_space if bc_space is None else bc_space
-    bt = cfg.bc_time if bc_time is None else bc_time
-    if cfg.ground_state:
-        return SpaceTimeRegion.ground_state(box, bs, bt if bt != "p" else "f")
-    return SpaceTimeRegion.finite_beta(box, cfg.beta, bs, bt)
-
-
-def _percolation_region(cfg: RunConfig) -> SpaceTimeRegion:
-    """Wired space; periodic time at finite beta, free time in the ground state."""
-    return _region(cfg, bc_space="w", bc_time="p")
-
-
 @contextmanager
 def _point_map(workers: int):
     """A map of a function over tasks with results in task order: in this
@@ -82,17 +67,14 @@ def _correlation_chain(args) -> tuple:
     and the seconds its spin and labelling stages took."""
     cfg, lam, chain = args
     rng = chain_generator(cfg.seed, chain)
-    region = _region(cfg)
+    region = cfg.region()
     points = [((0,) * cfg.d, 0.0), (tuple(cfg.point_site), cfg.point_time)]
     t0 = time.perf_counter()
     logs, vals = spinrep._weights_and_values(region, lam, cfg.delta, cfg.n_samples, rng,
                                              lambda c: c.product_over(points))
     t1 = time.perf_counter()
-    with_ghosts = region.bc_space == "w"
-    num = randomparity._labelling_weights(region, lam, cfg.delta, points,
-                                          cfg.n_samples, rng, with_ghosts)
-    den = randomparity._labelling_weights(region, lam, cfg.delta, (),
-                                          cfg.n_samples, rng, with_ghosts)
+    num = randomparity._labelling_weights(region, lam, cfg.delta, points, cfg.n_samples, rng)
+    den = randomparity._labelling_weights(region, lam, cfg.delta, (), cfg.n_samples, rng)
     return (logs, vals, num, den), (t1 - t0, time.perf_counter() - t1)
 
 
@@ -109,6 +91,7 @@ def run_correlation(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]
     origin = (0,) * cfg.d
     points = [(origin, 0.0), (tuple(cfg.point_site), cfg.point_time)]
     spin_s = labelling_s = 0.0
+    region = cfg.region()
     with _point_map(workers) as map_points:
         for lam in cfg.lam_grid:
             t0 = time.time()
@@ -126,7 +109,6 @@ def run_correlation(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]
             spin_est = acc_spin.estimate()
             rpr_est = ratio_estimate_independent(num, den)
             wall = time.time() - t0
-            region = _region(cfg)
             base = {"kind": cfg.kind, "d": cfg.d, "n": cfg.n, "r": region.r,
                     "bc_space": region.bc_space, "bc_time": region.bc_time,
                     "lam": lam, "delta": cfg.delta, "seed": cfg.seed,
@@ -160,10 +142,7 @@ def _magnetization_point(args) -> dict:
     t0 = time.time()
     lam = cfg.lam_grid[j]
     rng = chain_generator(cfg.seed, 1000 * n + j)
-    if cfg.ground_state:
-        region = SpaceTimeRegion.ground_state(Box(cfg.d, n), "w", "w")
-    else:
-        region = SpaceTimeRegion.finite_beta(Box(cfg.d, n), cfg.beta, "w", "p")
+    region = cfg.region(n, "w", "w" if cfg.ground_state else "p")
     result = spinrep.trotter_magnetization(region, lam, cfg.delta, cfg.n_sweeps, rng, cfg.dt)
     return {"kind": cfg.kind, "method": "trotter", "d": cfg.d,
             "n": n, "r": region.r, "lam": lam, "delta": cfg.delta,
@@ -243,7 +222,7 @@ def run_switching_verify(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, 
         rows.append(row)
     t0 = time.time()
     rng = chain_generator(cfg.seed, 0)
-    region = _region(cfg, bc_space="w")
+    region = cfg.region(bc_space="w")
     kappa = (tuple(cfg.point_site), cfg.point_time)
     check = randomparity.verify_switching(region, cfg.lam_grid[0], cfg.delta,
                                           kappa, cfg.n_samples, rng)
@@ -287,7 +266,8 @@ def run_irb_check(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
 def _percolation_chain(args) -> dict:
     cfg, lam, chain = args
     rng = chain_generator(cfg.seed, chain)
-    region = _percolation_region(cfg)
+    # wired space; periodic time at finite beta, free time in the ground state
+    region = cfg.region(bc_space="w", bc_time="p")
     acc = RatioAccumulator()
     clusters = []
     boundary = []
@@ -310,6 +290,7 @@ def _percolation_chain(args) -> dict:
 
 def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
     rows = []
+    region = cfg.region(bc_space="w", bc_time="p")
     with _point_map(workers) as map_points:
         for lam in cfg.lam_grid:
             t0 = time.time()
@@ -331,7 +312,6 @@ def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict,
                     f"percolation-sweep: all {acc.n} coupled weights of the origin-to-ghost "
                     f"pool at lam={lam} are zero, so its ratio is undefined")
             est = acc.estimate()
-            region = _percolation_region(cfg)
             rows.append({"kind": cfg.kind, "d": cfg.d, "n": cfg.n, "r": region.r,
                          "lam": lam, "delta": cfg.delta,
                          "p_origin_ghost": est.value, "stderr": est.stderr,
@@ -341,7 +321,7 @@ def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict,
                          "n_samples": cfg.n_samples * cfg.n_chains,
                          "seed": cfg.seed, "pass": violations == 0,
                          "wall_time": round(time.time() - t0, 3)})
-    return (rows, {"leaf_bound": percolation.leaf_bound(_percolation_region(cfg), cfg.delta)},
+    return (rows, {"leaf_bound": percolation.leaf_bound(region, cfg.delta)},
             all(row["pass"] for row in rows))
 
 
@@ -364,7 +344,7 @@ def run_identity_suite(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bo
             add("modification-bound", f"{scheme}-at{at}", check, t0)
 
     # holes identity
-    region = _region(cfg, bc_space="f")
+    region = cfg.region(bc_space="f")
     span = (-region.r / 8.0, region.r / 8.0)
     holes = Holes.of({(0,) * cfg.d: [span]})
     t0 = time.time()
@@ -380,12 +360,12 @@ def run_identity_suite(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bo
 
     # connectivity = correlation product
     t0 = time.time()
-    regionw = _region(cfg, bc_space="w")
+    regionw = cfg.region(bc_space="w")
     p = ((0,) * cfg.d, 0.0)
     q = (tuple(cfg.point_site), cfg.point_time)
     conn = percolation.two_point_connectivity(regionw, lam, cfg.delta, p, q,
                                               cfg.n_samples, rng)
-    corr_f = randomparity.estimate_rpr_correlation([p, q], _region(cfg, bc_space="f"),
+    corr_f = randomparity.estimate_rpr_correlation([p, q], cfg.region(bc_space="f"),
                                                    lam, cfg.delta, cfg.n_samples, rng)
     corr_w = randomparity.estimate_rpr_correlation([p, q], regionw,
                                                    lam, cfg.delta, cfg.n_samples, rng)
@@ -419,7 +399,7 @@ def _ratio_point(args) -> tuple[float, float, float]:
     lo = n // 2
     distances = sorted({max(1, lo), max(1, lo + (n % 2)), far})
     rng = chain_generator(cfg.seed, 10000 * n + j)
-    region = SpaceTimeRegion.ground_state(Box(cfg.d, n), "p", "f")
+    region = cfg.region(n, "p", "f")
     res = spinrep.trotter_pair_correlations(region, cfg.lam_grid[j], cfg.delta,
                                             distances, cfg.n_sweeps, rng, cfg.dt)
     c_far = res[far].estimate

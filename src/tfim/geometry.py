@@ -122,14 +122,13 @@ class EdgeSet:
     """Unordered nearest-neighbour pairs for one of the three spatial modes.
 
     ``free``: pairs inside the box.  ``wired-extended``: pairs inside the
-    enlarged box, with the added shell flagged frozen.  ``spatially-periodic``:
+    box enlarged by the frozen shell.  ``spatially-periodic``:
     free pairs plus wrap-around pairs whose differing coordinate takes the two
     extreme values.  Wrap pairs are kept with multiplicity, so a side-2
     periodic box carries a doubled edge.
     """
 
     edges: Tuple[Edge, ...]
-    frozen_sites: Tuple[Site, ...] = ()
 
     @staticmethod
     def free(box: Box) -> "EdgeSet":
@@ -138,9 +137,7 @@ class EdgeSet:
     @staticmethod
     def wired_extended(box: Box) -> "EdgeSet":
         extended = Box(box.d, box.n + 1, box.convention)
-        inner = set(box.sites())
-        frozen = tuple(x for x in extended.sites() if x not in inner)
-        return EdgeSet(tuple(_nn_pairs(extended.sites())), frozen)
+        return EdgeSet(tuple(_nn_pairs(extended.sites())))
 
     @staticmethod
     def spatially_periodic(box: Box) -> "EdgeSet":
@@ -230,6 +227,11 @@ class SpaceTimeRegion:
     def contains_point(self, point: Tuple[Site, float]) -> bool:
         x, t = point
         return tuple(x) in self.box and self.contains_time(t)
+
+    def at_time_end(self, t: float) -> bool:
+        """True when time is an interval and t lies within 1e-12 of one of its
+        ends, where no source or correlation point may sit."""
+        return self.time_topology == "interval" and abs(abs(t) - self.r / 2) < 1e-12
 
 
 @dataclass(frozen=True)

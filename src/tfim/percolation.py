@@ -28,38 +28,39 @@ class ClusterReport:
     n_clusters: int
     boundary_touching: int
     origin_to_ghost: bool
-    origin_to_boundary: bool
     largest_cluster_measure: float
 
 
 def _boundary_roots(coupled: CoupledConfiguration) -> set:
     """Roots of the classes of the configuration's clusters that touch the
     region boundary (see :meth:`~tfim.randomparity.VertexIndex.boundary_vertices`)."""
-    find = coupled.clusters.uf.find
+    find = coupled.clusters.find
     return {find(v) for ids in coupled.index.boundary.values() for v in ids}
 
 
-def cluster_report(coupled: CoupledConfiguration, probe_n0: int | None = None,
-                   probe_r0: float | None = None) -> ClusterReport:
+def classes(coupled: CoupledConfiguration) -> dict:
+    """The configuration's clusters: class root -> list of (site, vertex
+    number on that site's line)."""
+    index, find = coupled.index, coupled.clusters.find
+    out = {}
+    for x, offset in index.offsets.items():
+        for i in range(len(index.starts[x])):
+            out.setdefault(find(offset + i), []).append((x, i))
+    return out
+
+
+def cluster_report(coupled: CoupledConfiguration) -> ClusterReport:
     """Cluster decomposition of the region under the open-path semantics.
 
     Cluster counts use ghost-free connectivity (the ghost class is a
     boundary artifact); origin-to-ghost uses the ghost-jump rules."""
     index = coupled.index
-    classes = coupled.clusters.classes()
-    largest = max(sum(index.ends[x][i] - index.starts[x][i] for (x, i) in members)
-                  for members in classes.values())
-    origin = (0,) * coupled.region.box.d
-    root = coupled.clusters.root((origin, 0.0))
-    to_boundary = False
-    if probe_n0 is not None and probe_r0 is not None:
-        eps = 1e-12
-        to_boundary = any(any(abs(c) > probe_n0 for c in x)
-                          or index.starts[x][i] < -probe_r0 / 2 - eps
-                          or index.ends[x][i] > probe_r0 / 2 + eps
-                          for (x, i) in classes.get(root, []))
-    return ClusterReport(len(classes), len(_boundary_roots(coupled)),
-                         root in coupled.ghost_roots, to_boundary, largest)
+    members = classes(coupled)
+    largest = max(sum(index.ends[x][i] - index.starts[x][i] for (x, i) in cls)
+                  for cls in members.values())
+    root = coupled.root(((0,) * coupled.region.box.d, 0.0))
+    return ClusterReport(len(members), len(_boundary_roots(coupled)),
+                         root in coupled.ghost_roots, largest)
 
 
 def two_point_connectivity(region: SpaceTimeRegion, lam: float, delta: float,

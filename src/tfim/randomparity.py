@@ -15,8 +15,9 @@ periodic time anchors the label at time zero with a fair coin tau that is
 resampled per draw and never exposed.  Wired space draws ghost points on
 boundary sites at rate lam times the number of exterior neighbours.  Coupled
 configurations pair a plain labelling (free space) with a ghosted one (wired
-space): periodic/periodic when the region is a finite-beta circle, free/wired
-otherwise, plus an independent rate-4*delta cut process.
+space, always with ghost points): periodic/periodic when the region is a
+finite-beta circle, free/wired otherwise, plus an independent rate-4*delta cut
+process.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _check_sources(region: SpaceTimeRegion, sources: Sequence) -> _CheckedSource
     for (x, t) in pts:
         if not region.contains_point((x, t)):
             raise InconsistentSourceError(f"source {(x, t)} outside region")
-        if region.time_topology == "interval" and abs(abs(t) - region.r / 2) < 1e-12:
+        if region.at_time_end(t):
             raise InconsistentSourceError("sources must avoid the time endpoints")
     if len(set(pts)) != len(pts):
         raise InconsistentSourceError("duplicate source points")
@@ -241,9 +242,9 @@ class CoupledConfiguration:
         return VertexIndex.build(self)
 
     @functools.cached_property
-    def clusters(self) -> "ClusterPartition":
-        """The ghost-free partition of the whole region: the vertices of
-        :attr:`index` joined at the circle seams and by both bridge sets."""
+    def clusters(self) -> "_UnionFind":
+        """Ghost-free open-path clusters: a union-find over the vertices of
+        :attr:`index`, joined at the circle seams and by both bridge sets."""
         index = self.index
         uf = _UnionFind(index.n_vertices)
         for i, j in index.seams.values():
@@ -251,7 +252,13 @@ class CoupledConfiguration:
         for (_, _, _, ids_x, ids_y) in index.edges:
             for i, j in zip(ids_x, ids_y):
                 uf.union(i, j)
-        return ClusterPartition(index, uf)
+        return uf
+
+    def root(self, p: tuple) -> int | None:
+        """Root in :attr:`clusters` of the class of the point p = (x, t), or
+        None off [t_min, t_max]."""
+        v = self.index.vertex(tuple(p[0]), p[1])
+        return None if v is None else self.clusters.find(v)
 
     @functools.cached_property
     def ghost_roots(self) -> set:
@@ -262,7 +269,7 @@ class CoupledConfiguration:
         points = [(x, float(t)) for x, times in self.ghosts.items() for t in np.asarray(times)]
         if coupled_bc_pair(region)[1] == "w":
             points += [(x, t) for x in region.box.sites() for t in (region.t_min, region.t_max)]
-        return {self.clusters.root(p) for p in points}
+        return {self.root(p) for p in points}
 
 
 def coupled_bc_pair(region: SpaceTimeRegion) -> tuple[str, str]:
@@ -283,15 +290,14 @@ def _distinct(arrays: list) -> bool:
 
 def sample_coupled(region: SpaceTimeRegion, lam: float, delta: float,
                    sources1: Sequence = (), sources2: Sequence = (),
-                   rng: np.random.Generator = None,
-                   ghost_free: bool = False) -> CoupledConfiguration:
+                   rng: np.random.Generator = None) -> CoupledConfiguration:
     """One weighted draw of the coupled measure (weight may be zero).  Raises
     SamplingError when 100 draws in a row repeat a bridge or ghost time."""
     t1, t2 = coupled_bc_pair(region)
     box = region.box
     lo, hi = region.t_min, region.t_max
     free_edges = box.free_edges
-    rates = {} if ghost_free else ghost_rates(box, lam)
+    rates = ghost_rates(box, lam)
     for _ in range(100):
         bridges1 = {e: draw_times(lo, hi, lam, rng) for e in free_edges}
         bridges2 = {e: draw_times(lo, hi, lam, rng) for e in free_edges}
@@ -468,28 +474,6 @@ class VertexIndex:
                 for x, offset in self.offsets.items()}
 
 
-@dataclass
-class ClusterPartition:
-    """Open-path clusters: a union-find over the vertex ids of a
-    :class:`VertexIndex` (see :attr:`CoupledConfiguration.clusters`)."""
-
-    index: VertexIndex
-    uf: _UnionFind
-
-    def root(self, p: tuple) -> int | None:
-        """Class root of the point p = (x, t), or None off [t_min, t_max]."""
-        v = self.index.vertex(tuple(p[0]), p[1])
-        return None if v is None else self.uf.find(v)
-
-    def classes(self) -> dict:
-        """Map class representative -> list of (site, vertex index)."""
-        out = {}
-        for x, offset in self.index.offsets.items():
-            for i in range(len(self.index.starts[x])):
-                out.setdefault(self.uf.find(offset + i), []).append((x, i))
-        return out
-
-
 def _piece(span: tuple, vertex: int) -> int:
     """Id of the piece of ``vertex`` in a clipped span (a, b, first, lo, hi)
     (see :meth:`VertexIndex.clip`)."""
@@ -506,10 +490,10 @@ def connectivity(coupled: CoupledConfiguration, p: tuple, q: tuple,
     whether p reaches the ghost class (q ignored)."""
     if mode not in ("plain", "off-gamma", "to-gamma"):
         raise ValueError(f"unknown connectivity mode {mode!r}")
-    root = coupled.clusters.root(p)
+    root = coupled.root(p)
     if mode == "to-gamma":
         return root in coupled.ghost_roots
-    other = coupled.clusters.root(q)
+    other = coupled.root(q)
     if root is None or other is None:
         return False
     return root == other or (mode == "plain" and {root, other} <= coupled.ghost_roots)
@@ -594,16 +578,16 @@ def origin_ghost_probability(region: SpaceTimeRegion, lam: float, delta: float,
 
 
 def _labellings(region: SpaceTimeRegion, lam: float, sources: Sequence, n_samples: int,
-                rng: np.random.Generator, with_ghosts: bool):
-    """Yield ``n_samples`` labellings of the region's time condition, each
-    drawn as bridges on the free edges, then ghost points (``with_ghosts``),
-    then the periodic anchors tau.  The sources are checked once per pool."""
+                rng: np.random.Generator):
+    """Yield ``n_samples`` labellings of the region, each drawn as bridges on
+    the free edges, then ghost points (wired space only), then the periodic
+    anchors tau.  The sources are checked once per pool."""
     lo, hi = region.t_min, region.t_max
     box = region.box
     sites = box.sites()
     free_edges = list(EdgeSet.free(box).edges)
     bc = region.bc_time
-    rates = ghost_rates(box, lam) if with_ghosts else {}
+    rates = ghost_rates(box, lam) if region.bc_space == "w" else {}
     sources = _check_sources(region, sources)
     for _ in range(n_samples):
         bridges = {e: draw_times(lo, hi, lam, rng) for e in free_edges}
@@ -614,9 +598,9 @@ def _labellings(region: SpaceTimeRegion, lam: float, sources: Sequence, n_sample
 
 def _labelling_weights(region: SpaceTimeRegion, lam: float, delta: float,
                        sources: Sequence, n_samples: int,
-                       rng: np.random.Generator, with_ghosts: bool) -> np.ndarray:
+                       rng: np.random.Generator) -> np.ndarray:
     return np.array([lab.weight_normalized(delta) for lab in
-                     _labellings(region, lam, sources, n_samples, rng, with_ghosts)])
+                     _labellings(region, lam, sources, n_samples, rng)])
 
 
 def estimate_rpr_correlation(sources: Sequence, region: SpaceTimeRegion,
@@ -627,9 +611,8 @@ def estimate_rpr_correlation(sources: Sequence, region: SpaceTimeRegion,
     Numerator and denominator use independent pools; the standard error is
     the delta method."""
     _check_sources(region, sources)
-    with_ghosts = region.bc_space == "w"
-    num = _labelling_weights(region, lam, delta, sources, n_samples, rng, with_ghosts)
-    den = _labelling_weights(region, lam, delta, (), n_samples, rng, with_ghosts)
+    num = _labelling_weights(region, lam, delta, sources, n_samples, rng)
+    den = _labelling_weights(region, lam, delta, (), n_samples, rng)
     check_denominator_pool(den, lam)
     return ratio_estimate_independent(num, den)
 
@@ -780,17 +763,15 @@ def verify_local_modification_B(region: SpaceTimeRegion, lam: float, delta: floa
 
 # -- holes and event-probability identities -----------------------------------
 
-def _component_anchor(region: SpaceTimeRegion, lo: float, hi: float,
-                      bc_time: str) -> tuple[bool, bool]:
+def _component_anchor(region: SpaceTimeRegion, lo: float, hi: float) -> tuple[bool, bool]:
     """(left anchor even, right anchor even) of an interval component."""
-    left = True if lo > region.t_min else bc_time == "f"
-    right = True if hi < region.t_max else bc_time == "f"
+    left = True if lo > region.t_min else region.bc_time == "f"
+    right = True if hi < region.t_max else region.bc_time == "f"
     return left, right
 
 
 def sample_cut_labelling_weight(region: SpaceTimeRegion, holes: Holes, lam: float,
-                                delta: float, bc_time: str,
-                                rng: np.random.Generator) -> float:
+                                delta: float, rng: np.random.Generator) -> float:
     """One normalized weight draw of the source-free labelling on the region
     with the holes removed (bridge intensity vanishes when either endpoint is
     missing; anchors at hole endpoints are even)."""
@@ -807,8 +788,6 @@ def sample_cut_labelling_weight(region: SpaceTimeRegion, holes: Holes, lam: floa
     for x in box.sites():
         times = sorted(switch_per_site[x])
         if circle and not holes.on_site(x):
-            if bc_time != "p":
-                raise ValueError("circle topology pairs with periodic time")
             if len(times) % 2 != 0:
                 return 0.0
             tau_even = rng.integers(2) == 0
@@ -821,7 +800,7 @@ def sample_cut_labelling_weight(region: SpaceTimeRegion, holes: Holes, lam: floa
                     left_even = right_even = True
                 else:
                     lo_c, hi_c = comp
-                    left_even, right_even = _component_anchor(region, lo_c, hi_c, bc_time)
+                    left_even, right_even = _component_anchor(region, lo_c, hi_c)
                 inside = sorted([t for t in times if lo_c < t < hi_c]
                                 + [t + region.r for t in times
                                    if circle and lo_c < t + region.r < hi_c])
@@ -831,6 +810,19 @@ def sample_cut_labelling_weight(region: SpaceTimeRegion, holes: Holes, lam: floa
         for (a, b) in odd:
             odd_total += b - a
     return math.exp(-2.0 * delta * odd_total)
+
+
+def _even_throughout_pool(holes: Holes, region: SpaceTimeRegion, lam: float, delta: float,
+                          n_samples: int, rng: np.random.Generator) -> tuple:
+    """(num, den) over ``n_samples`` source-free labellings: den the weights,
+    num the same weights where the labelling is even throughout the holes and
+    0 elsewhere."""
+    num = np.empty(n_samples)
+    den = np.empty(n_samples)
+    for i, lab in enumerate(_labellings(region, lam, (), n_samples, rng)):
+        w = den[i] = lab.weight_normalized(delta)
+        num[i] = w if w > 0 and lab.even_throughout(holes) else 0.0
+    return num, den
 
 
 def holes_identity_check(holes: Holes, region: SpaceTimeRegion, lam: float,
@@ -846,18 +838,14 @@ def holes_identity_check(holes: Holes, region: SpaceTimeRegion, lam: float,
     2^{m_p} factors; the check's detail carries that form and its residual."""
     if region.bc_space != "f":
         raise ValueError("the holes identity concerns the plain labelling")
-    bc = region.bc_time
     edges = EdgeSet.free(region.box).edges
     shadow = edge_shadow_length(region, holes, edges)
-    m_p = len(holes.cut_sites()) if bc == "p" else 0
+    m_p = len(holes.cut_sites()) if region.bc_time == "p" else 0
 
     lhs = np.empty(n_samples)
     for i in range(n_samples):
-        lhs[i] = sample_cut_labelling_weight(region, holes, lam, delta, bc, rng)
-    rhs = np.empty(n_samples)
-    for i, lab in enumerate(_labellings(region, lam, (), n_samples, rng, False)):
-        w = lab.weight_normalized(delta)
-        rhs[i] = w if w > 0 and lab.even_throughout(holes) else 0.0
+        lhs[i] = sample_cut_labelling_weight(region, holes, lam, delta, rng)
+    rhs, _ = _even_throughout_pool(holes, region, lam, delta, n_samples, rng)
     scale = (2.0**m_p) * math.exp(lam * shadow)
     el = mean_estimate(lhs)
     er = mean_estimate(rhs)
@@ -878,12 +866,8 @@ def event_probability_identity(holes: Holes, region: SpaceTimeRegion, lam: float
     c(J) = 2^{-n} e^{delta |J| + lam |Jt|} for reference."""
     if region.bc_space != "f":
         raise ValueError("the tilted measure concerns the plain labelling")
-    num = np.empty(n_samples)
-    den = np.empty(n_samples)
-    for i, lab in enumerate(_labellings(region, lam, (), n_samples, rng, False)):
-        w = den[i] = lab.weight_normalized(delta)
-        num[i] = w if w > 0 and lab.even_throughout(holes) else 0.0
-    lhs = ratio_estimate_jackknife(num, den)
+    lhs = ratio_estimate_jackknife(*_even_throughout_pool(holes, region, lam, delta,
+                                                          n_samples, rng))
 
     m_p = len(holes.cut_sites()) if region.bc_time == "p" else 0
     z_cut = spinrep.estimate_cut_partition(region, holes, lam, delta, n_samples, rng)

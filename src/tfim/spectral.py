@@ -154,8 +154,7 @@ def build(box_or_sites, edges, lam: float, delta: float, gamma: float = 0.0,
     return SpectralModel(sites, list(edges), lam, delta, gamma, fields, energies, vectors)
 
 
-def build_for_region(region: SpaceTimeRegion, lam: float, delta: float,
-                     gamma: float = 0.0) -> SpectralModel:
+def build_for_region(region: SpaceTimeRegion, lam: float, delta: float) -> SpectralModel:
     """Model matching a region's spatial boundary condition.
 
     Wired space becomes a longitudinal field lam * (number of frozen
@@ -165,8 +164,8 @@ def build_for_region(region: SpaceTimeRegion, lam: float, delta: float,
     box = region.box
     if region.bc_space == "w":
         fields = {x: lam * count for x, count in box.exterior_counts}
-        return build(box, EdgeSet.free(box), lam, delta, gamma, fields)
-    return build(box, region.edge_set(), lam, delta, gamma)
+        return build(box, EdgeSet.free(box), lam, delta, site_fields=fields)
+    return build(box, region.edge_set(), lam, delta)
 
 
 def thermal_expectation(model: SpectralModel, observable: np.ndarray,
@@ -268,9 +267,9 @@ def correlation(model: SpectralModel, points: Sequence, r: float, bc_time: str) 
 
 
 def oracle_correlation(region: SpaceTimeRegion, lam: float, delta: float,
-                       points: Sequence, gamma: float = 0.0) -> float:
+                       points: Sequence) -> float:
     """Exact correlation under the region's boundary conditions."""
-    model = build_for_region(region, lam, delta, gamma)
+    model = build_for_region(region, lam, delta)
     return correlation(model, points, region.r, region.bc_time)
 
 
@@ -381,7 +380,6 @@ class IrbReport:
     rows: list
     worst_slack: float
     ok: bool
-    offenders: list
 
 
 def irb_check(model: SpectralModel, r: float, l_max: float, lam: float, delta: float,
@@ -390,7 +388,6 @@ def irb_check(model: SpectralModel, r: float, l_max: float, lam: float, delta: f
     table = schwinger_fourier(model, r, l_max, box)
     rows = []
     worst = math.inf
-    offenders = []
     zero = tuple(0.0 for _ in range(table.box.d))
     for i, k in enumerate(table.momenta):
         for j, l in enumerate(table.frequencies):
@@ -401,9 +398,7 @@ def irb_check(model: SpectralModel, r: float, l_max: float, lam: float, delta: f
             rows.append(IrbRow(k, float(l), float(table.c_hat[i, j]), bound, float(slack)))
             if slack < worst:
                 worst = slack
-            if slack < -_IRB_TOL:
-                offenders.append(rows[-1])
-    return IrbReport(rows, worst, not offenders, offenders)
+    return IrbReport(rows, worst, worst >= -_IRB_TOL)
 
 
 def fourier_inversion(table: FourierTable, x, t: float) -> float:

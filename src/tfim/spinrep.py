@@ -172,7 +172,7 @@ def estimate_correlation(points: Sequence, region: SpaceTimeRegion, lam: float,
     for (x, t) in points:
         if not region.contains_point((x, t)):
             raise ValueError(f"point {(x, t)} outside region")
-        if region.time_topology == "interval" and abs(abs(t) - region.r / 2) < 1e-12:
+        if region.at_time_end(t):
             raise ValueError("correlation points must avoid the time endpoints")
     logs, vals = _weights_and_values(region, lam, delta, n_samples, rng,
                                      lambda c: c.product_over(points))
@@ -288,6 +288,8 @@ def estimate_cut_partition(region: SpaceTimeRegion, holes: Holes, lam: float,
     multiplied by the exact boundary conditioning factors."""
     if region.bc_time == "w":
         raise ValueError("cut-partition estimates support free and periodic time")
+    if region.bc_space == "w":
+        raise ValueError("cut-partition estimates support free and periodic space")
     edges = region.edge_set().edges
     windows = {e: edge_windows(region, holes, e[0], e[1]) for e in edges}
     vals = np.empty(n_samples)

@@ -59,6 +59,9 @@ def test_parse_json_config():
     ({"point_site": [5]}, "outside the box"),
     ({"point_time": 0.75}, r"point_time 0.75 must lie in \[-0.5, 0.5\]"),
     ({"bc_time": "f", "point_time": 0.5}, r"point_time 0.5 must lie in \(-0.5, 0.5\)"),
+    # within 1e-12 of an interval end, where the samplers reject a point
+    ({"bc_time": "f", "point_time": 0.4999999999999},
+     r"point_time 0.4999999999999 must lie in \(-0.5, 0.5\)"),
     ({"point_site": []}, "correlation needs point_site"),
     ({"kind": "identity-suite", "point_site": []}, "identity-suite needs point_site"),
     ({"n_schedule": [2, -1]}, "n_schedule entries must be nonnegative"),
@@ -125,6 +128,7 @@ def test_cli_bad_config_exits_two(tmp_path):
                                   "point_site = 5", "point_site =", "dt = 0",
                                   "n_sweeps = 0", "seed = -1", "beta = nan", "lam = inf",
                                   "point_time = nan", "--seed -1", "point_site = 0",
+                                  "bc_time = f\npoint_time = 0.4999999999999",
                                   "kind = irb-check\nground_state = true\nbeta = none"])
 def test_cli_bad_value_exits_two(tmp_path, capsys, line):
     # a line starting with -- is a command-line flag, not a config line

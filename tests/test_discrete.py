@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from tfim import discrete
 from tfim import experiments as ex
-from tfim.discrete import (DiscreteSystem, coupled_connected,
-                           coupled_probability, enumerate_coupled,
-                           switching_sides)
+from tfim.discrete import (DiscreteSystem, coupled_probability,
+                           enumerate_coupled, switching_sides)
 
 # (lhs, rhs) of the exact switching cases as given by the nested-loop
 # enumeration (``_reference_switching_sides`` below); the tests of this file
@@ -101,7 +100,7 @@ def test_switching_connectivity_memo_is_per_call(monkeypatch):
     switching_sides(system, ("a", 0), ("b", 1))
     first = len(calls)
     assert 0 < first <= 2**6 * 2**3
-    assert len({(frozenset(args[1]), frozenset(args[3])) for args in calls}) == first
+    assert len({(frozenset(args[1]), frozenset(args[2])) for args in calls}) == first
     switching_sides(system, ("a", 0), ("b", 1))
     assert len(calls) == 2 * first
 
@@ -161,24 +160,6 @@ def test_coupled_measure_consistency():
     assert p == pytest.approx(num / den, abs=1e-12)
 
 
-def test_coupled_connectivity_modes():
-    system = small_system(n_slots=2)
-    configs = enumerate_coupled(system)
-    saw_plain_not_off = False
-    for c in configs[:4000]:
-        plain = coupled_connected(system, c, ("a", 0), ("b", 1), "plain")
-        off = coupled_connected(system, c, ("a", 0), ("b", 1), "off-gamma")
-        if off:
-            assert plain
-        if plain and not off:
-            saw_plain_not_off = True
-            # the plain path runs through a ghost jump
-            assert coupled_connected(system, c, ("a", 0), None, "to-gamma")
-    assert saw_plain_not_off
-    with pytest.raises(ValueError, match="unknown connectivity mode"):
-        coupled_connected(system, configs[0], ("a", 0), ("b", 1), "ghost")
-
-
 @pytest.mark.parametrize("case", ex.EXACT_SWITCHING_CASES, ids=lambda c: c["case"])
 def test_exact_switching_cases_pinned(case):
     lhs, rhs = switching_sides(case["system"], *case["sources"])
@@ -202,7 +183,7 @@ def _reference_switching_sides(system, source_a, source_b):
         lab1_emp = discrete._labelling(system, par1_emp, system.bc1, tau)
         if lab1_src is None and lab1_emp is None:
             continue
-        for bridges2, ghost_list, ghosts, tau2, p2 in discrete._iter_copy(
+        for bridges2, ghost_list, _, tau2, p2 in discrete._iter_copy(
                 system, system.bc2, True):
             par2_emp = discrete._switch_parities(system, bridges2, ghost_list, ())
             lab2_emp = discrete._labelling(system, par2_emp, system.bc2, tau2)
@@ -216,13 +197,13 @@ def _reference_switching_sides(system, source_a, source_b):
                 w = discrete._weight(system, lab1_emp) * discrete._weight(system, lab2_src)
                 union = set(bridges1) | set(bridges2)
                 prob_conn = _reference_connection_probability(
-                    system, lab1_emp, lab2_src, union, ghosts, source_a, source_b)
+                    system, lab1_emp, lab2_src, union, source_a, source_b)
                 rhs += base * w * prob_conn
     return lhs, rhs
 
 
 def _reference_connection_probability(system, labels1, labels2, bridges_union,
-                                      ghosts, start, end):
+                                      start, end):
     q = system.q_cut
     p = system.p_bridge
     latent_open = (p / (1.0 - p)) ** 2
@@ -247,8 +228,7 @@ def _reference_connection_probability(system, labels1, labels2, bridges_union,
             if p_lat == 0.0:
                 continue
             # cut cells are even-even, so each blocks its line
-            if discrete._connected(system, list(bridges_union) + extra, ghosts, cut,
-                                   start, end, use_ghost_jumps=False):
+            if discrete._connected(system, list(bridges_union) + extra, cut, start, end):
                 prob += p_cut * p_lat
     return prob
 

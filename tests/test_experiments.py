@@ -44,7 +44,7 @@ def test_correlation_spin_row_pools_chains_under_one_maximum():
     cfg = make_config(beta=4.0, delta=2.0, n_chains=2, n_samples=200, lam_grid=[1.5])
     rows, _, _ = ex.run_correlation(cfg)
     spin = next(r for r in rows if r["method"] == "spin")
-    region = ex._region(cfg)
+    region = cfg.region()
     points = [((0,), 0.0), ((1,), 0.0)]
     logs, vals = [], []
     for chain in range(2):

@@ -65,8 +65,14 @@ def test_periodic_wrap_edges_connect_extremes():
 def test_wired_extended_frozen_shell():
     box = Box(1, 1)
     edges = EdgeSet.wired_extended(box)
-    assert set(edges.frozen_sites) == {(-2,), (2,)}
     assert ((1,), (2,)) in edges.edges
+
+
+def test_at_time_end_within_1e_12_of_an_interval_end():
+    interval = SpaceTimeRegion(Box(1, 1), 1.0, "f", "f")
+    assert interval.at_time_end(0.5) and interval.at_time_end(-0.4999999999999)
+    assert not interval.at_time_end(0.49999999999) and not interval.at_time_end(0.0)
+    assert not SpaceTimeRegion.finite_beta(Box(1, 1), 1.0).at_time_end(0.5)
 
 
 def test_region_invariants():

@@ -81,7 +81,7 @@ def test_trifurcations_zero_when_uncoupled_or_fully_wired():
     region = SpaceTimeRegion.ground_state(Box(1, 4), "w", "f")
     # no bridges: the block is a single bare line but branches lack bridges
     rng = chain_generator(33, 0)
-    coupled = rp.sample_coupled(region, 0.0, 1.0, (), (), rng, ghost_free=True)
+    coupled = rp.sample_coupled(region, 0.0, 1.0, (), (), rng)
     rep = pc.trifurcation_diagnostic(coupled, 1, 1.0, 1.0)
     assert rep.n_trifurcations == 0
     # fully bridged, no cuts: one global cluster, complement has 1 branch
@@ -510,8 +510,8 @@ def test_two_source_odd_path():
 
 @st.composite
 def _coupled_draws(draw):
-    """A coupled configuration (interval or circle time, with or without
-    ghosts) and a generator for its queries.  Three draws in four (by the
+    """A coupled configuration (interval or circle time) and a generator for
+    its queries.  Three draws in four (by the
     generator, as hypothesis favours small integers) carry two plain-labelling
     sources that make that labelling consistent: on the two sites with an odd
     bridge-end count, or both on one site when no count is odd.  Such a draw
@@ -523,7 +523,6 @@ def _coupled_draws(draw):
     region = SpaceTimeRegion(Box(d, n), r, "w", "p" if circle else "f")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     args = (region, draw(st.sampled_from((0.3, 1.0, 2.0))), draw(st.sampled_from((0.2, 0.5, 1.0))))
-    ghost_free = draw(st.booleans())
     sources = ()
     if rng.random() < 0.75:
         sites = region.box.sites()
@@ -531,13 +530,13 @@ def _coupled_draws(draw):
         site = sites[rng.integers(len(sites))]
         for _ in range(50):
             state = rng.bit_generator.state
-            plain = rp.sample_coupled(*args, (), (), rng, ghost_free=ghost_free).labelling1
+            plain = rp.sample_coupled(*args, (), (), rng).labelling1
             odd = [x for x in sites if len(plain.switches[x]) % 2]
             if len(odd) <= 2:
                 rng.bit_generator.state = state
                 sources = tuple(zip(odd or [site, site], times))
                 break
-    c = rp.sample_coupled(*args, sources, (), rng, ghost_free=ghost_free)
+    c = rp.sample_coupled(*args, sources, (), rng)
     return c, sources, rng
 
 

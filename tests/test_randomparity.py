@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfim.geometry import Box, Holes, SpaceTimeRegion
+from tfim import percolation as pc
 from tfim import randomparity as rp
 from tfim import spectral as sp
 from tfim.spinrep import SamplingError
@@ -112,7 +113,7 @@ def test_labelling_pool_checks_sources_before_drawing():
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "f")
     rng = chain_generator(3, 0)
     with pytest.raises(rp.InconsistentSourceError):
-        rp._labelling_weights(region, 1.0, 1.0, [((0,), 0.5)], 10, rng, False)
+        rp._labelling_weights(region, 1.0, 1.0, [((0,), 0.5)], 10, rng)
     assert rng.random() == chain_generator(3, 0).random()
     # points checked for one region are checked again for another
     checked = rp._check_sources(SpaceTimeRegion.finite_beta(Box(1, 1), 2.0, "f", "f"),
@@ -158,7 +159,7 @@ def test_coupled_zero_coupling_no_ghosts_all_even():
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "p")
     # tau anchors make all-even only half the time per site; weight <= 1 and
     # equals 1 exactly when every line is fully even
-    c = rp.sample_coupled(region, 0.0, 1.0, (), (), rng, ghost_free=True)
+    c = rp.sample_coupled(region, 0.0, 1.0, (), (), rng)
     assert c.weight <= 1.0
     assert c.weight > 0
 
@@ -208,7 +209,7 @@ def test_vertex_layout_pinned(k, shape):
     for _ in range(20):
         c = rp.sample_coupled(_LAYOUT_REGIONS[shape], 1.0, 1.0, (), (), rng)
         index = c.index
-        classes = sorted(sorted(members) for members in c.clusters.classes().values())
+        classes = sorted(sorted(members) for members in pc.classes(c).values())
         lines.append(repr((index.starts, index.ends, index.offsets, index.seams,
                            index.edges, classes)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -230,7 +231,7 @@ def test_even_points_match_label_is_even(seed, circle):
 def test_connectivity_examples():
     rng = chain_generator(12, 2)
     region = SpaceTimeRegion.ground_state(Box(1, 1), "w", "f")
-    c = rp.sample_coupled(region, 0.0, 1.0, (), (), rng, ghost_free=True)
+    c = rp.sample_coupled(region, 0.0, 1.0, (), (), rng)
     p = ((0,), 0.0)
     q = ((1,), 0.3)
     assert rp.connectivity(c, p, p, "plain")

@@ -107,14 +107,15 @@ def test_coupled_draw_matches_reference(region):
 # -- the labelling draw --------------------------------------------------------------
 
 @pytest.mark.parametrize("region", REGIONS, ids=str)
-@pytest.mark.parametrize("with_ghosts", [False, True])
-def test_labelling_weights_match_reference(region, with_ghosts):
+def test_labelling_weights_match_reference(region):
     rng, ref = chain_generator(11, 3), chain_generator(11, 3)
     lam, delta = 1.1, 0.8
     box = region.box
     sources = [((0,) * box.d, 0.0), ((1,) + (0,) * (box.d - 1), 0.2)]
     for srcs in (sources, ()):
-        got = rp._labelling_weights(region, lam, delta, srcs, 200, rng, with_ghosts)
+        got = rp._labelling_weights(region, lam, delta, srcs, 200, rng)
+        # wired space draws ghost points
+        with_ghosts = region.bc_space == "w"
         rates = rp.ghost_rates(box, lam) if with_ghosts else {}
         want = np.empty(200)
         for i in range(200):
@@ -282,7 +283,7 @@ def test_cut_labelling_weight_matches_reference_walk(holes, bc_time):
     rng, ref = chain_generator(17, 5), chain_generator(17, 5)
     for lam in (0.5, 2.0, 4.0):
         for _ in range(150):
-            got = rp.sample_cut_labelling_weight(region, holes, lam, 1.0, bc_time, rng)
+            got = rp.sample_cut_labelling_weight(region, holes, lam, 1.0, rng)
             assert got == _ref_cut_labelling_weight(region, holes, lam, 1.0, bc_time, ref)
     assert _in_step(rng, ref)
 
@@ -548,7 +549,7 @@ def test_labelling_weights_pinned(k):
     # space draws ghost points
     region = LABELLING_WEIGHT_REGIONS[k]
     rng = chain_generator(43, k)
-    got = [rp._labelling_weights(region, 0.6, 0.7, srcs, 12, rng, region.bc_space == "w")
+    got = [rp._labelling_weights(region, 0.6, 0.7, srcs, 12, rng)
            for srcs in ([((0,), 0.0), ((1,), 0.2)], ())]
     assert tuple(w.tolist() for w in got) == PINNED_LABELLING_WEIGHTS[k]
 

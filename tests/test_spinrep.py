@@ -199,6 +199,14 @@ def test_cut_partition_zero_coupling():
     assert est.value == pytest.approx((1 + math.exp(-4.0)) / 2.0)
 
 
+@pytest.mark.parametrize("bc_time", ["p", "f"])
+def test_cut_partition_rejects_wired_space(bc_time):
+    # the frozen shell sites of wired space have no components to sample
+    region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", bc_time)
+    with pytest.raises(ValueError, match="support free and periodic space"):
+        sr.estimate_cut_partition(region, Holes.empty(), 1.0, 1.0, 4, chain_generator(1, 0))
+
+
 def test_trotter_magnetization_zero_coupling_forced_plus():
     rng = chain_generator(4, 0)
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p")

@@ -7,6 +7,7 @@ import pytest
 
 from tfim.cli import main
 from tfim.config import ConfigError, load_config, parse_config_json, parse_config_text
+from tfim.geometry import Box, SpaceTimeRegion
 
 TEXT_CONFIG = """
 # comment line
@@ -59,9 +60,6 @@ def test_parse_json_config():
     ({"point_site": [5]}, "outside the box"),
     ({"point_time": 0.75}, r"point_time 0.75 must lie in \[-0.5, 0.5\]"),
     ({"bc_time": "f", "point_time": 0.5}, r"point_time 0.5 must lie in \(-0.5, 0.5\)"),
-    # within 1e-12 of an interval end, where the samplers reject a point
-    ({"bc_time": "f", "point_time": 0.4999999999999},
-     r"point_time 0.4999999999999 must lie in \(-0.5, 0.5\)"),
     ({"point_site": []}, "correlation needs point_site"),
     ({"kind": "identity-suite", "point_site": []}, "identity-suite needs point_site"),
     ({"n_schedule": [2, -1]}, "n_schedule entries must be nonnegative"),
@@ -86,6 +84,9 @@ def test_parse_json_config():
     ({"kind": "switching-verify", "point_site": [0], "point_time": -0.0},
      "must differ from the origin"),
     ({"kind": "identity-suite", "point_site": [0]}, "must differ from the origin"),
+    # within 1e-12 of an interval end, where the samplers reject a point
+    ({"bc_time": "f", "point_time": 0.4999999999999},
+     r"point_time 0.4999999999999 must lie in \(-0.5, 0.5\)"),
 ])
 def test_validation_errors(mutation, message):
     payload = {"kind": "correlation", "beta": 1.0, "lam_grid": [1.0],
@@ -93,6 +94,20 @@ def test_validation_errors(mutation, message):
     payload.update(mutation)
     with pytest.raises(ConfigError, match=message):
         parse_config_json(json.dumps(payload))
+
+
+def test_region_takes_overrides_and_ground_state_free_time():
+    payload = {"kind": "correlation", "d": 2, "n": 1, "beta": 3.0, "bc_space": "w",
+               "bc_time": "p", "lam_grid": [1.0], "seed": 3, "point_site": [1, 0]}
+    cfg = parse_config_json(json.dumps(payload))
+    assert cfg.region() == SpaceTimeRegion(Box(2, 1), 3.0, "w", "p")
+    assert cfg.region(2, "f", "f") == SpaceTimeRegion(Box(2, 2), 3.0, "f", "f")
+    payload.update(beta=None, ground_state=True)
+    cfg = parse_config_json(json.dumps(payload))
+    # time length 2n, and periodic time is taken as free
+    assert cfg.region() == SpaceTimeRegion(Box(2, 1), 2.0, "w", "f", beta_infinite=True)
+    assert cfg.region(3, bc_time="w") == SpaceTimeRegion(Box(2, 3), 6.0, "w", "w",
+                                                         beta_infinite=True)
 
 
 def test_unknown_key_rejected():

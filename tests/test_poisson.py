@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from tfim.poisson import (Carrier, DegenerateRateError, PointSet,
-                          add_or_delete_density, add_two_if_empty_density,
+                          add_or_delete_density, draw_times, add_two_if_empty_density,
                           rn_add_or_delete, rn_add_two_if_empty, rn_delete_all,
                           sample_constant, verify_modification_identity)
 from tfim.rng import chain_generator
@@ -20,6 +20,14 @@ def delete_all_density(x: PointSet, alpha: float, t: float) -> float:
 def test_zero_rate_gives_empty_set():
     rng = chain_generator(0, 0)
     assert len(sample_constant(Carrier(0, 3), 0.0, rng)) == 0
+
+
+def test_zero_rate_draw_consumes_no_stream():
+    # so a rate-0 ghost or bridge draw leaves every later draw unchanged
+    rng, ref = chain_generator(5, 1), chain_generator(5, 1)
+    for _ in range(50):
+        assert len(draw_times(-1.0, 1.0, 0.0, rng)) == 0
+    assert np.array_equal(rng.integers(2**62, size=4), ref.integers(2**62, size=4))
 
 
 def test_empirical_mean_count_matches_rate():

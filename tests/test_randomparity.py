@@ -216,6 +216,21 @@ def test_vertex_layout_pinned(k, shape):
     assert digest == _LAYOUT_PINS[shape]
 
 
+@pytest.mark.parametrize("shape", _LAYOUT_REGIONS)
+def test_root_is_the_class_root_of_each_vertex(shape):
+    region = _LAYOUT_REGIONS[shape]
+    rng = chain_generator(47, 0)
+    for _ in range(10):
+        c = rp.sample_coupled(region, 1.0, 1.0, (), (), rng)
+        starts, ends = c.index.starts, c.index.ends
+        for root, members in pc.classes(c).items():
+            for x, i in members:
+                assert c.root((x, (starts[x][i] + ends[x][i]) / 2)) == root
+        x = next(iter(starts))
+        assert c.root((x, region.t_max + 0.1)) is None
+        assert c.root((x, region.t_min - 0.1)) is None
+
+
 @given(st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=50)
 def test_even_points_match_label_is_even(seed, circle):

@@ -264,10 +264,8 @@ def run_irb_check(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
 # -- percolation sweep -------------------------------------------------------------
 
 def _percolation_chain(args) -> dict:
-    cfg, lam, chain = args
+    cfg, region, lam, chain = args
     rng = chain_generator(cfg.seed, chain)
-    # wired space; periodic time at finite beta, free time in the ground state
-    region = cfg.region(bc_space="w", bc_time="p")
     acc = RatioAccumulator()
     clusters = []
     boundary = []
@@ -290,12 +288,13 @@ def _percolation_chain(args) -> dict:
 
 def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
     rows = []
+    # wired space; periodic time at finite beta, free time in the ground state
     region = cfg.region(bc_space="w", bc_time="p")
     with _point_map(workers) as map_points:
         for lam in cfg.lam_grid:
             t0 = time.time()
             results = map_points(_percolation_chain,
-                                 [(cfg, lam, k) for k in range(cfg.n_chains)])
+                                 [(cfg, region, lam, k) for k in range(cfg.n_chains)])
             acc = RatioAccumulator()
             clusters = []
             boundary = []

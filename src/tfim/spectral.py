@@ -398,7 +398,7 @@ def irb_check(model: SpectralModel, r: float, l_max: float, lam: float, delta: f
             rows.append(IrbRow(k, float(l), float(table.c_hat[i, j]), bound, float(slack)))
             if slack < worst:
                 worst = slack
-    return IrbReport(rows, worst, worst >= -_IRB_TOL)
+    return IrbReport(rows, worst, bool(worst >= -_IRB_TOL))
 
 
 def fourier_inversion(table: FourierTable, x, t: float) -> float:

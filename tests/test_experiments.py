@@ -523,6 +523,32 @@ def test_cli_verification_failure_writes_manifest(tmp_path, monkeypatch):
     assert manifest["failing"][0]["case"] == "forced"
 
 
+def test_irb_check_pass_is_a_json_bool_and_failures_reach_the_manifest(tmp_path,
+                                                                      monkeypatch):
+    cfg = tmp_path / "irb.cfg"
+    cfg.write_text("kind = irb-check\nbeta = 1.0\nlam = 1.0\nn_schedule = 2\n"
+                   "l_max_factor = 2.0\nseed = 1\n")
+
+    def verify(out):
+        code = cli_main(["verify", "--config", str(cfg), "--out", str(out)])
+        payload = json.loads((out / "run-irb-check.json").read_text())
+        manifest = out / "run-irb-check-failures.json"
+        return (code, payload,
+                json.loads(manifest.read_text())["failing"] if manifest.exists() else None)
+
+    code, payload, failing = verify(tmp_path / "ok")
+    assert (code, failing) == (0, None)
+    assert payload["ok"] is True
+    assert all(row["pass"] is True for row in payload["rows"])
+    assert all(case["pass"] is True for case in payload["summary"]["cases"].values())
+    # every slack falls short of a tolerance of -1e9
+    monkeypatch.setattr(ex.spectral, "_IRB_TOL", -1e9)
+    code, payload, failing = verify(tmp_path / "bad")
+    assert code == 1 and payload["ok"] is False
+    assert failing == payload["rows"] and len(failing) > 0
+    assert all(row["pass"] is False for row in failing)
+
+
 # sweep rows carry "pass" in the JSON only: these CSV bytes are those written
 # before the rows had it
 MANIFEST_SWEEP_CONFIGS = {

@@ -25,6 +25,8 @@ EXIT_ERROR = 3
 
 
 def _format_value(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):

@@ -12,11 +12,10 @@ lists built once per configuration.  Importance sampling
 from the a-priori measure degrades exponentially with space-time volume, so
 a Suzuki-Trotter discretized Metropolis sampler is provided behind the same
 estimator surface for the larger magnetization sweeps; it is approximate and
-its time step is recorded in every result it produces.  Its sweep updates
-one colour class of site-slot cells at a time from precomputed neighbour
-indices and an acceptance table over integer neighbour sums, and draws its
-uniforms so that the stream and the spins are those of a full-lattice update
-per colour.
+its time step is recorded in every result it produces.  Its sweep draws
+one uniform per site-slot cell and updates one colour class of cells at a
+time from precomputed neighbour indices and an acceptance table over integer
+neighbour sums.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ import numpy as np
 
 from .geometry import (Holes, SpaceTimeRegion, edge_windows, line_components)
 from .poisson import draw_times
-from .stats import (Estimate, batch_means_estimate, mean_estimate,
-                    ratio_estimate_jackknife)
+from .stats import (Estimate, batch_means_estimate, integrated_autocorrelation_time,
+                    mean_estimate, ratio_estimate_jackknife)
 
 
 class SamplingError(RuntimeError):
@@ -319,7 +318,15 @@ class TrotterResult:
     dt: float
     n_slots: int
     flip_frac: float  # accepted flips per site-slot per measured sweep
+    tau_int: float | None  # of the measured series; None when it never varies
     approximate: bool = True
+
+    @classmethod
+    def of_series(cls, series: np.ndarray, sampler: TrotterSampler,
+                  flip_frac: float) -> TrotterResult:
+        est = batch_means_estimate(series)
+        return cls(est, sampler.dt, sampler.n_slots, flip_frac,
+                   integrated_autocorrelation_time(series, est))
 
 
 # A cell's table code is s + 3 T + 15 S for its spin s = +-1, its time
@@ -337,17 +344,19 @@ class TrotterSampler:
     Results are approximate with an O(dt^2) bias; the step used is recorded
     in every result.
 
-    The site-slot cells are coloured so that no two cells of a colour are
-    neighbours.  Set-up stores, per colour, the flat indices of its cells and
-    of their space and time neighbours (a padded zero cell stands in for a
-    missing neighbour) and a table of acceptance probabilities over the
-    integer neighbour sums; frozen +1 neighbours (wired space) and the wired
-    time ends are constants of each cell.  A sweep draws one uniform per
-    colour and site-slot, in one call, then visits the colours in order:
-    gather, look up, compare and flip only that colour's cells.  The uniforms
-    of the other cells are drawn and unused, which keeps the stream and the
-    spins of every run equal to those of a sweep that updates the whole
-    lattice once per colour.
+    Cell (site, slot) has colour (site colour + slot colour) mod K, where
+    K is the larger of the site and slot colour counts: space neighbours
+    differ in site colour and time neighbours in slot colour, so no two cells
+    of a colour are neighbours.  Set-up stores, per colour, the flat indices
+    of its cells and of their space and time neighbours (a padded zero cell
+    stands in for a missing neighbour) and a table of acceptance
+    probabilities over the integer neighbour sums; frozen +1 neighbours
+    (wired space) and the wired time ends are constants of each cell.  A
+    sweep draws one uniform per site-slot, in one call, then visits the
+    colours in order: gather, look up, compare against each cell's own
+    uniform and flip that colour's cells.  Every cell is offered one flip
+    per sweep with a fresh uniform, so each colour update is an exact
+    Metropolis step.
     """
 
     def __init__(self, region: SpaceTimeRegion, lam: float, delta: float,
@@ -419,7 +428,8 @@ class TrotterSampler:
 
         site_colors = _proper_ring_colors(n, nbrs)
         slot_colors = _proper_ring_colors(m, [[j for j in row if j >= 0] for row in time_nbr])
-        full = (site_colors[:, None] * (slot_colors.max() + 1) + slot_colors[None, :]).ravel()
+        n_colors = max(site_colors.max(), slot_colors.max()) + 1
+        full = ((site_colors[:, None] + slot_colors[None, :]) % n_colors).ravel()
         self._plan = []
         for c in np.unique(full):
             cells = np.flatnonzero(full == c)
@@ -434,9 +444,9 @@ class TrotterSampler:
     def sweep(self, rng: np.random.Generator) -> int:
         """One Metropolis update of every colour; returns the accepted flips."""
         cells = self._cells
-        uniforms = rng.random(size=(len(self._plan), self.spins.size))
+        u = rng.random(self.spins.size)
         flips = 0
-        for u, (idx, gather, base) in zip(uniforms, self._plan):
+        for idx, gather, base in self._plan:
             accept = u[idx] < self._table[cells[gather] @ self._weights + base]
             flipped = idx[accept]
             cells[flipped] *= -1
@@ -462,12 +472,13 @@ class TrotterSampler:
         mid = self.n_slots // 2
         return float(self.spins[self.origin, mid])
 
-    def pair_correlation(self, distance: int) -> float:
-        """Translation-averaged equal-time pair correlation at a lattice
-        distance (d=1, spatially periodic regions), summed in integers."""
+    def pair_correlations(self, distances: Sequence[int]) -> np.ndarray:
+        """Translation-averaged equal-time pair correlations at the lattice
+        distances (d=1, spatially periodic regions), summed in integers: one
+        gather of the site axis rolled by every distance."""
         s = self.spins
-        k = distance % len(s)
-        return int((s * np.concatenate((s[k:], s[:k]))).sum()) / s.size
+        rolled = (np.arange(len(s)) + np.asarray(distances)[:, None]) % len(s)
+        return (s[None] * s[rolled]).sum(axis=(1, 2)) / s.size
 
 
 def trotter_magnetization(region: SpaceTimeRegion, lam: float, delta: float,
@@ -475,8 +486,7 @@ def trotter_magnetization(region: SpaceTimeRegion, lam: float, delta: float,
                           dt: float = 0.1) -> TrotterResult:
     sampler = TrotterSampler(region, lam, delta, dt)
     series, flip_frac = sampler.run(n_sweeps, rng, TrotterSampler.magnetization_origin)
-    return TrotterResult(batch_means_estimate(series), sampler.dt, sampler.n_slots,
-                         flip_frac)
+    return TrotterResult.of_series(series, sampler, flip_frac)
 
 
 def trotter_pair_correlations(region: SpaceTimeRegion, lam: float, delta: float,
@@ -494,8 +504,6 @@ def trotter_pair_correlations(region: SpaceTimeRegion, lam: float, delta: float,
         raise ValueError("pair correlations need d = 1 and periodic space, got "
                          f"d = {region.box.d} and bc_space = {region.bc_space!r}")
     sampler = TrotterSampler(region, lam, delta, dt)
-    series, flip_frac = sampler.run(n_sweeps, rng,
-                                    lambda s: [s.pair_correlation(d) for d in distances])
-    return {d: TrotterResult(batch_means_estimate(series[:, i]), sampler.dt,
-                             sampler.n_slots, flip_frac)
+    series, flip_frac = sampler.run(n_sweeps, rng, lambda s: s.pair_correlations(distances))
+    return {d: TrotterResult.of_series(series[:, i], sampler, flip_frac)
             for i, d in enumerate(distances)}

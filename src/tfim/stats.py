@@ -181,3 +181,12 @@ def batch_means_estimate(xs) -> Estimate:
     batches = xs[: b * BATCHES].reshape(BATCHES, b).mean(axis=1)
     se = batches.std(ddof=1) / math.sqrt(BATCHES)
     return Estimate(float(xs.mean()), float(se), n)
+
+
+def integrated_autocorrelation_time(xs, est: Estimate) -> float | None:
+    """tau_int = n SE^2 / (2 s^2) of a series from its ``batch_means_estimate``
+    and its sample variance s^2 (1/2 for independent values); None when
+    s^2 = 0."""
+    xs = np.asarray(xs, dtype=float)
+    var = float(xs.var(ddof=1)) if xs.size > 1 else 0.0
+    return xs.size * est.stderr**2 / (2.0 * var) if var > 0 else None

@@ -15,7 +15,8 @@ from tfim.config import ConfigError, RunConfig
 from tfim import experiments as ex
 from tfim import spinrep as sr
 from tfim.rng import chain_generator
-from tfim.stats import RatioAccumulator
+from tfim.stats import (Estimate, RatioAccumulator, batch_means_estimate,
+                        integrated_autocorrelation_time)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -431,22 +432,21 @@ SWEEP_CONFIGS = {
                 "lam = 0.8, 0.9, 1.0, 1.1, 1.2\nn_sweeps = 100\nseed = 11\n",
 }
 
-# CSV bytes of the configs above as written by one worker before the Trotter
-# sweep was restricted to each colour's cells and the flip fraction reported
+# CSV bytes of the configs above as written by one worker since the Trotter
+# sweep draws one uniform per site-slot and colours by (site + slot) mod K
 PINNED_SWEEP_CSV = {
     "magnetization-sweep":
         "kind,method,d,n,r,lam,delta,estimate,stderr,dt,n_samples,seed\n"
-        "magnetization-sweep,trotter,1,1,1,0.5,1,-0.059999999999999998,"
-        "0.14849717603484108,0.10000000000000001,100,3\n"
-        "magnetization-sweep,trotter,1,1,1,1,1,0.80000000000000004,"
-        "0.086951042955031546,0.10000000000000001,100,3\n"
+        "magnetization-sweep,trotter,1,1,1,0.5,1,0.20000000000000001,"
+        "0.14999813320224256,0.10000000000000001,100,3\n"
+        "magnetization-sweep,trotter,1,1,1,1,1,1,0,0.10000000000000001,100,3\n"
         "magnetization-sweep,trotter,1,2,1,0.5,1,0.16,"
-        "0.16514764763602677,0.10000000000000001,100,3\n"
-        "magnetization-sweep,trotter,1,2,1,1,1,0.66000000000000003,"
-        "0.11143964645882264,0.10000000000000001,100,3\n",
+        "0.17309511131954017,0.10000000000000001,100,3\n"
+        "magnetization-sweep,trotter,1,2,1,1,1,0.16,"
+        "0.16514764763602677,0.10000000000000001,100,3\n",
     "lambda-c":
         "kind,method,estimate,uncertainty,reference,n_sizes,seed\n"
-        "lambda-c,correlation-ratio,0.98397011399595147,0.099999999999999978,"
+        "lambda-c,correlation-ratio,0.90054894883634073,0.11280396004643134,"
         "0.99876595357839271,2,11\n",
 }
 
@@ -473,7 +473,50 @@ def test_sweep_csv_pinned_for_any_worker_count(tmp_path, kind):
     assert len(flips[0]) == (10 if kind == "lambda-c" else 4)
 
 
+@pytest.mark.parametrize("kind", sorted(SWEEP_CONFIGS))
+def test_tau_int_is_in_the_json_only(tmp_path, kind):
+    code, csv_text, rows, _ = _sweep(tmp_path / "t", SWEEP_CONFIGS[kind], kind)
+    summary = json.loads((tmp_path / "t" / f"run-{kind}.json").read_text())["summary"]
+    assert code == 0 and csv_text == PINNED_SWEEP_CSV[kind]
+    assert "tau_int" not in csv_text
+    if kind == "lambda-c":
+        taus = [t for n in ("3", "4") for t in summary["tau_int"][n]]
+        assert len(taus) == 10 and all(t > 0 for t in taus)
+    else:
+        # the n = 1, lam = 1 series never changes, so its s^2 is 0
+        assert [row["tau_int"] is None for row in rows] == [False, True, False, False]
+        assert all(row["tau_int"] > 0 for row in rows if row["tau_int"] is not None)
+
+
+def test_tau_int_from_batch_means():
+    xs = np.repeat([1.0, -1.0], 64)  # 32 batches of 4 identical values
+    est = batch_means_estimate(xs)
+    assert integrated_autocorrelation_time(xs, est) == \
+        xs.size * est.stderr ** 2 / (2 * xs.var(ddof=1))
+    # below 64 values the plain mean's SE gives tau_int = 1/2
+    few = np.array([1.0, 2.0, 4.0])
+    assert integrated_autocorrelation_time(few, batch_means_estimate(few)) == \
+        pytest.approx(0.5)
+    assert integrated_autocorrelation_time(np.ones(100), batch_means_estimate(np.ones(100))) \
+        is None
+
+
+# ratio curves as correlation_ratio_curves returns them: (ratio, stderr, flip
+# fraction, tau_int) per coupling of the grid 0.8..1.2
+CROSSING_CURVES = {3: [(0.70, 0.02, 0.2, 1.0), (0.75, 0.02, 0.2, 1.0), (0.80, 0.02, 0.2, 1.0),
+                       (0.85, 0.02, 0.2, 1.0), (0.90, 0.02, 0.2, 1.0)],
+                   4: [(0.60, 0.02, 0.2, 1.0), (0.70, 0.02, 0.2, 1.0), (0.80, 0.02, 0.2, 1.0),
+                       (0.90, 0.02, 0.2, 1.0), (1.00, 0.02, 0.2, 1.0)]}
+APART_CURVES = {3: CROSSING_CURVES[3],
+                4: [(r - 0.2, se, flip, tau) for r, se, flip, tau in CROSSING_CURVES[3]]}
+
+
+def _fixed_curves(curves):
+    return lambda cfg, workers=1: {n: curves[n] for n in cfg.n_schedule}
+
+
 def test_lambda_c_fails_beyond_15_percent_of_reference(monkeypatch):
+    monkeypatch.setattr(ex, "correlation_ratio_curves", _fixed_curves(CROSSING_CURVES))
     monkeypatch.setattr(ex.spectral, "gap_scaling_critical_point",
                         lambda **kwargs: {"estimate": 1.5})
     cfg = make_config(kind="lambda-c", ground_state=True, beta=None, n_schedule=[3, 4],
@@ -482,6 +525,22 @@ def test_lambda_c_fails_beyond_15_percent_of_reference(monkeypatch):
     assert rows[0]["reference"] == 1.5
     assert abs(rows[0]["estimate"] / 1.5 - 1.0) > 0.15
     assert not ok
+
+
+def test_lambda_c_curves_that_do_not_cross_fail_with_their_curves(tmp_path, monkeypatch):
+    monkeypatch.setattr(ex, "correlation_ratio_curves", _fixed_curves(APART_CURVES))
+    code, csv_text, rows, failing = _sweep(tmp_path / "lc", SWEEP_CONFIGS["lambda-c"],
+                                           "lambda-c")
+    payload = json.loads((tmp_path / "lc" / "run-lambda-c.json").read_text())
+    assert code == 1 and failing == rows and len(rows) == 1
+    assert rows[0]["pass"] is False
+    assert rows[0]["estimate"] is None and rows[0]["uncertainty"] is None
+    assert csv_text.splitlines()[1].startswith("lambda-c,correlation-ratio,,,0.99876")
+    summary = payload["summary"]
+    assert (summary["estimate"], summary["crossings"], payload["ok"]) == (None, [], False)
+    assert summary["curves"] == {str(n): [list(p[:2]) for p in v]
+                                 for n, v in APART_CURVES.items()}
+    assert summary["flip_frac"] == {"3": [0.2] * 5, "4": [0.2] * 5}
 
 
 def test_crossing_estimate_failure_diagnostics():
@@ -550,7 +609,8 @@ def test_irb_check_pass_is_a_json_bool_and_failures_reach_the_manifest(tmp_path,
 
 
 # sweep rows carry "pass" in the JSON only: these CSV bytes are those written
-# before the rows had it
+# before the rows had it (the magnetization rows are the Trotter results that
+# test_failed_griffiths_pair_names_its_later_row feeds its run)
 MANIFEST_SWEEP_CONFIGS = {
     # a Griffiths pair fails at lam = 0.14 -> 0.15 (0.2 +- 0.33 against -1 +- 0)
     "magnetization-sweep": "kind = magnetization-sweep\nbeta = 2.0\nn = 1\n"
@@ -600,8 +660,15 @@ def _sweep(out: Path, text: str, kind: str) -> tuple[int, str, list, list | None
             json.loads(manifest.read_text())["failing"] if manifest.exists() else None)
 
 
-def test_failed_griffiths_pair_names_its_later_row(tmp_path):
+def test_failed_griffiths_pair_names_its_later_row(tmp_path, monkeypatch):
     kind = "magnetization-sweep"
+    # the Trotter results of the pinned rows, whatever the sampler's stream
+    pinned = [row.split(",") for row in PINNED_MANIFEST_SWEEP_CSV[kind].splitlines()[1:]]
+    results = {float(row[5]): sr.TrotterResult(Estimate(float(row[7]), float(row[8]), 10),
+                                               float(row[9]), 20, 0.1, None)
+               for row in pinned}
+    monkeypatch.setattr(ex.spinrep, "trotter_magnetization",
+                        lambda region, lam, *args: results[lam])
     code, csv_text, rows, failing = _sweep(tmp_path / "m", MANIFEST_SWEEP_CONFIGS[kind], kind)
     assert code == 1
     assert csv_text == PINNED_MANIFEST_SWEEP_CSV[kind]
@@ -626,6 +693,7 @@ def test_failed_percolation_and_lambda_c_rows_reach_the_manifest(tmp_path, monke
     code, _, rows, failing = _sweep(tmp_path / "bad", MANIFEST_SWEEP_CONFIGS[kind], kind)
     assert code == 1 and failing == rows and len(rows) == 2
     assert all(row["leaf_violations"] == 200 and row["pass"] is False for row in rows)
+    monkeypatch.setattr(ex, "correlation_ratio_curves", _fixed_curves(CROSSING_CURVES))
     monkeypatch.setattr(ex.spectral, "gap_scaling_critical_point",
                         lambda **kwargs: {"estimate": 1.5})
     code, _, rows, failing = _sweep(tmp_path / "lc", SWEEP_CONFIGS["lambda-c"], "lambda-c")

@@ -229,10 +229,12 @@ def test_trotter_matches_oracle_wired_magnetization():
 # -- Trotter sweep against the full-lattice reference -------------------------
 
 class _ReferenceTrotter:
-    """The full-lattice checkerboard sweep: for every colour it computes the
-    field at every site-slot, draws a uniform for every site-slot and flips
-    only the cells of that colour.  ``TrotterSampler`` must reproduce its
-    spins and its RNG stream exactly."""
+    """The full-lattice checkerboard sweep: it draws one uniform for every
+    site-slot, then for every colour (site colour + slot colour) mod K, with
+    K the larger colour count, computes the field at every site-slot and
+    flips only the cells of that colour whose uniform falls below their
+    acceptance.  ``TrotterSampler`` must reproduce its spins and its RNG
+    stream exactly."""
 
     def __init__(self, region, lam, delta, dt):
         self.region = region
@@ -267,7 +269,8 @@ class _ReferenceTrotter:
                      else [j for j in (i - 1, i + 1) if 0 <= j < m]
                      for i in range(m)]
         slot_colors = sr._proper_ring_colors(m, time_nbrs)
-        full = site_colors[:, None] * (slot_colors.max() + 1) + slot_colors[None, :]
+        k = max(site_colors.max(), slot_colors.max()) + 1
+        full = (site_colors[:, None] + slot_colors[None, :]) % k
         self.cells_by_color = {int(c): np.nonzero(full == c) for c in np.unique(full)}
         self.spins = np.ones((len(sites), m), dtype=np.int8)
 
@@ -294,8 +297,9 @@ class _ReferenceTrotter:
         return np.exp(-np.clip(d_e, 0, 700))
 
     def sweep(self, rng):
+        u = rng.random(self.spins.shape)
         for cells in self.cells_by_color.values():
-            accept = rng.random(size=self.spins.shape) < self.acceptance()
+            accept = u < self.acceptance()
             flip = np.zeros_like(self.spins, dtype=bool)
             flip[cells] = accept[cells]
             self.spins[flip] *= -1
@@ -344,21 +348,83 @@ def test_trotter_sweep_matches_full_lattice_reference(d, n, convention, bc_space
         looked_up = sampler._table[sampler._cells[gather] @ sampler._weights + base]
         assert np.array_equal(looked_up, expected[idx])
     if d == 1 and bc_space == "p":
-        for distance in range(region.box.side + 1):
-            assert sampler.pair_correlation(distance) == \
-                reference.pair_correlation(distance)
+        distances = range(region.box.side + 1)
+        assert list(sampler.pair_correlations(distances)) == \
+            [reference.pair_correlation(distance) for distance in distances]
+
+
+def _cell_colors(sampler) -> np.ndarray:
+    """The colour of every site-slot cell, by the order of the sweep's plan."""
+    colors = np.full(sampler.spins.size, -1)
+    for c, (idx, _, _) in enumerate(sampler._plan):
+        assert np.all(colors[idx] == -1)
+        colors[idx] = c
+    assert np.all(colors >= 0)
+    return colors.reshape(sampler.spins.shape)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("bc_space", list("fpw"))
+@pytest.mark.parametrize("bc_time", list("fpw"))
+@pytest.mark.parametrize("r", [0.5, 0.6])  # 5 or 6 slots: an odd or even slot ring
+def test_trotter_colours_are_proper_and_take_the_larger_count(d, bc_space, bc_time, r):
+    region = SpaceTimeRegion(Box(d, 1), r, bc_space, bc_time)
+    sampler = sr.TrotterSampler(region, 1.0, 1.0, dt=0.1)
+    colors = _cell_colors(sampler)
+    m = sampler.n_slots
+    index = {x: i for i, x in enumerate(region.box.sites())}
+    nbrs = [[] for _ in index]
+    for (x, y) in region.edge_set().edges:
+        if tuple(x) in index and tuple(y) in index:
+            i, j = index[tuple(x)], index[tuple(y)]
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+            assert np.all(colors[i] != colors[j])
+    assert np.all(colors[:, 1:] != colors[:, :-1])
+    slot_nbrs = [[j for j in (i - 1, i + 1) if 0 <= j < m] for i in range(m)]
+    if bc_time == "p":
+        assert np.all(colors[:, 0] != colors[:, -1])
+        slot_nbrs = [[(i - 1) % m, (i + 1) % m] for i in range(m)]
+    n_site = len(set(sr._proper_ring_colors(len(nbrs), nbrs)))
+    n_slot = len(set(sr._proper_ring_colors(m, slot_nbrs)))
+    assert len(sampler._plan) == max(n_site, n_slot)
+    assert n_slot == (3 if bc_time == "p" and m % 2 else 2)
+
+
+def test_trotter_sweep_draws_one_uniform_per_cell():
+    region = SpaceTimeRegion.ground_state(Box(1, 3), "p", "f")
+    sampler = sr.TrotterSampler(region, 1.0, 1.0)
+    rng_a = chain_generator(4, 11)
+    rng_b = chain_generator(4, 11)
+    sampler.sweep(rng_a)
+    rng_b.random(sampler.spins.size)
+    assert _same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
+
+
+def test_pair_correlations_equal_the_per_distance_sums():
+    rng = chain_generator(4, 12)
+    for n in (1, 2, 3):
+        region = SpaceTimeRegion.ground_state(Box(1, n), "p", "f")
+        sampler = sr.TrotterSampler(region, 1.0, 1.0)
+        sampler.spins[...] = np.where(rng.random(sampler.spins.shape) < 0.5, 1, -1)
+        s = sampler.spins
+        distances = list(range(2 * len(s) + 1))
+        # the former form: one roll and one integer sum per distance
+        per_distance = [int((s * np.concatenate((s[k % len(s):], s[:k % len(s)]))).sum())
+                        / s.size for k in distances]
+        assert list(sampler.pair_correlations(distances)) == per_distance
 
 
 def test_trotter_estimates_pinned():
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p")
     res = sr.trotter_magnetization(region, 1.0, 1.0, 300, chain_generator(4, 7), dt=0.1)
     assert (res.estimate.value, res.estimate.stderr, res.dt, res.n_slots) == \
-        (0.24666666666666667, 0.13502119212103017, 0.1, 10)
+        (0.3933333333333333, 0.11352113016187686, 0.1, 10)
     region = SpaceTimeRegion.ground_state(Box(1, 2), "p", "f")
     out = sr.trotter_pair_correlations(region, 0.9, 1.0, [1, 2], 200,
                                        chain_generator(4, 8), dt=0.1)
     assert {d: (r.estimate.value, r.estimate.stderr) for d, r in out.items()} == \
-        {1: (0.5269, 0.020342022590305913), 2: (0.4256999999999999, 0.030640237184862387)}
+        {1: (0.5107, 0.03250994449972882), 2: (0.413, 0.04184407376554767)}
 
 
 def test_lambda_c_summary_pinned():
@@ -366,18 +432,18 @@ def test_lambda_c_summary_pinned():
                     lam_grid=[0.8, 0.9, 1.0, 1.1, 1.2], delta=1.0, n_sweeps=200,
                     dt=0.1, seed=11).validate()
     _, summary, _ = ex.run_lambda_c(cfg)
-    assert summary["estimate"] == 1.054575123817957
+    assert summary["estimate"] == 0.9630795932578738
     assert summary["curves"] == {
-        "3": [(0.756493175133527, 0.08129097734216881),
-              (0.7919218365909062, 0.06664766229815733),
-              (0.9065227109692409, 0.04862909110141708),
-              (0.8784563515290312, 0.06041779283306196),
-              (0.9554158082682871, 0.033812729501959626)],
-        "4": [(0.46880232168768843, 0.11575798601178881),
-              (0.6596397087006516, 0.12092665844197854),
-              (0.8133652666627723, 0.09103468261177906),
-              (0.9559947074138888, 0.039822823614094775),
-              (0.9589680485424535, 0.04453618292974875)]}
+        "3": [(0.7293354567964587, 0.10954514388239416),
+              (0.9128943092263988, 0.05506966269652875),
+              (0.8437284030588129, 0.06971085375777891),
+              (0.8972990966420495, 0.039918062467959474),
+              (0.9466794293411319, 0.04000871168411437)],
+        "4": [(0.7256188487921263, 0.09869128109189061),
+              (0.7673660019274965, 0.10190257079324731),
+              (0.9289059386209644, 0.05036262102808329),
+              (0.9404889975550123, 0.07073219636892325),
+              (0.9874308883155178, 0.02451071605512448)]}
 
 
 @pytest.mark.parametrize("region", [

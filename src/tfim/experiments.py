@@ -463,9 +463,10 @@ def estimate_lambda_c_1d(cfg: RunConfig, workers: int = 1) -> dict:
     curves = correlation_ratio_curves(cfg, workers)
     try:
         est, spread, crossings = crossing_estimate(cfg.lam_grid, curves)
-        est, spread = est / cfg.delta, spread / cfg.delta
     except NoCrossingError:
         est, spread, crossings = None, None, []
+    else:
+        est, spread = est / cfg.delta, spread / cfg.delta
     reference = spectral.gap_scaling_critical_point(
         sizes=(6, 8, 10), lam_grid=cfg.delta * np.linspace(0.8, 1.2, 9),
         delta=cfg.delta)

@@ -15,8 +15,7 @@ from tfim.config import ConfigError, RunConfig
 from tfim import experiments as ex
 from tfim import spinrep as sr
 from tfim.rng import chain_generator
-from tfim.stats import (Estimate, RatioAccumulator, batch_means_estimate,
-                        integrated_autocorrelation_time)
+from tfim.stats import Estimate, RatioAccumulator
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -455,7 +454,7 @@ PINNED_SWEEP_CSV = {
 def test_sweep_csv_pinned_for_any_worker_count(tmp_path, kind):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(SWEEP_CONFIGS[kind])
-    flips = []
+    flips, taus = [], []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
         assert cli_main(["sweep", "--config", str(cfg), "--out", str(out),
@@ -464,41 +463,21 @@ def test_sweep_csv_pinned_for_any_worker_count(tmp_path, kind):
         payload = json.loads((out / f"run-{kind}.json").read_text())
         if kind == "lambda-c":
             summary = payload["summary"]
-            assert summary["flip_frac"].keys() == summary["curves"].keys()
+            assert summary["flip_frac"].keys() == summary["curves"].keys() == \
+                summary["tau_int"].keys()
             flips.append([f for n in ("3", "4") for f in summary["flip_frac"][n]])
+            taus.append([t for n in ("3", "4") for t in summary["tau_int"][n]])
         else:
             flips.append([row["flip_frac"] for row in payload["rows"]])
-    # the flip fraction is in the JSON only, and the same for any worker count
+            taus.append([row["tau_int"] for row in payload["rows"]])
+    # the flip fraction and tau_int are in the JSON only (the CSV bytes above
+    # hold with them), and the same for any worker count
     assert flips[0] == flips[1] and all(0.0 < f < 1.0 for f in flips[0])
     assert len(flips[0]) == (10 if kind == "lambda-c" else 4)
-
-
-@pytest.mark.parametrize("kind", sorted(SWEEP_CONFIGS))
-def test_tau_int_is_in_the_json_only(tmp_path, kind):
-    code, csv_text, rows, _ = _sweep(tmp_path / "t", SWEEP_CONFIGS[kind], kind)
-    summary = json.loads((tmp_path / "t" / f"run-{kind}.json").read_text())["summary"]
-    assert code == 0 and csv_text == PINNED_SWEEP_CSV[kind]
-    assert "tau_int" not in csv_text
-    if kind == "lambda-c":
-        taus = [t for n in ("3", "4") for t in summary["tau_int"][n]]
-        assert len(taus) == 10 and all(t > 0 for t in taus)
-    else:
-        # the n = 1, lam = 1 series never changes, so its s^2 is 0
-        assert [row["tau_int"] is None for row in rows] == [False, True, False, False]
-        assert all(row["tau_int"] > 0 for row in rows if row["tau_int"] is not None)
-
-
-def test_tau_int_from_batch_means():
-    xs = np.repeat([1.0, -1.0], 64)  # 32 batches of 4 identical values
-    est = batch_means_estimate(xs)
-    assert integrated_autocorrelation_time(xs, est) == \
-        xs.size * est.stderr ** 2 / (2 * xs.var(ddof=1))
-    # below 64 values the plain mean's SE gives tau_int = 1/2
-    few = np.array([1.0, 2.0, 4.0])
-    assert integrated_autocorrelation_time(few, batch_means_estimate(few)) == \
-        pytest.approx(0.5)
-    assert integrated_autocorrelation_time(np.ones(100), batch_means_estimate(np.ones(100))) \
-        is None
+    assert taus[0] == taus[1] and all(t > 0 for t in taus[0] if t is not None)
+    # the magnetization series at n = 1, lam = 1 never changes: s^2 = 0
+    assert [t is None for t in taus[0]] == \
+        ([False] * 10 if kind == "lambda-c" else [False, True, False, False])
 
 
 # ratio curves as correlation_ratio_curves returns them: (ratio, stderr, flip

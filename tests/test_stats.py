@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from tfim.rng import chain_generator
 from tfim.stats import (N_SE, Check, Estimate, RatioAccumulator, batch_means_estimate,
-                        effective_sample_size, mean_estimate,
-                        ratio_estimate_independent, ratio_estimate_jackknife)
+                        effective_sample_size, integrated_autocorrelation_time,
+                        mean_estimate, ratio_estimate_independent,
+                        ratio_estimate_jackknife)
 
 
 def test_mean_estimate_matches_numpy():
@@ -122,6 +123,20 @@ def test_batch_means_reports_wider_errors_for_correlated_series():
     naive = mean_estimate(correlated)
     robust = batch_means_estimate(correlated)
     assert robust.stderr > 2 * naive.stderr
+
+
+def test_tau_int_from_batch_means():
+    xs = np.repeat([1.0, -1.0], 64)  # 32 batches of 4 identical values
+    est = batch_means_estimate(xs)
+    assert integrated_autocorrelation_time(xs, est) == \
+        xs.size * est.stderr ** 2 / (2 * xs.var(ddof=1))
+    # below 64 values the plain mean's SE gives tau_int = 1/2
+    few = np.array([1.0, 2.0, 4.0])
+    assert integrated_autocorrelation_time(few, batch_means_estimate(few)) == \
+        pytest.approx(0.5)
+    # a series that never changes has no variance to compare against
+    assert integrated_autocorrelation_time(np.ones(100), batch_means_estimate(np.ones(100))) \
+        is None
 
 
 def test_chain_streams_reproducible_and_distinct():

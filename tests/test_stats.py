@@ -42,6 +42,64 @@ def test_ratio_accumulator_merge_and_estimate():
     assert a.stderr == pytest.approx(jack.stderr, rel=0.1)
 
 
+def _independent_reference(num, den) -> tuple[float, float]:
+    """(value, stderr) of mean(num)/mean(den) by the delta method for
+    independent pools, as ``ratio_estimate_independent`` computed it."""
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    nb, db = num.mean(), den.mean()
+    vn = num.var(ddof=1) / num.size
+    vd = den.var(ddof=1) / den.size
+    return float(nb / db), math.sqrt(vn / db**2 + nb**2 * vd / db**4)
+
+
+def _jackknife_stderr(num, den) -> float:
+    """Delete-one jackknife SE of mean(num)/mean(den) on a shared pool, as
+    ``ratio_estimate_jackknife`` computed it."""
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    n = num.size
+    loo = (num.sum() - num) / (den.sum() - den)
+    return math.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum())
+
+
+def _pools(seed: int) -> dict:
+    """Ratio pools shaped like the callers': importance weights with signed
+    values, sparse coupled weights (most zero) with an event, and dense
+    labelling weights."""
+    rng = np.random.default_rng(seed)
+    n = 300
+    w = np.exp(rng.normal(size=n))
+    sparse = np.where(rng.random(n) < 0.05, rng.random(n), 0.0)
+    event = rng.random(n) < 0.5
+    labels = np.exp(-2.0 * rng.exponential(size=n))
+    return {"importance": (w * rng.choice([-1.0, 1.0], size=n, p=[0.3, 0.7]), w),
+            "sparse": (np.where(event, sparse, 0.0), sparse),
+            "labelling": (labels * (rng.random(n) < 0.6), labels)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_independent_pools_formula_pinned(seed):
+    for num, den in _pools(seed).values():
+        est = ratio_estimate_independent(num, den)
+        value, stderr = _independent_reference(num, den)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_pool_stderr_matches_jackknife(seed):
+    # the pools that keep the covariance term; on a sparse pool of a few
+    # nonzero weights the two differ by more than the tolerance
+    for name in ("importance", "labelling"):
+        num, den = _pools(seed)[name]
+        acc = RatioAccumulator()
+        acc.push_many(num, den)
+        assert acc.estimate().stderr == pytest.approx(_jackknife_stderr(num, den), rel=0.1), name
+        assert ratio_estimate_jackknife(num, den).stderr == \
+            pytest.approx(_jackknife_stderr(num, den), rel=1e-9)
+
+
 def test_ratio_estimators_consistency():
     rng = np.random.default_rng(2)
     num = 2.0 + rng.normal(size=5000) * 0.1

@@ -23,7 +23,7 @@ from .discrete import DiscreteSystem, switching_sides
 from .geometry import Box, EdgeSet, Holes
 from .poisson import verify_modification_identity
 from .rng import chain_generator
-from .stats import Check, RatioAccumulator, ratio_estimate_independent
+from .stats import Check, RatioAccumulator
 
 KIND_COLUMNS = {
     "correlation": ["kind", "method", "d", "n", "r", "bc_space", "bc_time",
@@ -102,12 +102,11 @@ def run_correlation(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]
             logs, vals, num, den = (np.concatenate(parts) for parts in zip(*arrays))
             spin_s += sum(s for s, _ in seconds)
             labelling_s += sum(s for _, s in seconds)
-            randomparity.check_denominator_pool(den, lam)
             w = np.exp(logs - logs.max())
-            acc_spin = RatioAccumulator()
-            acc_spin.push_many(w * vals, w)
-            spin_est = acc_spin.estimate()
-            rpr_est = ratio_estimate_independent(num, den)
+            spin_est = RatioAccumulator.of(w * vals, w, covariance=True).estimate(
+                "spin importance pool")
+            rpr_est = RatioAccumulator.of(num, den, covariance=False).estimate(
+                f"denominator (source-free) labelling pool at lam={lam}")
             wall = time.time() - t0
             base = {"kind": cfg.kind, "d": cfg.d, "n": cfg.n, "r": region.r,
                     "bc_space": region.bc_space, "bc_time": region.bc_time,
@@ -121,8 +120,9 @@ def run_correlation(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]
                          **_pool_diagnostics(rpr_est, num, den)})
             if 2 ** region.box.site_count <= spectral.DEFAULT_DIM_CAP:
                 exact = spectral.oracle_correlation(region, lam, cfg.delta, points)
+                # an exact value rests on no draws: no ESS (null in the JSON)
                 rows.append({**base, "method": "oracle", "estimate": exact,
-                             "stderr": 0.0, "n_effective": float("inf"),
+                             "stderr": 0.0, "n_effective": None,
                              "wall_time": 0.0})
     # the spin stage draws one pool per chain and coupling, the labelling
     # stage two (numerator and denominator); times are summed over chains
@@ -267,7 +267,7 @@ def run_irb_check(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
 def _percolation_chain(args) -> dict:
     cfg, region, lam, chain = args
     rng = chain_generator(cfg.seed, chain)
-    acc = RatioAccumulator()
+    acc = RatioAccumulator(covariance=False)
     clusters = []
     boundary = []
     trif = 0
@@ -296,7 +296,7 @@ def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict,
             t0 = time.time()
             results = map_points(_percolation_chain,
                                  [(cfg, region, lam, k) for k in range(cfg.n_chains)])
-            acc = RatioAccumulator()
+            acc = RatioAccumulator(covariance=False)
             clusters = []
             boundary = []
             trif = 0
@@ -307,11 +307,7 @@ def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict,
                 boundary.extend(res["boundary"])
                 trif += res["trif"]
                 violations += res["violations"]
-            if acc.sum_den == 0:
-                raise spinrep.SamplingError(
-                    f"percolation-sweep: all {acc.n} coupled weights of the origin-to-ghost "
-                    f"pool at lam={lam} are zero, so its ratio is undefined")
-            est = acc.estimate()
+            est = acc.estimate(f"origin-to-ghost coupled pool at lam={lam}")
             rows.append({"kind": cfg.kind, "d": cfg.d, "n": cfg.n, "r": region.r,
                          "lam": lam, "delta": cfg.delta,
                          "p_origin_ghost": est.value, "stderr": est.stderr,

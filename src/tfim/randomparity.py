@@ -34,8 +34,8 @@ import numpy as np
 from .geometry import (Box, EdgeSet, Holes, SpaceTimeRegion, edge_shadow_length,
                        edge_windows, l1_norm, line_components)
 from .poisson import draw_times
-from .stats import (Check, Estimate, difference_estimate, mean_estimate,
-                    ratio_estimate_independent, ratio_estimate_jackknife)
+from .stats import (Check, Estimate, RatioAccumulator, SamplingError, difference_estimate,
+                    mean_estimate)
 from . import spinrep
 
 
@@ -306,7 +306,7 @@ def sample_coupled(region: SpaceTimeRegion, lam: float, delta: float,
         if _distinct([*bridges1.values(), *bridges2.values(), *ghosts.values()]):
             break
     else:
-        raise spinrep.SamplingError(
+        raise SamplingError(
             "coupled draw: 100 draws in a row had coincident bridge or ghost times")
     tau1 = {x: int(rng.integers(2)) for x in box.sites()} if t1 == "p" else None
     tau2 = {x: int(rng.integers(2)) for x in box.sites()} if t2 == "p" else None
@@ -558,14 +558,16 @@ def coupled_event_probability(region: SpaceTimeRegion, lam: float, delta: float,
                               rng: np.random.Generator) -> Estimate:
     """Weighted frequency of ``event`` (a predicate on coupled configurations)
     over source-free coupled draws.  Numerator and denominator come from the
-    same draws; the standard error is the independent-pools formula."""
+    same draws, but the standard error drops the covariance term (see
+    :mod:`tfim.stats`); ``SamplingError`` when every coupled weight is zero."""
     num = np.empty(n_samples)
     den = np.empty(n_samples)
     for i in range(n_samples):
         c = sample_coupled(region, lam, delta, (), (), rng)
         w = den[i] = c.weight
         num[i] = w if (w > 0 and event(c)) else 0.0
-    return ratio_estimate_independent(num, den)
+    return RatioAccumulator.of(num, den, covariance=False).estimate(
+        f"source-free coupled pool at lam={lam}")
 
 
 def origin_ghost_probability(region: SpaceTimeRegion, lam: float, delta: float,
@@ -608,23 +610,13 @@ def estimate_rpr_correlation(sources: Sequence, region: SpaceTimeRegion,
                              rng: np.random.Generator) -> Estimate:
     """Correlation as a ratio of mean labelling weights (sources over empty),
     using the region's spatial condition (wired space adds ghost points).
-    Numerator and denominator use independent pools; the standard error is
-    the delta method."""
+    Numerator and denominator use independent pools; ``SamplingError`` when
+    every denominator weight is zero."""
     _check_sources(region, sources)
     num = _labelling_weights(region, lam, delta, sources, n_samples, rng)
     den = _labelling_weights(region, lam, delta, (), n_samples, rng)
-    check_denominator_pool(den, lam)
-    return ratio_estimate_independent(num, den)
-
-
-def check_denominator_pool(den: np.ndarray, lam: float) -> None:
-    """Raise ``SamplingError`` when every weight of a source-free labelling
-    pool is zero: the random-parity ratio is then undefined."""
-    if not den.any():
-        raise spinrep.SamplingError(
-            f"random-parity correlation: all {den.size} weights of the denominator "
-            f"(source-free) labelling pool at lam={lam} are zero, so its ratio is "
-            "undefined")
+    return RatioAccumulator.of(num, den, covariance=False).estimate(
+        f"denominator (source-free) labelling pool at lam={lam}")
 
 
 def verify_switching(region: SpaceTimeRegion, lam: float, delta: float,
@@ -680,7 +672,8 @@ def correlation_difference_bound(region: SpaceTimeRegion, lam: float, delta: flo
         den_c = sample_coupled(region, lam, delta, (), (), rng)
         den[i] = den_c.weight
         num[i] = w if (w > 0 and connectivity(c, origin, None, "to-gamma")) else 0.0
-    bound = ratio_estimate_independent(num, den)
+    bound = RatioAccumulator.of(num, den, covariance=False).estimate(
+        f"source-free coupled pool of the ghost-connection bound at lam={lam}")
     diff = difference_estimate(corr_w, corr_f)
     return (Check("bound", corr_f.value, corr_w.value, corr_f.stderr, corr_w.stderr),
             Check("bound", diff.value, bound.value, diff.stderr, bound.stderr))
@@ -753,9 +746,10 @@ def verify_local_modification_B(region: SpaceTimeRegion, lam: float, delta: floa
                 if wired:
                     joint[name][i] = w
     results = {}
+    pool = f"source-free coupled pool of local modification B at lam={lam}"
     for name in events:
-        pa = ratio_estimate_independent(hits[name], weights)
-        pac = ratio_estimate_independent(joint[name], weights)
+        pa = RatioAccumulator.of(hits[name], weights, covariance=False).estimate(pool)
+        pac = RatioAccumulator.of(joint[name], weights, covariance=False).estimate(pool)
         results[name] = Check("bound", pa.value, c * pac.value, pa.stderr, c * pac.stderr,
                               {"constant": c})
     return results
@@ -860,14 +854,14 @@ def event_probability_identity(holes: Holes, region: SpaceTimeRegion, lam: float
                                rng: np.random.Generator) -> Check:
     """Cross-representation identity for P(labelling even throughout J).
 
-    Left: the tilted-labelling probability.  Right: 2^{-m_p} times the ratio
-    of spin-side partition values of the cut and full regions.  The check's
-    detail also carries the printed closed form c(J) mu[exp(-lam L_J)] with
-    c(J) = 2^{-n} e^{delta |J| + lam |Jt|} for reference."""
+    Left: the tilted-labelling probability, a ratio on one labelling pool.
+    Right: 2^{-m_p} times the ratio of spin-side partition values of the cut
+    and full regions."""
     if region.bc_space != "f":
         raise ValueError("the tilted measure concerns the plain labelling")
-    lhs = ratio_estimate_jackknife(*_even_throughout_pool(holes, region, lam, delta,
-                                                          n_samples, rng))
+    num, den = _even_throughout_pool(holes, region, lam, delta, n_samples, rng)
+    lhs = RatioAccumulator.of(num, den, covariance=True).estimate(
+        f"source-free labelling pool of the event probability at lam={lam}")
 
     m_p = len(holes.cut_sites()) if region.bc_time == "p" else 0
     z_cut = spinrep.estimate_cut_partition(region, holes, lam, delta, n_samples, rng)
@@ -876,16 +870,4 @@ def event_probability_identity(holes: Holes, region: SpaceTimeRegion, lam: float
     rhs_val = (0.5**m_p) * z_cut.value / z_full.value
     rhs_se = (0.5**m_p) * math.hypot(z_cut.stderr / z_full.value,
                                      z_cut.value * z_full.stderr / z_full.value**2)
-
-    # printed closed form, for the detail only
-    edges = EdgeSet.free(region.box).edges
-    shadow = edge_shadow_length(region, holes, edges)
-    n_extra = 0
-    for x in region.box.sites():
-        comps = line_components(region, holes, x)
-        n_extra += len(comps) - 1
-    c_printed = (0.5**n_extra) * math.exp(delta * holes.total_length + lam * shadow)
-    mu = spinrep.estimate_exp_overlap_in(holes, region, lam, delta, n_samples, rng)
-    return Check("identity", lhs.value, rhs_val, lhs.stderr, rhs_se,
-                 {"shadow": shadow, "m_p": m_p, "printed_rhs": c_printed * mu.value,
-                  "printed_c": c_printed, "mu_exp_L": mu.value})
+    return Check("identity", lhs.value, rhs_val, lhs.stderr, rhs_se, {"m_p": m_p})

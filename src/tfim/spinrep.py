@@ -30,12 +30,8 @@ import numpy as np
 
 from .geometry import (Holes, SpaceTimeRegion, edge_windows, line_components)
 from .poisson import draw_times
-from .stats import (Estimate, batch_means_estimate, integrated_autocorrelation_time,
-                    mean_estimate, ratio_estimate_jackknife)
-
-
-class SamplingError(RuntimeError):
-    """Raised when rejection sampling exhausts its budget."""
+from .stats import (Estimate, RatioAccumulator, SamplingError, batch_means_estimate,
+                    integrated_autocorrelation_time, mean_estimate)
 
 
 _REJECT_BUDGET = 10000
@@ -176,7 +172,7 @@ def estimate_correlation(points: Sequence, region: SpaceTimeRegion, lam: float,
     logs, vals = _weights_and_values(region, lam, delta, n_samples, rng,
                                      lambda c: c.product_over(points))
     w = np.exp(logs - logs.max())
-    return ratio_estimate_jackknife(w * vals, w)
+    return RatioAccumulator.of(w * vals, w, covariance=True).estimate("spin importance pool")
 
 
 def estimate_magnetization(region: SpaceTimeRegion, lam: float, delta: float,
@@ -214,7 +210,7 @@ def estimate_exp_overlap_in(holes: Holes, region: SpaceTimeRegion, lam: float,
 
     logs, vals = _weights_and_values(region, lam, delta, n_samples, rng, value)
     w = np.exp(logs - logs.max())
-    return ratio_estimate_jackknife(w * vals, w)
+    return RatioAccumulator.of(w * vals, w, covariance=True).estimate("spin importance pool")
 
 
 # -- partition-style estimates over cut regions ------------------------------

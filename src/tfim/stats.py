@@ -1,4 +1,15 @@
-"""Means, mergeable ratio sums, and error estimates for ratio estimators."""
+"""Means, the one ratio estimator, batch-means errors and the verification
+record.
+
+``RatioAccumulator`` estimates every ratio of weighted means, and each caller
+fixes its ``covariance`` from how the pool was drawn (measured over 100
+seeds on 3 sites, 300 draws, lam = delta = 1, against ED).  Dense shared
+pools (spin importance weights, the event-probability lhs) keep the
+covariance term: RMS z 0.99-1.33, as the jackknife's.  Coupled pools drop it
+although their sides share draws: on about 13 nonzero weights of 300 it gave
+RMS z 2.84, the paired formula 23.6.  Independent pools (the random-parity
+correlation, the ghost-connection bound) have no covariance to keep.
+"""
 
 from __future__ import annotations
 
@@ -79,64 +90,41 @@ def mean_estimate(xs) -> Estimate:
     return Estimate(mean, math.sqrt(m2 / (n - 1) / n) if n > 1 else math.nan, n)
 
 
-def effective_sample_size(weights) -> float:
-    w = np.asarray(weights, dtype=float)
-    s = w.sum()
-    s2 = (w * w).sum()
-    return float(s * s / s2) if s2 > 0 else 0.0
-
-
-def ratio_estimate_jackknife(num, den) -> Estimate:
-    """Delete-one jackknife for a ratio mean(num)/mean(den) on a shared pool."""
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    n = num.size
-    s_num, s_den = num.sum(), den.sum()
-    if s_den == 0:
-        raise ZeroDivisionError("ratio estimate with all-zero denominator")
-    theta = s_num / s_den
-    loo = (s_num - num) / (s_den - den)
-    theta_j = loo.mean()
-    var = (n - 1) / n * ((loo - theta_j) ** 2).sum()
-    ess = effective_sample_size(np.abs(den))
-    warnings = ("low-ess",) if ess < LOW_ESS else ()
-    return Estimate(float(n * theta - (n - 1) * theta_j), math.sqrt(var), n, ess, warnings)
-
-
-def ratio_estimate_independent(num, den) -> Estimate:
-    """Delta-method SE for mean(num)/mean(den) from independent pools."""
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    nb, db = num.mean(), den.mean()
-    if db == 0:
-        raise ZeroDivisionError("ratio estimate with zero denominator mean")
-    vn = num.var(ddof=1) / num.size if num.size > 1 else 0.0
-    vd = den.var(ddof=1) / den.size if den.size > 1 else 0.0
-    var = vn / db**2 + nb**2 * vd / db**4
-    ess = effective_sample_size(np.abs(den))
-    warnings = ("low-ess",) if ess < LOW_ESS else ()
-    return Estimate(float(nb / db), math.sqrt(var), num.size, ess, warnings)
-
-
 def difference_estimate(a: Estimate, b: Estimate) -> Estimate:
     return Estimate(a.value - b.value, math.hypot(a.stderr, b.stderr), min(a.n, b.n))
 
 
+class SamplingError(RuntimeError):
+    """Raised when rejection sampling exhausts its budget or a ratio pool
+    has no weight."""
+
+
 @dataclass
 class RatioAccumulator:
-    """Mergeable sums for a ratio of means over a shared pool.
+    """Mergeable sums for the ratio mean(num)/mean(den), the one ratio
+    estimator.
 
-    Tracks first and second moments of (num, den) including their covariance,
-    so chains can be merged exactly and the delta-method standard error of
-    mean(num)/mean(den) computed from the pooled sums.
+    ``covariance`` says how the pairs were drawn.  With it, num and den come
+    from the same draws and the standard error is the paired delta method;
+    without it, the independent-pools delta method, which drops the num-den
+    covariance term.  Both take the n-1 sample variances, so sums from any
+    split of the pairs merge to the same estimate.
     """
 
+    covariance: bool
     n: int = 0
     sum_num: float = 0.0
     sum_den: float = 0.0
     sum_num2: float = 0.0
     sum_den2: float = 0.0
     sum_cross: float = 0.0
+
+    @classmethod
+    def of(cls, num, den, covariance: bool) -> "RatioAccumulator":
+        """The sums of one pool of (num, den) pairs."""
+        acc = cls(covariance)
+        acc.push_many(num, den)
+        return acc
 
     def push_many(self, num, den) -> None:
         num = np.asarray(num, dtype=float)
@@ -156,18 +144,26 @@ class RatioAccumulator:
         self.sum_den2 += other.sum_den2
         self.sum_cross += other.sum_cross
 
-    def estimate(self) -> Estimate:
-        if self.n < 2 or self.sum_den == 0:
-            raise ZeroDivisionError("ratio accumulator needs data and nonzero denominator")
+    def estimate(self, pool: str) -> Estimate:
+        """The ratio with its standard error (nan below two pairs) and the
+        Kish ESS of the denominator weights; ``SamplingError`` naming
+        ``pool`` when every denominator weight is zero."""
         n = self.n
+        if self.sum_den == 0:
+            raise SamplingError(f"all {n} weights of the {pool} are zero, "
+                                "so its ratio is undefined")
         mn, md = self.sum_num / n, self.sum_den / n
-        vn = (self.sum_num2 / n - mn * mn) / n
-        vd = (self.sum_den2 / n - md * md) / n
-        cv = (self.sum_cross / n - mn * md) / n
-        var = vn / md**2 + mn**2 * vd / md**4 - 2.0 * mn * cv / md**3
-        ess = self.sum_den**2 / self.sum_den2 if self.sum_den2 > 0 else 0.0
+        ratio = mn / md
+        if n < 2:
+            return Estimate(ratio, math.nan, n)
+        # variances of the two means, and their covariance when paired
+        vn = (self.sum_num2 - n * mn * mn) / (n - 1) / n
+        vd = (self.sum_den2 - n * md * md) / (n - 1) / n
+        cv = (self.sum_cross - n * mn * md) / (n - 1) / n if self.covariance else 0.0
+        var = (vn + ratio * ratio * vd - 2.0 * ratio * cv) / (md * md)
+        ess = self.sum_den**2 / self.sum_den2
         warnings = ("low-ess",) if ess < LOW_ESS else ()
-        return Estimate(mn / md, math.sqrt(max(var, 0.0)), n, ess, warnings)
+        return Estimate(ratio, math.sqrt(max(var, 0.0)), n, ess, warnings)
 
 
 def batch_means_estimate(xs) -> Estimate:

@@ -276,6 +276,30 @@ seed = 1
     assert "ZeroDivisionError" not in err
 
 
+def test_cli_identity_suite_all_zero_coupled_pool_exits_three(tmp_path, capsys):
+    # every coupled weight of the connectivity-product pool is zero; it used
+    # to stop with a bare ZeroDivisionError
+    cfg = _write_config(tmp_path, """
+kind = identity-suite
+d = 1
+n = 1
+beta = 1.0
+bc_space = f
+bc_time = f
+lam = 1.0
+delta = 1.0
+n_samples = 60
+point_site = 1
+point_time = 0.1
+seed = 6
+""", name="ident.cfg")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "SamplingError: all 60 weights of the source-free coupled pool at lam=1.0" in err
+    assert "ZeroDivisionError" not in err
+
+
 @pytest.mark.parametrize("argv,seed", [([], 1), (["--seed", "0"], 0), (["--seed", "5"], 5)])
 def test_cli_verify_default_seed(monkeypatch, tmp_path, argv, seed):
     seen = []

@@ -56,9 +56,8 @@ def test_correlation_spin_row_pools_chains_under_one_maximum():
     w = np.exp(np.array(logs) - max(logs))
     assert spin["estimate"] == pytest.approx((w * vals).sum() / w.sum(), rel=1e-12)
     assert spin["n_effective"] == pytest.approx(w.sum() ** 2 / (w * w).sum(), rel=1e-12)
-    acc = RatioAccumulator()
-    acc.push_many(w * vals, w)
-    assert spin["stderr"] == acc.estimate().stderr
+    acc = RatioAccumulator.of(w * vals, w, covariance=True)
+    assert spin["stderr"] == acc.estimate("pool").stderr
 
 
 CORRELATION_CONFIGS = {
@@ -79,43 +78,46 @@ CORRELATION_CONFIGS = {
 }
 
 # CSV bytes of the configs above as written before the overlap walk read one
-# sign per window and the labelling build appended whole arrays
+# sign per window and the labelling build appended whole arrays; re-pinned
+# when every ratio went through one accumulator: the spin SEs (n-1
+# variance), the last bits of two random-parity SEs, and the oracle
+# n_effective cell (empty, was inf)
 PINNED_CORRELATION_CSV = {
     "estimators-2-chains":
         "kind,method,d,n,r,bc_space,bc_time,lam,delta,estimate,stderr,"
         "n_samples,n_effective,seed\n"
         "correlation,spin,1,1,1,f,p,0.5,1,0.2440136933875946,"
-        "0.059650208437960373,300,231.50546402510963,1\n"
+        "0.059749874686974444,300,231.50546402510963,1\n"
         "correlation,random-parity,1,1,1,f,p,0.5,1,0.2923364444599581,"
         "0.063372862342535641,300,42.658325338565781,1\n"
-        "correlation,oracle,1,1,1,f,p,0.5,1,0.28855401527202285,0,300,inf,1\n"
+        "correlation,oracle,1,1,1,f,p,0.5,1,0.28855401527202285,0,300,,1\n"
         "correlation,spin,1,1,1,f,p,1,1,0.48319445128496735,"
-        "0.060040023306886653,300,127.51636393319556,1\n"
+        "0.060140340876102497,300,127.51636393319556,1\n"
         "correlation,random-parity,1,1,1,f,p,1,1,0.57206392243426329,"
-        "0.16592488183869369,300,23.444862032622009,1\n"
-        "correlation,oracle,1,1,1,f,p,1,1,0.53632714683908178,0,300,inf,1\n"
+        "0.16592488183869367,300,23.444862032622009,1\n"
+        "correlation,oracle,1,1,1,f,p,1,1,0.53632714683908178,0,300,,1\n"
         "correlation,spin,1,1,1,f,p,1.5,1,0.67399251607864485,"
-        "0.054546197193909227,300,72.418442882582553,1\n"
+        "0.054637335431556043,300,72.418442882582553,1\n"
         "correlation,random-parity,1,1,1,f,p,1.5,1,0.73950792667678855,"
-        "0.20549011330690484,300,25.250161263378153,1\n"
-        "correlation,oracle,1,1,1,f,p,1.5,1,0.71467901460070593,0,300,inf,1\n",
+        "0.20549011330690481,300,25.250161263378153,1\n"
+        "correlation,oracle,1,1,1,f,p,1.5,1,0.71467901460070593,0,300,,1\n",
     "wired-space":
         "kind,method,d,n,r,bc_space,bc_time,lam,delta,estimate,stderr,"
         "n_samples,n_effective,seed\n"
         "correlation,spin,1,1,2,w,p,1,1,0.91926627684498263,"
-        "0.048123534304784214,200,3.337975039066345,3\n"
+        "0.048244296186768766,200,3.337975039066345,3\n"
         "correlation,random-parity,1,1,2,w,p,1,1,1.5531097203954205,"
         "1.1407041153065609,200,2.9803622076068059,3\n"
-        "correlation,oracle,1,1,2,w,p,1,1,0.74786177027567236,0,200,inf,3\n",
+        "correlation,oracle,1,1,2,w,p,1,1,0.74786177027567236,0,200,,3\n",
     "ground-state":
         "kind,method,d,n,r,bc_space,bc_time,lam,delta,estimate,stderr,"
         "n_samples,n_effective,seed\n"
         "correlation,spin,1,1,2,f,f,0.80000000000000004,1,0.43963276288864545,"
-        "0.086106583392992014,200,71.831374038220801,7\n"
+        "0.086322660479014213,200,71.831374038220801,7\n"
         "correlation,random-parity,1,1,2,f,f,0.80000000000000004,1,"
         "0.23511585429164519,0.075023591303718218,200,17.912941711524571,7\n"
         "correlation,oracle,1,1,2,f,f,0.80000000000000004,1,"
-        "0.28997408155725896,0,200,inf,7\n",
+        "0.28997408155725896,0,200,,7\n",
 }
 
 
@@ -188,7 +190,9 @@ VERIFY_CONFIGS = {
 # built its own report; the local-modification-A rows (rhs and se_rhs) were
 # re-pinned when A stopped drawing the unread ghost-connection bound, and the
 # exact switching rows (last bits of lhs, rhs and gap) when the enumeration
-# took compensated sums
+# took compensated sums; the event-probability, connectivity-product and
+# local-modification-A rows when the event-probability identity stopped
+# drawing its unread printed closed form and took the paired delta method
 PINNED_VERIFY_CSV = {
     ('verify-suite', 'switching-verify'):
         'kind,case,mode,lhs,rhs,se_lhs,se_rhs,gap,pass,seed\n'
@@ -235,15 +239,15 @@ PINNED_VERIFY_CSV = {
         'identity-suite,holes,centre-interval,0.082919617547261057,'
         '0.099302701213904263,0.012866481681437265,0.026993540895080124,'
         '0.54787173936425526,true,1\n'
-        'identity-suite,event-probability,centre-interval,0.65449904007226678,'
-        '0.65737402048140248,0.090016376049925226,0.053558965861498102,'
-        '0.0274474291388076,true,1\n'
-        'identity-suite,connectivity-product,two-point,0.62736438169324538,'
-        '0.34120213543435995,0.60796893139471908,0.15865502841008505,'
-        '0.45543359430140085,true,1\n'
+        'identity-suite,event-probability,centre-interval,0.64387409931274886,'
+        '0.65737402048140248,0.084206031516933164,0.053558965861498102,'
+        '0.13527532956901483,true,1\n'
+        'identity-suite,connectivity-product,two-point,0.68358000351756854,'
+        '0.16315803331432577,0.5843188339242984,0.077786043769343366,'
+        '0.88285877071088992,true,1\n'
         'identity-suite,local-modification-A,"kappa=((1,), 0.25)",'
-        '0.23958921528836141,876.15041157633902,0.40183340918758109,'
-        '902.71849447322643,0,true,1\n'
+        '0.21740176141884493,582.34517465145882,0.32546051843777157,'
+        '377.37341186040521,0,true,1\n'
         'identity-suite,local-modification-B,no-cuts-on-far-site,0,0,0,0,0,'
         'true,1\n',
     ('wired-space', 'switching-verify'):
@@ -291,15 +295,15 @@ PINNED_VERIFY_CSV = {
         'identity-suite,holes,centre-interval,0.007548789508034455,'
         '0.013339211290374324,0.0022115125518136773,0.0078433870760281025,'
         '0.71055069109135083,true,3\n'
-        'identity-suite,event-probability,centre-interval,0.21206779322904623,'
-        '0.60534359553678208,0.099043719630091634,0.10703767244662946,'
-        '2.696788897637588,true,3\n'
-        'identity-suite,connectivity-product,two-point,0.99519672922336233,'
-        '0.48866227179171745,1.065790726757236,0.37190695721290978,'
-        '0.44873091546430283,true,3\n'
+        'identity-suite,event-probability,centre-interval,0.23149135491499606,'
+        '0.60534359553678208,0.08638684772561514,0.10703767244662946,'
+        '2.7179551258909749,true,3\n'
+        'identity-suite,connectivity-product,two-point,0.016790282876665997,'
+        '0.79613138834535135,0.019655342869062047,0.51081430105815928,'
+        '1.5245555986807964,true,3\n'
         'identity-suite,local-modification-A,"kappa=((1,), 0.25)",'
-        '2.4946879752345721,488264.37425701175,1.5201129837065097,'
-        '636364.90904133895,0,true,3\n'
+        '1.7739171739520787,354382.85306074866,1.7717906887975454,'
+        '370343.35135541059,0,true,3\n'
         'identity-suite,local-modification-B,no-cuts-on-far-site,0,0,0,0,0,'
         'true,3\n',
 }
@@ -307,11 +311,11 @@ PINNED_VERIFY_JSON_ROWS = {
     ('verify-suite', 'switching-verify'):
         '42687b68c01ac2026c504dfa52cf46a24e4dc797952182a29bf281303c24ce99',
     ('verify-suite', 'identity-suite'):
-        '510841cf4f7acbfb4b7f39fdad41d90f41016faad1402ccb60bcd687e220d9da',
+        '043ec04535359b7fbac4605528187e334fd9b6bc6b9a21b3d04b97d21bf8af02',
     ('wired-space', 'switching-verify'):
         'e8133430c3121a2c16eb77b05eab50ef30eb8a8e29f11fa771fb3bf19e643597',
     ('wired-space', 'identity-suite'):
-        '0017b1b4a39c2669c66a9e294208c56935805b3ddca9d17f7a2c474948ce9097',
+        'e3ffffcb1ec08e25bdb1f0604bce0422b02c03d7a9f6f16550456b94fc63068e',
 }
 
 
@@ -365,7 +369,9 @@ TINY_CONFIGS = {
     "switching-verify": dict(bc_space="w", point_time=0.25, n_samples=50),
     "irb-check": dict(n_schedule=[2], l_max_factor=2.0),
     "percolation-sweep": dict(bc_space="w", n_samples=300),
-    "identity-suite": dict(point_time=0.25, n_samples=50),
+    # the verify-suite size: at 50 draws a coupled pool of 4 % nonzero
+    # weights is all zero one time in eight, and the suite then stops
+    "identity-suite": dict(point_time=0.25, n_samples=300),
     "lambda-c": dict(ground_state=True, beta=None, n_schedule=[3, 4],
                      lam_grid=[0.8, 0.9, 1.0, 1.1, 1.2], n_sweeps=100, seed=11),
 }
@@ -385,9 +391,11 @@ def test_every_row_has_every_column(kind):
         assert not missing, (row, missing)
 
 
-def test_cli_kinds_load_no_scipy(tmp_path):
-    # scipy serves only the tests and two integral checks; a CLI run of any
-    # kind, oracle rows included, must start without it
+@pytest.fixture(scope="module")
+def tiny_cli_runs(tmp_path_factory):
+    """``tfim run`` of every tiny config in one fresh interpreter: the exit
+    codes, the scipy modules loaded, and the output directory."""
+    tmp_path = tmp_path_factory.mktemp("tiny")
     paths = []
     for kind, overrides in sorted(TINY_CONFIGS.items()):
         path = tmp_path / f"{kind}.json"
@@ -404,7 +412,29 @@ def test_cli_kinds_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(paths), proc.stderr
-    assert scipy_modules == []
+    return codes, scipy_modules, tmp_path / "out"
+
+
+def test_cli_kinds_load_no_scipy(tiny_cli_runs):
+    # scipy serves only the tests and two integral checks; a CLI run of any
+    # kind, oracle rows included, must start without it
+    assert tiny_cli_runs[1] == []
+
+
+def _reject(constant):
+    raise ValueError(f"non-finite JSON number {constant}")
+
+
+def test_cli_json_is_strict_json(tiny_cli_runs):
+    # Infinity and NaN are Python extensions that strict JSON parsers reject;
+    # the oracle row's n_effective is null
+    paths = sorted(tiny_cli_runs[2].glob("*.json"))
+    assert {path.stem.removeprefix("run-") for path in paths} == TINY_CONFIGS.keys()
+    for path in paths:
+        payload = json.loads(path.read_text(), parse_constant=_reject)
+        assert payload["rows"], path
+    rows = json.loads((tiny_cli_runs[2] / "run-correlation.json").read_text())["rows"]
+    assert [r["n_effective"] for r in rows if r["method"] == "oracle"] == [None]
 
 
 def test_lambda_c_requires_two_sizes():
@@ -598,6 +628,8 @@ MANIFEST_SWEEP_CONFIGS = {
     "percolation-sweep": "kind = percolation-sweep\nbeta = 1.0\nbc_space = w\n"
                          "lam = 0.4, 1.2\nn_samples = 100\nn_chains = 2\nseed = 5\n",
 }
+# the percolation-sweep stderr re-pinned when the origin-to-ghost ratio
+# dropped the covariance term
 PINNED_MANIFEST_SWEEP_CSV = {
     "magnetization-sweep":
         "kind,method,d,n,r,lam,delta,estimate,stderr,dt,n_samples,seed\n"
@@ -621,7 +653,7 @@ PINNED_MANIFEST_SWEEP_CSV = {
         "mean_boundary_intervals,n_trifurcations,leaf_violations,n_samples,seed\n"
         "percolation-sweep,1,1,1,0.40000000000000002,1,0,0,3.7200000000000002,"
         "7.9100000000000001,2,0,200,5\n"
-        "percolation-sweep,1,1,1,1.2,1,0.32651906671863512,0.27585247086718667,"
+        "percolation-sweep,1,1,1,1.2,1,0.32651906671863512,0.34008279264380181,"
         "2.4350000000000001,7.7450000000000001,6,0,200,5\n",
 }
 

@@ -133,7 +133,9 @@ def test_labelling_weights_match_reference(region):
 
 
 def test_holes_and_event_identities_pinned():
-    # values recorded before the labelling draw was shared
+    # values recorded before the labelling draw was shared; the event lhs
+    # and se_lhs re-pinned when it became the plain ratio with the paired
+    # delta-method SE (no jackknife bias correction)
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "p")
     holes = Holes.of({(0,): [(-0.125, 0.125)]})
     rep = rp.holes_identity_check(holes, region, 1.0, 1.0, 200, chain_generator(1, 0))
@@ -145,7 +147,7 @@ def test_holes_and_event_identities_pinned():
 
 PINNED_HOLES = (0.09021944272832175, 0.1171450183470667, 0.016823238342553688,
                 0.03076348292754396)
-PINNED_EVENT = (0.8261887163292272, 0.8380439155130471, 0.04344217299496876,
+PINNED_EVENT = (0.8240872392006989, 0.8380439155130471, 0.04289640843888258,
                 0.07052064416863162)
 
 

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tfim.rng import chain_generator
-from tfim.stats import (N_SE, Check, Estimate, RatioAccumulator, batch_means_estimate,
-                        effective_sample_size, integrated_autocorrelation_time,
-                        mean_estimate, ratio_estimate_independent,
-                        ratio_estimate_jackknife)
+from tfim.stats import (N_SE, Check, Estimate, RatioAccumulator, SamplingError,
+                        batch_means_estimate, integrated_autocorrelation_time,
+                        mean_estimate)
 
 
 def test_mean_estimate_matches_numpy():
@@ -23,28 +22,26 @@ def test_mean_estimate_matches_numpy():
     assert math.isnan(empty.stderr) and math.isnan(one.stderr)
 
 
-def test_ratio_accumulator_merge_and_estimate():
+@pytest.mark.parametrize("covariance", [True, False])
+def test_ratio_accumulator_merge_and_estimate(covariance):
     rng = np.random.default_rng(1)
     num = rng.random(size=600)
     den = rng.random(size=600) + 0.5
-    whole = RatioAccumulator()
-    whole.push_many(num, den)
-    merged = RatioAccumulator()
+    whole = RatioAccumulator.of(num, den, covariance)
+    merged = RatioAccumulator(covariance)
     for lo in range(0, 600, 200):
-        part = RatioAccumulator()
-        part.push_many(num[lo:lo + 200], den[lo:lo + 200])
-        merged.merge(part)
-    a, b = whole.estimate(), merged.estimate()
+        merged.merge(RatioAccumulator.of(num[lo:lo + 200], den[lo:lo + 200], covariance))
+    a, b = whole.estimate("pool"), merged.estimate("pool")
     assert a.value == pytest.approx(b.value, abs=1e-14)
     assert a.stderr == pytest.approx(b.stderr, abs=1e-14)
     assert a.value == pytest.approx(num.mean() / den.mean(), rel=1e-12)
-    jack = ratio_estimate_jackknife(num, den)
-    assert a.stderr == pytest.approx(jack.stderr, rel=0.1)
+    assert a.ess == b.ess == pytest.approx(den.sum() ** 2 / (den * den).sum(), rel=1e-12)
 
 
 def _independent_reference(num, den) -> tuple[float, float]:
     """(value, stderr) of mean(num)/mean(den) by the delta method for
-    independent pools, as ``ratio_estimate_independent`` computed it."""
+    independent pools, as the deleted ``ratio_estimate_independent`` computed
+    it."""
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     nb, db = num.mean(), den.mean()
@@ -55,7 +52,7 @@ def _independent_reference(num, den) -> tuple[float, float]:
 
 def _jackknife_stderr(num, den) -> float:
     """Delete-one jackknife SE of mean(num)/mean(den) on a shared pool, as
-    ``ratio_estimate_jackknife`` computed it."""
+    the deleted ``ratio_estimate_jackknife`` computed it."""
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     n = num.size
@@ -81,7 +78,7 @@ def _pools(seed: int) -> dict:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_independent_pools_formula_pinned(seed):
     for num, den in _pools(seed).values():
-        est = ratio_estimate_independent(num, den)
+        est = RatioAccumulator.of(num, den, covariance=False).estimate("pool")
         value, stderr = _independent_reference(num, den)
         assert est.value == pytest.approx(value, rel=1e-12)
         assert est.stderr == pytest.approx(stderr, rel=1e-12)
@@ -93,26 +90,18 @@ def test_shared_pool_stderr_matches_jackknife(seed):
     # nonzero weights the two differ by more than the tolerance
     for name in ("importance", "labelling"):
         num, den = _pools(seed)[name]
-        acc = RatioAccumulator()
-        acc.push_many(num, den)
-        assert acc.estimate().stderr == pytest.approx(_jackknife_stderr(num, den), rel=0.1), name
-        assert ratio_estimate_jackknife(num, den).stderr == \
-            pytest.approx(_jackknife_stderr(num, den), rel=1e-9)
+        est = RatioAccumulator.of(num, den, covariance=True).estimate("pool")
+        assert est.stderr == pytest.approx(_jackknife_stderr(num, den), rel=0.1), name
 
 
-def test_ratio_estimators_consistency():
-    rng = np.random.default_rng(2)
-    num = 2.0 + rng.normal(size=5000) * 0.1
-    den = 1.0 + rng.normal(size=5000) * 0.1
-    est = ratio_estimate_independent(num, den)
-    assert est.value == pytest.approx(2.0, abs=5 * est.stderr)
-
-
-def test_effective_sample_size():
-    assert effective_sample_size(np.ones(50)) == pytest.approx(50.0)
-    skewed = np.zeros(50)
-    skewed[0] = 1.0
-    assert effective_sample_size(skewed) == pytest.approx(1.0)
+def test_ratio_accumulator_zero_denominator_and_small_pools():
+    with pytest.raises(SamplingError, match="all 3 weights of the test pool are zero"):
+        RatioAccumulator.of([1.0, 0.0, 2.0], np.zeros(3), True).estimate("test pool")
+    one = RatioAccumulator.of([1.0], [2.0], False).estimate("pool")
+    assert one.value == 0.5 and math.isnan(one.stderr)
+    # a pool of one nonzero weight carries the low-ess warning
+    sparse = RatioAccumulator.of([0.0, 3.0, 0.0], [0.0, 3.0, 0.0], False).estimate("pool")
+    assert sparse.ess == 1.0 and sparse.warnings == ("low-ess",)
 
 
 def test_agreement_helper():

@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 when a verification suite fails (a manifest of
 the failing identities is written next to the results), 2 on usage or
 configuration errors, 3 when the run stops on any other error (one line on
-stderr).  Identical config and seed give byte-identical output
-files for any worker count.
+stderr) or when a row could not be estimated (the rows are still written,
+and each such row's error is one line on stderr).  Identical config and seed
+give byte-identical output files for any worker count.
 """
 
 from __future__ import annotations
@@ -72,6 +73,11 @@ def _load(args) -> RunConfig:
 def _run_and_emit(cfg: RunConfig, args) -> int:
     rows, summary, ok = run_experiment(cfg, workers=args.workers)
     _emit(cfg, rows, summary, ok, Path(args.out), args.format)
+    errors = [row["error"] for row in rows if "error" in row]
+    for error in errors:
+        print(" ".join(f"error: {error}".split()), file=sys.stderr)
+    if errors:
+        return EXIT_ERROR
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 

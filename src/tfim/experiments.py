@@ -23,7 +23,7 @@ from .discrete import DiscreteSystem, switching_sides
 from .geometry import Box, EdgeSet, Holes
 from .poisson import verify_modification_identity
 from .rng import chain_generator
-from .stats import Check, RatioAccumulator
+from .stats import Check, RatioAccumulator, SamplingError
 
 KIND_COLUMNS = {
     "correlation": ["kind", "method", "d", "n", "r", "bc_space", "bc_time",
@@ -324,64 +324,77 @@ def run_percolation_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict,
 # -- identity suite -----------------------------------------------------------------
 
 def run_identity_suite(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
+    """One row per identity check.  A check whose pool has no weight fails
+    its own row (both sides null, the message under "error") and the suite
+    goes on from the stream where that check stopped."""
     rows = []
     lam = cfg.lam_grid[0]
     rng = chain_generator(cfg.seed, 0)
 
-    def add(identity, case, check, t0):
-        rows.append(_check_row(cfg, {"identity": identity, "case": case}, check, t0))
+    def add(identity, case, check_of):
+        # check_of() gives a check, or a dict of checks named by their case
+        t0 = time.time()
+        try:
+            checks = check_of()
+        except SamplingError as exc:
+            rows.append({"kind": cfg.kind, "identity": identity, "case": case,
+                         "lhs": None, "rhs": None, "se_lhs": None, "se_rhs": None,
+                         "gap": None, "pass": False, "seed": cfg.seed,
+                         "wall_time": round(time.time() - t0, 3),
+                         "error": f"{type(exc).__name__}: {exc}"})
+            return
+        if isinstance(checks, Check):
+            checks = {case: checks}
+        for name, check in checks.items():
+            rows.append(_check_row(cfg, {"identity": identity, "case": name}, check, t0))
 
     # point-process modification identities
     for at in (0.5, 1.0, 2.0):
         for scheme in ("delete-all", "add-two-if-empty", "add-or-delete"):
-            t0 = time.time()
-            check = verify_modification_identity(lambda x: math.exp(-len(x)), scheme,
-                                                 1.0, at, cfg.n_samples, rng)
-            add("modification-bound", f"{scheme}-at{at}", check, t0)
+            add("modification-bound", f"{scheme}-at{at}",
+                lambda: verify_modification_identity(lambda x: math.exp(-len(x)), scheme,
+                                                     1.0, at, cfg.n_samples, rng))
 
     # holes identity
     region = cfg.region(bc_space="f")
     span = (-region.r / 8.0, region.r / 8.0)
     holes = Holes.of({(0,) * cfg.d: [span]})
-    t0 = time.time()
     add("holes", "centre-interval",
-        randomparity.holes_identity_check(holes, region, lam, cfg.delta,
-                                          cfg.n_samples, rng), t0)
+        lambda: randomparity.holes_identity_check(holes, region, lam, cfg.delta,
+                                                  cfg.n_samples, rng))
 
     # event-probability identity
-    t0 = time.time()
     add("event-probability", "centre-interval",
-        randomparity.event_probability_identity(holes, region, lam, cfg.delta,
-                                                cfg.n_samples, rng), t0)
+        lambda: randomparity.event_probability_identity(holes, region, lam, cfg.delta,
+                                                        cfg.n_samples, rng))
 
     # connectivity = correlation product
-    t0 = time.time()
     regionw = cfg.region(bc_space="w")
     p = ((0,) * cfg.d, 0.0)
     q = (tuple(cfg.point_site), cfg.point_time)
-    conn = percolation.two_point_connectivity(regionw, lam, cfg.delta, p, q,
-                                              cfg.n_samples, rng)
-    corr_f = randomparity.estimate_rpr_correlation([p, q], cfg.region(bc_space="f"),
-                                                   lam, cfg.delta, cfg.n_samples, rng)
-    corr_w = randomparity.estimate_rpr_correlation([p, q], regionw,
-                                                   lam, cfg.delta, cfg.n_samples, rng)
-    prod = corr_f.value * corr_w.value
-    prod_se = math.hypot(corr_f.stderr * corr_w.value, corr_w.stderr * corr_f.value)
-    add("connectivity-product", "two-point",
-        Check("identity", conn.value, prod, conn.stderr, prod_se), t0)
+
+    def connectivity_product() -> Check:
+        conn = percolation.two_point_connectivity(regionw, lam, cfg.delta, p, q,
+                                                  cfg.n_samples, rng)
+        corr_f = randomparity.estimate_rpr_correlation([p, q], region, lam, cfg.delta,
+                                                       cfg.n_samples, rng)
+        corr_w = randomparity.estimate_rpr_correlation([p, q], regionw, lam, cfg.delta,
+                                                       cfg.n_samples, rng)
+        prod = corr_f.value * corr_w.value
+        prod_se = math.hypot(corr_f.stderr * corr_w.value, corr_w.stderr * corr_f.value)
+        return Check("identity", conn.value, prod, conn.stderr, prod_se)
+
+    add("connectivity-product", "two-point", connectivity_product)
 
     # local modifications
-    t0 = time.time()
     add("local-modification-A", f"kappa={q}",
-        randomparity.verify_local_modification_A(regionw, lam, cfg.delta, q,
-                                                 cfg.n_samples, rng), t0)
-    t0 = time.time()
+        lambda: randomparity.verify_local_modification_A(regionw, lam, cfg.delta, q,
+                                                         cfg.n_samples, rng))
     events = {"no-cuts-on-far-site": lambda c: len(c.cuts.get(q[0], ())) == 0}
-    checks = randomparity.verify_local_modification_B(regionw, lam, cfg.delta, 0,
-                                                      region.r, events,
-                                                      cfg.n_samples, rng)
-    for name, check in checks.items():
-        add("local-modification-B", name, check, t0)
+    add("local-modification-B", ", ".join(events),
+        lambda: randomparity.verify_local_modification_B(regionw, lam, cfg.delta, 0,
+                                                         region.r, events,
+                                                         cfg.n_samples, rng))
     return rows, {"n_identities": len(rows)}, all(row["pass"] for row in rows)
 
 

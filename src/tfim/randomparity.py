@@ -867,7 +867,8 @@ def event_probability_identity(holes: Holes, region: SpaceTimeRegion, lam: float
     z_cut = spinrep.estimate_cut_partition(region, holes, lam, delta, n_samples, rng)
     z_full = spinrep.estimate_cut_partition(region, Holes.empty(), lam, delta,
                                             n_samples, rng)
-    rhs_val = (0.5**m_p) * z_cut.value / z_full.value
-    rhs_se = (0.5**m_p) * math.hypot(z_cut.stderr / z_full.value,
-                                     z_cut.value * z_full.stderr / z_full.value**2)
-    return Check("identity", lhs.value, rhs_val, lhs.stderr, rhs_se, {"m_p": m_p})
+    rhs = RatioAccumulator.of(z_cut, z_full, covariance=False).estimate(
+        f"full-region spin pool of the event probability at lam={lam}")
+    scale = 0.5**m_p
+    return Check("identity", lhs.value, scale * rhs.value, lhs.stderr, scale * rhs.stderr,
+                 {"m_p": m_p})

@@ -31,7 +31,7 @@ import numpy as np
 from .geometry import (Holes, SpaceTimeRegion, edge_windows, line_components)
 from .poisson import draw_times
 from .stats import (Estimate, RatioAccumulator, SamplingError, batch_means_estimate,
-                    integrated_autocorrelation_time, mean_estimate)
+                    integrated_autocorrelation_time)
 
 
 _REJECT_BUDGET = 10000
@@ -277,10 +277,11 @@ def _sample_cut_config(region: SpaceTimeRegion, holes: Holes, delta: float,
 
 def estimate_cut_partition(region: SpaceTimeRegion, holes: Holes, lam: float,
                            delta: float, n_samples: int,
-                           rng: np.random.Generator) -> Estimate:
-    """Estimate the Gibbs partition value of the region with holes removed:
-    the a-priori mean of exp(lam * overlap over surviving edge windows),
-    multiplied by the exact boundary conditioning factors."""
+                           rng: np.random.Generator) -> np.ndarray:
+    """``n_samples`` draws whose mean estimates the Gibbs partition value of
+    the region with holes removed: a-priori values of exp(lam * overlap over
+    surviving edge windows), multiplied by the exact boundary conditioning
+    factors."""
     if region.bc_time == "w":
         raise ValueError("cut-partition estimates support free and periodic time")
     if region.bc_space == "w":
@@ -292,7 +293,7 @@ def estimate_cut_partition(region: SpaceTimeRegion, holes: Holes, lam: float,
         config, log_factor = _sample_cut_config(region, holes, delta, rng)
         total = sum(overlap_integral(config, x, y, windows[(x, y)]) for (x, y) in edges)
         vals[i] = math.exp(lam * total + log_factor)
-    return mean_estimate(vals)
+    return vals
 
 
 # -- Suzuki-Trotter discretized Metropolis sampler ---------------------------

@@ -8,7 +8,8 @@ pools (spin importance weights, the event-probability lhs) keep the
 covariance term: RMS z 0.99-1.33, as the jackknife's.  Coupled pools drop it
 although their sides share draws: on about 13 nonzero weights of 300 it gave
 RMS z 2.84, the paired formula 23.6.  Independent pools (the random-parity
-correlation, the ghost-connection bound) have no covariance to keep.
+correlation, the spin partition pools of the event-probability rhs, the
+ghost-connection bound) have no covariance to keep.
 """
 
 from __future__ import annotations
@@ -137,6 +138,8 @@ class RatioAccumulator:
         self.sum_cross += float((num * den).sum())
 
     def merge(self, other: "RatioAccumulator") -> None:
+        if other.covariance != self.covariance:
+            raise ValueError("cannot merge sums drawn with and without paired pools")
         self.n += other.n
         self.sum_num += other.sum_num
         self.sum_den += other.sum_den

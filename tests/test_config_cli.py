@@ -278,7 +278,8 @@ seed = 1
 
 def test_cli_identity_suite_all_zero_coupled_pool_exits_three(tmp_path, capsys):
     # every coupled weight of the connectivity-product pool is zero; it used
-    # to stop with a bare ZeroDivisionError
+    # to stop with a bare ZeroDivisionError, and then with that row's
+    # SamplingError before the other rows ran
     cfg = _write_config(tmp_path, """
 kind = identity-suite
 d = 1
@@ -298,6 +299,12 @@ seed = 6
     assert err.count("\n") == 1
     assert "SamplingError: all 60 weights of the source-free coupled pool at lam=1.0" in err
     assert "ZeroDivisionError" not in err
+    rows = json.loads((tmp_path / "i" / "run-identity-suite.json").read_text())["rows"]
+    assert len(rows) == 14
+    assert [(r["identity"], r["lhs"]) for r in rows if not r["pass"]] == \
+        [("connectivity-product", None)]
+    failing = json.loads((tmp_path / "i" / "run-identity-suite-failures.json").read_text())
+    assert [r["error"] for r in failing["failing"]] == [err.strip().removeprefix("error: ")]
 
 
 @pytest.mark.parametrize("argv,seed", [([], 1), (["--seed", "0"], 0), (["--seed", "5"], 5)])

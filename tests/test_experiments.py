@@ -192,7 +192,8 @@ VERIFY_CONFIGS = {
 # exact switching rows (last bits of lhs, rhs and gap) when the enumeration
 # took compensated sums; the event-probability, connectivity-product and
 # local-modification-A rows when the event-probability identity stopped
-# drawing its unread printed closed form and took the paired delta method
+# drawing its unread printed closed form and took the paired delta method,
+# and the last bits of its se_rhs when its rhs became an accumulator ratio
 PINNED_VERIFY_CSV = {
     ('verify-suite', 'switching-verify'):
         'kind,case,mode,lhs,rhs,se_lhs,se_rhs,gap,pass,seed\n'
@@ -240,7 +241,7 @@ PINNED_VERIFY_CSV = {
         '0.099302701213904263,0.012866481681437265,0.026993540895080124,'
         '0.54787173936425526,true,1\n'
         'identity-suite,event-probability,centre-interval,0.64387409931274886,'
-        '0.65737402048140248,0.084206031516933164,0.053558965861498102,'
+        '0.65737402048140248,0.084206031516933164,0.053558965861498095,'
         '0.13527532956901483,true,1\n'
         'identity-suite,connectivity-product,two-point,0.68358000351756854,'
         '0.16315803331432577,0.5843188339242984,0.077786043769343366,'
@@ -296,7 +297,7 @@ PINNED_VERIFY_CSV = {
         '0.013339211290374324,0.0022115125518136773,0.0078433870760281025,'
         '0.71055069109135083,true,3\n'
         'identity-suite,event-probability,centre-interval,0.23149135491499606,'
-        '0.60534359553678208,0.08638684772561514,0.10703767244662946,'
+        '0.60534359553678208,0.08638684772561514,0.10703767244662947,'
         '2.7179551258909749,true,3\n'
         'identity-suite,connectivity-product,two-point,0.016790282876665997,'
         '0.79613138834535135,0.019655342869062047,0.51081430105815928,'
@@ -311,11 +312,11 @@ PINNED_VERIFY_JSON_ROWS = {
     ('verify-suite', 'switching-verify'):
         '42687b68c01ac2026c504dfa52cf46a24e4dc797952182a29bf281303c24ce99',
     ('verify-suite', 'identity-suite'):
-        '043ec04535359b7fbac4605528187e334fd9b6bc6b9a21b3d04b97d21bf8af02',
+        '06a98f85cf6828daded7ca905bb9ec3b40010be0220910659055af6bd630ba89',
     ('wired-space', 'switching-verify'):
         'e8133430c3121a2c16eb77b05eab50ef30eb8a8e29f11fa771fb3bf19e643597',
     ('wired-space', 'identity-suite'):
-        'e3ffffcb1ec08e25bdb1f0604bce0422b02c03d7a9f6f16550456b94fc63068e',
+        '7663303a4ea5c96045af89bb061f1a814c722074fd6c4dbe3a89f16733e0218e',
 }
 
 
@@ -369,9 +370,8 @@ TINY_CONFIGS = {
     "switching-verify": dict(bc_space="w", point_time=0.25, n_samples=50),
     "irb-check": dict(n_schedule=[2], l_max_factor=2.0),
     "percolation-sweep": dict(bc_space="w", n_samples=300),
-    # the verify-suite size: at 50 draws a coupled pool of 4 % nonzero
-    # weights is all zero one time in eight, and the suite then stops
-    "identity-suite": dict(point_time=0.25, n_samples=300),
+    # its local-modification-B pool is all zero: that row fails, the rest run
+    "identity-suite": dict(point_time=0.25, n_samples=50),
     "lambda-c": dict(ground_state=True, beta=None, n_schedule=[3, 4],
                      lam_grid=[0.8, 0.9, 1.0, 1.1, 1.2], n_sweeps=100, seed=11),
 }
@@ -391,10 +391,28 @@ def test_every_row_has_every_column(kind):
         assert not missing, (row, missing)
 
 
+def test_identity_suite_row_with_an_all_zero_pool_fails_alone():
+    # at 50 draws a coupled pool of about 4 % nonzero weights is all zero
+    # one time in eight; the suite writes every row and fails that one
+    rows, _, ok = ex.run_experiment(make_config(kind="identity-suite",
+                                                **TINY_CONFIGS["identity-suite"]))
+    assert not ok and len(rows) == 14
+    failed = [r for r in rows if not r["pass"]]
+    assert [(r["identity"], r["case"]) for r in failed] == \
+        [("local-modification-B", "no-cuts-on-far-site")]
+    assert failed[0]["error"] == (
+        "SamplingError: all 50 weights of the source-free coupled pool of local "
+        "modification B at lam=1.0 are zero, so its ratio is undefined")
+    assert [failed[0][c] for c in ("lhs", "rhs", "se_lhs", "se_rhs", "gap")] == [None] * 5
+    assert all(isinstance(r["lhs"], float) and "error" not in r
+               for r in rows if r["pass"])
+
+
 @pytest.fixture(scope="module")
 def tiny_cli_runs(tmp_path_factory):
     """``tfim run`` of every tiny config in one fresh interpreter, each
-    exiting 0: the scipy modules loaded, and the output directory."""
+    exiting 0 but the identity-suite, which writes its rows and exits 3 on
+    its all-zero pool: the scipy modules loaded, and the output directory."""
     tmp_path = tmp_path_factory.mktemp("tiny")
     paths = []
     for kind, overrides in sorted(TINY_CONFIGS.items()):
@@ -411,7 +429,9 @@ def tiny_cli_runs(tmp_path_factory):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0] * len(paths), proc.stderr
+    assert codes == [3 if kind == "identity-suite" else 0
+                     for kind in sorted(TINY_CONFIGS)], proc.stderr
+    assert "local modification B" in proc.stderr
     return scipy_modules, tmp_path / "out"
 
 
@@ -427,14 +447,20 @@ def _reject(constant):
 
 def test_cli_json_is_strict_json(tiny_cli_runs):
     # Infinity and NaN are Python extensions that strict JSON parsers reject;
-    # the oracle row's n_effective is null
+    # the oracle row's n_effective is null, and so are the sides of the
+    # identity-suite row whose pool had no weight, also in its failures file
     paths = sorted(tiny_cli_runs[1].glob("*.json"))
-    assert {path.stem.removeprefix("run-") for path in paths} == TINY_CONFIGS.keys()
-    for path in paths:
-        payload = json.loads(path.read_text(), parse_constant=_reject)
-        assert payload["rows"], path
-    rows = json.loads((tiny_cli_runs[1] / "run-correlation.json").read_text())["rows"]
+    assert {path.stem.removeprefix("run-") for path in paths} == \
+        {*TINY_CONFIGS, "identity-suite-failures"}
+    payloads = {path.stem.removeprefix("run-"): json.loads(path.read_text(),
+                                                           parse_constant=_reject)
+                for path in paths}
+    assert all(payloads[kind]["rows"] for kind in TINY_CONFIGS)
+    rows = payloads["correlation"]["rows"]
     assert [r["n_effective"] for r in rows if r["method"] == "oracle"] == [None]
+    failing = payloads["identity-suite-failures"]["failing"]
+    assert [r["lhs"] for r in failing] == [None]
+    assert [r for r in payloads["identity-suite"]["rows"] if "error" in r] == failing
 
 
 def test_lambda_c_requires_two_sizes():

@@ -38,6 +38,13 @@ def test_ratio_accumulator_merge_and_estimate(covariance):
     assert a.ess == b.ess == pytest.approx(den.sum() ** 2 / (den * den).sum(), rel=1e-12)
 
 
+def test_ratio_accumulator_merge_needs_one_covariance():
+    merged = RatioAccumulator(covariance=False)
+    with pytest.raises(ValueError, match="paired"):
+        merged.merge(RatioAccumulator.of([1.0, 2.0], [1.0, 1.0], covariance=True))
+    assert merged.n == 0
+
+
 def _independent_reference(num, den) -> tuple[float, float]:
     """(value, stderr) of mean(num)/mean(den) by the delta method for
     independent pools, as the deleted ``ratio_estimate_independent`` computed

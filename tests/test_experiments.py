@@ -506,6 +506,27 @@ PINNED_SWEEP_CSV = {
 }
 
 
+# the JSON rows of the magnetization-sweep config above, every field but the
+# wall time, for any worker count
+PINNED_MAGNETIZATION_SWEEP_ROWS = [
+    {"d": 1, "delta": 1.0, "dt": 0.1, "estimate": 0.2, "flip_frac": 0.16633333333333333,
+     "kind": "magnetization-sweep", "lam": 0.5, "method": "trotter", "n": 1,
+     "n_samples": 100, "pass": True, "r": 1.0, "seed": 3, "stderr": 0.14999813320224256,
+     "tau_int": 1.1601273731518813},
+    {"d": 1, "delta": 1.0, "dt": 0.1, "estimate": 1.0, "flip_frac": 0.043,
+     "kind": "magnetization-sweep", "lam": 1.0, "method": "trotter", "n": 1,
+     "n_samples": 100, "pass": True, "r": 1.0, "seed": 3, "stderr": 0.0, "tau_int": None},
+    {"d": 1, "delta": 1.0, "dt": 0.1, "estimate": 0.16, "flip_frac": 0.1328,
+     "kind": "magnetization-sweep", "lam": 0.5, "method": "trotter", "n": 2,
+     "n_samples": 100, "pass": True, "r": 1.0, "seed": 3, "stderr": 0.17309511131954017,
+     "tau_int": 1.5220801717516812},
+    {"d": 1, "delta": 1.0, "dt": 0.1, "estimate": 0.16, "flip_frac": 0.1066,
+     "kind": "magnetization-sweep", "lam": 1.0, "method": "trotter", "n": 2,
+     "n_samples": 100, "pass": True, "r": 1.0, "seed": 3, "stderr": 0.16514764763602677,
+     "tau_int": 1.385519707744054},
+]
+
+
 @pytest.mark.parametrize("kind", sorted(SWEEP_CONFIGS))
 def test_sweep_csv_pinned_for_any_worker_count(tmp_path, kind):
     cfg = tmp_path / "s.cfg"
@@ -526,6 +547,8 @@ def test_sweep_csv_pinned_for_any_worker_count(tmp_path, kind):
         else:
             flips.append([row["flip_frac"] for row in payload["rows"]])
             taus.append([row["tau_int"] for row in payload["rows"]])
+            assert [{k: v for k, v in row.items() if k != "wall_time"}
+                    for row in payload["rows"]] == PINNED_MAGNETIZATION_SWEEP_ROWS
     # the flip fraction and tau_int are in the JSON only (the CSV bytes above
     # hold with them), and the same for any worker count
     assert flips[0] == flips[1] and all(0.0 < f < 1.0 for f in flips[0])
@@ -534,6 +557,41 @@ def test_sweep_csv_pinned_for_any_worker_count(tmp_path, kind):
     # the magnetization series at n = 1, lam = 1 never changes: s^2 = 0
     assert [t is None for t in taus[0]] == \
         ([False] * 10 if kind == "lambda-c" else [False, True, False, False])
+
+
+# (ratio, stderr, flip fraction, tau_int of C(n)) per coupling of the
+# critical-point benchmark config: sizes 3..6, lam 0.8..1.2, 100 sweeps, seed 1
+PINNED_CRITICAL_POINT_CURVES = {
+    3: [(0.8330337100560914, 0.07693131651680854, 0.12057142857142857, 1.4550467930159177),
+        (0.7667543467878851, 0.07424140148248659, 0.12830952380952382, 1.48848655754806),
+        (0.9023373411364094, 0.05662482634249316, 0.10173809523809524, 1.4652745237863645),
+        (0.9335825657265054, 0.031623367401197526, 0.08764285714285715, 1.3465400589940308),
+        (0.9285335324402046, 0.042893918521612166, 0.07852380952380952, 1.4570051338069987)],
+    4: [(0.38799661876584934, 0.1814166148189661, 0.14009722222222223, 1.4068449285931581),
+        (0.8608053865078338, 0.07116995732531946, 0.12086111111111111, 1.3762715208521958),
+        (0.7931510632421983, 0.09272218724697649, 0.11736111111111111, 1.2389203627740522),
+        (0.9726226012793177, 0.029458491833221644, 0.08431944444444445, 1.3919608397576941),
+        (0.976917528251984, 0.028042647698549385, 0.07870833333333334, 1.2495800233130567)],
+    5: [(0.8526836564650988, 0.09437946313089635, 0.12441818181818182, 1.4802725766509237),
+        (0.9049502340761598, 0.051614924883889274, 0.11304545454545455, 1.5484670710311095),
+        (0.8375872239221934, 0.06625566530031317, 0.10880909090909091, 1.5658192243588769),
+        (0.8573844885980195, 0.04209299469770987, 0.09311818181818182, 1.4283125265425687),
+        (0.9639570982089263, 0.0282548227731346, 0.0718090909090909, 1.4865133152759344)],
+    6: [(0.7935289847557814, 0.08367632725897807, 0.13416666666666666, 1.4136309037821624),
+        (0.9684164431550715, 0.05677172799753315, 0.10478846153846154, 1.5985307752968891),
+        (0.938304614775203, 0.04120835948622438, 0.09701923076923077, 1.499117397530121),
+        (0.9607553497285213, 0.04145664811608175, 0.07987820512820513, 1.5675941623723466),
+        (0.9839207666706763, 0.0402400356059389, 0.07922435897435898, 1.583152056958302)],
+}
+
+
+def test_correlation_ratio_curves_pinned_at_the_critical_point_config():
+    cfg = RunConfig(kind="lambda-c", d=1, ground_state=True, n_schedule=[3, 4, 5, 6],
+                    lam_grid=[0.8, 0.9, 1.0, 1.1, 1.2], delta=1.0, n_sweeps=100,
+                    dt=0.1, seed=1).validate()
+    curves = ex.correlation_ratio_curves(cfg)
+    assert curves == PINNED_CRITICAL_POINT_CURVES
+    assert all(type(x) is float for v in curves.values() for point in v for x in point)
 
 
 # ratio curves as correlation_ratio_curves returns them: (ratio, stderr, flip

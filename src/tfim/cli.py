@@ -44,7 +44,7 @@ def write_csv(path: Path, rows: list, columns: list) -> None:
 
 
 def write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _emit(cfg: RunConfig, rows: list, summary: dict, ok: bool, out_dir: Path,

@@ -136,28 +136,33 @@ def run_correlation(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]
 
 # -- magnetization sweep --------------------------------------------------------
 
-def _magnetization_point(args) -> dict:
-    """The row of one (n, lam) point, drawn from its own chain stream."""
-    cfg, n, j = args
+def _magnetization_points(args) -> list:
+    """The rows of one size, in grid order: one stacked Trotter run with
+    each coupling's chain drawn from its own stream.  Every row carries the
+    size's wall time."""
+    cfg, n = args
     t0 = time.time()
-    lam = cfg.lam_grid[j]
-    rng = chain_generator(cfg.seed, 1000 * n + j)
+    rngs = [chain_generator(cfg.seed, 1000 * n + j) for j in range(len(cfg.lam_grid))]
     region = cfg.region(n, "w", "w" if cfg.ground_state else "p")
-    result = spinrep.trotter_magnetization(region, lam, cfg.delta, cfg.n_sweeps, rng, cfg.dt)
-    return {"kind": cfg.kind, "method": "trotter", "d": cfg.d,
-            "n": n, "r": region.r, "lam": lam, "delta": cfg.delta,
-            "estimate": result.estimate.value,
-            "stderr": result.estimate.stderr, "dt": result.dt,
-            "n_samples": cfg.n_sweeps, "seed": cfg.seed,
-            "flip_frac": result.flip_frac, "tau_int": result.tau_int,
-            "wall_time": round(time.time() - t0, 3)}
+    results = spinrep.trotter_magnetization(region, cfg.lam_grid, cfg.delta, cfg.n_sweeps,
+                                            rngs, cfg.dt)
+    wall = round(time.time() - t0, 3)
+    return [{"kind": cfg.kind, "method": "trotter", "d": cfg.d,
+             "n": n, "r": region.r, "lam": lam, "delta": cfg.delta,
+             "estimate": result.estimate.value,
+             "stderr": result.estimate.stderr, "dt": result.dt,
+             "n_samples": cfg.n_sweeps, "seed": cfg.seed,
+             "flip_frac": result.flip_frac, "tau_int": result.tau_int,
+             "wall_time": wall}
+            for lam, result in zip(cfg.lam_grid, results)]
 
 
 def run_magnetization_sweep(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]:
     schedule = cfg.n_schedule or [cfg.n]
     with _point_map(workers) as map_points:
-        rows = map_points(_magnetization_point,
-                          [(cfg, n, j) for n in schedule for j in range(len(cfg.lam_grid))])
+        rows = [row for size in map_points(_magnetization_points,
+                                           [(cfg, n) for n in schedule])
+                for row in size]
     # Griffiths monotonicity across the coupling grid, per size: a failing
     # pair fails its later row (JSON only, as "pass")
     for row in rows:
@@ -400,29 +405,32 @@ def run_identity_suite(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bo
 
 # -- critical point -----------------------------------------------------------------
 
-def _ratio_point(args) -> tuple[float, float, float, float | None]:
-    """R_n at one coupling, drawn from its own chain stream: the ratio, its
-    standard error, the sampler's flip fraction and the tau_int of C(n)."""
-    cfg, n, j = args
+def _ratio_points(args) -> list[tuple[float, float, float, float | None]]:
+    """R_n at every coupling of the grid, in grid order, from one stacked
+    Trotter run with each coupling's chain drawn from its own stream: the
+    ratio, its standard error, the flip fraction and the tau_int of C(n)."""
+    cfg, n = args
     far = n
     lo = n // 2
     distances = sorted({max(1, lo), max(1, lo + (n % 2)), far})
-    rng = chain_generator(cfg.seed, 10000 * n + j)
+    rngs = [chain_generator(cfg.seed, 10000 * n + j) for j in range(len(cfg.lam_grid))]
     region = cfg.region(n, "p", "f")
-    res = spinrep.trotter_pair_correlations(region, cfg.lam_grid[j], cfg.delta,
-                                            distances, cfg.n_sweeps, rng, cfg.dt)
-    c_far = res[far].estimate
-    if n % 2 == 0:
-        near_val = res[n // 2].estimate.value
-        near_rel = res[n // 2].estimate.stderr / near_val
-    else:
-        a = res[max(1, lo)].estimate
-        b = res[lo + 1].estimate
-        near_val = math.sqrt(a.value * b.value)
-        near_rel = 0.5 * math.hypot(a.stderr / a.value, b.stderr / b.value)
-    ratio = c_far.value / near_val
-    se = abs(ratio) * math.hypot(c_far.stderr / c_far.value, near_rel)
-    return ratio, se, res[far].flip_frac, res[far].tau_int
+    points = []
+    for res in spinrep.trotter_pair_correlations(region, cfg.lam_grid, cfg.delta, distances,
+                                                 cfg.n_sweeps, rngs, cfg.dt):
+        c_far = res[far].estimate
+        if n % 2 == 0:
+            near_val = res[n // 2].estimate.value
+            near_rel = res[n // 2].estimate.stderr / near_val
+        else:
+            a = res[max(1, lo)].estimate
+            b = res[lo + 1].estimate
+            near_val = math.sqrt(a.value * b.value)
+            near_rel = 0.5 * math.hypot(a.stderr / a.value, b.stderr / b.value)
+        ratio = c_far.value / near_val
+        se = abs(ratio) * math.hypot(c_far.stderr / c_far.value, near_rel)
+        points.append((ratio, se, res[far].flip_frac, res[far].tau_int))
+    return points
 
 
 def correlation_ratio_curves(cfg: RunConfig, workers: int = 1) -> dict:
@@ -434,13 +442,12 @@ def correlation_ratio_curves(cfg: RunConfig, workers: int = 1) -> dict:
     exactly half of it, so the distance ratio is the same for every size and
     the curves cross at the critical coupling.  Half-integer distances are
     evaluated by geometric interpolation between the neighbouring integers.
-    Each (n, lam) point has its own chain stream, so the curves are the same
-    for any worker count.
+    The couplings of one size run as one task, and each (n, lam) point has
+    its own chain stream, so the curves are the same for any worker count.
     """
-    tasks = [(cfg, n, j) for n in cfg.n_schedule for j in range(len(cfg.lam_grid))]
     with _point_map(workers) as map_points:
-        points = iter(map_points(_ratio_point, tasks))
-    return {n: [next(points) for _ in cfg.lam_grid] for n in cfg.n_schedule}
+        curves = map_points(_ratio_points, [(cfg, n) for n in cfg.n_schedule])
+    return dict(zip(cfg.n_schedule, curves))
 
 
 class NoCrossingError(RuntimeError):

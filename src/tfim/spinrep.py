@@ -12,10 +12,12 @@ lists built once per configuration.  Importance sampling
 from the a-priori measure degrades exponentially with space-time volume, so
 a Suzuki-Trotter discretized Metropolis sampler is provided behind the same
 estimator surface for the larger magnetization sweeps; it is approximate and
-its time step is recorded in every result it produces.  Its sweep draws
-one uniform per site-slot cell and updates one colour class of cells at a
-time from precomputed neighbour indices and an acceptance table over integer
-neighbour sums.
+its time step is recorded in every result it produces.  It runs one chain
+per coupling of a grid on one stacked lattice, each chain drawing from its
+own generator.  Its sweep draws one uniform per site-slot cell of each chain
+and updates one colour class of cells of every chain at a time from
+precomputed neighbour indices and per-coupling acceptance tables over
+integer neighbour sums.
 """
 
 from __future__ import annotations
@@ -334,7 +336,8 @@ _S_STRIDE = 15
 
 
 class TrotterSampler:
-    """Checkerboard Metropolis on the Suzuki-Trotter lattice of a region.
+    """Checkerboard Metropolis on the Suzuki-Trotter lattice of a region,
+    one chain per coupling of ``lams``, stacked on a leading coupling axis.
 
     The time direction is discretized into slots of width ~dt; space coupling
     per slot is lam*dt and the time coupling is -log(tanh(delta*dt))/2.
@@ -344,27 +347,32 @@ class TrotterSampler:
     Cell (site, slot) has colour (site colour + slot colour) mod K, where
     K is the larger of the site and slot colour counts: space neighbours
     differ in site colour and time neighbours in slot colour, so no two cells
-    of a colour are neighbours.  Set-up stores, per colour, the flat indices
-    of its cells and of their space and time neighbours (a padded zero cell
-    stands in for a missing neighbour) and a table of acceptance
-    probabilities over the integer neighbour sums; frozen +1 neighbours
-    (wired space) and the wired time ends are constants of each cell.  A
-    sweep draws one uniform per site-slot, in one call, then visits the
-    colours in order: gather, look up, compare against each cell's own
-    uniform and flip that colour's cells.  Every cell is offered one flip
-    per sweep with a fresh uniform, so each colour update is an exact
+    of a colour are neighbours.  Each chain's cells are one row of a
+    (couplings, site-slots + 1) array whose last cell is a zero that stands
+    in for a missing neighbour; ``spins`` is its (couplings, sites, slots)
+    view.  Set-up stores, per colour, the flat indices of its cells in every
+    chain and of their space and time neighbours in the same chain, and one
+    block of acceptance probabilities over the integer neighbour sums per
+    coupling; frozen +1 neighbours (wired space) and the wired time ends are
+    constants of each cell.  A sweep draws one uniform per site-slot from
+    each chain's own generator, then visits the colours in order, for all
+    chains at once: gather, look up, compare against each cell's own uniform
+    and flip that colour's cells.  A decision reads only its own chain's
+    cells, table block and uniform, so each chain is the chain a one-coupling
+    sampler would run from the same generator.  Every cell is offered one
+    flip per sweep with a fresh uniform, so each colour update is an exact
     Metropolis step.
     """
 
-    def __init__(self, region: SpaceTimeRegion, lam: float, delta: float,
+    def __init__(self, region: SpaceTimeRegion, lams: Sequence[float], delta: float,
                  dt: float = 0.1):
         self.region = region
-        self.lam = lam
+        self.lams = tuple(lams)
         self.delta = delta
         self.n_slots = max(4, int(round(region.r / dt)))
         self.dt = region.r / self.n_slots
         self.k_time = -0.5 * math.log(math.tanh(delta * self.dt))
-        self.k_space = lam * self.dt
+        self.k_space = np.array(self.lams) * self.dt
 
         self.sites = region.box.sites()
         index = {x: i for i, x in enumerate(self.sites)}
@@ -382,7 +390,7 @@ class TrotterSampler:
                 frozen[yi] += 1
 
         n, m = len(self.sites), self.n_slots
-        pad = n * m  # flat index of the zero cell; cell c = site * m + slot
+        pad = n * m  # index of a chain's zero cell; cell c = site * m + slot
         max_deg = max((len(v) for v in nbrs), default=0)
         space_nbr = np.full((n, max_deg), -1)
         for i, v in enumerate(nbrs):
@@ -410,16 +418,18 @@ class TrotterSampler:
         self._weights = np.array([1] + [_S_STRIDE] * max_deg + [_T_STRIDE] * 2,
                                  dtype=code_type)
 
-        # one table block per (frozen neighbours, wired ends) pair, each
-        # entry in the floating operations of a full-lattice field
+        # per coupling, one table block per (frozen neighbours, wired ends)
+        # pair, each entry in the floating operations of a full-lattice field
         n_frozen = frozen.max(initial=0) + 1
-        f, w, S, T, s = np.meshgrid(np.arange(n_frozen), [0, 1],
-                                    np.arange(-max_deg, max_deg + 1),
-                                    np.arange(-2, 3), [-1, 1], indexing="ij")
-        local = (self.k_space * S.astype(float) + f * self.k_space) + \
-            self.k_time * (T + w).astype(float)
-        code = (2 * f + w) * block + centre + s + _T_STRIDE * T + _S_STRIDE * S
-        self._table = np.zeros(2 * n_frozen * block)
+        j, f, w, S, T, s = np.meshgrid(np.arange(len(self.lams)), np.arange(n_frozen),
+                                       [0, 1], np.arange(-max_deg, max_deg + 1),
+                                       np.arange(-2, 3), [-1, 1], indexing="ij")
+        k = self.k_space[j]
+        local = (k * S.astype(float) + f * k) + self.k_time * (T + w).astype(float)
+        chain_table = 2 * n_frozen * block
+        code = (j * chain_table + (2 * f + w) * block + centre + s + _T_STRIDE * T
+                + _S_STRIDE * S)
+        self._table = np.zeros(len(self.lams) * chain_table)
         self._table[code.ravel()] = np.exp(-np.clip((2.0 * s) * local, 0, 700)).ravel()
         base = (2 * frozen[site_of] + wired[slot_of]) * block + centre
 
@@ -427,69 +437,86 @@ class TrotterSampler:
         slot_colors = _proper_ring_colors(m, [[j for j in row if j >= 0] for row in time_nbr])
         n_colors = max(site_colors.max(), slot_colors.max()) + 1
         full = ((site_colors[:, None] + slot_colors[None, :]) % n_colors).ravel()
+        # chain j's cells, gathers and table block sit j rows further on
+        chain = np.arange(len(self.lams))[:, None]
         self._plan = []
         for c in np.unique(full):
             cells = np.flatnonzero(full == c)
-            self._plan.append((cells, gather[cells], base[cells]))
+            self._plan.append((
+                (chain * (pad + 1) + cells).ravel(),
+                (chain[:, :, None] * (pad + 1) + gather[cells]).reshape(-1, gather.shape[1]),
+                (chain * chain_table + base[cells]).ravel()))
 
-        # spins is a (sites, slots) view; the extra cell stays 0
-        self._cells = np.ones(pad + 1, dtype=np.int8)
-        self._cells[pad] = 0
-        self.spins = self._cells[:pad].reshape(n, m)
+        self._cells = np.ones((len(self.lams), pad + 1), dtype=np.int8)
+        self._cells[:, pad] = 0
+        self.spins = self._cells[:, :pad].reshape(len(self.lams), n, m)
+        self._uniforms = np.empty(self._cells.shape)
         self.origin = index[(0,) * region.box.d]
 
-    def sweep(self, rng: np.random.Generator) -> int:
-        """One Metropolis update of every colour; returns the accepted flips."""
-        cells = self._cells
-        u = rng.random(self.spins.size)
+    def sweep(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """One Metropolis update of every colour, chain j drawing from
+        ``rngs[j]``; returns the accepted flips per chain."""
+        cells = self._cells.reshape(-1)
+        u = self._uniforms
+        for row, rng in zip(u, rngs, strict=True):
+            rng.random(out=row[:-1])
+        u = u.reshape(-1)
         flips = 0
         for idx, gather, base in self._plan:
             accept = u[idx] < self._table[cells[gather] @ self._weights + base]
-            flipped = idx[accept]
-            cells[flipped] *= -1
-            flips += flipped.size
+            cells[idx[accept]] *= -1
+            flips += accept.reshape(len(self.lams), -1).sum(axis=1)
         return flips
 
-    def run(self, n_sweeps: int, rng: np.random.Generator,
-            measure) -> tuple[np.ndarray, float]:
+    def run(self, n_sweeps: int, rngs: Sequence[np.random.Generator],
+            measure) -> tuple[np.ndarray, list]:
         """``n_sweeps`` measured sweeps after ``n_sweeps // 5`` burn-in sweeps:
-        the measurement series and the accepted flips per site-slot per
-        measured sweep."""
+        the measurement series, with one row per sweep and one entry per
+        chain, and the accepted flips per site-slot per measured sweep of
+        each chain."""
         for _ in range(n_sweeps // 5):
-            self.sweep(rng)
+            self.sweep(rngs)
         out = []
         flips = 0
         for _ in range(n_sweeps):
-            flips += self.sweep(rng)
+            flips += self.sweep(rngs)
             out.append(measure(self))
-        return np.asarray(out), flips / (n_sweeps * self.spins.size)
+        cells = n_sweeps * self.spins[0].size
+        return np.asarray(out), [int(f) / cells for f in flips]
 
-    # measurement helpers ---------------------------------------------------
-    def magnetization_origin(self) -> float:
-        mid = self.n_slots // 2
-        return float(self.spins[self.origin, mid])
+    # measurement helpers: one value (or row of values) per chain ------------
+    def magnetization_origin(self) -> np.ndarray:
+        return self.spins[:, self.origin, self.n_slots // 2].astype(float)
 
     def pair_correlations(self, distances: Sequence[int]) -> np.ndarray:
         """Translation-averaged equal-time pair correlations at the lattice
-        distances (d=1, spatially periodic regions), summed in integers: one
-        gather of the site axis rolled by every distance."""
+        distances (d=1, spatially periodic regions), one row per chain,
+        summed in integers: one gather of the site axis rolled by every
+        distance."""
         s = self.spins
-        rolled = (np.arange(len(s)) + np.asarray(distances)[:, None]) % len(s)
-        return (s[None] * s[rolled]).sum(axis=(1, 2)) / s.size
+        n = s.shape[1]
+        rolled = (np.arange(n) + np.asarray(distances)[:, None]) % n
+        return (s[:, None] * s[:, rolled]).sum(axis=(2, 3)) / s[0].size
 
 
-def trotter_magnetization(region: SpaceTimeRegion, lam: float, delta: float,
-                          n_sweeps: int, rng: np.random.Generator,
-                          dt: float = 0.1) -> TrotterResult:
-    sampler = TrotterSampler(region, lam, delta, dt)
-    series, flip_frac = sampler.run(n_sweeps, rng, TrotterSampler.magnetization_origin)
-    return TrotterResult.of_series(series, sampler, flip_frac)
+def trotter_magnetization(region: SpaceTimeRegion, lams: Sequence[float], delta: float,
+                          n_sweeps: int, rngs: Sequence[np.random.Generator],
+                          dt: float = 0.1) -> list[TrotterResult]:
+    """The origin magnetization at each coupling, chain j drawn from
+    ``rngs[j]``."""
+    sampler = TrotterSampler(region, lams, delta, dt)
+    series, flip_frac = sampler.run(n_sweeps, rngs, TrotterSampler.magnetization_origin)
+    # each chain's series is copied into the layout a one-coupling run had
+    return [TrotterResult.of_series(series[:, j].copy(), sampler, flip_frac[j])
+            for j in range(len(lams))]
 
 
-def trotter_pair_correlations(region: SpaceTimeRegion, lam: float, delta: float,
+def trotter_pair_correlations(region: SpaceTimeRegion, lams: Sequence[float], delta: float,
                               distances: Sequence[int], n_sweeps: int,
-                              rng: np.random.Generator, dt: float = 0.1) -> dict:
-    """Equal-time pair correlations at the given distances.  Each estimate
+                              rngs: Sequence[np.random.Generator],
+                              dt: float = 0.1) -> list[dict]:
+    """Equal-time pair correlations at the given distances, one dict per
+    coupling, chain j drawn from ``rngs[j]``.  Each estimate
     averages the equal-time correlation over the sites and over every
     Trotter slice of the region's time extent.  On a free-time slab this is
     the slab average, not the mid-time (t = 0) correlation that
@@ -500,7 +527,11 @@ def trotter_pair_correlations(region: SpaceTimeRegion, lam: float, delta: float,
     if region.box.d != 1 or region.bc_space != "p":
         raise ValueError("pair correlations need d = 1 and periodic space, got "
                          f"d = {region.box.d} and bc_space = {region.bc_space!r}")
-    sampler = TrotterSampler(region, lam, delta, dt)
-    series, flip_frac = sampler.run(n_sweeps, rng, lambda s: s.pair_correlations(distances))
-    return {d: TrotterResult.of_series(series[:, i], sampler, flip_frac)
-            for i, d in enumerate(distances)}
+    sampler = TrotterSampler(region, lams, delta, dt)
+    series, flip_frac = sampler.run(n_sweeps, rngs, lambda s: s.pair_correlations(distances))
+    out = []
+    for j in range(len(lams)):
+        chain = series[:, j].copy()
+        out.append({d: TrotterResult.of_series(chain[:, i], sampler, flip_frac[j])
+                    for i, d in enumerate(distances)})
+    return out

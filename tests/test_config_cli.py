@@ -3,9 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tfim.cli import main
+from tfim import experiments
+from tfim.cli import main, write_json
 from tfim.config import ConfigError, load_config, parse_config_json, parse_config_text
 from tfim.geometry import Box, SpaceTimeRegion
 
@@ -305,6 +307,24 @@ seed = 6
         [("connectivity-product", None)]
     failing = json.loads((tmp_path / "i" / "run-identity-suite-failures.json").read_text())
     assert [r["error"] for r in failing["failing"]] == [err.strip().removeprefix("error: ")]
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), np.int64(3)])
+def test_write_json_rejects_numpy_scalars(tmp_path, value):
+    # a numpy bool or integer is no JSON value; it is not written as a string
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(tmp_path / "x.json", {"rows": [{"pass": value}]})
+
+
+def test_cli_numpy_scalar_in_a_row_exits_three(tmp_path, monkeypatch, capsys):
+    def driver(cfg, workers=1):
+        return [{"kind": cfg.kind, "case": "numpy", "pass": np.bool_(True)}], {}, True
+
+    monkeypatch.setitem(experiments.DRIVERS, "switching-verify", driver)
+    cfg = _write_config(tmp_path, "kind = switching-verify\nbeta = 1.0\nlam = 1.0\n"
+                                  "seed = 1\npoint_site = 1\n", name="v.cfg")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 3
+    assert "TypeError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,seed", [([], 1), (["--seed", "0"], 0), (["--seed", "5"], 5)])

@@ -763,7 +763,7 @@ def test_failed_griffiths_pair_names_its_later_row(tmp_path, monkeypatch):
                                                float(row[9]), 20, 0.1, None)
                for row in pinned}
     monkeypatch.setattr(ex.spinrep, "trotter_magnetization",
-                        lambda region, lam, *args: results[lam])
+                        lambda region, lams, *args: [results[lam] for lam in lams])
     code, csv_text, rows, failing = _sweep(tmp_path / "m", MANIFEST_SWEEP_CONFIGS[kind], kind)
     assert code == 1
     assert csv_text == PINNED_MANIFEST_SWEEP_CSV[kind]

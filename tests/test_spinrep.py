@@ -211,8 +211,8 @@ def test_trotter_magnetization_zero_coupling_forced_plus():
     rng = chain_generator(4, 0)
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p")
     # at very strong coupling the wired boundary drives the middle up
-    strong = sr.trotter_magnetization(region, 4.0, 1.0, 400, rng, dt=0.1)
-    weak = sr.trotter_magnetization(region, 0.1, 1.0, 400, rng, dt=0.1)
+    strong, = sr.trotter_magnetization(region, [4.0], 1.0, 400, [rng], dt=0.1)
+    weak, = sr.trotter_magnetization(region, [0.1], 1.0, 400, [rng], dt=0.1)
     assert strong.estimate.value > weak.estimate.value
     assert strong.approximate and strong.dt == pytest.approx(0.1)
 
@@ -221,7 +221,7 @@ def test_trotter_matches_oracle_wired_magnetization():
     rng = chain_generator(4, 1)
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p")
     exact = sp.oracle_correlation(region, 1.0, 1.0, [((0,), 0.0)])
-    result = sr.trotter_magnetization(region, 1.0, 1.0, 6000, rng, dt=0.05)
+    result, = sr.trotter_magnetization(region, [1.0], 1.0, 6000, [rng], dt=0.05)
     # approximate sampler: agreement within errors plus the recorded step bias
     assert abs(result.estimate.value - exact) <= 3 * result.estimate.stderr + 0.05
 
@@ -233,8 +233,8 @@ class _ReferenceTrotter:
     site-slot, then for every colour (site colour + slot colour) mod K, with
     K the larger colour count, computes the field at every site-slot and
     flips only the cells of that colour whose uniform falls below their
-    acceptance.  ``TrotterSampler`` must reproduce its spins and its RNG
-    stream exactly."""
+    acceptance.  Each chain of a ``TrotterSampler`` must reproduce the
+    spins and the RNG stream of the reference of its coupling exactly."""
 
     def __init__(self, region, lam, delta, dt):
         self.region = region
@@ -319,48 +319,61 @@ def _same_state(a, b) -> bool:
 @given(d=st.sampled_from([1, 2]), n=st.integers(0, 2),
        convention=st.sampled_from(["symmetric", "even-side"]),
        bc_space=st.sampled_from("fpw"), bc_time=st.sampled_from("fpw"),
-       r=st.floats(0.3, 4.0), lam=st.floats(0.0, 3.0), delta=st.floats(0.05, 3.0),
-       dt=st.floats(0.08, 0.6), n_sweeps=st.integers(1, 4), seed=st.integers(0, 2**32))
+       r=st.floats(0.3, 4.0), lams=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
+       delta=st.floats(0.05, 3.0), dt=st.floats(0.08, 0.6), n_sweeps=st.integers(1, 4),
+       seed=st.integers(0, 2**32))
 def test_trotter_sweep_matches_full_lattice_reference(d, n, convention, bc_space, bc_time,
-                                                      r, lam, delta, dt, n_sweeps, seed):
+                                                      r, lams, delta, dt, n_sweeps, seed):
     if convention == "even-side":
         n = max(n, 1)
     if d == 2:
         n = min(n, 1)
     region = SpaceTimeRegion(Box(d, n, convention), r, bc_space, bc_time)
-    sampler = sr.TrotterSampler(region, lam, delta, dt)
-    reference = _ReferenceTrotter(region, lam, delta, dt)
-    rng_a = chain_generator(seed, 0)
-    rng_b = chain_generator(seed, 0)
+    sampler = sr.TrotterSampler(region, lams, delta, dt)
+    references = [_ReferenceTrotter(region, lam, delta, dt) for lam in lams]
+    rngs_a = [chain_generator(seed, j) for j in range(len(lams))]
+    rngs_b = [chain_generator(seed, j) for j in range(len(lams))]
     for _ in range(n_sweeps):
         before = sampler.spins.copy()
-        assert sampler.sweep(rng_a) == np.count_nonzero(sampler.spins != before)
-        reference.sweep(rng_b)
+        flips = sampler.sweep(rngs_a)
+        assert list(flips) == [np.count_nonzero(after != old)
+                               for after, old in zip(sampler.spins, before)]
+        for reference, rng in zip(references, rngs_b):
+            reference.sweep(rng)
         assert sampler.spins.dtype == np.int8
-        assert np.array_equal(sampler.spins, reference.spins)
-    assert _same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
+        for spins, reference in zip(sampler.spins, references, strict=True):
+            assert np.array_equal(spins, reference.spins)
+    for rng_a, rng_b in zip(rngs_a, rngs_b):
+        assert _same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
     # every acceptance probability of a random configuration, bit for bit
-    spins = np.where(rng_a.random(sampler.spins.shape) < 0.5, 1, -1)
+    spins = np.where(rngs_a[0].random(sampler.spins.shape) < 0.5, 1, -1)
     sampler.spins[...] = spins
-    reference.spins[...] = spins
-    expected = reference.acceptance().ravel()
+    expected = np.full(sampler._cells.shape, np.nan)
+    for j, reference in enumerate(references):
+        reference.spins[...] = spins[j]
+        expected[j, :-1] = reference.acceptance().ravel()
+    expected = expected.ravel()
     for idx, gather, base in sampler._plan:
-        looked_up = sampler._table[sampler._cells[gather] @ sampler._weights + base]
+        looked_up = sampler._table[sampler._cells.ravel()[gather] @ sampler._weights + base]
         assert np.array_equal(looked_up, expected[idx])
     if d == 1 and bc_space == "p":
         distances = range(region.box.side + 1)
-        assert list(sampler.pair_correlations(distances)) == \
-            [reference.pair_correlation(distance) for distance in distances]
+        correlations = sampler.pair_correlations(distances)
+        for row, reference in zip(correlations, references, strict=True):
+            assert list(row) == [reference.pair_correlation(distance)
+                                 for distance in distances]
 
 
 def _cell_colors(sampler) -> np.ndarray:
-    """The colour of every site-slot cell, by the order of the sweep's plan."""
-    colors = np.full(sampler.spins.size, -1)
+    """The colour of every site-slot cell of every chain, by the order of the
+    sweep's plan; no colour holds a chain's zero cell."""
+    colors = np.full(sampler._cells.size, -1)
     for c, (idx, _, _) in enumerate(sampler._plan):
         assert np.all(colors[idx] == -1)
         colors[idx] = c
-    assert np.all(colors >= 0)
-    return colors.reshape(sampler.spins.shape)
+    colors = colors.reshape(sampler._cells.shape)
+    assert np.all(colors[:, -1] == -1) and np.all(colors[:, :-1] >= 0)
+    return colors[:, :-1].reshape(sampler.spins.shape)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -369,8 +382,7 @@ def _cell_colors(sampler) -> np.ndarray:
 @pytest.mark.parametrize("r", [0.5, 0.6])  # 5 or 6 slots: an odd or even slot ring
 def test_trotter_colours_are_proper_and_take_the_larger_count(d, bc_space, bc_time, r):
     region = SpaceTimeRegion(Box(d, 1), r, bc_space, bc_time)
-    sampler = sr.TrotterSampler(region, 1.0, 1.0, dt=0.1)
-    colors = _cell_colors(sampler)
+    sampler = sr.TrotterSampler(region, [1.0, 0.5], 1.0, dt=0.1)
     m = sampler.n_slots
     index = {x: i for i, x in enumerate(region.box.sites())}
     nbrs = [[] for _ in index]
@@ -379,52 +391,63 @@ def test_trotter_colours_are_proper_and_take_the_larger_count(d, bc_space, bc_ti
             i, j = index[tuple(x)], index[tuple(y)]
             nbrs[i].append(j)
             nbrs[j].append(i)
-            assert np.all(colors[i] != colors[j])
-    assert np.all(colors[:, 1:] != colors[:, :-1])
     slot_nbrs = [[j for j in (i - 1, i + 1) if 0 <= j < m] for i in range(m)]
     if bc_time == "p":
-        assert np.all(colors[:, 0] != colors[:, -1])
         slot_nbrs = [[(i - 1) % m, (i + 1) % m] for i in range(m)]
+    for colors in _cell_colors(sampler):
+        for i, row in enumerate(nbrs):
+            for j in row:
+                assert np.all(colors[i] != colors[j])
+        assert np.all(colors[:, 1:] != colors[:, :-1])
+        if bc_time == "p":
+            assert np.all(colors[:, 0] != colors[:, -1])
     n_site = len(set(sr._proper_ring_colors(len(nbrs), nbrs)))
     n_slot = len(set(sr._proper_ring_colors(m, slot_nbrs)))
     assert len(sampler._plan) == max(n_site, n_slot)
     assert n_slot == (3 if bc_time == "p" and m % 2 else 2)
 
 
-def test_trotter_sweep_draws_one_uniform_per_cell():
+def test_trotter_sweep_draws_one_uniform_per_cell_from_each_chain_stream():
     region = SpaceTimeRegion.ground_state(Box(1, 3), "p", "f")
-    sampler = sr.TrotterSampler(region, 1.0, 1.0)
-    rng_a = chain_generator(4, 11)
-    rng_b = chain_generator(4, 11)
-    sampler.sweep(rng_a)
-    rng_b.random(sampler.spins.size)
-    assert _same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
+    sampler = sr.TrotterSampler(region, [1.0, 0.5], 1.0)
+    rngs_a = [chain_generator(4, 11), chain_generator(4, 12)]
+    rngs_b = [chain_generator(4, 11), chain_generator(4, 12)]
+    sampler.sweep(rngs_a)
+    for rng_a, rng_b in zip(rngs_a, rngs_b):
+        rng_b.random(sampler.spins[0].size)
+        assert _same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
+    with pytest.raises(ValueError):
+        sampler.sweep(rngs_a[:1])
 
 
 def test_pair_correlations_equal_the_per_distance_sums():
     rng = chain_generator(4, 12)
     for n in (1, 2, 3):
         region = SpaceTimeRegion.ground_state(Box(1, n), "p", "f")
-        sampler = sr.TrotterSampler(region, 1.0, 1.0)
+        sampler = sr.TrotterSampler(region, [1.0, 0.5], 1.0)
         sampler.spins[...] = np.where(rng.random(sampler.spins.shape) < 0.5, 1, -1)
-        s = sampler.spins
-        distances = list(range(2 * len(s) + 1))
-        # the former form: one roll and one integer sum per distance
-        per_distance = [int((s * np.concatenate((s[k % len(s):], s[:k % len(s)]))).sum())
-                        / s.size for k in distances]
-        assert list(sampler.pair_correlations(distances)) == per_distance
+        distances = list(range(2 * sampler.spins.shape[1] + 1))
+        for s, row in zip(sampler.spins, sampler.pair_correlations(distances), strict=True):
+            # the former form: one roll and one integer sum per distance
+            per_distance = [int((s * np.concatenate((s[k % len(s):], s[:k % len(s)]))).sum())
+                            / s.size for k in distances]
+            assert list(row) == per_distance
 
 
 def test_trotter_estimates_pinned():
+    # alone or stacked with another coupling, a chain gives the same values
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p")
-    res = sr.trotter_magnetization(region, 1.0, 1.0, 300, chain_generator(4, 7), dt=0.1)
-    assert (res.estimate.value, res.estimate.stderr, res.dt, res.n_slots) == \
-        (0.3933333333333333, 0.11352113016187686, 0.1, 10)
+    for lams, rngs in (([1.0], [chain_generator(4, 7)]),
+                       ([0.3, 1.0], [chain_generator(4, 6), chain_generator(4, 7)])):
+        res = sr.trotter_magnetization(region, lams, 1.0, 300, rngs, dt=0.1)[-1]
+        assert (res.estimate.value, res.estimate.stderr, res.dt, res.n_slots) == \
+            (0.3933333333333333, 0.11352113016187686, 0.1, 10)
     region = SpaceTimeRegion.ground_state(Box(1, 2), "p", "f")
-    out = sr.trotter_pair_correlations(region, 0.9, 1.0, [1, 2], 200,
-                                       chain_generator(4, 8), dt=0.1)
-    assert {d: (r.estimate.value, r.estimate.stderr) for d, r in out.items()} == \
-        {1: (0.5107, 0.03250994449972882), 2: (0.413, 0.04184407376554767)}
+    for lams, rngs in (([0.9], [chain_generator(4, 8)]),
+                       ([0.9, 1.4], [chain_generator(4, 8), chain_generator(4, 9)])):
+        out = sr.trotter_pair_correlations(region, lams, 1.0, [1, 2], 200, rngs, dt=0.1)[0]
+        assert {d: (r.estimate.value, r.estimate.stderr) for d, r in out.items()} == \
+            {1: (0.5107, 0.03250994449972882), 2: (0.413, 0.04184407376554767)}
 
 
 def test_lambda_c_summary_pinned():
@@ -453,21 +476,26 @@ def test_lambda_c_summary_pinned():
 def test_trotter_pair_correlations_need_a_ring(region):
     # a roll over the site axis is a lattice translation only on a d=1 ring
     with pytest.raises(ValueError, match="d = 1 and periodic space"):
-        sr.trotter_pair_correlations(region, 1.0, 1.0, [1], 10, chain_generator(4, 9))
+        sr.trotter_pair_correlations(region, [1.0], 1.0, [1], 10, [chain_generator(4, 9)])
 
 
 def test_trotter_flip_fraction_counts_measured_sweeps():
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p")
-    _, flip_frac = sr.TrotterSampler(region, 1.0, 1.0).run(
-        10, chain_generator(4, 10), sr.TrotterSampler.magnetization_origin)
-    # the same stream by hand: 2 burn-in sweeps, then 10 counted ones
-    sampler = sr.TrotterSampler(region, 1.0, 1.0)
-    rng = chain_generator(4, 10)
-    sampler.sweep(rng)
-    sampler.sweep(rng)
-    changed = 0
+    lams = [1.0, 0.4]
+    _, flip_frac = sr.TrotterSampler(region, lams, 1.0).run(
+        10, [chain_generator(4, 10), chain_generator(4, 13)],
+        sr.TrotterSampler.magnetization_origin)
+    # the same streams by hand: 2 burn-in sweeps, then 10 counted ones
+    sampler = sr.TrotterSampler(region, lams, 1.0)
+    rngs = [chain_generator(4, 10), chain_generator(4, 13)]
+    sampler.sweep(rngs)
+    sampler.sweep(rngs)
+    changed = [0, 0]
     for _ in range(10):
         before = sampler.spins.copy()
-        sampler.sweep(rng)
-        changed += np.count_nonzero(sampler.spins != before)
-    assert 0 < changed and flip_frac == changed / (10 * sampler.spins.size)
+        sampler.sweep(rngs)
+        for j in range(len(lams)):
+            changed[j] += int(np.count_nonzero(sampler.spins[j] != before[j]))
+    assert all(c > 0 for c in changed)
+    assert flip_frac == [c / (10 * sampler.spins[0].size) for c in changed]
+    assert all(type(f) is float for f in flip_frac)

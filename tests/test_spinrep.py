@@ -407,7 +407,7 @@ def test_trotter_colours_are_proper_and_take_the_larger_count(d, bc_space, bc_ti
     assert n_slot == (3 if bc_time == "p" and m % 2 else 2)
 
 
-def test_trotter_sweep_draws_one_uniform_per_cell_from_each_chain_stream():
+def test_trotter_sweep_draws_one_uniform_per_cell():
     region = SpaceTimeRegion.ground_state(Box(1, 3), "p", "f")
     sampler = sr.TrotterSampler(region, [1.0, 0.5], 1.0)
     rngs_a = [chain_generator(4, 11), chain_generator(4, 12)]

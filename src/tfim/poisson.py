@@ -79,9 +79,13 @@ class PointSet:
 def draw_times(lo: float, hi: float, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Sorted times of a rate-``rate`` Poisson process on [lo, hi): the count,
     then that many uniform times (a count of zero draws no uniforms).  Every
-    point-process draw of the package goes through here."""
+    point-process draw of the package goes through here.  The times are
+    ``lo + (hi - lo) * u``, which is how ``rng.uniform(lo, hi)`` forms them
+    from the same doubles ``u``, so they are its times bit for bit."""
     n = rng.poisson(rate * (hi - lo))
-    times = rng.uniform(lo, hi, size=n)
+    if n == 0:
+        return np.empty(0)
+    times = lo + (hi - lo) * rng.random(n)
     times.sort()
     return times
 

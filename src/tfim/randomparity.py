@@ -203,6 +203,17 @@ def ghost_rates(box: Box, lam: float) -> dict:
     return {x: lam * count for x, count in box.exterior_counts}
 
 
+def draw_switches(region: SpaceTimeRegion, lam: float, rates: dict,
+                  rng: np.random.Generator) -> tuple[dict, dict]:
+    """The bridges and ghost points of one labelling draw, in that order:
+    rate-``lam`` bridge times on each free edge of the box, then ghost times
+    on each site of ``rates`` (site -> rate; empty for no ghost points)."""
+    lo, hi = region.t_min, region.t_max
+    bridges = {e: draw_times(lo, hi, lam, rng) for e in region.box.free_edges}
+    ghosts = {x: draw_times(lo, hi, rate, rng) for x, rate in rates.items()}
+    return bridges, ghosts
+
+
 @dataclass
 class CoupledConfiguration:
     """Two independent labellings plus the cut process.
@@ -296,12 +307,10 @@ def sample_coupled(region: SpaceTimeRegion, lam: float, delta: float,
     t1, t2 = coupled_bc_pair(region)
     box = region.box
     lo, hi = region.t_min, region.t_max
-    free_edges = box.free_edges
     rates = ghost_rates(box, lam)
     for _ in range(100):
-        bridges1 = {e: draw_times(lo, hi, lam, rng) for e in free_edges}
-        bridges2 = {e: draw_times(lo, hi, lam, rng) for e in free_edges}
-        ghosts = {x: draw_times(lo, hi, rate, rng) for x, rate in rates.items()}
+        bridges1, _ = draw_switches(region, lam, {}, rng)
+        bridges2, ghosts = draw_switches(region, lam, rates, rng)
         cuts = {x: draw_times(lo, hi, 4.0 * delta, rng) for x in box.sites()}
         if _distinct([*bridges1.values(), *bridges2.values(), *ghosts.values()]):
             break
@@ -584,25 +593,101 @@ def _labellings(region: SpaceTimeRegion, lam: float, sources: Sequence, n_sample
     """Yield ``n_samples`` labellings of the region, each drawn as bridges on
     the free edges, then ghost points (wired space only), then the periodic
     anchors tau.  The sources are checked once per pool."""
-    lo, hi = region.t_min, region.t_max
-    box = region.box
-    sites = box.sites()
-    free_edges = list(EdgeSet.free(box).edges)
+    sites = region.box.sites()
     bc = region.bc_time
-    rates = ghost_rates(box, lam) if region.bc_space == "w" else {}
+    rates = ghost_rates(region.box, lam) if region.bc_space == "w" else {}
     sources = _check_sources(region, sources)
     for _ in range(n_samples):
-        bridges = {e: draw_times(lo, hi, lam, rng) for e in free_edges}
-        ghosts = {x: draw_times(lo, hi, rate, rng) for x, rate in rates.items()}
+        bridges, ghosts = draw_switches(region, lam, rates, rng)
         tau = {x: int(rng.integers(2)) for x in sites} if bc == "p" else None
         yield build_labelling(region, bridges, ghosts, sources, bc, tau)
+
+
+def _odd_lengths(region: SpaceTimeRegion, times: np.ndarray, rows: np.ndarray,
+                 tau: np.ndarray | None, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which of ``n`` labellings are consistent, and the odd length of each
+    consistent one, equal bit for bit to :meth:`Labelling.odd_length`.
+    ``times`` are the switching points, ``rows`` the row (sample * sites +
+    site) of each, and ``tau`` the periodic anchors by row (None off
+    periodic time)."""
+    n_sites = region.box.site_count
+    counts = np.bincount(rows, minlength=n * n_sites).reshape(n, n_sites)
+    consistent = (counts % 2 == 0).all(axis=1)
+    # the switching points of the consistent labellings, their rows
+    # renumbered among them, sorted by row and then by time
+    sample, site = np.divmod(rows, n_sites)
+    keep = consistent[sample]
+    times = times[keep]
+    rows = (np.cumsum(consistent) - 1)[sample[keep]] * n_sites + site[keep]
+    order = np.lexsort((times, rows))
+    times, rows = times[order], rows[order]
+    counts = counts[consistent].ravel()
+    # the bounds of each row's spans, as Labelling.odd_arcs walks them: a
+    # periodic line with switches from its first switch round to it again,
+    # every other line from t_min to t_max; rows are padded with their last
+    # bound, and a padded span has length 0.0
+    wraps = counts > 0 if tau is not None else np.zeros(counts.size, dtype=bool)
+    starts = np.cumsum(counts) - counts
+    last = np.full(counts.size, region.t_max)
+    last[wraps] = times[starts[wraps]] + region.r
+    bounds = np.repeat(last[:, None], counts.max(initial=0) + 2, axis=1)
+    bounds[~wraps, 0] = region.t_min
+    rank = np.arange(times.size) - starts[rows]
+    bounds[rows, rank + (~wraps)[rows]] = times
+    # whether each row's first span is even (Labelling.span_even)
+    if tau is None:
+        first_even = np.full(counts.size, region.bc_time == "f")
+    else:
+        below = np.bincount(rows[times <= 0.0], minlength=counts.size)
+        tau = tau.reshape(n, n_sites)[consistent].ravel()
+        first_even = (tau == 0) == ((wraps - below) % 2 == 0)
+    terms = np.diff(bounds, axis=1)
+    terms[(np.arange(terms.shape[1]) % 2 == 0) == first_even[:, None]] = 0.0  # even spans
+    # the odd arcs of a labelling site by site, arc by arc, summed from 0.0
+    terms = terms.reshape(-1, n_sites * terms.shape[1])
+    total = np.zeros(len(terms))
+    for column in terms.T:
+        total += column
+    return consistent, total
 
 
 def _labelling_weights(region: SpaceTimeRegion, lam: float, delta: float,
                        sources: Sequence, n_samples: int,
                        rng: np.random.Generator) -> np.ndarray:
-    return np.array([lab.weight_normalized(delta) for lab in
-                     _labellings(region, lam, sources, n_samples, rng)])
+    """The normalized weights of ``n_samples`` labellings drawn as
+    :func:`_labellings` draws them, equal bit for bit to
+    :meth:`Labelling.weight_normalized`.  The switching points are kept as
+    flat arrays and weighed ``spinrep.POOL_BLOCK`` draws at a time."""
+    sources = _check_sources(region, sources)
+    sites = region.box.sites()
+    site_index = {x: k for k, x in enumerate(sites)}
+    periodic = region.bc_time == "p"
+    rates = ghost_rates(region.box, lam) if region.bc_space == "w" else {}
+    # a draw lists one array per site that it switches: each bridge array
+    # once per end, each ghost array, then one array per source
+    end_sites = np.array([*(site_index[x] for e in region.box.free_edges for x in e),
+                          *(site_index[x] for x in rates),
+                          *(site_index[x] for (x, _) in sources)], dtype=np.intp)
+    source_arrays = [np.array([t]) for (_, t) in sources]
+    out = np.zeros(n_samples)
+    for start in range(0, n_samples, spinrep.POOL_BLOCK):
+        n = min(spinrep.POOL_BLOCK, n_samples - start)
+        arrays, tau = [], []
+        for _ in range(n):
+            bridges, ghosts = draw_switches(region, lam, rates, rng)
+            for times in bridges.values():
+                arrays += (times, times)
+            arrays += ghosts.values()
+            arrays += source_arrays
+            if periodic:
+                tau += [int(rng.integers(2)) for _ in sites]
+        counts = np.fromiter(map(len, arrays), dtype=np.intp, count=len(arrays))
+        rows = np.repeat((np.arange(n)[:, None] * len(sites) + end_sites).ravel(), counts)
+        consistent, odd = _odd_lengths(region, np.concatenate(arrays) if arrays else np.empty(0),
+                                       rows, np.array(tau) if periodic else None, n)
+        out[start:start + n][consistent] = [math.exp(-2.0 * delta * length)
+                                            for length in odd.tolist()]
+    return out
 
 
 def estimate_rpr_correlation(sources: Sequence, region: SpaceTimeRegion,

@@ -182,11 +182,6 @@ def thermal_expectation(model: SpectralModel, observable: np.ndarray,
     return float(np.sum(w * np.diag(q_eig)) / np.sum(w))
 
 
-def site_observable(model: SpectralModel, op: np.ndarray, x) -> np.ndarray:
-    i = model.site_index(x)
-    return np.kron(np.kron(np.eye(2**i), op), np.eye(2 ** (model.n_sites - i - 1)))
-
-
 def schwinger(model: SpectralModel, x, y, s: float, t: float,
               beta: float | None) -> float:
     """Two-point function tr(e^{-(beta-u)H} s3_y e^{-uH} s3_x)/tr(e^{-beta H}),

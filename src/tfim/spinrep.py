@@ -8,7 +8,9 @@ with exp(lam * sum over edges of the pair-overlap integral); the weights are
 handled in log space so large boxes do not overflow.  The overlap integral
 reads the spin product once per time window and flips its sign at every
 flip of either site, and spin values are bisect counts on per-site flip
-lists built once per configuration.  Importance sampling
+lists built once per configuration.  A pool of importance draws is weighed
+in blocks of flat arrays, bit for bit as that walk weighs each draw.
+Importance sampling
 from the a-priori measure degrades exponentially with space-time volume, so
 a Suzuki-Trotter discretized Metropolis sampler is provided behind the same
 estimator surface for the larger magnetization sweeps; it is approximate and
@@ -142,23 +144,96 @@ def overlap_integral(config, x, y, windows: Sequence | None = None) -> float:
 
 def gibbs_log_weight(config: SpinConfiguration, lam: float,
                      edges: Sequence) -> float:
-    """lam times the summed overlap integrals (frozen sites read as +1)."""
-    return lam * sum(overlap_integral(config, x, y) for (x, y) in edges)
+    """lam times the overlap integrals (frozen sites read as +1), added edge
+    by edge in order: the order the pool kernel keeps, which ``sum`` does not
+    promise (from Python 3.12 it compensates float rounding)."""
+    total = 0.0
+    for (x, y) in edges:
+        total += overlap_integral(config, x, y)
+    return lam * total
 
 
 def gibbs_weight(config: SpinConfiguration, lam: float, edges: Sequence) -> float:
     return math.exp(gibbs_log_weight(config, lam, edges))
 
 
+# Pools are weighed this many samples at a time, so that a pool's working
+# memory does not grow with its size.
+POOL_BLOCK = 128
+
+
+def _piece_sums(samples: np.ndarray, times: np.ndarray, first_sign: np.ndarray,
+                lo: float, hi: float) -> np.ndarray:
+    """Per sample, the sum of :func:`overlap_integral` over [lo, hi], piece by
+    piece from 0.0: the pieces run between ``lo``, the sample's ``times``
+    (all inside, sorted by sample and then by time) and ``hi``, and their
+    signs alternate from ``first_sign``."""
+    n = first_sign.size
+    counts = np.bincount(samples, minlength=n)
+    # one row of breaks per sample, padded with hi: a padded piece adds 0.0
+    breaks = np.full((n, counts.max(initial=0) + 2), hi)
+    breaks[:, 0] = lo
+    rank = np.arange(times.size) - (np.cumsum(counts) - counts)[samples]
+    breaks[samples, rank + 1] = times
+    terms = np.diff(breaks, axis=1) * first_sign[:, None]
+    terms[:, 1::2] *= -1.0
+    total = np.zeros(n)
+    for column in terms.T:
+        total += column
+    return total
+
+
+def _block_log_weights(region, lam: float, edges: Sequence, site_index: dict,
+                       flips: list, initial: list) -> np.ndarray:
+    """:func:`gibbs_log_weight` of configurations, bit for bit, from their
+    flip arrays and initial signs listed sample by sample, site by site.  On
+    each edge the spin product is constant between the two sites' flips and
+    changes sign at each of them."""
+    lo, hi = region.t_min, region.t_max
+    n_sites = len(site_index)
+    n = len(flips) // n_sites
+    counts = np.fromiter(map(len, flips), dtype=np.intp, count=len(flips))
+    times = np.concatenate(flips)
+    row = np.repeat(np.arange(len(flips)), counts)
+    # each site's value from t_min to its first flip: its initial sign times
+    # the parity of its flips from 0 back to t_min; a last column of ones
+    # stands for the frozen +1 sites of wired space
+    parity = (np.bincount(row[times <= 0.0], minlength=len(flips))
+              + np.bincount(row[times <= lo], minlength=len(flips))) % 2
+    first = np.ones((n, n_sites + 1))
+    first[:, :-1] = (np.array(initial, dtype=float) * (1 - 2 * parity)).reshape(n, n_sites)
+    sample, site = np.divmod(row, n_sites)
+    inside = (times > lo) & (times < hi)
+    total = np.zeros(n)
+    for (x, y) in edges:
+        kx, ky = site_index.get(x, n_sites), site_index.get(y, n_sites)
+        pair = np.flatnonzero(inside & ((site == kx) | (site == ky)))
+        pair = pair[np.lexsort((times[pair], sample[pair]))]
+        total += _piece_sums(sample[pair], times[pair], first[:, kx] * first[:, ky], lo, hi)
+    return lam * total
+
+
 def _weights_and_values(region, lam, delta, n_samples, rng, value_fn):
-    """Log importance weights and values of ``n_samples`` a-priori draws."""
+    """Log importance weights and values of ``n_samples`` a-priori draws.
+
+    Each draw is one :func:`sample_apriori` call and its value one
+    ``value_fn`` call, in stream order; the log-weights are computed
+    ``POOL_BLOCK`` draws at a time from the draws' flips and initial signs,
+    equal bit for bit to :func:`gibbs_log_weight`."""
     edges = region.edge_set().edges
+    sites = region.box.sites()
+    site_index = {x: k for k, x in enumerate(sites)}
     logs = np.empty(n_samples)
     vals = np.empty(n_samples)
-    for i in range(n_samples):
-        config = sample_apriori(region, delta, rng)
-        logs[i] = gibbs_log_weight(config, lam, edges)
-        vals[i] = value_fn(config)
+    for start in range(0, n_samples, POOL_BLOCK):
+        stop = min(start + POOL_BLOCK, n_samples)
+        flips, initial = [], []
+        for i in range(start, stop):
+            config = sample_apriori(region, delta, rng)
+            vals[i] = value_fn(config)
+            flips += config.flips.values()  # both in site order
+            initial += config.initial.values()
+        logs[start:stop] = _block_log_weights(region, lam, edges, site_index, flips, initial)
     return logs, vals
 
 

@@ -7,6 +7,7 @@ Equality is exact unless a test says otherwise.
 
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,23 @@ def test_poisson_sample_matches_reference():
         count = ref.poisson(rate * 3.0)
         times = sorted(ref.uniform(-1.0, 2.0, size=count)) if count else []
         assert got.points == tuple(times)
+    assert _in_step(rng, ref)
+
+
+def test_draw_times_matches_sorted_uniform_draw():
+    # the times are lo + (hi - lo) * u, as rng.uniform forms them; a count
+    # of 0 (rate 0, or a small rate on a short interval) draws no uniforms
+    rng, ref = chain_generator(3, 1), chain_generator(3, 1)
+    cases = [(-1.0, 2.0, 1.3), (0.0, 0.7, 0.0), (-0.25, 0.25, 0.05), (-4.0, 4.0, 2.5),
+             (0.1, 0.3, 0.4)]
+    empty = 0
+    for i in range(600):
+        lo, hi, rate = cases[i % len(cases)]
+        got = poisson.draw_times(lo, hi, rate, rng)
+        want = np.sort(ref.uniform(lo, hi, size=ref.poisson(rate * (hi - lo))))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        empty += got.size == 0
+    assert empty > 200
     assert _in_step(rng, ref)
 
 
@@ -131,6 +149,108 @@ def test_labelling_weights_match_reference(region):
             want[i] = lab.weight_normalized(delta)
         assert np.array_equal(got, want)
     assert _in_step(rng, ref)
+
+
+# -- the pool kernels against the per-object walks ---------------------------------
+
+POOL_REGIONS = [
+    SpaceTimeRegion.finite_beta(Box(2, 2), 0.6, "p", "p"),
+    SpaceTimeRegion.finite_beta(Box(2, 2), 0.8, "w", "w"),
+    SpaceTimeRegion.ground_state(Box(2, 2), "w", "f"),
+    SpaceTimeRegion.finite_beta(Box(2, 3), 0.3, "f", "p"),
+    SpaceTimeRegion.ground_state(Box(1, 3), "p", "w"),
+    SpaceTimeRegion.finite_beta(Box(1, 3), 1.5, "w", "f"),
+]
+
+
+def _pool_sources(region):
+    d = region.box.d
+    return [((0,) * d, region.r / 8), ((1,) + (0,) * (d - 1), -region.r / 6)]
+
+
+def _ref_spin_pool(region, lam, delta, n, rng, value_fn):
+    """The per-object pool: one draw, one overlap walk per edge, one value."""
+    edges = region.edge_set().edges
+    logs, vals = np.empty(n), np.empty(n)
+    for i in range(n):
+        config = sr.sample_apriori(region, delta, rng)
+        logs[i] = sr.gibbs_log_weight(config, lam, edges)
+        vals[i] = value_fn(config)
+    return logs, vals
+
+
+def _ref_labelling_pool(region, lam, delta, sources, n, rng):
+    return np.array([lab.weight_normalized(delta)
+                     for lab in rp._labellings(region, lam, sources, n, rng)])
+
+
+def _check_spin_pool(region, lam, n, seed):
+    points = _pool_sources(region)
+    value = lambda c: c.product_over(points)  # noqa: E731
+    rng, ref = chain_generator(seed, 0), chain_generator(seed, 0)
+    logs, vals = sr._weights_and_values(region, lam, 0.9, n, rng, value)
+    want_logs, want_vals = _ref_spin_pool(region, lam, 0.9, n, ref, value)
+    assert np.array_equal(logs, want_logs) and np.array_equal(vals, want_vals)
+    assert _in_step(rng, ref)
+
+
+def _check_labelling_pool(region, lam, n, seed):
+    for sources in (_pool_sources(region), ()):
+        rng, ref = chain_generator(seed, 1), chain_generator(seed, 1)
+        got = rp._labelling_weights(region, lam, 0.7, sources, n, rng)
+        want = _ref_labelling_pool(region, lam, 0.7, sources, n, ref)
+        assert np.array_equal(got, want)
+        assert _in_step(rng, ref)
+
+
+@pytest.mark.parametrize("lam", [0.4, 1.7])
+@pytest.mark.parametrize("k", range(len(POOL_REGIONS)))
+def test_spin_pool_matches_per_object_walk(k, lam):
+    _check_spin_pool(POOL_REGIONS[k], lam, 25, 50 + k)
+
+
+@pytest.mark.parametrize("lam", [0.4, 1.7])
+@pytest.mark.parametrize("k", range(len(POOL_REGIONS)))
+def test_labelling_pool_matches_per_object_walk(k, lam):
+    _check_labelling_pool(POOL_REGIONS[k], lam, 25, 60 + k)
+
+
+@pytest.mark.parametrize("region", REGIONS[:4], ids=str)
+def test_pools_spanning_blocks_match_per_object_walk(region):
+    # two whole blocks and a partial third
+    n = 2 * sr.POOL_BLOCK + 37
+    _check_spin_pool(region, 1.1, n, 70)
+    _check_labelling_pool(region, 1.1, n, 71)
+
+
+def _working_peak(run) -> int:
+    """tracemalloc peak of ``run()`` less the bytes of the arrays it returns."""
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = out if isinstance(out, tuple) else (out,)
+    return peak - sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize("pool", ["spin", "labelling"])
+def test_pool_working_memory_does_not_grow_with_the_pool(pool):
+    region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "p")
+    points = _pool_sources(region)
+
+    def run(n):
+        rng = chain_generator(80, 0)
+        if pool == "spin":
+            return sr._weights_and_values(region, 1.0, 1.0, n, rng,
+                                          lambda c: c.product_over(points))
+        return rp._labelling_weights(region, 1.0, 1.0, points, n, rng)
+
+    run(50)  # first-call allocations (caches, lazy imports) stay out of the peaks
+    small = _working_peak(lambda: run(2000))
+    large = _working_peak(lambda: run(20000))
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_holes_and_event_identities_pinned():

@@ -18,6 +18,12 @@ from tfim import spectral as sp
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def site_observable(model: sp.SpectralModel, op: np.ndarray, x) -> np.ndarray:
+    """The one-site operator ``op`` at site x on the model's full space."""
+    i = model.site_index(x)
+    return np.kron(np.kron(np.eye(2**i), op), np.eye(2 ** (model.n_sites - i - 1)))
+
+
 @pytest.fixture(scope="module")
 def ring4():
     box = Box(1, 2, "even-side")
@@ -43,8 +49,8 @@ def test_size_cap():
 
 def test_thermal_tanh_and_symmetry():
     model = sp.build([(0,)], [], 0.0, 1.0)
-    q1 = sp.site_observable(model, sp.SIGMA1, (0,))
-    q3 = sp.site_observable(model, sp.SIGMA3, (0,))
+    q1 = site_observable(model, sp.SIGMA1, (0,))
+    q3 = site_observable(model, sp.SIGMA3, (0,))
     for beta in (0.5, 1.0, 2.0):
         assert sp.thermal_expectation(model, q1, beta) == pytest.approx(math.tanh(beta))
     assert sp.thermal_expectation(model, q3, 1.0) == pytest.approx(0.0, abs=1e-12)
@@ -56,7 +62,7 @@ def test_thermal_tanh_and_symmetry():
 def test_zero_longitudinal_field_kills_magnetization():
     box = Box(1, 1)
     model = sp.build(box, EdgeSet.free(box), 0.7, 1.0)
-    q3 = sp.site_observable(model, sp.SIGMA3, (0,))
+    q3 = site_observable(model, sp.SIGMA3, (0,))
     assert sp.thermal_expectation(model, q3, 2.0) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -83,7 +89,7 @@ def test_schwinger_cyclicity(ring4):
 def test_ground_state_consistency():
     box = Box(1, 1)
     model = sp.build(box, EdgeSet.free(box), 0.5, 1.0)
-    q1 = sp.site_observable(model, sp.SIGMA1, (0,))
+    q1 = site_observable(model, sp.SIGMA1, (0,))
     gs = sp.thermal_expectation(model, q1, None)
     finite = sp.thermal_expectation(model, q1, 50.0)
     assert gs == pytest.approx(finite, abs=1e-8)

@@ -626,7 +626,7 @@ def _odd_lengths(region: SpaceTimeRegion, times: np.ndarray, rows: np.ndarray,
     # periodic line with switches from its first switch round to it again,
     # every other line from t_min to t_max; rows are padded with their last
     # bound, and a padded span has length 0.0
-    wraps = counts > 0 if tau is not None else np.zeros(counts.size, dtype=bool)
+    wraps = (counts > 0) & (tau is not None)
     starts = np.cumsum(counts) - counts
     last = np.full(counts.size, region.t_max)
     last[wraps] = times[starts[wraps]] + region.r

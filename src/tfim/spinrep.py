@@ -221,8 +221,7 @@ def _weights_and_values(region, lam, delta, n_samples, rng, value_fn):
     ``POOL_BLOCK`` draws at a time from the draws' flips and initial signs,
     equal bit for bit to :func:`gibbs_log_weight`."""
     edges = region.edge_set().edges
-    sites = region.box.sites()
-    site_index = {x: k for k, x in enumerate(sites)}
+    site_index = {x: k for k, x in enumerate(region.box.sites())}
     logs = np.empty(n_samples)
     vals = np.empty(n_samples)
     for start in range(0, n_samples, POOL_BLOCK):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -17,6 +18,19 @@ PINNED_SIDES = {
     "2edge-3slot-fw": (0.1843031433993942, 0.18430314339939421),
     "1edge-4slot-fw": (0.397460158151839, 0.3974601581518384),
     "1edge-3slot-pp": (0.4368832192342155, 0.436883219234213),
+}
+
+
+# the same sides to the last bit, and those of the two triangle systems of
+# ``test_switching_exact_on_a_cycle``: every sum of the enumeration is
+# ``math.fsum``, so no change of summation order may move them
+EXACT_SIDES = {
+    "1edge-3slot-fw": (0.4501785278320313, 0.45017852783203127),
+    "2edge-3slot-fw": (0.1843031433993942, 0.18430314339939421),
+    "1edge-4slot-fw": (0.3974601581518386, 0.3974601581518386),
+    "1edge-3slot-pp": (0.4368832192342192, 0.43688321923421924),
+    "triangle-no-ghosts": (0.20805200794905795, 0.20805200794905798),
+    "triangle-ghosts": (0.11316876094579899, 0.113168760945799),
 }
 
 
@@ -81,6 +95,7 @@ def test_switching_exact_on_a_cycle(ghosts):
     lhs, rhs = switching_sides(system, ("a", 0), ("b", 1))
     assert lhs > 0.1
     assert abs(lhs - rhs) <= 1e-15
+    assert (lhs, rhs) == EXACT_SIDES["triangle-" + ("ghosts" if ghosts else "no-ghosts")]
 
 
 def test_switching_no_bridges_both_sides_vanish():
@@ -164,6 +179,29 @@ def test_coupled_measure_consistency():
 def test_exact_switching_cases_pinned(case):
     lhs, rhs = switching_sides(case["system"], *case["sources"])
     _assert_pinned(lhs, rhs, case["case"])
+    assert (lhs, rhs) == EXACT_SIDES[case["case"]]
+
+
+def _coupled_digest(configs):
+    """Count and sha256 of the sorted lines of an ``enumerate_coupled`` output,
+    floats as hex, so that any changed bit, state or label moves it."""
+    lines = sorted(repr((sorted(c.bridges1), sorted(c.bridges2), sorted(c.ghosts),
+                         sorted(c.cuts), sorted((x, tuple(lab)) for x, lab in c.labels1.items()),
+                         sorted((x, tuple(lab)) for x, lab in c.labels2.items()),
+                         c.weight.hex(), c.prob.hex())) for c in configs)
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_enumerate_coupled_pinned():
+    assert _coupled_digest(enumerate_coupled(small_system(n_slots=2, p_ghost=0.1))) == (
+        8192, "e2af919fdcc15effd724e9c14903ea523b21b92345e3eaaf5a3a506c1983d99d")
+    # two ghost copies on b toggle one boundary twice when they coincide
+    interval = DiscreteSystem(
+        sites=("a", "b"), edges=(("a", "b"),), n_slots=3, topology="interval",
+        bc1="f", bc2="w", p_bridge=0.3, w_even=1.25,
+        ghost_multiplicity={"a": 1, "b": 2}, p_ghost=0.2)
+    assert _coupled_digest(enumerate_coupled(interval, (("a", 1), ("b", 2)))) == (
+        8192, "2e4891b73c1cae53be46d62f294afdfc7817d230c1cf3844f2684d86ed409ff8")
 
 
 # -- nested-loop reference for the switching sides ------------------------------

@@ -177,6 +177,18 @@ def test_coupled_zero_coupling_no_ghosts_all_even():
     assert c.weight > 0
 
 
+@pytest.mark.parametrize("arrays, distinct", [
+    ([np.array([0.1, 0.5]), np.array([0.3, 0.5])], False),
+    ([np.array([0.2, 0.7, 0.2]), np.array([0.4])], False),
+    ([], True),
+    ([np.array([0.25])], True),
+    ([np.array([0.1, 0.9]), np.empty(0), np.array([0.3])], True),
+    ([np.array([0.0]), np.array([-0.0])], False),
+])
+def test_distinct_times(arrays, distinct):
+    assert rp._distinct(arrays) is distinct
+
+
 def test_coupled_draw_raises_when_retries_run_out(monkeypatch):
     monkeypatch.setattr(rp, "_distinct", lambda arrays: False)
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p")

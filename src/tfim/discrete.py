@@ -11,6 +11,12 @@ slot count.  Enumeration is over every assignment of bridges, ghosts, cuts
 and time-zero parities, so expectations are exact up to float rounding.
 Connectivity is open-path connectivity without ghost jumps, the one the
 switching identity reads.
+
+The enumeration runs on integer bitmasks: a copy state is (bridge mask, ghost
+mask, tau bits), and one table lookup per site gives its consistency and
+even cells.  Every sum is ``math.fsum``, which is correctly rounded, so the
+order states are visited in moves no bit of any result.  The per-state walk
+over frozensets that this replaces is kept in the tests as the reference.
 """
 
 from __future__ import annotations
@@ -20,7 +26,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .randomparity import _UnionFind
+
+# copy states weighed at a time (whole bridge masks), and state pairs keyed
+# at a time on the right side of the switching identity
+STATE_BLOCK = 1 << 14
+PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -33,7 +46,8 @@ class DiscreteSystem:
     of the plain and the ghosted labelling ("f"/"w" on an interval, "p" on a
     circle).  ``ghost_multiplicity`` maps sites to the number of exterior
     neighbours (0 for none).  Construction raises ``ValueError`` on a system
-    outside these rules or with probabilities that are not probabilities.
+    outside these rules, with probabilities that are not probabilities, or
+    with more than 62 cells and bridge slots together.
     """
 
     sites: tuple
@@ -62,6 +76,10 @@ class DiscreteSystem:
                 or any(x not in self.sites or k < 0 for x, k in ghosts.items())):
             raise ValueError("need n_slots >= 1, and edges and ghost multiplicities (>= 0) "
                              "on the given sites")
+        # a cell mask and a bridge mask share one int64 key
+        n_bits = len(self.sites) * self.n_slots + len(self.bridge_slots())
+        if n_bits > 62:
+            raise ValueError(f"need at most 62 cells and bridge slots together, got {n_bits}")
 
     def check_source(self, source) -> None:
         if source[0] not in self.sites or source[1] not in self.interior_boundaries:
@@ -82,105 +100,146 @@ class DiscreteSystem:
         return [((x, y), b) for (x, y) in self.edges for b in self.interior_boundaries]
 
 
-def _subsets(items, p: float):
-    """Yield (chosen, p^|chosen| (1-p)^|rest|) over every subset of ``items``."""
-    for k in range(len(items) + 1):
-        for chosen in itertools.combinations(items, k):
-            yield chosen, (p**k) * ((1.0 - p) ** (len(items) - k))
-
-
-def _labelling(system: DiscreteSystem, switch_parity: dict, bc: str, tau: dict | None):
-    """Cell labels (True = even) per site, or None when inconsistent."""
-    labels = {}
-    m = system.n_slots
-    circle = system.topology == "circle"
-    for x in system.sites:
-        par = switch_parity.get(x, [0] * (m + 1))
-        if sum(par[0:m] if circle else par[1:m]) % 2 != 0:
-            return None
-        # an interval starts even at an "f" anchor, a circle at tau = 0
-        current = tau[x] == 0 if circle else bc == "f"
-        lab = []
-        for c in range(m):
-            if c > 0 and par[c] % 2 == 1:
-                current = not current
-            lab.append(current)
-        labels[x] = lab
-    return labels
-
-
-def _weight(system: DiscreteSystem, labels) -> float:
-    n_even = sum(sum(lab) for lab in labels.values())
-    return system.w_even**n_even
-
-
-def _switch_parities(system: DiscreteSystem, bridges, ghosts, sources):
-    m = system.n_slots
-    par = {x: [0] * (m + 1) for x in system.sites}
-    for ((x, y), b) in bridges:
-        par[x][b] += 1
-        par[y][b] += 1
-    for (x, b) in ghosts:
-        par[x][b] += 1
-    for (x, b) in sources:
-        par[x][b] += 1
-    return par
-
-
 def _connected(system: DiscreteSystem, bridges_union, blocked, start, end) -> bool:
     """Open-path connectivity, without ghost jumps, between two (site,
     boundary) nodes; a cut in an even-even cell (``blocked``) stops its line."""
     m = system.n_slots
     n_b = m + 1 if system.topology == "interval" else m
-    index = {(x, b): i * n_b + b for i, x in enumerate(system.sites) for b in range(n_b)}
+    # node (x, b) is base[x] + b
+    base = {x: i * n_b for i, x in enumerate(system.sites)}
     uf = _UnionFind(len(system.sites) * n_b)
-    for x in system.sites:
-        for c in system.cells():
+    for x, i in base.items():
+        for c in range(m):
             if (x, c) not in blocked:
-                uf.union(index[(x, c)], index[(x, (c + 1) % n_b)])
+                uf.union(i + c, i + (c + 1) % n_b)
     for ((x, y), b) in bridges_union:
-        uf.union(index[(x, b)], index[(y, b)])
-    return uf.find(index[start]) == uf.find(index[end])
+        uf.union(base[x] + b, base[y] + b)
+    return uf.find(base[start[0]] + start[1]) == uf.find(base[end[0]] + end[1])
 
 
-def _iter_copy(system: DiscreteSystem, bc: str, ghosted: bool):
-    """Yield (bridges, ghost_list, ghosts, tau, prob) over the states of one
-    copy: bridge sets, ghost placements if ``ghosted`` and time-zero parities
-    tau if ``bc`` is "p"."""
-    ghost_slots = [(x, b, copy) for x in system.sites if ghosted
-                   for copy in range(system.ghost_multiplicity.get(x, 0))
-                   for b in system.interior_boundaries]
+def _subset_probs(n: int, p: float) -> list:
+    """p^k (1-p)^(n-k) for k = 0..n: the probability of one given subset of
+    size k of n independent p-slots."""
+    return [(p**k) * ((1.0 - p) ** (n - k)) for k in range(n + 1)]
+
+
+def _slot_states(toggles: list, p: float):
+    """Every subset of independent p-slots, in the order of
+    ``itertools.combinations`` by size: its bitmask, the XOR of its slots'
+    parity ``toggles`` and its probability (int64, int64 and float64 arrays)."""
+    par = np.zeros(1 << len(toggles), dtype=np.int64)
+    for i, toggle in enumerate(toggles):
+        par[1 << i:2 << i] = par[:1 << i] ^ toggle
+    listed = [(sum(1 << i for i in chosen), k) for k in range(len(toggles) + 1)
+              for chosen in itertools.combinations(range(len(toggles)), k)]
+    probs = _subset_probs(len(toggles), p)
+    masks = np.array([mask for mask, _ in listed], dtype=np.int64)
+    return masks, par[masks], np.array([probs[k] for _, k in listed])
+
+
+def _ghost_slots(system: DiscreteSystem, ghosted: bool) -> list:
+    """(site, boundary) of every ghost slot of a copy, one per exterior
+    neighbour: two copies on one boundary toggle it twice."""
+    return [(x, b) for x in system.sites if ghosted
+            for _ in range(system.ghost_multiplicity.get(x, 0))
+            for b in system.interior_boundaries]
+
+
+def _site_table(system: DiscreteSystem):
+    """Consistency and even-cell bits of one site line, indexed by
+    start << m | parity bits (bit b: the line switches at boundary b; the
+    start is 1 when the first cell is even)."""
+    m = system.n_slots
+    # a circle counts every boundary, an interval its interior ones
+    counted = (1 << m) - (1 if system.topology == "circle" else 2)
+    consistent, even = [], []
+    for start in (0, 1):
+        for par in range(1 << m):
+            consistent.append((par & counted).bit_count() % 2 == 0)
+            current, bits = start, 0
+            for c in range(m):
+                if c > 0 and par >> c & 1:
+                    current ^= 1
+                bits |= current << c
+            even.append(bits)
+    return np.array(consistent), np.array(even, dtype=np.int64)
+
+
+def _consistent_states(system: DiscreteSystem, bc: str, ghosted: bool, sources):
+    """Yield the copy states whose labelling with ``sources`` is consistent,
+    as arrays of bridge masks, ghost masks, even-cell masks, probabilities p
+    and weights w_even^(even cells), a block of bridge masks at a time.
+
+    A state is (bridge mask, ghost mask, tau bits); states are listed bridge
+    set first, then ghost set, then tau, with the sets in the order of
+    ``_slot_states``.  Site i's boundary b is parity bit i*m + b and its cell
+    c is cell bit i*m + c; bridge slot j (``bridge_slots()`` order) is bit j of a
+    bridge mask.  A block holds whole bridge masks, so working memory grows
+    with the ghost and tau states of one bridge mask at most.
+    """
+    m = system.n_slots
     n = len(system.sites)
-    taus = ([(dict(zip(system.sites, bits)), 0.5**n)
-             for bits in itertools.product((0, 1), repeat=n)] if bc == "p" else [(None, 1.0)])
-    for bridges, p_bridges in _subsets(system.bridge_slots(), system.p_bridge):
-        bridges = frozenset(bridges)
-        for chosen, p_ghosts in _subsets(ghost_slots, system.p_ghost):
-            # distinct copies landing on one boundary toggle twice; keep multiset
-            ghost_list = tuple((x, b) for (x, b, _) in chosen)
-            for tau, p_tau in taus:
-                yield bridges, ghost_list, frozenset(ghost_list), tau, p_bridges * p_ghosts * p_tau
+    index = {x: i for i, x in enumerate(system.sites)}
+
+    def bit(x, b):
+        return 1 << (index[x] * m + b)
+
+    bridges, bridge_par, p_bridges = _slot_states(
+        [bit(x, b) ^ bit(y, b) for (x, y), b in system.bridge_slots()], system.p_bridge)
+    ghosts, ghost_par, p_ghosts = _slot_states(
+        [bit(x, b) for x, b in _ghost_slots(system, ghosted)], system.p_ghost)
+    for x, b in sources:
+        # a source toggles its boundary in every state, as a fixed ghost would
+        ghost_par = ghost_par ^ bit(x, b)
+    if bc == "p":
+        # tau bits in ``itertools.product`` order; a circle starts even at tau = 0
+        taus = np.arange(1 << n, dtype=np.int64)
+        starts = [1 - (taus >> (n - 1 - i) & 1) for i in range(n)]
+        p_tau = 0.5**n
+    else:
+        # an interval starts even at an "f" anchor
+        starts = [np.full(1, int(bc == "f"), dtype=np.int64)] * n
+        p_tau = 1.0
+    consistent, even_bits = _site_table(system)
+    w_pow = np.array([system.w_even**k for k in range(n * m + 1)])
+    low = (1 << m) - 1
+    shape = (len(ghosts), len(starts[0]))
+    block = max(1, STATE_BLOCK // (shape[0] * shape[1]))
+    for lo in range(0, len(bridges), block):
+        rows = slice(lo, lo + block)
+        par = bridge_par[rows, None, None] ^ ghost_par[None, :, None]
+        ok = np.ones((len(bridges[rows]), *shape), dtype=bool)
+        even = np.zeros(ok.shape, dtype=np.int64)
+        for i in range(n):
+            entry = par >> (i * m) & low | starts[i] << m
+            ok &= consistent[entry]
+            even |= even_bits[entry] << (i * m)
+        p = p_bridges[rows, None, None] * p_ghosts[None, :, None] * p_tau
+        yield (np.broadcast_to(bridges[rows, None, None], ok.shape)[ok],
+               np.broadcast_to(ghosts[None, :, None], ok.shape)[ok], even[ok],
+               np.broadcast_to(p, ok.shape)[ok], w_pow[np.bitwise_count(even[ok])])
 
 
-def _copy_states(system: DiscreteSystem, bc: str, ghosted: bool, lhs_sources, rhs_sources):
-    """One enumeration of a copy: the sum of p * w over its labellings with
-    ``lhs_sources``, and the sums of p * w over its labellings with
-    ``rhs_sources`` per (bridges, even cells).  All sums are compensated
-    (``math.fsum``)."""
-    total = []
-    states = {}
-    for bridges, ghost_list, _, tau, p in _iter_copy(system, bc, ghosted):
-        lab = _labelling(system, _switch_parities(system, bridges, ghost_list, lhs_sources),
-                         bc, tau)
-        if lab is not None:
-            total.append(p * _weight(system, lab))
-        lab = _labelling(system, _switch_parities(system, bridges, ghost_list, rhs_sources),
-                         bc, tau)
-        if lab is not None:
-            key = (bridges, frozenset((x, c) for x in system.sites for c in system.cells()
-                                      if lab[x][c]))
-            states.setdefault(key, []).append(p * _weight(system, lab))
-    return math.fsum(total), {key: math.fsum(terms) for key, terms in states.items()}
+def _groups(system: DiscreteSystem, bc: str, ghosted: bool, sources):
+    """The sums of p * w of one copy's consistent states per (bridge mask,
+    even-cell mask): three arrays, the sums compensated (``math.fsum``)."""
+    keys, sums = [], []
+    for bridges, _, even, p, w in _consistent_states(system, bc, ghosted, sources):
+        order = np.lexsort((even, bridges))
+        bridges, even, pw = bridges[order], even[order], (p * w)[order].tolist()
+        first = np.flatnonzero(np.diff(bridges, prepend=-1) | np.diff(even, prepend=-1))
+        keys.append((bridges[first], even[first]))
+        ends = [*first[1:].tolist(), len(pw)]
+        sums += [math.fsum(pw[a:b]) for a, b in zip(first.tolist(), ends)]
+    return (np.concatenate([b for b, _ in keys]), np.concatenate([e for _, e in keys]),
+            np.array(sums))
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of non-negative int64 ``keys``, sorted: what
+    ``np.unique`` gives, without the 1 MB of ``numpy.ma`` it imports."""
+    keys = np.sort(keys, axis=None)
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def switching_sides(system: DiscreteSystem, source_a, source_b) -> tuple[float, float]:
@@ -193,59 +252,110 @@ def switching_sides(system: DiscreteSystem, source_a, source_b) -> tuple[float, 
 
     The copies are independent, so the left side is the product of the two
     per-copy sums, and the right side runs over pairs of per-copy states
-    aggregated by (bridges, even cells).  Connection probabilities are
-    memoised per call on (even-even cells, bridge union), and connectivity on
-    (cut cells, bridges with latent slots).
+    grouped by (bridge mask, even-cell mask), with one connection probability
+    per distinct (even-even mask, bridge-union mask).  Every sum is
+    ``math.fsum``, which is correctly rounded, so no side depends on the
+    order its terms are listed in.
     """
     system.check_source(source_a)
     system.check_source(source_b)
     src_pair = (source_a, source_b)
-    lhs1, states1 = _copy_states(system, system.bc1, False, src_pair, ())
-    lhs2, states2 = _copy_states(system, system.bc2, True, (), src_pair)
-    connected = {}
-    probability = {}
-    rhs = []
-    for (bridges1, even1), pw1 in states1.items():
-        for (bridges2, even2), pw2 in states2.items():
-            key = (even1 & even2, bridges1 | bridges2)
-            if key not in probability:
-                probability[key] = _connection_probability(system, *key, source_a, source_b,
-                                                           connected)
-            rhs.append(pw1 * pw2 * probability[key])
-    return lhs1 * lhs2, math.fsum(rhs)
+    lhs = [math.fsum(itertools.chain.from_iterable(
+        (p * w).tolist() for *_, p, w in _consistent_states(system, bc, ghosted, sources)))
+        for bc, ghosted, sources in ((system.bc1, False, src_pair), (system.bc2, True, ()))]
+    bridges1, even1, pw1 = _groups(system, system.bc1, False, ())
+    bridges2, even2, pw2 = _groups(system, system.bc2, True, src_pair)
+    n_slots = len(system.bridge_slots())
+    block = max(1, PAIR_BLOCK // max(1, len(pw2)))
+    blocks = [slice(lo, lo + block) for lo in range(0, len(pw1), block)]
+
+    def keys(rows):
+        return (even1[rows, None] & even2) << n_slots | bridges1[rows, None] | bridges2
+
+    distinct = _sorted_distinct(np.concatenate(
+        [np.zeros(0, dtype=np.int64), *(_sorted_distinct(keys(rows)) for rows in blocks)]))
+    probs = np.array(_connection_probabilities(
+        system, [(key >> n_slots, key & ((1 << n_slots) - 1)) for key in distinct.tolist()],
+        source_a, source_b))
+    rhs = math.fsum(itertools.chain.from_iterable(
+        (pw1[rows, None] * pw2 * probs[np.searchsorted(distinct, keys(rows))]).ravel().tolist()
+        for rows in blocks))
+    return lhs[0] * lhs[1], rhs
 
 
-def _connection_probability(system: DiscreteSystem, even_even: frozenset,
-                            bridges_union: frozenset, start, end, connected: dict) -> float:
-    """P(start <-> end avoiding ghost edges | labellings and processes).
+def _connection_probabilities(system: DiscreteSystem, keys: list, start, end) -> list:
+    """P(start <-> end avoiding ghost edges | labellings and processes) per
+    (even-even cell mask, bridge-union mask).
 
     Conditionally on the label parities, an even-even cell is traversable
     with probability 1 - q_cut (no cut), and a slot carrying no bridge in
     either copy is traversable with the latent doubled-bridge probability
     (p/(1-p))^2, the discrete remnant of coincident bridges.  These latent
     events vanish in the continuum limit but are needed for the identity to
-    be exact at a finite slot count.  ``connected`` memoises the open-path
-    connectivity on (cut cells, bridges).
+    be exact at a finite slot count.  A probability is the ``math.fsum`` of
+    p_cut(k) * p_latent(j) over the connecting (cut, latent set) pairs, k and
+    j their sizes; the cuts are the submasks of the even-even mask.
+
+    The pair counts per (k, j) are summed as fields of one integer, ``width``
+    bits each, field k * (slots + 1) + j; how many latent sets of each size
+    connect is memoised per (cut, bridge union), and ``_connected`` is asked
+    once per distinct (cut cells, bridges) of the call.
     """
+    cells = [(x, c) for x in system.sites for c in system.cells()]
+    slots = system.bridge_slots()
     p = system.p_bridge
-    latent_open = (p / (1.0 - p)) ** 2
-    # listed in system order, so the float sum does not follow set order
-    ee = [(x, c) for x in system.sites for c in system.cells() if (x, c) in even_even]
-    empty = [slot for slot in system.bridge_slots() if slot not in bridges_union]
-    opened = [(bridges_union.union(extra), p_lat)
-              for extra, p_lat in _subsets(empty, latent_open) if p_lat != 0.0]
-    terms = []
-    for cut, p_cut in _subsets(ee, system.q_cut):
-        if p_cut == 0.0:
-            continue
-        cut = frozenset(cut)
-        for bridges, p_lat in opened:
-            key = (cut, bridges)
-            if key not in connected:
-                connected[key] = _connected(system, bridges, cut, start, end)
-            if connected[key]:
-                terms.append(p_cut * p_lat)
-    return math.fsum(terms)
+    p_cut = [_subset_probs(n, system.q_cut) for n in range(len(cells) + 1)]
+    p_latent = [_subset_probs(n, (p / (1.0 - p)) ** 2) for n in range(len(slots) + 1)]
+    all_slots = (1 << len(slots)) - 1
+    # a field counts at most 2^cells * 2^slots pairs
+    width = len(cells) + len(slots) + 1
+    row = width * (len(slots) + 1)
+    field = (1 << width) - 1
+    connected = {}
+    tallies = {}
+
+    def tally(cut, union):
+        """Connecting latent sets per size j, as fields j of one integer."""
+        free = all_slots & ~union
+        p_lat = p_latent[free.bit_count()]
+        fields = 0
+        extra = free
+        while True:
+            j = extra.bit_count()
+            if p_lat[j] != 0.0:
+                key = (cut, union | extra)
+                if key not in connected:
+                    connected[key] = _connected(
+                        system, frozenset(s for i, s in enumerate(slots) if key[1] >> i & 1),
+                        frozenset(c for i, c in enumerate(cells) if cut >> i & 1), start, end)
+                fields += connected[key] << (width * j)
+            if extra == 0:
+                return fields
+            extra = (extra - 1) & free
+
+    probs = []
+    for even_even, union in keys:
+        p_cuts = p_cut[even_even.bit_count()]
+        p_lat = p_latent[(all_slots & ~union).bit_count()]
+        shifted = tallies.setdefault(union, {})
+        fields = 0
+        cut = even_even
+        while True:
+            if p_cuts[cut.bit_count()] != 0.0:
+                if cut not in shifted:
+                    shifted[cut] = tally(cut, union) << (row * cut.bit_count())
+                fields += shifted[cut]
+            if cut == 0:
+                break
+            cut = (cut - 1) & even_even
+        terms = []
+        for k, p_k in enumerate(p_cuts):
+            for j, p_j in enumerate(p_lat):
+                n_pairs = fields >> (row * k + width * j) & field
+                if n_pairs:
+                    terms.append(itertools.repeat(p_k * p_j, n_pairs))
+        probs.append(math.fsum(itertools.chain.from_iterable(terms)))
+    return probs
 
 
 @dataclass
@@ -263,19 +373,28 @@ class DiscreteCoupled:
 
 
 def enumerate_coupled(system: DiscreteSystem, sources1=(), sources2=()):
-    """All coupled configurations with nonzero labelling weights."""
+    """All coupled configurations with nonzero labelling weights: copy-1
+    states, then copy-2 states, then cut sets, each in listing order."""
     for source in (*sources1, *sources2):
         system.check_source(source)
-    cuts = [(frozenset(cut), p_cut) for cut, p_cut in _subsets(
-        [(x, c) for x in system.sites for c in system.cells()], system.q_cut)]
+    cells = [(x, c) for x in system.sites for c in system.cells()]
+    p_cut = _subset_probs(len(cells), system.q_cut)
+    cuts = [(frozenset(cut), p_cut[k]) for k in range(len(cells) + 1)
+            for cut in itertools.combinations(cells, k)]
+    slots = system.bridge_slots()
+    m = system.n_slots
     copies = []
     for bc, ghosted, sources in ((system.bc1, False, sources1), (system.bc2, True, sources2)):
+        ghost_slots = _ghost_slots(system, ghosted)
         copies.append([])
-        for bridges, ghost_list, ghosts, tau, p in _iter_copy(system, bc, ghosted):
-            lab = _labelling(system, _switch_parities(system, bridges, ghost_list, sources),
-                             bc, tau)
-            if lab is not None:
-                copies[-1].append((bridges, ghosts, lab, _weight(system, lab), p))
+        for block in _consistent_states(system, bc, ghosted, sources):
+            for bridges, ghosts, even, p, w in zip(*(a.tolist() for a in block)):
+                labels = {x: [bool(even >> (i * m + c) & 1) for c in range(m)]
+                          for i, x in enumerate(system.sites)}
+                copies[-1].append((
+                    frozenset(s for j, s in enumerate(slots) if bridges >> j & 1),
+                    frozenset(g for j, g in enumerate(ghost_slots) if ghosts >> j & 1),
+                    labels, w, p))
     return [DiscreteCoupled(bridges1, bridges2, ghosts, cut, lab1, lab2, w1 * w2,
                             p1 * p2 * p_cut)
             for bridges1, _, lab1, w1, p1 in copies[0]

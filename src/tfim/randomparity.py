@@ -292,11 +292,10 @@ def coupled_bc_pair(region: SpaceTimeRegion) -> tuple[str, str]:
 
 
 def _distinct(arrays: list) -> bool:
-    allt = np.concatenate([np.asarray(a, dtype=float) for a in arrays]) if arrays else np.empty(0)
-    if allt.size < 2:
-        return True
-    s = np.sort(allt)
-    return bool(np.all(np.diff(s) > 0))
+    """True when no time repeats across and within the numpy ``arrays`` of a
+    draw (finite times, so a set sees every tie; -0.0 equals 0.0)."""
+    times = [t for a in arrays for t in a.tolist()]
+    return len(set(times)) == len(times)
 
 
 def sample_coupled(region: SpaceTimeRegion, lam: float, delta: float,

@@ -202,16 +202,22 @@ class SpaceTimeRegion:
     def time_topology(self) -> str:
         return "circle" if self.bc_time == "p" else "interval"
 
-    @property
+    @functools.cached_property
     def t_min(self) -> float:
         return -self.r / 2.0
 
-    @property
+    @functools.cached_property
     def t_max(self) -> float:
         return self.r / 2.0
 
     def edge_set(self) -> EdgeSet:
         return edges_for_bc(self.box, self.bc_space)
+
+    @functools.cached_property
+    def blocks(self) -> dict:
+        """The block geometries of :func:`tfim.randomparity.block_of` on this
+        region, filled on first use."""
+        return {}
 
     def sites(self) -> list[Site]:
         return self.box.sites()

@@ -31,36 +31,25 @@ class ClusterReport:
     largest_cluster_measure: float
 
 
-def _boundary_roots(coupled: CoupledConfiguration) -> set:
-    """Roots of the classes of the configuration's clusters that touch the
-    region boundary (see :meth:`~tfim.randomparity.VertexIndex.boundary_vertices`)."""
-    find = coupled.clusters.find
-    return {find(v) for ids in coupled.index.boundary.values() for v in ids}
-
-
-def classes(coupled: CoupledConfiguration) -> dict:
-    """The configuration's clusters: class root -> list of (site, vertex
-    number on that site's line)."""
-    index, find = coupled.index, coupled.clusters.find
-    out = {}
-    for x, offset in index.offsets.items():
-        for i in range(len(index.starts[x])):
-            out.setdefault(find(offset + i), []).append((x, i))
-    return out
-
-
 def cluster_report(coupled: CoupledConfiguration) -> ClusterReport:
     """Cluster decomposition of the region under the open-path semantics.
 
     Cluster counts use ghost-free connectivity (the ghost class is a
-    boundary artifact); origin-to-ghost uses the ghost-jump rules."""
-    index = coupled.index
-    members = classes(coupled)
-    largest = max(sum(index.ends[x][i] - index.starts[x][i] for (x, i) in cls)
-                  for cls in members.values())
-    root = coupled.root(((0,) * coupled.region.box.d, 0.0))
-    return ClusterReport(len(members), len(_boundary_roots(coupled)),
-                         root in coupled.ghost_roots, largest)
+    boundary artifact); origin-to-ghost uses the ghost-jump rules.  Each
+    cluster's measure is summed in one pass over the vertex ids, which run
+    site by site and in time order along each line; boundary-touching
+    clusters hold a vertex that meets the region boundary (see
+    :meth:`~tfim.randomparity.VertexIndex.boundary_vertices`)."""
+    index, find = coupled.index, coupled.clusters.find
+    roots = [find(v) for v in range(index.n_vertices)]
+    measure = {}
+    for root, a, b in zip(roots, itertools.chain(*index.starts.values()),
+                          itertools.chain(*index.ends.values())):
+        measure[root] = measure.get(root, 0) + (b - a)
+    touching = {roots[v] for ids in index.boundary.values() for v in ids}
+    origin = coupled.root(((0,) * coupled.region.box.d, 0.0))
+    return ClusterReport(len(measure), len(touching), origin in coupled.ghost_roots,
+                         max(measure.values()))
 
 
 def two_point_connectivity(region: SpaceTimeRegion, lam: float, delta: float,
@@ -83,19 +72,14 @@ def boundary_interval_count(coupled: CoupledConfiguration) -> int:
     their intervals, other sites the intervals touching the time endpoints."""
     region = coupled.region
     boundary_sites = set(region.box.boundary_sites())
+    circle = region.time_topology == "circle"
     total = 0
     for x in region.box.sites():
         k = len(np.asarray(coupled.cuts.get(x, ())))
-        if region.time_topology == "circle":
-            n_intervals = max(1, k)
-            if x in boundary_sites:
-                total += n_intervals
-        else:
-            n_intervals = k + 1
-            if x in boundary_sites:
-                total += n_intervals
-            else:
-                total += 1 if k == 0 else 2
+        if x in boundary_sites:
+            total += max(1, k) if circle else k + 1
+        elif not circle:
+            total += 1 if k == 0 else 2
     return total
 
 

@@ -108,17 +108,6 @@ class Labelling:
             return False
         return self.span_even(x, idx)
 
-    def even_points(self, x, times: Sequence) -> list:
-        """The sorted ``times`` that are labelled even at x, as
-        :meth:`label_is_even` reads them: one merge of the times against the
-        switches, which slices out the times strictly inside each even span."""
-        bounds = [-math.inf, *self.switches[tuple(x)], math.inf]
-        out = []
-        for k in range(0 if self.span_even(x, 0) else 1, len(bounds) - 1, 2):
-            out += times[bisect.bisect_right(times, bounds[k]):
-                         bisect.bisect_left(times, bounds[k + 1])]
-        return out
-
     def even_in(self, x, span: tuple) -> bool:
         """True when the whole closed span [a, b] is labelled even."""
         a, b = span
@@ -240,11 +229,24 @@ class CoupledConfiguration:
 
     @functools.cached_property
     def blocking_cuts(self) -> dict:
-        """Site -> sorted cut times labelled even in both labellings; all
-        other cuts are invisible to open paths."""
-        return {x: self.labelling2.even_points(x, self.labelling1.even_points(
-                    x, sorted(np.asarray(self.cuts.get(x, ()), dtype=float).tolist())))
-                for x in self.region.box.sites()}
+        """Site -> sorted cut times labelled even in both labellings, as
+        :meth:`Labelling.label_is_even` reads them; all other cuts are
+        invisible to open paths.  One walk per site merges the sorted cuts
+        against both labellings' switches, flipping a label at each switch."""
+        out = {}
+        for x in self.region.box.sites():
+            (s1, even1), (s2, even2) = ((lab.switches[x] + [math.inf], lab.span_even(x, 0))
+                                        for lab in (self.labelling1, self.labelling2))
+            i = j = 0
+            out[x] = kept = []
+            for t in sorted(np.asarray(self.cuts.get(x, ()), dtype=float).tolist()):
+                while s1[i] < t:
+                    i, even1 = i + 1, not even1
+                while s2[j] < t:
+                    j, even2 = j + 1, not even2
+                if even1 and even2 and s1[i] != t != s2[j]:
+                    kept.append(t)
+        return out
 
     @functools.cached_property
     def index(self) -> "VertexIndex":
@@ -276,11 +278,12 @@ class CoupledConfiguration:
         """Roots of the classes of :attr:`clusters` that reach the ghost: those
         holding a ghost point or, when the ghosted labelling has wired time, a
         time endpoint."""
-        region = self.region
-        points = [(x, float(t)) for x, times in self.ghosts.items() for t in np.asarray(times)]
-        if coupled_bc_pair(region)[1] == "w":
-            points += [(x, t) for x in region.box.sites() for t in (region.t_min, region.t_max)]
-        return {self.root(p) for p in points}
+        index, find = self.index, self.clusters.find
+        ids = [index.vertex(x, t) for x, times in self.ghosts.items()
+               for t in np.asarray(times, dtype=float).tolist()]
+        if coupled_bc_pair(self.region)[1] == "w":  # a line's end vertices hold t_min, t_max
+            ids += [v for x, o in index.offsets.items() for v in (o, o + len(index.starts[x]) - 1)]
+        return {None if v is None else find(v) for v in ids}
 
 
 def coupled_bc_pair(region: SpaceTimeRegion) -> tuple[str, str]:
@@ -512,26 +515,28 @@ def block_of(region: SpaceTimeRegion, center: tuple, n0: int, r0: float) -> tupl
     sup-distance n0 of x, and the closed time window of length r0 around t0
     as sorted spans of [t_min, t_max].  Intervals clip the window.  Circles
     wrap it modulo r (an end less than 1e-9 max(r, 1) past the seam is
-    clipped instead) and take the whole circle when r0 >= r."""
-    x0, t0 = center
-    coords = region.box.coord_range
-    sites = list(itertools.product(*(range(max(math.ceil(c0 - n0), coords[0]),
-                                           min(math.floor(c0 + n0), coords[-1]) + 1)
-                                     for c0 in x0)))
+    clipped instead) and take the whole circle when r0 >= r.  Both are
+    tuples, computed once per region and (x, t0, n0, r0) and kept in
+    :attr:`~tfim.geometry.SpaceTimeRegion.blocks`."""
+    key = (tuple(center[0]), center[1], n0, r0)
+    if key in region.blocks:
+        return region.blocks[key]
+    coords, t0 = region.box.coord_range, center[1]
+    sites = tuple(itertools.product(*(range(max(math.ceil(c0 - n0), coords[0]),
+                                            min(math.floor(c0 + n0), coords[-1]) + 1)
+                                      for c0 in key[0])))
     lo, hi = t0 - r0 / 2.0, t0 + r0 / 2.0
-    t_min, t_max = region.t_min, region.t_max
+    t_min, t_max, r = region.t_min, region.t_max, region.r
+    window = None
     if region.time_topology == "circle":
-        eps = 1e-9 * max(region.r, 1.0)
-        if r0 >= region.r - eps:
-            return sites, [(t_min, t_max)]
-
-        def wrap(t: float) -> float:
-            return t + region.r if t < t_min - eps else t - region.r if t > t_max + eps else t
-
-        lo, hi = wrap(lo), wrap(hi)
-        if hi < lo:
-            return sites, [(t_min, hi), (lo, t_max)]
-    return sites, [(max(lo, t_min), min(hi, t_max))]
+        eps = 1e-9 * max(r, 1.0)
+        lo, hi = (t + r if t < t_min - eps else t - r if t > t_max + eps else t for t in (lo, hi))
+        if r0 >= r - eps:
+            window = ((t_min, t_max),)
+        elif hi < lo:
+            window = ((t_min, hi), (lo, t_max))
+    region.blocks[key] = sites, window or ((max(lo, t_min), min(hi, t_max)),)
+    return region.blocks[key]
 
 
 def block_fully_connected(coupled: CoupledConfiguration, center: tuple, n0: int,

@@ -514,7 +514,7 @@ class TrotterSampler:
         # chain j's cells, gathers and table block sit j rows further on
         chain = np.arange(len(self.lams))[:, None]
         self._plan = []
-        for c in np.unique(full):
+        for c in range(n_colors):
             cells = np.flatnonzero(full == c)
             self._plan.append((
                 (chain * (pad + 1) + cells).ravel(),

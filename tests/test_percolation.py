@@ -180,6 +180,39 @@ def test_circle_probe_times_count_each_slice_once():
     assert (rep.n_probes, rep.n_clipped) == (3, 6)
 
 
+class _CountedStores(dict):
+    """A dict that counts the stores of each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = collections.Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_block_geometry_computed_once_per_region_and_probe():
+    """Over the 150-configuration criterion-10 loop, each (centre, n0, r0)
+    block of the region is computed once and then read from the region."""
+    region = SpaceTimeRegion.ground_state(Box(1, 4), "w", "f")
+    region.__dict__["blocks"] = blocks = _CountedStores()
+    rng = chain_generator(1, 0)
+    for _ in range(150):
+        c = rp.sample_coupled(region, 1.0, 1.0, (), (), rng)
+        pc.trifurcation_diagnostic(c, 1, 1.0, 1.0)
+    assert len(blocks.stores) == 9 and set(blocks.stores.values()) == {1}
+    # a list-valued centre reads the same block, whose parts are tuples
+    sites, window = rp.block_of(region, ([0], 0.0), 1, 1.0)
+    assert (sites, window) == (((-1,), (0,), (1,)), ((-0.5, 0.5),))
+    assert rp.block_fully_connected(c, ([0], 0.0), 1, 1.0) == \
+        rp.block_fully_connected(c, ((0,), 0.0), 1, 1.0)
+    assert len(blocks.stores) == 9 and set(blocks.stores.values()) == {1}
+    # a region that keeps blocks still compares and hashes by its fields
+    fresh = SpaceTimeRegion.ground_state(Box(1, 4), "w", "f")
+    assert region == fresh and hash(region) == hash(fresh)
+
+
 # Reports of the first criterion-10 draw of chain_generator(seed, 0), recorded
 # before the connectivity builders were merged: (trifurcations, boundary
 # intervals, probes, clipped), (clusters, boundary-touching, largest measure).

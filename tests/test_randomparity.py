@@ -1,3 +1,5 @@
+import bisect
+import dataclasses
 import hashlib
 import math
 
@@ -227,6 +229,17 @@ _LAYOUT_REGIONS = {
 }
 
 
+def classes(coupled):
+    """The configuration's clusters: class root -> list of (site, vertex
+    number on that site's line), in vertex order."""
+    index, find = coupled.index, coupled.clusters.find
+    out = {}
+    for x, offset in index.offsets.items():
+        for i in range(len(index.starts[x])):
+            out.setdefault(find(offset + i), []).append((x, i))
+    return out
+
+
 @pytest.mark.parametrize("k,shape", enumerate(_LAYOUT_PINS))
 def test_vertex_layout_pinned(k, shape):
     rng = chain_generator(46, k)
@@ -234,9 +247,9 @@ def test_vertex_layout_pinned(k, shape):
     for _ in range(20):
         c = rp.sample_coupled(_LAYOUT_REGIONS[shape], 1.0, 1.0, (), (), rng)
         index = c.index
-        classes = sorted(sorted(members) for members in pc.classes(c).values())
+        clusters = sorted(sorted(members) for members in classes(c).values())
         lines.append(repr((index.starts, index.ends, index.offsets, index.seams,
-                           index.edges, classes)))
+                           index.edges, clusters)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _LAYOUT_PINS[shape]
 
@@ -248,12 +261,39 @@ def test_root_is_the_class_root_of_each_vertex(shape):
     for _ in range(10):
         c = rp.sample_coupled(region, 1.0, 1.0, (), (), rng)
         starts, ends = c.index.starts, c.index.ends
-        for root, members in pc.classes(c).items():
+        for root, members in classes(c).items():
             for x, i in members:
                 assert c.root((x, (starts[x][i] + ends[x][i]) / 2)) == root
         x = next(iter(starts))
         assert c.root((x, region.t_max + 0.1)) is None
         assert c.root((x, region.t_min - 0.1)) is None
+
+
+@pytest.mark.parametrize("shape", _LAYOUT_REGIONS)
+def test_cluster_measure_is_the_per_class_sum(shape):
+    """cluster_report adds each cluster's measure in one pass over the vertex
+    ids; that is the per-class sum over classes(), bit for bit."""
+    rng = chain_generator(48, 0)
+    for _ in range(20):
+        c = rp.sample_coupled(_LAYOUT_REGIONS[shape], 1.0, 1.0, (), (), rng)
+        starts, ends = c.index.starts, c.index.ends
+        members = classes(c)
+        report = pc.cluster_report(c)
+        assert report.n_clusters == len(members)
+        assert report.largest_cluster_measure == max(
+            sum(ends[x][i] - starts[x][i] for (x, i) in cls) for cls in members.values())
+
+
+def even_points(lab, x, times):
+    """The sorted ``times`` labelled even at x: one merge of the times against
+    the switches, slicing out the times strictly inside each even span (the
+    former ``Labelling.even_points``, which blocking cuts were filtered by)."""
+    bounds = [-math.inf, *lab.switches[tuple(x)], math.inf]
+    out = []
+    for k in range(0 if lab.span_even(x, 0) else 1, len(bounds) - 1, 2):
+        out += times[bisect.bisect_right(times, bounds[k]):
+                     bisect.bisect_left(times, bounds[k + 1])]
+    return out
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -265,7 +305,29 @@ def test_even_points_match_label_is_even(seed, circle):
         for x in region.box.sites():
             # switching points themselves are odd
             times = sorted([*lab.switches[x][::2], *c.cuts[x].tolist()])
-            assert lab.even_points(x, times) == [t for t in times if lab.label_is_even(x, t)]
+            assert even_points(lab, x, times) == [t for t in times if lab.label_is_even(x, t)]
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+@settings(max_examples=60)
+def test_blocking_cuts_are_the_cuts_even_in_both_labellings(seed, circle, data):
+    """The one-pass blocking cuts equal the filter by both labels and the
+    former two even_points passes, also for cuts placed at switches, at 0.0
+    and at t_min and t_max."""
+    region = SpaceTimeRegion(Box(1, 2), 3.0, "w", "p" if circle else "f")
+    c = rp.sample_coupled(region, 1.0, 1.0, (), (), np.random.default_rng(seed))
+    lab1, lab2 = c.labelling1, c.labelling2
+    cuts = {}
+    for x in region.box.sites():
+        special = [0.0, region.t_min, region.t_max, *lab1.switches[x], *lab2.switches[x]]
+        placed = data.draw(st.lists(st.sampled_from(special), max_size=6))
+        cuts[x] = np.array([*placed, *c.cuts[x].tolist()])
+    c = dataclasses.replace(c, cuts=cuts)
+    for x in region.box.sites():
+        times = sorted(cuts[x].tolist())
+        assert c.blocking_cuts[x] == [t for t in times if lab1.label_is_even(x, t)
+                                      and lab2.label_is_even(x, t)]
+        assert c.blocking_cuts[x] == even_points(lab2, x, even_points(lab1, x, times))
 
 
 def test_connectivity_examples():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from tfim import experiments as ex
 from tfim import spectral as sp
 from tfim import spinrep as sr
 from tfim.rng import chain_generator
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_apriori_zero_rate_constant_trajectories():
@@ -405,6 +411,20 @@ def test_trotter_colours_are_proper_and_take_the_larger_count(d, bc_space, bc_ti
     n_slot = len(set(sr._proper_ring_colors(m, slot_nbrs)))
     assert len(sampler._plan) == max(n_site, n_slot)
     assert n_slot == (3 if bc_time == "p" and m % 2 else 2)
+
+
+def test_trotter_set_up_leaves_numpy_ma_unloaded():
+    """Building a sampler after ``import tfim.cli`` imports no ``numpy.ma``
+    (``np.unique`` over the colours would, on its first call)."""
+    code = ("import sys, tfim.cli; from tfim.geometry import Box, SpaceTimeRegion; "
+            "from tfim.spinrep import TrotterSampler; "
+            "TrotterSampler(SpaceTimeRegion(Box(1, 1), 1.0, 'p', 'p'), [1.0], 1.0); "
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_trotter_sweep_draws_one_uniform_per_cell():

@@ -121,11 +121,13 @@ PINNED_CORRELATION_CSV = {
 }
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", sorted(CORRELATION_CONFIGS))
-def test_correlation_csv_pinned(tmp_path, name):
+def test_correlation_csv_pinned(tmp_path, name, workers):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(CORRELATION_CONFIGS[name])
-    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path),
+                     "--workers", str(workers)]) == 0
     assert (tmp_path / "run-correlation.csv").read_bytes() == \
         PINNED_CORRELATION_CSV[name].encode()
     # the diagnostics are in the JSON only
@@ -143,6 +145,36 @@ def test_correlation_csv_pinned(tmp_path, name):
     assert stages["labelling"]["samples"] == 2 * n_draws
     for stage in stages.values():
         assert stage["samples_per_s"] == pytest.approx(stage["samples"] / stage["wall_time"])
+
+
+def _correlation_rows_by_coupling(cfg) -> dict:
+    """The CSV cells of a `correlation` run's rows, grouped by coupling."""
+    rows, _, _ = ex.run_correlation(cfg)
+    by_lam = {}
+    for row in rows:
+        by_lam.setdefault(row["lam"], []).append(
+            [row[c] for c in ex.KIND_COLUMNS["correlation"]])
+    return by_lam
+
+
+@pytest.mark.parametrize("conditions", [
+    dict(bc_space="w", bc_time="p"),
+    dict(bc_space="w", bc_time="w"),
+    dict(ground_state=True, beta=None, bc_space="f", bc_time="f"),
+], ids=["wired-space", "wired-time", "ground-state"])
+def test_correlation_rows_do_not_depend_on_the_coupling_grid(conditions):
+    # every coupling's rows are the same in the grid, alone, and in the
+    # reversed grid (which only config validation rejects)
+    lams = [0.5, 1.0, 1.5]
+    cfg = make_config(**conditions, lam_grid=lams, n_samples=60, n_chains=2, seed=4,
+                      point_time=0.25)
+    grid = _correlation_rows_by_coupling(cfg)
+    assert list(grid) == lams and all(len(rows) == 3 for rows in grid.values())
+    for lam in lams:
+        alone = _correlation_rows_by_coupling(dataclasses.replace(cfg, lam_grid=[lam]))
+        assert alone == {lam: grid[lam]}
+    reverse = _correlation_rows_by_coupling(dataclasses.replace(cfg, lam_grid=lams[::-1]))
+    assert list(reverse) == lams[::-1] and reverse == grid
 
 
 def test_correlation_json_shows_an_all_zero_numerator_pool():

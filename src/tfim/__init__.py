@@ -22,7 +22,7 @@ from .spectral import (SpectralModel, E_function, build, build_for_region,
                        irb_check, oracle_correlation, schwinger,
                        schwinger_fourier, thermal_expectation)
 from .spinrep import (SpinConfiguration, TrotterSampler, estimate_correlation,
-                      estimate_magnetization, gibbs_weight, sample_apriori)
+                      sample_apriori)
 from .stats import Check, Estimate
 from .rng import chain_generator
 
@@ -34,8 +34,7 @@ __all__ = [
     "build", "build_for_region", "build_labelling", "chain_generator",
     "connectivity", "constant_A", "constant_B",
     "correlation_difference_bound", "estimate_correlation",
-    "estimate_magnetization", "estimate_rpr_correlation",
-    "event_probability_identity", "gibbs_weight", "graph_laplacian_ft",
+    "estimate_rpr_correlation", "event_probability_identity", "graph_laplacian_ft",
     "holes_identity_check", "irb_check", "l1_norm", "oracle_correlation",
     "rn_add_or_delete", "rn_add_two_if_empty", "rn_delete_all",
     "sample_apriori", "sample_coupled", "schwinger", "schwinger_fourier",

@@ -62,20 +62,29 @@ def _point_map(workers: int):
 # -- correlation ---------------------------------------------------------------
 
 def _correlation_chain(args) -> tuple:
-    """Per-sample arrays of one chain (spin log-weights and values, then the
-    random-parity numerator (sources) and denominator labelling weights),
-    and the seconds its spin and labelling stages took."""
-    cfg, lam, chain = args
+    """One chain's pools for the whole coupling grid: the spin pool's overlap
+    sums and values and the seconds it took, drawn and weighed once, then per
+    coupling the random-parity numerator (sources) and denominator labelling
+    weights and the seconds they took.  Every coupling's labelling pools
+    start from the generator state after the spin pool, where a run of that
+    coupling alone has them start."""
+    cfg, chain = args
     rng = chain_generator(cfg.seed, chain)
     region = cfg.region()
     points = [((0,) * cfg.d, 0.0), (tuple(cfg.point_site), cfg.point_time)]
     t0 = time.perf_counter()
-    logs, vals = spinrep._weights_and_values(region, lam, cfg.delta, cfg.n_samples, rng,
-                                             lambda c: c.product_over(points))
-    t1 = time.perf_counter()
-    num = randomparity._labelling_weights(region, lam, cfg.delta, points, cfg.n_samples, rng)
-    den = randomparity._labelling_weights(region, lam, cfg.delta, (), cfg.n_samples, rng)
-    return (logs, vals, num, den), (t1 - t0, time.perf_counter() - t1)
+    sums, vals = spinrep._overlap_sums_and_values(region, cfg.delta, cfg.n_samples, rng,
+                                                  lambda c: c.product_over(points))
+    spin_s = time.perf_counter() - t0
+    after_spin = rng.bit_generator.state
+    labellings = []
+    for lam in cfg.lam_grid:
+        t0 = time.perf_counter()
+        rng.bit_generator.state = after_spin
+        num = randomparity._labelling_weights(region, lam, cfg.delta, points, cfg.n_samples, rng)
+        den = randomparity._labelling_weights(region, lam, cfg.delta, (), cfg.n_samples, rng)
+        labellings.append((num, den, time.perf_counter() - t0))
+    return sums, vals, spin_s, labellings
 
 
 def _pool_diagnostics(est, num, den) -> dict:
@@ -90,47 +99,51 @@ def run_correlation(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bool]
     rows = []
     origin = (0,) * cfg.d
     points = [(origin, 0.0), (tuple(cfg.point_site), cfg.point_time)]
-    spin_s = labelling_s = 0.0
     region = cfg.region()
     with _point_map(workers) as map_points:
-        for lam in cfg.lam_grid:
-            t0 = time.time()
-            results = map_points(_correlation_chain,
-                                 [(cfg, lam, k) for k in range(cfg.n_chains)])
-            # pooled in chain order; spin weights share one normalization
-            arrays, seconds = zip(*results)
-            logs, vals, num, den = (np.concatenate(parts) for parts in zip(*arrays))
-            spin_s += sum(s for s, _ in seconds)
-            labelling_s += sum(s for _, s in seconds)
-            w = np.exp(logs - logs.max())
-            spin_est = RatioAccumulator.of(w * vals, w, covariance=True).estimate(
-                "spin importance pool")
-            rpr_est = RatioAccumulator.of(num, den, covariance=False).estimate(
-                f"denominator (source-free) labelling pool at lam={lam}")
-            wall = time.time() - t0
-            base = {"kind": cfg.kind, "d": cfg.d, "n": cfg.n, "r": region.r,
-                    "bc_space": region.bc_space, "bc_time": region.bc_time,
-                    "lam": lam, "delta": cfg.delta, "seed": cfg.seed,
-                    "n_samples": cfg.n_samples * cfg.n_chains, "wall_time": round(wall, 3)}
-            rows.append({**base, "method": "spin", "estimate": spin_est.value,
-                         "stderr": spin_est.stderr, "n_effective": spin_est.ess,
-                         **_pool_diagnostics(spin_est, w * vals, w)})
-            rows.append({**base, "method": "random-parity", "estimate": rpr_est.value,
-                         "stderr": rpr_est.stderr, "n_effective": rpr_est.ess,
-                         **_pool_diagnostics(rpr_est, num, den)})
-            if 2 ** region.box.site_count <= spectral.DEFAULT_DIM_CAP:
-                exact = spectral.oracle_correlation(region, lam, cfg.delta, points)
-                # an exact value rests on no draws: no ESS (null in the JSON)
-                rows.append({**base, "method": "oracle", "estimate": exact,
-                             "stderr": 0.0, "n_effective": None,
-                             "wall_time": 0.0})
-    # the spin stage draws one pool per chain and coupling, the labelling
-    # stage two (numerator and denominator); times are summed over chains
-    draws = cfg.n_samples * cfg.n_chains * len(cfg.lam_grid)
+        chains = map_points(_correlation_chain, [(cfg, k) for k in range(cfg.n_chains)])
+    # pooled in chain order; spin weights share one normalization
+    sums, vals, spin_s, labellings = zip(*chains)
+    sums, vals = np.concatenate(sums), np.concatenate(vals)
+    labelling_s = 0.0
+    for lam, pools in zip(cfg.lam_grid, zip(*labellings)):
+        t0 = time.perf_counter()
+        nums, dens, seconds = zip(*pools)
+        num, den = np.concatenate(nums), np.concatenate(dens)
+        labelling_s += sum(seconds)
+        logs = lam * sums
+        w = np.exp(logs - logs.max())
+        spin_est = RatioAccumulator.of(w * vals, w, covariance=True).estimate(
+            "spin importance pool")
+        rpr_est = RatioAccumulator.of(num, den, covariance=False).estimate(
+            f"denominator (source-free) labelling pool at lam={lam}")
+        # the coupling's own seconds: its labelling pools and this pooling
+        wall = sum(seconds) + time.perf_counter() - t0
+        base = {"kind": cfg.kind, "d": cfg.d, "n": cfg.n, "r": region.r,
+                "bc_space": region.bc_space, "bc_time": region.bc_time,
+                "lam": lam, "delta": cfg.delta, "seed": cfg.seed,
+                "n_samples": cfg.n_samples * cfg.n_chains, "wall_time": round(wall, 3)}
+        rows.append({**base, "method": "spin", "estimate": spin_est.value,
+                     "stderr": spin_est.stderr, "n_effective": spin_est.ess,
+                     **_pool_diagnostics(spin_est, w * vals, w)})
+        rows.append({**base, "method": "random-parity", "estimate": rpr_est.value,
+                     "stderr": rpr_est.stderr, "n_effective": rpr_est.ess,
+                     **_pool_diagnostics(rpr_est, num, den)})
+        if 2 ** region.box.site_count <= spectral.DEFAULT_DIM_CAP:
+            exact = spectral.oracle_correlation(region, lam, cfg.delta, points)
+            # an exact value rests on no draws: no ESS (null in the JSON)
+            rows.append({**base, "method": "oracle", "estimate": exact,
+                         "stderr": 0.0, "n_effective": None,
+                         "wall_time": 0.0})
+    # the spin stage draws one pool per chain, shared by every coupling; the
+    # labelling stage two per chain and coupling (numerator and
+    # denominator); times are summed over chains
+    draws = cfg.n_samples * cfg.n_chains
     stages = {name: {"wall_time": seconds, "samples": samples,
                      "samples_per_s": samples / seconds if seconds > 0 else None}
-              for name, seconds, samples in (("spin", spin_s, draws),
-                                             ("labelling", labelling_s, 2 * draws))}
+              for name, seconds, samples in (
+                  ("spin", sum(spin_s), draws),
+                  ("labelling", labelling_s, 2 * draws * len(cfg.lam_grid)))}
     return rows, {"points": [str(p) for p in points], "stages": stages}, True
 
 

@@ -9,17 +9,18 @@ handled in log space so large boxes do not overflow.  The overlap integral
 reads the spin product once per time window and flips its sign at every
 flip of either site, and spin values are bisect counts on per-site flip
 lists built once per configuration.  A pool of importance draws is weighed
-in blocks of flat arrays, bit for bit as that walk weighs each draw.
-Importance sampling
-from the a-priori measure degrades exponentially with space-time volume, so
-a Suzuki-Trotter discretized Metropolis sampler is provided behind the same
-estimator surface for the larger magnetization sweeps; it is approximate and
-its time step is recorded in every result it produces.  It runs one chain
-per coupling of a grid on one stacked lattice, each chain drawing from its
-own generator.  Its sweep draws one uniform per site-slot cell of each chain
-and updates one colour class of cells of every chain at a time from
-precomputed neighbour indices and per-coupling acceptance tables over
-integer neighbour sums.
+in blocks of flat arrays, bit for bit as that walk weighs each draw.  The
+a-priori measure does not depend on the coupling, so a pool's overlap sums
+are computed once and multiplied by each coupling of a grid.  Importance
+sampling from the a-priori measure degrades exponentially with space-time
+volume, so a Suzuki-Trotter discretized Metropolis sampler is provided
+behind the same estimator surface for the larger magnetization sweeps; it
+is approximate and its time step is recorded in every result it produces.
+It runs one chain per coupling of a grid on one stacked lattice, each chain
+drawing from its own generator.  Its sweep draws one uniform per site-slot
+cell of each chain and updates one colour class of cells of every chain at
+a time from precomputed neighbour indices and per-coupling acceptance
+tables over integer neighbour sums.
 """
 
 from __future__ import annotations
@@ -153,10 +154,6 @@ def gibbs_log_weight(config: SpinConfiguration, lam: float,
     return lam * total
 
 
-def gibbs_weight(config: SpinConfiguration, lam: float, edges: Sequence) -> float:
-    return math.exp(gibbs_log_weight(config, lam, edges))
-
-
 # Pools are weighed this many samples at a time, so that a pool's working
 # memory does not grow with its size.
 POOL_BLOCK = 128
@@ -183,11 +180,12 @@ def _piece_sums(samples: np.ndarray, times: np.ndarray, first_sign: np.ndarray,
     return total
 
 
-def _block_log_weights(region, lam: float, edges: Sequence, site_index: dict,
-                       flips: list, initial: list) -> np.ndarray:
-    """:func:`gibbs_log_weight` of configurations, bit for bit, from their
-    flip arrays and initial signs listed sample by sample, site by site.  On
-    each edge the spin product is constant between the two sites' flips and
+def _block_overlap_sums(region, edges: Sequence, site_index: dict, flips: list,
+                        initial: list) -> np.ndarray:
+    """The overlap sums of configurations, each the sum that
+    :func:`gibbs_log_weight` multiplies by lam, bit for bit, from their flip
+    arrays and initial signs listed sample by sample, site by site.  On each
+    edge the spin product is constant between the two sites' flips and
     changes sign at each of them."""
     lo, hi = region.t_min, region.t_max
     n_sites = len(site_index)
@@ -210,19 +208,21 @@ def _block_log_weights(region, lam: float, edges: Sequence, site_index: dict,
         pair = np.flatnonzero(inside & ((site == kx) | (site == ky)))
         pair = pair[np.lexsort((times[pair], sample[pair]))]
         total += _piece_sums(sample[pair], times[pair], first[:, kx] * first[:, ky], lo, hi)
-    return lam * total
+    return total
 
 
-def _weights_and_values(region, lam, delta, n_samples, rng, value_fn):
-    """Log importance weights and values of ``n_samples`` a-priori draws.
+def _overlap_sums_and_values(region, delta, n_samples, rng, value_fn):
+    """Overlap sums and values of ``n_samples`` a-priori draws.
 
-    Each draw is one :func:`sample_apriori` call and its value one
-    ``value_fn`` call, in stream order; the log-weights are computed
-    ``POOL_BLOCK`` draws at a time from the draws' flips and initial signs,
-    equal bit for bit to :func:`gibbs_log_weight`."""
+    The a-priori measure does not depend on the coupling, so one pool serves
+    every coupling: lam times a draw's overlap sum is its log importance
+    weight, equal bit for bit to :func:`gibbs_log_weight`.  Each draw is one
+    :func:`sample_apriori` call and its value one ``value_fn`` call, in
+    stream order; the sums are computed ``POOL_BLOCK`` draws at a time from
+    the draws' flips and initial signs."""
     edges = region.edge_set().edges
     site_index = {x: k for k, x in enumerate(region.box.sites())}
-    logs = np.empty(n_samples)
+    sums = np.empty(n_samples)
     vals = np.empty(n_samples)
     for start in range(0, n_samples, POOL_BLOCK):
         stop = min(start + POOL_BLOCK, n_samples)
@@ -232,8 +232,8 @@ def _weights_and_values(region, lam, delta, n_samples, rng, value_fn):
             vals[i] = value_fn(config)
             flips += config.flips.values()  # both in site order
             initial += config.initial.values()
-        logs[start:stop] = _block_log_weights(region, lam, edges, site_index, flips, initial)
-    return logs, vals
+        sums[start:stop] = _block_overlap_sums(region, edges, site_index, flips, initial)
+    return sums, vals
 
 
 def estimate_correlation(points: Sequence, region: SpaceTimeRegion, lam: float,
@@ -245,19 +245,11 @@ def estimate_correlation(points: Sequence, region: SpaceTimeRegion, lam: float,
             raise ValueError(f"point {(x, t)} outside region")
         if region.at_time_end(t):
             raise ValueError("correlation points must avoid the time endpoints")
-    logs, vals = _weights_and_values(region, lam, delta, n_samples, rng,
-                                     lambda c: c.product_over(points))
+    sums, vals = _overlap_sums_and_values(region, delta, n_samples, rng,
+                                          lambda c: c.product_over(points))
+    logs = lam * sums
     w = np.exp(logs - logs.max())
     return RatioAccumulator.of(w * vals, w, covariance=True).estimate("spin importance pool")
-
-
-def estimate_magnetization(region: SpaceTimeRegion, lam: float, delta: float,
-                           n_samples: int, rng: np.random.Generator) -> Estimate:
-    """<sigma(0,0)> under wired conditions."""
-    if region.bc_space != "w":
-        raise ValueError("magnetization estimates use the wired spatial condition")
-    origin = (0,) * region.box.d
-    return estimate_correlation([(origin, 0.0)], region, lam, delta, n_samples, rng)
 
 
 def restricted_overlap_sum(config: SpinConfiguration, holes: Holes,
@@ -284,7 +276,8 @@ def estimate_exp_overlap_in(holes: Holes, region: SpaceTimeRegion, lam: float,
     def value(config):
         return math.exp(-lam * restricted_overlap_sum(config, holes, edges))
 
-    logs, vals = _weights_and_values(region, lam, delta, n_samples, rng, value)
+    sums, vals = _overlap_sums_and_values(region, delta, n_samples, rng, value)
+    logs = lam * sums
     w = np.exp(logs - logs.max())
     return RatioAccumulator.of(w * vals, w, covariance=True).estimate("spin importance pool")
 

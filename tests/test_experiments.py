@@ -139,10 +139,13 @@ def test_correlation_csv_pinned(tmp_path, name, workers):
         assert row["warnings"] == (["low-ess"] if row["n_effective"] < 100 else [])
         assert 0.0 <= row["zero_weight_frac_num"] <= 1.0
         assert 0.0 <= row["zero_weight_frac_den"] < 1.0
-    n_draws = {"estimators-2-chains": 900, "wired-space": 200, "ground-state": 200}[name]
+    # the draws made: one spin pool per chain, shared by the couplings, and
+    # two labelling pools per chain and coupling
+    spin_draws, couplings = {"estimators-2-chains": (300, 3), "wired-space": (200, 1),
+                             "ground-state": (200, 1)}[name]
     stages = payload["summary"]["stages"]
-    assert stages["spin"]["samples"] == n_draws
-    assert stages["labelling"]["samples"] == 2 * n_draws
+    assert stages["spin"]["samples"] == spin_draws
+    assert stages["labelling"]["samples"] == 2 * spin_draws * couplings
     for stage in stages.values():
         assert stage["samples_per_s"] == pytest.approx(stage["samples"] / stage["wall_time"])
 
@@ -175,6 +178,19 @@ def test_correlation_rows_do_not_depend_on_the_coupling_grid(conditions):
         assert alone == {lam: grid[lam]}
     reverse = _correlation_rows_by_coupling(dataclasses.replace(cfg, lam_grid=lams[::-1]))
     assert list(reverse) == lams[::-1] and reverse == grid
+
+
+def test_correlation_draws_each_chain_spin_pool_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sample_apriori(*args)
+
+    sample_apriori = sr.sample_apriori
+    monkeypatch.setattr(sr, "sample_apriori", counted)
+    ex.run_correlation(make_config(lam_grid=[0.5, 1.0, 1.5], n_samples=40, n_chains=2))
+    assert len(calls) == 40 * 2
 
 
 def test_correlation_json_shows_an_all_zero_numerator_pool():

@@ -184,13 +184,17 @@ def _ref_labelling_pool(region, lam, delta, sources, n, rng):
                      for lab in rp._labellings(region, lam, sources, n, rng)])
 
 
-def _check_spin_pool(region, lam, n, seed):
+def _check_spin_pool(region, lams, n, seed):
+    """One pool's overlap sums times each coupling of ``lams`` are the
+    per-object log-weights at that coupling."""
     points = _pool_sources(region)
     value = lambda c: c.product_over(points)  # noqa: E731
-    rng, ref = chain_generator(seed, 0), chain_generator(seed, 0)
-    logs, vals = sr._weights_and_values(region, lam, 0.9, n, rng, value)
-    want_logs, want_vals = _ref_spin_pool(region, lam, 0.9, n, ref, value)
-    assert np.array_equal(logs, want_logs) and np.array_equal(vals, want_vals)
+    rng = chain_generator(seed, 0)
+    sums, vals = sr._overlap_sums_and_values(region, 0.9, n, rng, value)
+    for lam in lams:
+        ref = chain_generator(seed, 0)
+        want_logs, want_vals = _ref_spin_pool(region, lam, 0.9, n, ref, value)
+        assert np.array_equal(lam * sums, want_logs) and np.array_equal(vals, want_vals)
     assert _in_step(rng, ref)
 
 
@@ -203,10 +207,9 @@ def _check_labelling_pool(region, lam, n, seed):
         assert _in_step(rng, ref)
 
 
-@pytest.mark.parametrize("lam", [0.4, 1.7])
 @pytest.mark.parametrize("k", range(len(POOL_REGIONS)))
-def test_spin_pool_matches_per_object_walk(k, lam):
-    _check_spin_pool(POOL_REGIONS[k], lam, 25, 50 + k)
+def test_spin_pool_matches_per_object_walk(k):
+    _check_spin_pool(POOL_REGIONS[k], (0.4, 1.7), 25, 50 + k)
 
 
 @pytest.mark.parametrize("lam", [0.4, 1.7])
@@ -219,7 +222,7 @@ def test_labelling_pool_matches_per_object_walk(k, lam):
 def test_pools_spanning_blocks_match_per_object_walk(region):
     # two whole blocks and a partial third
     n = 2 * sr.POOL_BLOCK + 37
-    _check_spin_pool(region, 1.1, n, 70)
+    _check_spin_pool(region, (1.1,), n, 70)
     _check_labelling_pool(region, 1.1, n, 71)
 
 
@@ -243,8 +246,8 @@ def test_pool_working_memory_does_not_grow_with_the_pool(pool):
     def run(n):
         rng = chain_generator(80, 0)
         if pool == "spin":
-            return sr._weights_and_values(region, 1.0, 1.0, n, rng,
-                                          lambda c: c.product_over(points))
+            return sr._overlap_sums_and_values(region, 1.0, n, rng,
+                                               lambda c: c.product_over(points))
         return rp._labelling_weights(region, 1.0, 1.0, points, n, rng)
 
     run(50)  # first-call allocations (caches, lazy imports) stay out of the peaks
@@ -640,10 +643,10 @@ SPIN_WEIGHT_REGIONS = [
 def test_spin_log_weights_pinned(k):
     # values recorded before the overlap walk read one sign per window
     points = [((0,), 0.0), ((1,), 0.25)]
-    logs, vals = sr._weights_and_values(SPIN_WEIGHT_REGIONS[k], 1.2, 0.9, 6,
-                                        chain_generator(31, k),
-                                        lambda c: c.product_over(points))
-    assert (logs.tolist(), vals.tolist()) == PINNED_SPIN_WEIGHTS[k]
+    sums, vals = sr._overlap_sums_and_values(SPIN_WEIGHT_REGIONS[k], 0.9, 6,
+                                             chain_generator(31, k),
+                                             lambda c: c.product_over(points))
+    assert ((1.2 * sums).tolist(), vals.tolist()) == PINNED_SPIN_WEIGHTS[k]
 
 
 PINNED_SPIN_WEIGHTS = [

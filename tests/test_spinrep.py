@@ -62,17 +62,30 @@ def test_apriori_flip_rate():
     assert abs(np.mean(counts) - delta * region.r) <= 3 * se
 
 
+def gibbs_weight(config, lam, edges):
+    """The Gibbs factor of a configuration: exp of its log-weight."""
+    return math.exp(sr.gibbs_log_weight(config, lam, edges))
+
+
+def estimate_magnetization(region, lam, delta, n_samples, rng):
+    """<sigma(0,0)> under wired conditions."""
+    if region.bc_space != "w":
+        raise ValueError("magnetization estimates use the wired spatial condition")
+    origin = (0,) * region.box.d
+    return sr.estimate_correlation([(origin, 0.0)], region, lam, delta, n_samples, rng)
+
+
 def test_gibbs_weight_examples():
     region = SpaceTimeRegion(Box(1, 1, "even-side"), 2.0, "f", "f")
     config = sr.SpinConfiguration(region, {(0,): 1, (1,): 1},
                                   {(0,): np.array([]), (1,): np.array([])})
     edges = [((0,), (1,))]
-    assert sr.gibbs_weight(config, 0.0, edges) == pytest.approx(1.0)
-    assert sr.gibbs_weight(config, 0.7, edges) == pytest.approx(math.exp(0.7 * 2.0))
+    assert gibbs_weight(config, 0.0, edges) == pytest.approx(1.0)
+    assert gibbs_weight(config, 0.7, edges) == pytest.approx(math.exp(0.7 * 2.0))
     # disagreement on exactly half the line cancels
     config2 = sr.SpinConfiguration(region, {(0,): 1, (1,): 1},
                                    {(0,): np.array([0.0]), (1,): np.array([])})
-    assert sr.gibbs_weight(config2, 1.3, edges) == pytest.approx(1.0)
+    assert gibbs_weight(config2, 1.3, edges) == pytest.approx(1.0)
 
 
 def test_spin_value_is_right_continuous_at_flips():
@@ -128,16 +141,16 @@ def test_spin_flip_symmetry_odd_sets():
 def test_magnetization_free_is_zero_and_wired_matches_oracle():
     rng = chain_generator(2, 4)
     region0 = SpaceTimeRegion(Box(1, 0), 2.0, "w", "w")
-    est = sr.estimate_magnetization(region0, 0.0, 1.0, 20000, rng)
+    est = estimate_magnetization(region0, 0.0, 1.0, 20000, rng)
     assert est.agrees_with(1 / math.cosh(2.0))
     with pytest.raises(ValueError):
-        sr.estimate_magnetization(SpaceTimeRegion(Box(1, 0), 2.0, "f", "f"),
-                                  1.0, 1.0, 10, rng)
+        estimate_magnetization(SpaceTimeRegion(Box(1, 0), 2.0, "f", "f"),
+                               1.0, 1.0, 10, rng)
     # wired box at beta < infinity vs oracle
     rng = chain_generator(2, 5)
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p")
     exact = sp.oracle_correlation(region, 1.0, 1.0, [((0,), 0.0)])
-    est = sr.estimate_magnetization(region, 1.0, 1.0, 20000, rng)
+    est = estimate_magnetization(region, 1.0, 1.0, 20000, rng)
     assert est.agrees_with(exact)
 
 

@@ -274,6 +274,58 @@ PINNED_HOLES = (0.09021944272832175, 0.1171450183470667, 0.016823238342553688,
 PINNED_EVENT = (0.8240872392006989, 0.8380439155130471, 0.04289640843888258,
                 0.0705206441686316)
 
+# hole sets with a hole at t_min and one at t_max, a point hole and two holes
+# on one site; with wired time a hole at a time end is never even, so the
+# wired set keeps off the ends
+GROUND_HOLES = Holes.of({(-1,): [(-1.0, -0.6)], (0,): [(0.25, 0.25), (0.6, 1.0)],
+                         (1,): [(-0.4, -0.2), (0.0, 0.5)]})
+WIRED_HOLES = Holes.of({(0,): [(-0.3, -0.1), (0.4, 0.4)], (1,): [(0.2, 0.3), (0.6, 0.7)]})
+RING_HOLES = Holes.of({(-1,): [(-0.5, -0.3), (0.4, 0.5)], (0,): [(0.1, 0.1)],
+                       (1,): [(-0.2, 0.0)]})
+SQUARE_HOLES = Holes.of({(0, 0): [(-0.25, -0.1), (0.05, 0.05)], (1, -1): [(0.2, 0.25)]})
+HOLES_PIN_CASES = [
+    # (kind, region, holes, lam, seed)
+    ("holes", SpaceTimeRegion.ground_state(Box(1, 1), "f", "f"), GROUND_HOLES, 1.0, 90),
+    ("holes", SpaceTimeRegion.ground_state(Box(1, 1), "f", "w"), WIRED_HOLES, 1.0, 91),
+    ("holes", SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "p"), RING_HOLES, 1.0, 92),
+    ("holes", SpaceTimeRegion.finite_beta(Box(2, 1), 0.5, "f", "p"), SQUARE_HOLES, 0.5, 93),
+    ("event", SpaceTimeRegion.ground_state(Box(1, 1), "f", "f"), GROUND_HOLES, 1.0, 94),
+    ("event", SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "p"), RING_HOLES, 1.0, 95),
+    ("event", SpaceTimeRegion.finite_beta(Box(2, 1), 0.5, "f", "p"), SQUARE_HOLES, 0.5, 96),
+]
+
+
+@pytest.mark.parametrize("k", range(len(HOLES_PIN_CASES)))
+def test_holes_and_event_checks_pinned_on_every_time_condition(k):
+    # values recorded while the holes pools walked one labelling at a time
+    kind, region, holes, lam, seed = HOLES_PIN_CASES[k]
+    check = rp.holes_identity_check if kind == "holes" else rp.event_probability_identity
+    rep = check(holes, region, lam, 1.0, 200, chain_generator(seed, 0))
+    assert (rep.lhs, rep.rhs, rep.se_lhs, rep.se_rhs, rep.detail) == PINNED_HOLES_CHECKS[k]
+
+
+PINNED_HOLES_CHECKS = [
+    (0.1380808764532519, 0.18905669525000376, 0.023206579823604356, 0.07693209703446582,
+     {"shadow": 1.9000000000000001, "m_p": 0, "printed_rhs": 0.028276948863337568,
+      "printed_residual": 0.10980392758991434}),
+    (5.306382826075484e-05, 0.000207847369569429, 3.438802969291918e-05,
+     0.00011148364344836043,
+     {"shadow": 0.6000000000000001, "m_p": 0, "printed_rhs": 0.00011406905495123808,
+      "printed_residual": -6.100522669048324e-05}),
+    (0.2768465247741201, 0.14974811446788466, 0.02950701336407275, 0.0937531130788335,
+     {"shadow": 0.5, "m_p": 3, "printed_rhs": 0.011353352832366128,
+      "printed_residual": 0.265493171941754}),
+    (0.003926394836514739, 0.006654997307403825, 0.001420005515519054, 0.004289050029998967,
+     {"shadow": 0.7, "m_p": 2, "printed_rhs": 0.0011724243349093958,
+      "printed_residual": 0.0027539705016053433}),
+    (0.6223846946033537, 0.6042692289001581, 0.12453886337600395, 0.0980508425244184,
+     {"m_p": 0}),
+    (0.6097392862846344, 0.502474548651283, 0.10831023655816055, 0.04851706292390713,
+     {"m_p": 3}),
+    (0.09348853188295425, 0.47366978895931644, 0.06818653796992047, 0.04772065058810608,
+     {"m_p": 2}),
+]
+
 
 # -- the odd-span walk ------------------------------------------------------------------
 

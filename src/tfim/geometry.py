@@ -222,11 +222,6 @@ class SpaceTimeRegion:
     def sites(self) -> list[Site]:
         return self.box.sites()
 
-    @property
-    def volume(self) -> float:
-        """Total time-length of all site lines, r * |box|."""
-        return self.r * self.box.site_count
-
     def contains_time(self, t: float) -> bool:
         return self.t_min <= t <= self.t_max
 
@@ -301,10 +296,6 @@ class Holes:
 
     def on_site(self, site: Site) -> list:
         return [span for (x, span) in self.intervals if x == site]
-
-    @property
-    def total_length(self) -> float:
-        return sum(b - a for (_, (a, b)) in self.intervals)
 
     def cut_sites(self) -> list:
         return sorted({x for (x, _) in self.intervals})

@@ -12,12 +12,13 @@ and avoids overflow.
 
 Boundary conventions: free time anchors the endpoints even, wired time odd,
 periodic time anchors the label at time zero with a fair coin tau that is
-resampled per draw and never exposed.  Wired space draws ghost points on
-boundary sites at rate lam times the number of exterior neighbours.  Coupled
-configurations pair a plain labelling (free space) with a ghosted one (wired
-space, always with ghost points): periodic/periodic when the region is a
-finite-beta circle, free/wired otherwise, plus an independent rate-4*delta cut
-process.
+resampled per draw and never exposed, and hole endpoints are even; one
+function, :func:`_end_labels`, turns them into labels and parity tests.
+Wired space draws ghost points on boundary sites at rate lam times the number
+of exterior neighbours.  Coupled configurations pair a plain labelling (free
+space) with a ghosted one (wired space, always with ghost points):
+periodic/periodic when the region is a finite-beta circle, free/wired
+otherwise, plus an independent rate-4*delta cut process.
 """
 
 from __future__ import annotations
@@ -68,11 +69,41 @@ def _check_sources(region: SpaceTimeRegion, sources: Sequence) -> _CheckedSource
 
 # -- labellings ---------------------------------------------------------------
 
+def _end_labels(bc_time: str, count, tau=None, hole_start: bool = False,
+                hole_end: bool = False) -> tuple:
+    """The labelling rule of one segment of a site line: (its start label is
+    even, ``count`` switches on it are consistent).  A hole end (flagged by
+    ``hole_start`` and ``hole_end``) is even; otherwise a free time end is
+    even and a wired one odd, and on a circle an end is the point at time 0,
+    even iff ``tau`` == 0.  The switch count is odd exactly when the two end
+    labels differ.  ``count`` and ``tau`` may be arrays."""
+    time_end = tau == 0 if bc_time == "p" else bc_time == "f"
+    start = hole_start or time_end
+    return start, (count % 2 == 1) == (start != (hole_end or time_end))
+
+
 def _odd_spans(bounds: Sequence, first_even: bool) -> list:
     """The odd spans among consecutive ``bounds``: labels alternate from span
     to span, and the first span is even iff ``first_even``."""
     return [(a, b) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
             if (i % 2 == 0) != first_even]
+
+
+def _line_odd_spans(region: SpaceTimeRegion, times: list, first_even: bool,
+                    circle: bool) -> list:
+    """Odd spans of a site line with sorted switch ``times``, labelled even iff
+    ``first_even`` at t_min (on a circle, at time 0), in walking order: from
+    t_min to t_max, except that a circle line with switches is walked from
+    switch to switch and its last arc, wrapping past t_max, is one span."""
+    if circle and times:
+        below = bisect.bisect_right(times, 0.0)
+        return _odd_spans([*times, times[0] + region.r], first_even == ((1 - below) % 2 == 0))
+    return _odd_spans([region.t_min, *times, region.t_max], first_even)
+
+
+def _as_list(times) -> list:
+    """A time array as a list of floats; a list is returned as it is."""
+    return times if isinstance(times, list) else np.asarray(times, dtype=float).tolist()
 
 
 @dataclass
@@ -108,37 +139,13 @@ class Labelling:
             return False
         return self.span_even(x, idx)
 
-    def even_in(self, x, span: tuple) -> bool:
-        """True when the whole closed span [a, b] is labelled even."""
-        a, b = span
-        x = tuple(x)
-        times = self.switches[x]
-        if bisect.bisect_right(times, b) - bisect.bisect_left(times, a) > 0:
-            return False
-        return self.label_is_even(x, a) if a == b else self.label_is_even(x, (a + b) / 2.0)
-
-    def even_throughout(self, holes: Holes) -> bool:
-        """True when every interval of the holes is labelled even."""
-        return all(self.even_in(x, span) for (x, span) in holes.intervals)
-
-    def odd_arcs(self, x) -> list:
-        """Odd spans of site x in walking order: from t_min to t_max, except
-        that a periodic line with switches is walked from switch to switch and
-        its last arc, wrapping past t_max, is one span."""
-        times = self.switches[tuple(x)]
-        if self.bc_time == "p" and times:
-            return _odd_spans([*times, times[0] + self.region.r], self.span_even(x, 1))
-        return _odd_spans([self.region.t_min, *times, self.region.t_max], self.span_even(x, 0))
-
     def odd_length(self) -> float:
         total = 0.0
-        for x in self.switches:
-            for (a, b) in self.odd_arcs(x):
+        for x, times in self.switches.items():
+            for (a, b) in _line_odd_spans(self.region, times, self.first_even[x],
+                                          self.bc_time == "p"):
                 total += b - a
         return total
-
-    def even_length(self) -> float:
-        return self.region.volume - self.odd_length()
 
     def weight_normalized(self, delta: float) -> float:
         if not self.consistent:
@@ -151,39 +158,30 @@ def build_labelling(region: SpaceTimeRegion, bridges: dict, ghosts: dict | None,
                     tau: dict | None = None) -> Labelling:
     """Assemble the labelling from its switching points.
 
-    ``bridges`` maps edges to time arrays, ``ghosts`` sites to time arrays
-    (None for the plain labelling).  ``tau`` supplies the periodic anchors
-    (required exactly when bc_time == 'p')."""
+    ``bridges`` maps edges to time arrays or lists, ``ghosts`` sites to time
+    arrays or lists (None for the plain labelling).  ``tau`` supplies the
+    periodic anchors (required exactly when bc_time == 'p')."""
     pts = _check_sources(region, sources)
     if (bc_time == "p") != (tau is not None):
         raise ValueError("tau is supplied exactly for periodic time")
     per_site = {x: [] for x in region.box.sites()}
     for (x, y), times in bridges.items():
-        times = np.asarray(times, dtype=float).tolist()
+        times = _as_list(times)
         for end in (tuple(x), tuple(y)):
             if end in per_site:
                 per_site[end].extend(times)
     if ghosts:
         for x, times in ghosts.items():
-            per_site[tuple(x)].extend(np.asarray(times, dtype=float).tolist())
+            per_site[tuple(x)].extend(_as_list(times))
     for (x, t) in pts:
         per_site[x].append(t)
 
-    switches = {}
-    first_even = {}
-    consistent = True
+    first_even, consistent = {}, True
     for x, times in per_site.items():
         times.sort()
-        switches[x] = times
-        if len(times) % 2 != 0:
-            consistent = False
-        if bc_time == "f":
-            first_even[x] = True
-        elif bc_time == "w":
-            first_even[x] = False
-        else:
-            first_even[x] = tau[x] == 0
-    return Labelling(region, switches, first_even, consistent, bc_time)
+        first_even[x], ok = _end_labels(bc_time, len(times), None if tau is None else tau[x])
+        consistent = consistent and ok
+    return Labelling(region, per_site, first_even, consistent, bc_time)
 
 
 # -- process sampling ---------------------------------------------------------
@@ -226,6 +224,12 @@ class CoupledConfiguration:
     def weight(self) -> float:
         return (self.labelling1.weight_normalized(self.delta)
                 * self.labelling2.weight_normalized(self.delta))
+
+    @functools.cached_property
+    def switch_lists(self) -> list:
+        """bridges1, bridges2 and ghosts as time lists (set by :func:`sample_coupled`)."""
+        return [{k: _as_list(times) for k, times in switches.items()}
+                for switches in (self.bridges1, self.bridges2, self.ghosts)]
 
     @functools.cached_property
     def blocking_cuts(self) -> dict:
@@ -279,8 +283,7 @@ class CoupledConfiguration:
         holding a ghost point or, when the ghosted labelling has wired time, a
         time endpoint."""
         index, find = self.index, self.clusters.find
-        ids = [index.vertex(x, t) for x, times in self.ghosts.items()
-               for t in np.asarray(times, dtype=float).tolist()]
+        ids = [index.vertex(x, t) for x, times in self.switch_lists[2].items() for t in times]
         if coupled_bc_pair(self.region)[1] == "w":  # a line's end vertices hold t_min, t_max
             ids += [v for x, o in index.offsets.items() for v in (o, o + len(index.starts[x]) - 1)]
         return {None if v is None else find(v) for v in ids}
@@ -294,10 +297,10 @@ def coupled_bc_pair(region: SpaceTimeRegion) -> tuple[str, str]:
     return "f", "w"
 
 
-def _distinct(arrays: list) -> bool:
-    """True when no time repeats across and within the numpy ``arrays`` of a
+def _distinct(lists: list) -> bool:
+    """True when no time repeats across and within the time ``lists`` of a
     draw (finite times, so a set sees every tie; -0.0 equals 0.0)."""
-    times = [t for a in arrays for t in a.tolist()]
+    times = [t for times in lists for t in times]
     return len(set(times)) == len(times)
 
 
@@ -314,17 +317,22 @@ def sample_coupled(region: SpaceTimeRegion, lam: float, delta: float,
         bridges1, _ = draw_switches(region, lam, {}, rng)
         bridges2, ghosts = draw_switches(region, lam, rates, rng)
         cuts = {x: draw_times(lo, hi, 4.0 * delta, rng) for x in box.sites()}
-        if _distinct([*bridges1.values(), *bridges2.values(), *ghosts.values()]):
+        lists = ({e: times.tolist() for e, times in bridges1.items()},
+                 {e: times.tolist() for e, times in bridges2.items()},
+                 {x: times.tolist() for x, times in ghosts.items()})
+        if _distinct([*lists[0].values(), *lists[1].values(), *lists[2].values()]):
             break
     else:
         raise SamplingError(
             "coupled draw: 100 draws in a row had coincident bridge or ghost times")
     tau1 = {x: int(rng.integers(2)) for x in box.sites()} if t1 == "p" else None
     tau2 = {x: int(rng.integers(2)) for x in box.sites()} if t2 == "p" else None
-    lab1 = build_labelling(region, bridges1, None, sources1, t1, tau1)
-    lab2 = build_labelling(region, bridges2, ghosts, sources2, t2, tau2)
-    return CoupledConfiguration(region, lam, delta, lab1, lab2,
-                                bridges1, bridges2, ghosts, cuts)
+    lab1 = build_labelling(region, lists[0], None, sources1, t1, tau1)
+    lab2 = build_labelling(region, lists[1], lists[2], sources2, t2, tau2)
+    coupled = CoupledConfiguration(region, lam, delta, lab1, lab2,
+                                   bridges1, bridges2, ghosts, cuts)
+    coupled.switch_lists = lists
+    return coupled
 
 
 # -- connectivity -------------------------------------------------------------
@@ -391,10 +399,9 @@ class VertexIndex:
         seams = ({x: (offsets[x], offsets[x] + len(starts[x]) - 1) for x in starts}
                  if region.time_topology == "circle" else {})
         times = {}
-        for bridges in (coupled.bridges1, coupled.bridges2):
+        for bridges in coupled.switch_lists[:2]:
             for (x, y), ts in bridges.items():
-                times.setdefault((tuple(x), tuple(y)), []).extend(
-                    np.asarray(ts, dtype=float).tolist())
+                times.setdefault((tuple(x), tuple(y)), []).extend(ts)
         edges = []
         find = bisect.bisect_right
         for (x, y), ts in times.items():
@@ -592,21 +599,6 @@ def origin_ghost_probability(region: SpaceTimeRegion, lam: float, delta: float,
                                      n_samples, rng)
 
 
-def _labellings(region: SpaceTimeRegion, lam: float, sources: Sequence, n_samples: int,
-                rng: np.random.Generator):
-    """Yield ``n_samples`` labellings of the region, each drawn as bridges on
-    the free edges, then ghost points (wired space only), then the periodic
-    anchors tau.  The sources are checked once per pool."""
-    sites = region.box.sites()
-    bc = region.bc_time
-    rates = ghost_rates(region.box, lam) if region.bc_space == "w" else {}
-    sources = _check_sources(region, sources)
-    for _ in range(n_samples):
-        bridges, ghosts = draw_switches(region, lam, rates, rng)
-        tau = {x: int(rng.integers(2)) for x in sites} if bc == "p" else None
-        yield build_labelling(region, bridges, ghosts, sources, bc, tau)
-
-
 def _odd_lengths(region: SpaceTimeRegion, times: np.ndarray, rows: np.ndarray,
                  tau: np.ndarray | None, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Which of ``n`` labellings are consistent, and the odd length of each
@@ -615,8 +607,9 @@ def _odd_lengths(region: SpaceTimeRegion, times: np.ndarray, rows: np.ndarray,
     site) of each, and ``tau`` the periodic anchors by row (None off
     periodic time)."""
     n_sites = region.box.site_count
-    counts = np.bincount(rows, minlength=n * n_sites).reshape(n, n_sites)
-    consistent = (counts % 2 == 0).all(axis=1)
+    counts = np.bincount(rows, minlength=n * n_sites)
+    first_even, ok = _end_labels(region.bc_time, counts, tau)
+    consistent = ok.reshape(n, n_sites).all(axis=1)
     # the switching points of the consistent labellings, their rows
     # renumbered among them, sorted by row and then by time
     sample, site = np.divmod(rows, n_sites)
@@ -625,8 +618,9 @@ def _odd_lengths(region: SpaceTimeRegion, times: np.ndarray, rows: np.ndarray,
     rows = (np.cumsum(consistent) - 1)[sample[keep]] * n_sites + site[keep]
     order = np.lexsort((times, rows))
     times, rows = times[order], rows[order]
-    counts = counts[consistent].ravel()
-    # the bounds of each row's spans, as Labelling.odd_arcs walks them: a
+    kept = np.repeat(consistent, n_sites)
+    counts = counts[kept]
+    # the bounds of each row's spans, as _line_odd_spans walks them: a
     # periodic line with switches from its first switch round to it again,
     # every other line from t_min to t_max; rows are padded with their last
     # bound, and a padded span has length 0.0
@@ -638,13 +632,13 @@ def _odd_lengths(region: SpaceTimeRegion, times: np.ndarray, rows: np.ndarray,
     bounds[~wraps, 0] = region.t_min
     rank = np.arange(times.size) - starts[rows]
     bounds[rows, rank + (~wraps)[rows]] = times
-    # whether each row's first span is even (Labelling.span_even)
+    # whether each row's first span is even (Labelling.span_even): a wrapped
+    # row's walk starts after its first switch, and counts from time 0
     if tau is None:
-        first_even = np.full(counts.size, region.bc_time == "f")
+        first_even = np.full(counts.size, first_even)
     else:
         below = np.bincount(rows[times <= 0.0], minlength=counts.size)
-        tau = tau.reshape(n, n_sites)[consistent].ravel()
-        first_even = (tau == 0) == ((wraps - below) % 2 == 0)
+        first_even = first_even[kept] == ((wraps - below) % 2 == 0)
     terms = np.diff(bounds, axis=1)
     terms[(np.arange(terms.shape[1]) % 2 == 0) == first_even[:, None]] = 0.0  # even spans
     # the odd arcs of a labelling site by site, arc by arc, summed from 0.0
@@ -655,13 +649,40 @@ def _odd_lengths(region: SpaceTimeRegion, times: np.ndarray, rows: np.ndarray,
     return consistent, total
 
 
+def _even_throughout(region: SpaceTimeRegion, holes: Holes, times: np.ndarray,
+                     rows: np.ndarray, tau: np.ndarray | None, n: int) -> np.ndarray:
+    """Which of ``n`` labellings, laid out as :func:`_odd_lengths` takes them,
+    are even throughout the holes: for each hole [a, b] of a site, no switch
+    of the site lies in [a, b], and the switches from the line's start (on a
+    circle, from time 0) to the midpoint (a itself when a == b) are
+    consistent with an even label there."""
+    n_sites = region.box.site_count
+    sample, site = np.divmod(rows, n_sites)
+    even = np.ones(n, dtype=bool)
+    for x, (a, b) in holes.intervals:
+        k = region.box.sites().index(x)
+        on_site = site == k
+        mid = a if a == b else (a + b) / 2.0
+        inside = np.bincount(sample[on_site & (times >= a) & (times <= b)], minlength=n)
+        before = np.bincount(sample[on_site & (times < mid)], minlength=n)
+        if tau is not None:  # a circle's labels count from time 0
+            before -= np.bincount(sample[on_site & (times <= 0.0)], minlength=n)
+        _, mid_even = _end_labels(region.bc_time, before,
+                                  None if tau is None else tau[k::n_sites], hole_end=True)
+        even &= (inside == 0) & mid_even
+    return even
+
+
 def _labelling_weights(region: SpaceTimeRegion, lam: float, delta: float,
-                       sources: Sequence, n_samples: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """The normalized weights of ``n_samples`` labellings drawn as
-    :func:`_labellings` draws them, equal bit for bit to
+                       sources: Sequence, n_samples: int, rng: np.random.Generator,
+                       holes: Holes | None = None):
+    """The normalized weights of ``n_samples`` labellings, each drawn as
+    bridges on the free edges, then ghost points (wired space only), then the
+    periodic anchors tau, equal bit for bit to
     :meth:`Labelling.weight_normalized`.  The switching points are kept as
-    flat arrays and weighed ``spinrep.POOL_BLOCK`` draws at a time."""
+    flat arrays and weighed ``spinrep.POOL_BLOCK`` draws at a time.  With
+    ``holes``, returns (num, den): den the weights, num the same weights
+    where the labelling is even throughout the holes and 0 elsewhere."""
     sources = _check_sources(region, sources)
     sites = region.box.sites()
     site_index = {x: k for k, x in enumerate(sites)}
@@ -674,6 +695,7 @@ def _labelling_weights(region: SpaceTimeRegion, lam: float, delta: float,
                           *(site_index[x] for (x, _) in sources)], dtype=np.intp)
     source_arrays = [np.array([t]) for (_, t) in sources]
     out = np.zeros(n_samples)
+    even = None if holes is None else np.ones(n_samples, dtype=bool)
     for start in range(0, n_samples, spinrep.POOL_BLOCK):
         n = min(spinrep.POOL_BLOCK, n_samples - start)
         arrays, tau = [], []
@@ -687,11 +709,14 @@ def _labelling_weights(region: SpaceTimeRegion, lam: float, delta: float,
                 tau += [int(rng.integers(2)) for _ in sites]
         counts = np.fromiter(map(len, arrays), dtype=np.intp, count=len(arrays))
         rows = np.repeat((np.arange(n)[:, None] * len(sites) + end_sites).ravel(), counts)
-        consistent, odd = _odd_lengths(region, np.concatenate(arrays) if arrays else np.empty(0),
-                                       rows, np.array(tau) if periodic else None, n)
+        times = np.concatenate(arrays) if arrays else np.empty(0)
+        tau = np.array(tau) if periodic else None
+        consistent, odd = _odd_lengths(region, times, rows, tau, n)
         out[start:start + n][consistent] = [math.exp(-2.0 * delta * length)
                                             for length in odd.tolist()]
-    return out
+        if holes is not None:
+            even[start:start + n] = _even_throughout(region, holes, times, rows, tau, n)
+    return out if holes is None else (np.where(even, out, 0.0), out)
 
 
 def estimate_rpr_correlation(sources: Sequence, region: SpaceTimeRegion,
@@ -846,13 +871,6 @@ def verify_local_modification_B(region: SpaceTimeRegion, lam: float, delta: floa
 
 # -- holes and event-probability identities -----------------------------------
 
-def _component_anchor(region: SpaceTimeRegion, lo: float, hi: float) -> tuple[bool, bool]:
-    """(left anchor even, right anchor even) of an interval component."""
-    left = True if lo > region.t_min else region.bc_time == "f"
-    right = True if hi < region.t_max else region.bc_time == "f"
-    return left, right
-
-
 def sample_cut_labelling_weight(region: SpaceTimeRegion, holes: Holes, lam: float,
                                 delta: float, rng: np.random.Generator) -> float:
     """One normalized weight draw of the source-free labelling on the region
@@ -871,41 +889,27 @@ def sample_cut_labelling_weight(region: SpaceTimeRegion, holes: Holes, lam: floa
     for x in box.sites():
         times = sorted(switch_per_site[x])
         if circle and not holes.on_site(x):
-            if len(times) % 2 != 0:
+            # a whole circle's parity does not read tau, which is drawn after it
+            if not _end_labels(region.bc_time, len(times), 0)[1]:
                 return 0.0
-            tau_even = rng.integers(2) == 0
-            odd = Labelling(region, {x: times}, {x: tau_even}, True, "p").odd_arcs(x)
+            first_even, _ = _end_labels(region.bc_time, len(times), rng.integers(2))
+            odd = _line_odd_spans(region, times, first_even, True)
         else:
             odd = []
             for comp in line_components(region, holes, x):
-                if circle:
-                    lo_c, hi_c = comp[0], comp[0] + comp[1]
-                    left_even = right_even = True
-                else:
-                    lo_c, hi_c = comp
-                    left_even, right_even = _component_anchor(region, lo_c, hi_c)
+                lo_c, hi_c = (comp[0], comp[0] + comp[1]) if circle else comp
                 inside = sorted([t for t in times if lo_c < t < hi_c]
                                 + [t + region.r for t in times
                                    if circle and lo_c < t + region.r < hi_c])
-                if (len(inside) % 2 == 1) != (left_even != right_even):
+                first_even, ok = _end_labels(region.bc_time, len(inside), None,
+                                             circle or lo_c > region.t_min,
+                                             circle or hi_c < region.t_max)
+                if not ok:
                     return 0.0
-                odd += _odd_spans([lo_c, *inside, hi_c], left_even)
+                odd += _odd_spans([lo_c, *inside, hi_c], first_even)
         for (a, b) in odd:
             odd_total += b - a
     return math.exp(-2.0 * delta * odd_total)
-
-
-def _even_throughout_pool(holes: Holes, region: SpaceTimeRegion, lam: float, delta: float,
-                          n_samples: int, rng: np.random.Generator) -> tuple:
-    """(num, den) over ``n_samples`` source-free labellings: den the weights,
-    num the same weights where the labelling is even throughout the holes and
-    0 elsewhere."""
-    num = np.empty(n_samples)
-    den = np.empty(n_samples)
-    for i, lab in enumerate(_labellings(region, lam, (), n_samples, rng)):
-        w = den[i] = lab.weight_normalized(delta)
-        num[i] = w if w > 0 and lab.even_throughout(holes) else 0.0
-    return num, den
 
 
 def holes_identity_check(holes: Holes, region: SpaceTimeRegion, lam: float,
@@ -928,7 +932,7 @@ def holes_identity_check(holes: Holes, region: SpaceTimeRegion, lam: float,
     lhs = np.empty(n_samples)
     for i in range(n_samples):
         lhs[i] = sample_cut_labelling_weight(region, holes, lam, delta, rng)
-    rhs, _ = _even_throughout_pool(holes, region, lam, delta, n_samples, rng)
+    rhs, _ = _labelling_weights(region, lam, delta, (), n_samples, rng, holes)
     scale = (2.0**m_p) * math.exp(lam * shadow)
     el = mean_estimate(lhs)
     er = mean_estimate(rhs)
@@ -948,7 +952,7 @@ def event_probability_identity(holes: Holes, region: SpaceTimeRegion, lam: float
     and full regions."""
     if region.bc_space != "f":
         raise ValueError("the tilted measure concerns the plain labelling")
-    num, den = _even_throughout_pool(holes, region, lam, delta, n_samples, rng)
+    num, den = _labelling_weights(region, lam, delta, (), n_samples, rng, holes)
     lhs = RatioAccumulator.of(num, den, covariance=True).estimate(
         f"source-free labelling pool of the event probability at lam={lam}")
 

@@ -31,7 +31,7 @@ def test_fully_bridged_single_cluster():
     coupled = _manual_coupled(region, bridges, {})
     report = pc.cluster_report(coupled)
     assert report.n_clusters == 1
-    assert report.largest_cluster_measure == pytest.approx(region.volume)
+    assert report.largest_cluster_measure == pytest.approx(region.r * region.box.site_count)
 
 
 def test_dense_blocking_cuts_isolate_intervals():

@@ -179,9 +179,36 @@ def _ref_spin_pool(region, lam, delta, n, rng, value_fn):
     return logs, vals
 
 
+def _ref_labellings(region, lam, sources, n, rng):
+    """The per-object labelling draw: bridges on the free edges, then ghost
+    points (wired space only), then the periodic anchors tau."""
+    sites = region.box.sites()
+    rates = rp.ghost_rates(region.box, lam) if region.bc_space == "w" else {}
+    tau = None
+    for _ in range(n):
+        bridges, ghosts = rp.draw_switches(region, lam, rates, rng)
+        if region.bc_time == "p":
+            tau = {x: int(rng.integers(2)) for x in sites}
+        yield rp.build_labelling(region, bridges, ghosts, sources, region.bc_time, tau)
+
+
 def _ref_labelling_pool(region, lam, delta, sources, n, rng):
     return np.array([lab.weight_normalized(delta)
-                     for lab in rp._labellings(region, lam, sources, n, rng)])
+                     for lab in _ref_labellings(region, lam, sources, n, rng)])
+
+
+def _ref_even_in(lab, x, span):
+    """The closed span [a, b] of site x is labelled even: no switch lies in
+    it, and the label at its midpoint (a itself when a == b) is even."""
+    a, b = span
+    times = lab.switches[x]
+    if bisect.bisect_right(times, b) - bisect.bisect_left(times, a) > 0:
+        return False
+    return lab.label_is_even(x, a) if a == b else lab.label_is_even(x, (a + b) / 2.0)
+
+
+def _ref_even_throughout(lab, holes):
+    return all(_ref_even_in(lab, x, span) for (x, span) in holes.intervals)
 
 
 def _check_spin_pool(region, lams, n, seed):
@@ -216,6 +243,75 @@ def test_spin_pool_matches_per_object_walk(k):
 @pytest.mark.parametrize("k", range(len(POOL_REGIONS)))
 def test_labelling_pool_matches_per_object_walk(k, lam):
     _check_labelling_pool(POOL_REGIONS[k], lam, 25, 60 + k)
+
+
+@pytest.mark.parametrize("bc_time", ["f", "w", "p"])
+@pytest.mark.parametrize("box", [Box(1, 1), Box(1, 2), Box(2, 1)], ids=str)
+def test_holes_pool_matches_per_object_walk(box, bc_time):
+    # the flat even-throughout mask against the per-object walk, on the same
+    # stream; the hole sets touch t_min and t_max (never even with wired
+    # time, hence the third set) and hold point holes and two holes on a site
+    region = SpaceTimeRegion.finite_beta(box, 0.8, "f", bc_time)
+    lo, hi = region.t_min, region.t_max
+    x0, x1 = (0,) * box.d, (1,) + (0,) * (box.d - 1)
+    hole_sets = [Holes.of({x0: [(lo, -0.2), (0.1, 0.1)], x1: [(0.3, hi)]}),
+                 Holes.of({x0: [(-0.1, 0.05)], x1: [(lo, lo), (-0.2, 0.0), (hi, hi)]}),
+                 Holes.of({x0: [(-0.3, -0.1), (0.2, 0.2)], x1: [(0.0, 0.1), (0.25, 0.35)]})]
+    for k, holes in enumerate(hole_sets):
+        for lam in (0.3, 1.5):
+            rng, ref = chain_generator(97, k), chain_generator(97, k)
+            num, den = rp._labelling_weights(region, lam, 0.6, (), 150, rng, holes)
+            labs = list(_ref_labellings(region, lam, (), 150, ref))
+            want = np.array([lab.weight_normalized(0.6) for lab in labs])
+            even = [_ref_even_throughout(lab, holes) for lab in labs]
+            assert np.array_equal(den, want)
+            assert np.array_equal(num, np.where(even, want, 0.0))
+            assert _in_step(rng, ref)
+
+
+@st.composite
+def _holes_and_labellings(draw):
+    """(region, holes, labellings): one to three labellings whose switches
+    often sit at hole ends, at 0.0 and at the time ends."""
+    region = draw(st.sampled_from(REGIONS))
+    lo, hi = region.t_min, region.t_max
+    sites = region.box.sites()
+    points = st.floats(lo, hi)
+    spans = {}
+    for x in draw(st.lists(st.sampled_from(sites), max_size=3, unique=True)):
+        ends = sorted(set(draw(st.lists(st.one_of(points, st.sampled_from((lo, 0.0, hi))),
+                                        min_size=1, max_size=4))))
+        if len(ends) % 2:
+            ends.append(ends[-1])  # a point hole
+        spans[x] = list(zip(ends[::2], ends[1::2]))
+    holes = Holes.of(spans)
+    marks = [lo, 0.0, hi, *(t for (_, span) in holes.intervals for t in span)]
+    labs = []
+    for _ in range(draw(st.integers(1, 3))):
+        ghosts = {x: np.array(sorted(set(draw(st.lists(st.one_of(points, st.sampled_from(marks)),
+                                                       max_size=5)))))
+                  for x in sites}
+        tau = ({x: draw(st.sampled_from((0, 1))) for x in sites}
+               if region.bc_time == "p" else None)
+        labs.append(rp.build_labelling(region, {}, ghosts, (), region.bc_time, tau))
+    return region, holes, labs
+
+
+@given(_holes_and_labellings())
+@settings(max_examples=200, deadline=None)
+def test_even_throughout_mask_matches_per_object_walk(case):
+    region, holes, labs = case
+    sites = region.box.sites()
+    times = np.array([t for lab in labs for x in sites for t in lab.switches[x]])
+    rows = np.array([i * len(sites) + k for i, lab in enumerate(labs)
+                     for k, x in enumerate(sites) for _ in lab.switches[x]], dtype=np.intp)
+    tau = (np.array([0 if lab.first_even[x] else 1 for lab in labs for x in sites])
+           if region.bc_time == "p" else None)
+    got = rp._even_throughout(region, holes, times, rows, tau, len(labs))
+    assert got.tolist() == [_ref_even_throughout(lab, holes) for lab in labs]
+    for (x, span) in holes.intervals:  # each hole alone is even more often
+        got = rp._even_throughout(region, Holes.of({x: [span]}), times, rows, tau, len(labs))
+        assert got.tolist() == [_ref_even_in(lab, x, span) for lab in labs]
 
 
 @pytest.mark.parametrize("region", REGIONS[:4], ids=str)

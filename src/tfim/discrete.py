@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -401,11 +400,3 @@ def enumerate_coupled(system: DiscreteSystem, sources1=(), sources2=()):
             for bridges2, ghosts, lab2, w2, p2 in copies[1]
             for cut, p_cut in cuts]
 
-
-def coupled_probability(system: DiscreteSystem, event: Callable[[DiscreteCoupled], bool],
-                        configs=None) -> float:
-    """Probability of an event under the weight-tilted coupled measure."""
-    configs = enumerate_coupled(system) if configs is None else configs
-    num = sum(c.prob * c.weight for c in configs if event(c))
-    den = sum(c.prob * c.weight for c in configs)
-    return num / den

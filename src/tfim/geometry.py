@@ -76,12 +76,6 @@ class Box:
         r = self.coord_range
         return len(x) == self.d and all(c in r for c in x)
 
-    def shrunk(self) -> "Box":
-        """The box with half-side n-1 in the same convention."""
-        if self.n == 0 or (self.convention == EVEN_SIDE and self.n == 1):
-            raise GeometryError("cannot shrink a minimal box")
-        return Box(self.d, self.n - 1, self.convention)
-
     def boundary_sites(self) -> list[Site]:
         """Sites of the box not contained in the next-smaller box (all of a
         minimal box): those with a neighbour outside, in site order."""

@@ -75,7 +75,7 @@ def boundary_interval_count(coupled: CoupledConfiguration) -> int:
     circle = region.time_topology == "circle"
     total = 0
     for x in region.box.sites():
-        k = len(np.asarray(coupled.cuts.get(x, ())))
+        k = len(coupled.cuts.get(x, ()))
         if x in boundary_sites:
             total += max(1, k) if circle else k + 1
         elif not circle:

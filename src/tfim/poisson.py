@@ -76,18 +76,21 @@ class PointSet:
         return PointSet(carrier, tuple(sorted(float(t) for t in times)))
 
 
-def draw_times(lo: float, hi: float, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Sorted times of a rate-``rate`` Poisson process on [lo, hi): the count,
-    then that many uniform times (a count of zero draws no uniforms).  Every
-    point-process draw of the package goes through here.  The times are
-    ``lo + (hi - lo) * u``, which is how ``rng.uniform(lo, hi)`` forms them
-    from the same doubles ``u``, so they are its times bit for bit."""
-    n = rng.poisson(rate * (hi - lo))
+def draw_times(lo: float, hi: float, rate: float, rng: np.random.Generator) -> list:
+    """Sorted times, as a list of floats, of a rate-``rate`` Poisson process
+    on [lo, hi): the count, then that many uniform times (a count of zero
+    draws no uniforms).  Every point-process draw of the package goes through
+    here.  The times are ``lo + (hi - lo) * u``, which is how
+    ``rng.uniform(lo, hi)`` forms them from the same doubles ``u``, so they
+    are its times bit for bit; one point reads its double with the scalar
+    ``rng.random()``, which draws what ``rng.random(1)`` draws."""
+    w = hi - lo
+    n = rng.poisson(rate * w)
     if n == 0:
-        return np.empty(0)
-    times = lo + (hi - lo) * rng.random(n)
-    times.sort()
-    return times
+        return []
+    if n == 1:
+        return [lo + w * rng.random()]
+    return sorted([lo + w * u for u in rng.random(n).tolist()])
 
 
 def sample_constant(carrier: Carrier, rate: float, rng: np.random.Generator) -> PointSet:

@@ -101,11 +101,6 @@ def _line_odd_spans(region: SpaceTimeRegion, times: list, first_even: bool,
     return _odd_spans([region.t_min, *times, region.t_max], first_even)
 
 
-def _as_list(times) -> list:
-    """A time array as a list of floats; a list is returned as it is."""
-    return times if isinstance(times, list) else np.asarray(times, dtype=float).tolist()
-
-
 @dataclass
 class Labelling:
     """Even/odd decomposition of the site lines of a region.
@@ -158,21 +153,20 @@ def build_labelling(region: SpaceTimeRegion, bridges: dict, ghosts: dict | None,
                     tau: dict | None = None) -> Labelling:
     """Assemble the labelling from its switching points.
 
-    ``bridges`` maps edges to time arrays or lists, ``ghosts`` sites to time
-    arrays or lists (None for the plain labelling).  ``tau`` supplies the
-    periodic anchors (required exactly when bc_time == 'p')."""
+    ``bridges`` maps edges to time lists, ``ghosts`` sites to time lists
+    (None for the plain labelling).  ``tau`` supplies the periodic anchors
+    (required exactly when bc_time == 'p')."""
     pts = _check_sources(region, sources)
     if (bc_time == "p") != (tau is not None):
         raise ValueError("tau is supplied exactly for periodic time")
     per_site = {x: [] for x in region.box.sites()}
     for (x, y), times in bridges.items():
-        times = _as_list(times)
         for end in (tuple(x), tuple(y)):
             if end in per_site:
                 per_site[end].extend(times)
     if ghosts:
         for x, times in ghosts.items():
-            per_site[tuple(x)].extend(_as_list(times))
+            per_site[tuple(x)].extend(times)
     for (x, t) in pts:
         per_site[x].append(t)
 
@@ -206,9 +200,9 @@ class CoupledConfiguration:
     """Two independent labellings plus the cut process.
 
     The plain labelling comes from (bridges, tau) with free-space edges; the
-    ghosted one from (bridges_hat, ghosts, tau_hat).  ``cuts`` maps sites to
-    rate-4*delta time arrays.  Weight is the product of the two normalized
-    labelling weights."""
+    ghosted one from (bridges_hat, ghosts, tau_hat).  Bridges and ghosts map
+    to time lists, and ``cuts`` maps sites to sorted rate-4*delta time lists.
+    Weight is the product of the two normalized labelling weights."""
 
     region: SpaceTimeRegion
     lam: float
@@ -226,12 +220,6 @@ class CoupledConfiguration:
                 * self.labelling2.weight_normalized(self.delta))
 
     @functools.cached_property
-    def switch_lists(self) -> list:
-        """bridges1, bridges2 and ghosts as time lists (set by :func:`sample_coupled`)."""
-        return [{k: _as_list(times) for k, times in switches.items()}
-                for switches in (self.bridges1, self.bridges2, self.ghosts)]
-
-    @functools.cached_property
     def blocking_cuts(self) -> dict:
         """Site -> sorted cut times labelled even in both labellings, as
         :meth:`Labelling.label_is_even` reads them; all other cuts are
@@ -243,7 +231,7 @@ class CoupledConfiguration:
                                         for lab in (self.labelling1, self.labelling2))
             i = j = 0
             out[x] = kept = []
-            for t in sorted(np.asarray(self.cuts.get(x, ()), dtype=float).tolist()):
+            for t in self.cuts.get(x, ()):
                 while s1[i] < t:
                     i, even1 = i + 1, not even1
                 while s2[j] < t:
@@ -283,7 +271,7 @@ class CoupledConfiguration:
         holding a ghost point or, when the ghosted labelling has wired time, a
         time endpoint."""
         index, find = self.index, self.clusters.find
-        ids = [index.vertex(x, t) for x, times in self.switch_lists[2].items() for t in times]
+        ids = [index.vertex(x, t) for x, times in self.ghosts.items() for t in times]
         if coupled_bc_pair(self.region)[1] == "w":  # a line's end vertices hold t_min, t_max
             ids += [v for x, o in index.offsets.items() for v in (o, o + len(index.starts[x]) - 1)]
         return {None if v is None else find(v) for v in ids}
@@ -317,22 +305,17 @@ def sample_coupled(region: SpaceTimeRegion, lam: float, delta: float,
         bridges1, _ = draw_switches(region, lam, {}, rng)
         bridges2, ghosts = draw_switches(region, lam, rates, rng)
         cuts = {x: draw_times(lo, hi, 4.0 * delta, rng) for x in box.sites()}
-        lists = ({e: times.tolist() for e, times in bridges1.items()},
-                 {e: times.tolist() for e, times in bridges2.items()},
-                 {x: times.tolist() for x, times in ghosts.items()})
-        if _distinct([*lists[0].values(), *lists[1].values(), *lists[2].values()]):
+        if _distinct([*bridges1.values(), *bridges2.values(), *ghosts.values()]):
             break
     else:
         raise SamplingError(
             "coupled draw: 100 draws in a row had coincident bridge or ghost times")
     tau1 = {x: int(rng.integers(2)) for x in box.sites()} if t1 == "p" else None
     tau2 = {x: int(rng.integers(2)) for x in box.sites()} if t2 == "p" else None
-    lab1 = build_labelling(region, lists[0], None, sources1, t1, tau1)
-    lab2 = build_labelling(region, lists[1], lists[2], sources2, t2, tau2)
-    coupled = CoupledConfiguration(region, lam, delta, lab1, lab2,
-                                   bridges1, bridges2, ghosts, cuts)
-    coupled.switch_lists = lists
-    return coupled
+    lab1 = build_labelling(region, bridges1, None, sources1, t1, tau1)
+    lab2 = build_labelling(region, bridges2, ghosts, sources2, t2, tau2)
+    return CoupledConfiguration(region, lam, delta, lab1, lab2,
+                                bridges1, bridges2, ghosts, cuts)
 
 
 # -- connectivity -------------------------------------------------------------
@@ -399,7 +382,7 @@ class VertexIndex:
         seams = ({x: (offsets[x], offsets[x] + len(starts[x]) - 1) for x in starts}
                  if region.time_topology == "circle" else {})
         times = {}
-        for bridges in coupled.switch_lists[:2]:
+        for bridges in (coupled.bridges1, coupled.bridges2):
             for (x, y), ts in bridges.items():
                 times.setdefault((tuple(x), tuple(y)), []).extend(ts)
         edges = []
@@ -679,8 +662,8 @@ def _labelling_weights(region: SpaceTimeRegion, lam: float, delta: float,
     """The normalized weights of ``n_samples`` labellings, each drawn as
     bridges on the free edges, then ghost points (wired space only), then the
     periodic anchors tau, equal bit for bit to
-    :meth:`Labelling.weight_normalized`.  The switching points are kept as
-    flat arrays and weighed ``spinrep.POOL_BLOCK`` draws at a time.  With
+    :meth:`Labelling.weight_normalized`.  The switching points are kept in
+    one flat array and weighed ``spinrep.POOL_BLOCK`` draws at a time.  With
     ``holes``, returns (num, den): den the weights, num the same weights
     where the labelling is even throughout the holes and 0 elsewhere."""
     sources = _check_sources(region, sources)
@@ -688,28 +671,28 @@ def _labelling_weights(region: SpaceTimeRegion, lam: float, delta: float,
     site_index = {x: k for k, x in enumerate(sites)}
     periodic = region.bc_time == "p"
     rates = ghost_rates(region.box, lam) if region.bc_space == "w" else {}
-    # a draw lists one array per site that it switches: each bridge array
-    # once per end, each ghost array, then one array per source
+    # a draw lists one time list per site that it switches: each bridge list
+    # once per end, each ghost list, then one list per source
     end_sites = np.array([*(site_index[x] for e in region.box.free_edges for x in e),
                           *(site_index[x] for x in rates),
                           *(site_index[x] for (x, _) in sources)], dtype=np.intp)
-    source_arrays = [np.array([t]) for (_, t) in sources]
+    source_lists = [[t] for (_, t) in sources]
     out = np.zeros(n_samples)
     even = None if holes is None else np.ones(n_samples, dtype=bool)
     for start in range(0, n_samples, spinrep.POOL_BLOCK):
         n = min(spinrep.POOL_BLOCK, n_samples - start)
-        arrays, tau = [], []
+        lists, tau = [], []
         for _ in range(n):
             bridges, ghosts = draw_switches(region, lam, rates, rng)
             for times in bridges.values():
-                arrays += (times, times)
-            arrays += ghosts.values()
-            arrays += source_arrays
+                lists += (times, times)
+            lists += ghosts.values()
+            lists += source_lists
             if periodic:
                 tau += [int(rng.integers(2)) for _ in sites]
-        counts = np.fromiter(map(len, arrays), dtype=np.intp, count=len(arrays))
+        counts = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
         rows = np.repeat((np.arange(n)[:, None] * len(sites) + end_sites).ravel(), counts)
-        times = np.concatenate(arrays) if arrays else np.empty(0)
+        times = np.array([t for ts in lists for t in ts], dtype=float)
         tau = np.array(tau) if periodic else None
         consistent, odd = _odd_lengths(region, times, rows, tau, n)
         out[start:start + n][consistent] = [math.exp(-2.0 * delta * length)

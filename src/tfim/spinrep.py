@@ -7,8 +7,8 @@ at the flips.  Correlations are estimated by reweighting a-priori samples
 with exp(lam * sum over edges of the pair-overlap integral); the weights are
 handled in log space so large boxes do not overflow.  The overlap integral
 reads the spin product once per time window and flips its sign at every
-flip of either site, and spin values are bisect counts on per-site flip
-lists built once per configuration.  A pool of importance draws is weighed
+flip of either site, and spin values are bisect counts on the per-site flip
+lists.  A pool of importance draws is weighed
 in blocks of flat arrays, bit for bit as that walk weighs each draw.  The
 a-priori measure does not depend on the coupling, so a pool's overlap sums
 are computed once and multiplied by each coupling of a grid.  Importance
@@ -42,10 +42,10 @@ from .stats import (Estimate, RatioAccumulator, SamplingError, batch_means_estim
 _REJECT_BUDGET = 10000
 
 
-def _even_poisson_times(lo: float, hi: float, rate: float, rng: np.random.Generator) -> np.ndarray:
+def _even_poisson_times(lo: float, hi: float, rate: float, rng: np.random.Generator) -> list:
     for _ in range(_REJECT_BUDGET):
         times = draw_times(lo, hi, rate, rng)
-        if times.size % 2 == 0:
+        if len(times) % 2 == 0:
             return times
     raise SamplingError(
         f"even-parity rejection budget exceeded (rate {rate}, length {hi - lo})")
@@ -53,7 +53,7 @@ def _even_poisson_times(lo: float, hi: float, rate: float, rng: np.random.Genera
 
 @dataclass
 class SpinConfiguration:
-    """Per-site initial value at time 0 and sorted flip times."""
+    """Per-site initial value at time 0 and sorted flip times (float lists)."""
 
     region: SpaceTimeRegion
     initial: dict
@@ -61,12 +61,8 @@ class SpinConfiguration:
 
     @functools.cached_property
     def _flip_lists(self) -> dict:
-        """Site -> (flip times as a float list, flips at or before time 0)."""
-        out = {}
-        for x, times in self.flips.items():
-            times = times.tolist()
-            out[x] = (times, bisect.bisect_right(times, 0.0))
-        return out
+        """Site -> (flip times, flips at or before time 0)."""
+        return {x: (times, bisect.bisect_right(times, 0.0)) for x, times in self.flips.items()}
 
     def value(self, x, t: float) -> int:
         x = tuple(x)
@@ -78,8 +74,8 @@ class SpinConfiguration:
         count = bisect.bisect_right(times, t) - at_zero
         return self.initial[x] * (1 if count % 2 == 0 else -1)
 
-    def flip_times(self, x) -> np.ndarray:
-        return self.flips.get(tuple(x), np.empty(0))
+    def flip_times(self, x) -> list:
+        return self.flips.get(tuple(x), [])
 
     def product_over(self, points: Sequence) -> int:
         out = 1
@@ -109,8 +105,7 @@ def sample_apriori(region: SpaceTimeRegion, delta: float,
             init = 1 if rng.random() < 0.5 else -1
         else:  # wired endpoints
             times = _even_poisson_times(lo, hi, delta, rng)
-            below = int(np.searchsorted(times, 0.0, side="right"))
-            init = 1 if below % 2 == 0 else -1
+            init = 1 if bisect.bisect_right(times, 0.0) % 2 == 0 else -1
         initial[x] = init
         flips[x] = times
     return SpinConfiguration(region, initial, flips)
@@ -128,7 +123,7 @@ def overlap_integral(config, x, y, windows: Sequence | None = None) -> float:
     if windows is None:
         windows = [(region.t_min, region.t_max)]
     x, y = tuple(x), tuple(y)
-    flips = [*config.flip_times(x).tolist(), *config.flip_times(y).tolist()]
+    flips = [*config.flip_times(x), *config.flip_times(y)]
     total = 0.0
     for (lo, hi) in windows:
         cand = flips if hi <= region.t_max else flips + [t + region.r for t in flips]
@@ -184,14 +179,14 @@ def _block_overlap_sums(region, edges: Sequence, site_index: dict, flips: list,
                         initial: list) -> np.ndarray:
     """The overlap sums of configurations, each the sum that
     :func:`gibbs_log_weight` multiplies by lam, bit for bit, from their flip
-    arrays and initial signs listed sample by sample, site by site.  On each
+    lists and initial signs listed sample by sample, site by site.  On each
     edge the spin product is constant between the two sites' flips and
     changes sign at each of them."""
     lo, hi = region.t_min, region.t_max
     n_sites = len(site_index)
     n = len(flips) // n_sites
     counts = np.fromiter(map(len, flips), dtype=np.intp, count=len(flips))
-    times = np.concatenate(flips)
+    times = np.array([t for ts in flips for t in ts], dtype=float)
     row = np.repeat(np.arange(len(flips)), counts)
     # each site's value from t_min to its first flip: its initial sign times
     # the parity of its flips from 0 back to t_min; a last column of ones
@@ -288,12 +283,12 @@ def estimate_exp_overlap_in(holes: Holes, region: SpaceTimeRegion, lam: float,
 class CutSpinConfiguration:
     """Spin values on a region with holes: independent components per site.
 
-    Each component carries its own fair initial sign and flip set; values are
-    undefined inside the holes (never queried there).
+    Each component carries its own fair initial sign and sorted list of flip
+    offsets; values are undefined inside the holes (never queried there).
     """
 
     region: SpaceTimeRegion
-    components: dict  # site -> list of (start, length, init, flips-offsets)
+    components: dict  # site -> list of (start, length, init, flip offsets)
 
     def value(self, x, t: float) -> int:
         for (start, length, init, flips) in self.components[tuple(x)]:
@@ -301,16 +296,14 @@ class CutSpinConfiguration:
             if self.region.time_topology == "circle":
                 offset = offset % self.region.r
             if -1e-12 <= offset <= length + 1e-12:
-                count = int(np.searchsorted(flips, offset, side="right"))
+                count = bisect.bisect_right(flips, offset)
                 return init * (1 if count % 2 == 0 else -1)
         raise ValueError(f"time {t} not in any component of site {x}")
 
-    def flip_times(self, x) -> np.ndarray:
+    def flip_times(self, x) -> list:
         """Flip times of site x in base coordinates [t_min, t_max]."""
-        times = np.concatenate([start + flips for (start, _, _, flips)
-                                in self.components[tuple(x)]] or [np.empty(0)])
-        times[times > self.region.t_max] -= self.region.r
-        return times
+        times = [start + f for (start, _, _, flips) in self.components[tuple(x)] for f in flips]
+        return [t - self.region.r if t > self.region.t_max else t for t in times]
 
 
 def _sample_cut_config(region: SpaceTimeRegion, holes: Holes, delta: float,

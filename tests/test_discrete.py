@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tfim import discrete
 from tfim import experiments as ex
-from tfim.discrete import (DiscreteSystem, coupled_probability,
-                           enumerate_coupled, switching_sides)
+from tfim.discrete import DiscreteSystem, enumerate_coupled, switching_sides
 
 # (lhs, rhs) of the exact switching cases as given by the nested-loop
 # enumeration (``_reference_switching_sides`` below); the tests of this file
@@ -175,6 +174,15 @@ def test_invalid_discrete_system_raises(overrides, source, match):
 def test_cut_probability_tied_to_weight():
     system = small_system(w_even=1.25)
     assert system.q_cut == pytest.approx(1.0 - 1.25**-2)
+
+
+def coupled_probability(system, event, configs=None) -> float:
+    """Probability of an event under the weight-tilted coupled measure: the
+    exact reference for weighted coupled events."""
+    configs = enumerate_coupled(system) if configs is None else configs
+    num = sum(c.prob * c.weight for c in configs if event(c))
+    den = sum(c.prob * c.weight for c in configs)
+    return num / den
 
 
 def test_coupled_measure_consistency():

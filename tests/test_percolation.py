@@ -26,8 +26,7 @@ def _manual_coupled(region, bridges1, cuts, lam=1.0, delta=1.0, bc=("f", "w")):
 
 def test_fully_bridged_single_cluster():
     region = SpaceTimeRegion.ground_state(Box(1, 1), "f", "f")
-    bridges = {((-1,), (0,)): np.array([-0.5, 0.5]),
-               ((0,), (1,)): np.array([-0.25, 0.25])}
+    bridges = {((-1,), (0,)): [-0.5, 0.5], ((0,), (1,)): [-0.25, 0.25]}
     coupled = _manual_coupled(region, bridges, {})
     report = pc.cluster_report(coupled)
     assert report.n_clusters == 1
@@ -36,7 +35,7 @@ def test_fully_bridged_single_cluster():
 
 def test_dense_blocking_cuts_isolate_intervals():
     region = SpaceTimeRegion.ground_state(Box(1, 1), "f", "f")
-    cuts = {x: np.array([-0.5, 0.0, 0.5]) for x in region.box.sites()}
+    cuts = {x: [-0.5, 0.0, 0.5] for x in region.box.sites()}
     # both labellings all even (free anchors, no switches): every cut blocks
     coupled = _manual_coupled(region, {}, cuts, bc=("f", "f"))
     report = pc.cluster_report(coupled)
@@ -85,7 +84,7 @@ def test_trifurcations_zero_when_uncoupled_or_fully_wired():
     rep = pc.trifurcation_diagnostic(coupled, 1, 1.0, 1.0)
     assert rep.n_trifurcations == 0
     # fully bridged, no cuts: one global cluster, complement has 1 branch
-    bridges = {e: np.array([-3.5 + 0.5 * k for k in range(15)])
+    bridges = {e: [-3.5 + 0.5 * k for k in range(15)]
                for e in __import__("tfim.geometry", fromlist=["EdgeSet"]).EdgeSet.free(region.box).edges}
     coupled = _manual_coupled(region, bridges, {})
     rep = pc.trifurcation_diagnostic(coupled, 1, 1.0, 1.0)
@@ -134,7 +133,7 @@ def test_adding_bridge_never_increases_clusters():
         before = pc.cluster_report(coupled).n_clusters
         extra = dict(coupled.bridges1)
         edge = ((0,), (1,))
-        extra[edge] = np.sort(np.append(extra.get(edge, []), rng.uniform(-1.9, 1.9)))
+        extra[edge] = sorted([*extra.get(edge, []), rng.uniform(-1.9, 1.9)])
         richer = rp.CoupledConfiguration(region, coupled.lam, coupled.delta,
                                          coupled.labelling1, coupled.labelling2,
                                          extra, coupled.bridges2, coupled.ghosts,
@@ -148,8 +147,8 @@ def _cut_window_config():
     """Finite beta 4 (circle [-2, 2]): blocking cuts at t = 1.9 on sites -1, 0,
     1 and bridges (-1,0), (0,1) at t = -1.8."""
     region = SpaceTimeRegion.finite_beta(Box(1, 4), 4.0, "w", "p")
-    bridges = {((-1,), (0,)): np.array([-1.8]), ((0,), (1,)): np.array([-1.8])}
-    cuts = {x: np.array([1.9]) for x in ((-1,), (0,), (1,))}
+    bridges = {((-1,), (0,)): [-1.8], ((0,), (1,)): [-1.8]}
+    cuts = {x: [1.9] for x in ((-1,), (0,), (1,))}
     return _manual_coupled(region, bridges, cuts, bc=("p", "p"))
 
 

@@ -68,10 +68,10 @@ def test_labelling_periodic_tau():
 
 def test_weight_positive_iff_even_switch_counts():
     region = SpaceTimeRegion(Box(1, 1, "even-side"), 2.0, "f", "f")
-    odd_bridge = {((0,), (1,)): np.array([0.2])}
+    odd_bridge = {((0,), (1,)): [0.2]}
     lab = rp.build_labelling(region, odd_bridge, None, [], "f")
     assert not lab.consistent
-    even_bridge = {((0,), (1,)): np.array([0.2, 0.5])}
+    even_bridge = {((0,), (1,)): [0.2, 0.5]}
     lab2 = rp.build_labelling(region, even_bridge, None, [], "f")
     assert lab2.consistent and lab2.weight_normalized(1.0) > 0
 
@@ -167,20 +167,20 @@ def test_coupled_zero_coupling_no_ghosts_all_even():
     assert c.weight > 0
 
 
-@pytest.mark.parametrize("arrays, distinct", [
-    ([np.array([0.1, 0.5]), np.array([0.3, 0.5])], False),
-    ([np.array([0.2, 0.7, 0.2]), np.array([0.4])], False),
+@pytest.mark.parametrize("lists, distinct", [
+    ([[0.1, 0.5], [0.3, 0.5]], False),
+    ([[0.2, 0.7, 0.2], [0.4]], False),
     ([], True),
-    ([np.array([0.25])], True),
-    ([np.array([0.1, 0.9]), np.empty(0), np.array([0.3])], True),
-    ([np.array([0.0]), np.array([-0.0])], False),
+    ([[0.25]], True),
+    ([[0.1, 0.9], [], [0.3]], True),
+    ([[0.0], [-0.0]], False),
 ])
-def test_distinct_times(arrays, distinct):
-    assert rp._distinct(arrays) is distinct
+def test_distinct_times(lists, distinct):
+    assert rp._distinct(lists) is distinct
 
 
 def test_coupled_draw_raises_when_retries_run_out(monkeypatch):
-    monkeypatch.setattr(rp, "_distinct", lambda arrays: False)
+    monkeypatch.setattr(rp, "_distinct", lambda lists: False)
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "w", "p")
     with pytest.raises(SamplingError, match="coincident"):
         rp.sample_coupled(region, 1.0, 1.0, (), (), chain_generator(1, 0))
@@ -292,7 +292,7 @@ def test_even_points_match_label_is_even(seed, circle):
     for lab in (c.labelling1, c.labelling2):
         for x in region.box.sites():
             # switching points themselves are odd
-            times = sorted([*lab.switches[x][::2], *c.cuts[x].tolist()])
+            times = sorted([*lab.switches[x][::2], *c.cuts[x]])
             assert even_points(lab, x, times) == [t for t in times if lab.label_is_even(x, t)]
 
 
@@ -309,10 +309,10 @@ def test_blocking_cuts_are_the_cuts_even_in_both_labellings(seed, circle, data):
     for x in region.box.sites():
         special = [0.0, region.t_min, region.t_max, *lab1.switches[x], *lab2.switches[x]]
         placed = data.draw(st.lists(st.sampled_from(special), max_size=6))
-        cuts[x] = np.array([*placed, *c.cuts[x].tolist()])
+        cuts[x] = sorted([*placed, *c.cuts[x]])
     c = dataclasses.replace(c, cuts=cuts)
     for x in region.box.sites():
-        times = sorted(cuts[x].tolist())
+        times = cuts[x]
         assert c.blocking_cuts[x] == [t for t in times if lab1.label_is_even(x, t)
                                       and lab2.label_is_even(x, t)]
         assert c.blocking_cuts[x] == even_points(lab2, x, even_points(lab1, x, times))
@@ -334,15 +334,15 @@ def test_single_blocking_cut_blocks_and_removal_reconnects():
     lab2 = rp.build_labelling(region, {}, None, [], "w")
     # second labelling all odd: no cut can block (needs even in both)
     c = rp.CoupledConfiguration(region, 0.0, 1.0, lab1, lab2, {}, {}, {},
-                                {(0,): np.array([0.1])})
+                                {(0,): [0.1]})
     assert rp.connectivity(c, ((0,), -0.4), ((0,), 0.4), "off-gamma")
     # make both labellings even: the cut blocks
     lab2e = rp.build_labelling(region, {}, None, [], "f")
     c2 = rp.CoupledConfiguration(region, 0.0, 1.0, lab1, lab2e, {}, {}, {},
-                                 {(0,): np.array([0.1])})
+                                 {(0,): [0.1]})
     assert not rp.connectivity(c2, ((0,), -0.4), ((0,), 0.4), "off-gamma")
     c3 = rp.CoupledConfiguration(region, 0.0, 1.0, lab1, lab2e, {}, {}, {},
-                                 {(0,): np.array([])})
+                                 {(0,): []})
     assert rp.connectivity(c3, ((0,), -0.4), ((0,), 0.4), "off-gamma")
 
 

@@ -78,20 +78,20 @@ def estimate_magnetization(region, lam, delta, n_samples, rng):
 def test_gibbs_weight_examples():
     region = SpaceTimeRegion(Box(1, 1, "even-side"), 2.0, "f", "f")
     config = sr.SpinConfiguration(region, {(0,): 1, (1,): 1},
-                                  {(0,): np.array([]), (1,): np.array([])})
+                                  {(0,): [], (1,): []})
     edges = [((0,), (1,))]
     assert gibbs_weight(config, 0.0, edges) == pytest.approx(1.0)
     assert gibbs_weight(config, 0.7, edges) == pytest.approx(math.exp(0.7 * 2.0))
     # disagreement on exactly half the line cancels
     config2 = sr.SpinConfiguration(region, {(0,): 1, (1,): 1},
-                                   {(0,): np.array([0.0]), (1,): np.array([])})
+                                   {(0,): [0.0], (1,): []})
     assert gibbs_weight(config2, 1.3, edges) == pytest.approx(1.0)
 
 
 def test_spin_value_is_right_continuous_at_flips():
     region = SpaceTimeRegion(Box(1, 1, "even-side"), 1.0, "f", "f")
     config = sr.SpinConfiguration(region, {(0,): 1, (1,): -1},
-                                  {(0,): np.array([-0.25, 0.25]), (1,): np.array([0.0])})
+                                  {(0,): [-0.25, 0.25], (1,): [0.0]})
     got = [config.value((0,), t) for t in (-0.3, -0.25, 0.0, 0.2, 0.25, 0.3)]
     assert got == [-1, 1, 1, 1, -1, -1]
     # the initial value is the value at time 0, after a flip there
@@ -102,7 +102,7 @@ def test_spin_value_is_right_continuous_at_flips():
 def test_overlap_integral_with_windows():
     region = SpaceTimeRegion(Box(1, 1, "even-side"), 2.0, "f", "f")
     config = sr.SpinConfiguration(region, {(0,): 1, (1,): -1},
-                                  {(0,): np.array([]), (1,): np.array([])})
+                                  {(0,): [], (1,): []})
     assert sr.overlap_integral(config, (0,), (1,), [(-0.5, 0.5)]) == pytest.approx(-1.0)
 
 

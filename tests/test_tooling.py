@@ -3,7 +3,8 @@ deletion or rename of a traced function fails here and not only in a traced
 benchmark run; and the traced probe call counts keep their meaning.  Every
 name the package exports resolves, so a deletion or move leaves no dangling
 export.  The names that no package code reaches are pinned, so code that only
-tests reach enters the package on purpose."""
+tests reach enters the package on purpose, and ``poisson.draw_times`` stays
+the one Poisson draw."""
 
 import ast
 import inspect
@@ -33,8 +34,7 @@ def _resolve(module: str, qualname: str) -> tuple:
 # names item 11 of the ROADMAP decides on, and the ones a later change will give
 # a caller.  A new name that only tests reach has to be added here on purpose.
 UNREFERENCED_IN_SRC = {
-    "discrete.coupled_probability",
-    "geometry.Box.shrunk",
+    "discrete.enumerate_coupled",
     "randomparity.Labelling.label_is_even",
     "randomparity.correlation_difference_bound",
     "spectral.box_average",
@@ -76,6 +76,25 @@ def test_names_that_no_src_code_reaches_are_pinned():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert {q for q, name in defined.items() if name not in referenced} == UNREFERENCED_IN_SRC
+
+
+def test_draw_times_is_the_one_poisson_draw():
+    """Every point-process draw goes through ``poisson.draw_times``: no other
+    code of src/tfim calls a ``.poisson(`` method, and it calls one once."""
+    callers = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "poisson"):
+            callers.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(Path(tfim.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert callers == ["poisson.draw_times"]
 
 
 def test_every_public_name_resolves():

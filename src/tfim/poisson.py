@@ -82,8 +82,10 @@ def draw_times(lo: float, hi: float, rate: float, rng: np.random.Generator) -> l
     draws no uniforms).  Every point-process draw of the package goes through
     here.  The times are ``lo + (hi - lo) * u``, which is how
     ``rng.uniform(lo, hi)`` forms them from the same doubles ``u``, so they
-    are its times bit for bit; one point reads its double with the scalar
-    ``rng.random()``, which draws what ``rng.random(1)`` draws."""
+    are its times bit for bit.  One point reads its double with the scalar
+    ``rng.random()``, which draws what ``rng.random(1)`` draws: about a third
+    of the draws of the estimator and identity runs hold one point, and the
+    scalar call saves the array, its conversion and the sort on each."""
     w = hi - lo
     n = rng.poisson(rate * w)
     if n == 0:

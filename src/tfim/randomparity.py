@@ -223,8 +223,10 @@ class CoupledConfiguration:
     def blocking_cuts(self) -> dict:
         """Site -> sorted cut times labelled even in both labellings, as
         :meth:`Labelling.label_is_even` reads them; all other cuts are
-        invisible to open paths.  One walk per site merges the sorted cuts
-        against both labellings' switches, flipping a label at each switch."""
+        invisible to open paths.  One walk per site merges the cuts against
+        both labellings' switches, flipping a label at each switch, so each
+        site's cuts must be sorted, as :func:`sample_coupled` draws them; a
+        configuration built by hand with unsorted cuts gets wrong results."""
         out = {}
         for x in self.region.box.sites():
             (s1, even1), (s2, even2) = ((lab.switches[x] + [math.inf], lab.span_even(x, 0))

@@ -421,7 +421,9 @@ def run_identity_suite(cfg: RunConfig, workers: int = 1) -> tuple[list, dict, bo
 def _ratio_points(args) -> list[tuple[float, float, float, float | None]]:
     """R_n at every coupling of the grid, in grid order, from one stacked
     Trotter run with each coupling's chain drawn from its own stream: the
-    ratio, its standard error, the flip fraction and the tau_int of C(n)."""
+    ratio, its standard error, the flip fraction and the tau_int of C(n).
+    ``SamplingError`` naming the point when a pair correlation the ratio
+    reads is not positive."""
     cfg, n = args
     far = n
     lo = n // 2
@@ -429,8 +431,14 @@ def _ratio_points(args) -> list[tuple[float, float, float, float | None]]:
     rngs = [chain_generator(cfg.seed, 10000 * n + j) for j in range(len(cfg.lam_grid))]
     region = cfg.region(n, "p", "f")
     points = []
-    for res in spinrep.trotter_pair_correlations(region, cfg.lam_grid, cfg.delta, distances,
-                                                 cfg.n_sweeps, rngs, cfg.dt):
+    for lam, res in zip(cfg.lam_grid, spinrep.trotter_pair_correlations(
+            region, cfg.lam_grid, cfg.delta, distances, cfg.n_sweeps, rngs, cfg.dt)):
+        for distance in distances:
+            value = res[distance].estimate.value
+            if value <= 0:
+                raise SamplingError(
+                    f"pair correlation C({distance}) = {value} at n={n}, lam={lam} is not "
+                    "positive; the correlation ratio needs positive pair correlations")
         c_far = res[far].estimate
         if n % 2 == 0:
             near_val = res[n // 2].estimate.value

@@ -411,17 +411,20 @@ class TrotterSampler:
     (couplings, site-slots + 1) array whose last cell is a zero that stands
     in for a missing neighbour; ``spins`` is its (couplings, sites, slots)
     view.  Set-up stores, per colour, the flat indices of its cells in every
-    chain and of their space and time neighbours in the same chain, and one
-    block of acceptance probabilities over the integer neighbour sums per
+    chain, one contiguous (1 + neighbours, cells) block of the indices of
+    those cells and of their space and time neighbours in the same chain, and
+    one block of acceptance probabilities over the integer neighbour sums per
     coupling; frozen +1 neighbours (wired space) and the wired time ends are
     constants of each cell.  A sweep draws one uniform per site-slot from
-    each chain's own generator, then visits the colours in order, for all
-    chains at once: gather, look up, compare against each cell's own uniform
-    and flip that colour's cells.  A decision reads only its own chain's
-    cells, table block and uniform, so each chain is the chain a one-coupling
-    sampler would run from the same generator.  Every cell is offered one
-    flip per sweep with a fresh uniform, so each colour update is an exact
-    Metropolis step.
+    each chain's own generator, copies the cells, then visits the colours in
+    order, for all chains at once: gather the block, scale its rows by the
+    code weights and sum them in int8 into table codes, look up, compare
+    against each cell's own uniform and flip that colour's cells.  A decision
+    reads only its own chain's cells, table block and uniform, so each chain
+    is the chain a one-coupling sampler would run from the same generator.
+    Every cell is offered one flip per sweep with a fresh uniform, so each
+    colour update is an exact Metropolis step, and the accepted flips are
+    the cells that differ from the copy.
     """
 
     def __init__(self, region: SpaceTimeRegion, lams: Sequence[float], delta: float,
@@ -465,18 +468,18 @@ class TrotterSampler:
         if region.bc_time == "w":
             wired[[0, -1]] = 1
 
-        # gather columns: the cell, its space neighbours, its time neighbours
+        # gather rows: the cell, its space neighbours, its time neighbours
         site_of, slot_of = np.divmod(np.arange(pad), m)
-        gather = np.hstack([
-            np.arange(pad)[:, None],
-            np.where(space_nbr[site_of] >= 0, space_nbr[site_of] * m + slot_of[:, None], pad),
-            np.where(time_nbr[slot_of] >= 0, site_of[:, None] * m + time_nbr[slot_of], pad)])
+        gather = np.vstack([
+            np.arange(pad),
+            np.where(space_nbr[site_of] >= 0, space_nbr[site_of] * m + slot_of[:, None], pad).T,
+            np.where(time_nbr[slot_of] >= 0, site_of[:, None] * m + time_nbr[slot_of], pad).T])
         centre = _S_STRIDE * max_deg + 2 * _T_STRIDE + 1
         block = 2 * centre + 1
-        # int8 codes (no cast of the gathered spins) while they fit
-        code_type = np.int8 if centre <= np.iinfo(np.int8).max else np.int64
+        # int8 code sums (no cast of the gathered spins) while they fit
+        self._code_type = np.int8 if centre <= np.iinfo(np.int8).max else np.int64
         self._weights = np.array([1] + [_S_STRIDE] * max_deg + [_T_STRIDE] * 2,
-                                 dtype=code_type)
+                                 dtype=np.int8)[:, None]
 
         # per coupling, one table block per (frozen neighbours, wired ends)
         # pair, each entry in the floating operations of a full-lattice field
@@ -504,7 +507,8 @@ class TrotterSampler:
             cells = np.flatnonzero(full == c)
             self._plan.append((
                 (chain * (pad + 1) + cells).ravel(),
-                (chain[:, :, None] * (pad + 1) + gather[cells]).reshape(-1, gather.shape[1]),
+                np.ascontiguousarray(chain * (pad + 1) + gather[:, None, cells])
+                .reshape(len(gather), -1),
                 (chain * chain_table + base[cells]).ravel()))
 
         self._cells = np.ones((len(self.lams), pad + 1), dtype=np.int8)
@@ -521,12 +525,14 @@ class TrotterSampler:
         for row, rng in zip(u, rngs, strict=True):
             rng.random(out=row[:-1])
         u = u.reshape(-1)
-        flips = 0
+        before = self._cells.copy()
         for idx, gather, base in self._plan:
-            accept = u[idx] < self._table[cells[gather] @ self._weights + base]
+            codes = cells[gather]
+            codes *= self._weights
+            accept = u[idx] < self._table[codes.sum(axis=0, dtype=self._code_type) + base]
             cells[idx[accept]] *= -1
-            flips += accept.reshape(len(self.lams), -1).sum(axis=1)
-        return flips
+        # each cell is offered one flip per sweep, so the changed cells are the flips
+        return (self._cells != before).sum(axis=1)
 
     def run(self, n_sweeps: int, rngs: Sequence[np.random.Generator],
             measure) -> tuple[np.ndarray, list]:
@@ -550,13 +556,14 @@ class TrotterSampler:
 
     def pair_correlations(self, distances: Sequence[int]) -> np.ndarray:
         """Translation-averaged equal-time pair correlations at the lattice
-        distances (d=1, spatially periodic regions), one row per chain,
-        summed in integers: one gather of the site axis rolled by every
-        distance."""
+        distances (d=1, spatially periodic regions), one row per chain: one
+        gather of the site axis rolled by every distance, and one int32 sum
+        per chain and distance over the contiguous site-slot products."""
         s = self.spins
         n = s.shape[1]
         rolled = (np.arange(n) + np.asarray(distances)[:, None]) % n
-        return (s[:, None] * s[:, rolled]).sum(axis=(2, 3)) / s[0].size
+        products = (s[:, None] * s[:, rolled]).reshape(len(s), len(rolled), -1)
+        return products.sum(axis=2, dtype=np.int32) / s[0].size
 
 
 def trotter_magnetization(region: SpaceTimeRegion, lams: Sequence[float], delta: float,

@@ -309,6 +309,29 @@ seed = 6
     assert [r["error"] for r in failing["failing"]] == [err.strip().removeprefix("error: ")]
 
 
+@pytest.mark.parametrize("seed,point", [(1, "C(2) = -0.03809523809523809 at n=3, lam=0.0"),
+                                        (5, "C(3) = 0.0 at n=3, lam=0.0")])
+def test_cli_lambda_c_non_positive_correlation_exits_three(tmp_path, capsys, seed, point):
+    # five sweeps at lam = 0: a pair correlation estimate comes out negative
+    # or zero; it used to stop with a math domain error or a float division
+    cfg = _write_config(tmp_path, f"""
+kind = lambda-c
+d = 1
+ground_state = true
+n_grid = 3, 4
+lam = 0.0, 0.5
+delta = 1.0
+n_sweeps = 5
+dt = 0.5
+seed = {seed}
+""", name="lc.cfg")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "lc")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"SamplingError: pair correlation {point} is not positive" in err
+    assert not (tmp_path / "lc" / "run-lambda-c.csv").exists()
+
+
 @pytest.mark.parametrize("value", [np.bool_(True), np.int64(3)])
 def test_write_json_rejects_numpy_scalars(tmp_path, value):
     # a numpy bool or integer is no JSON value; it is not written as a string

@@ -373,7 +373,8 @@ def test_trotter_sweep_matches_full_lattice_reference(d, n, convention, bc_space
         expected[j, :-1] = reference.acceptance().ravel()
     expected = expected.ravel()
     for idx, gather, base in sampler._plan:
-        looked_up = sampler._table[sampler._cells.ravel()[gather] @ sampler._weights + base]
+        codes = (sampler._cells.ravel()[gather] * sampler._weights).sum(axis=0)
+        looked_up = sampler._table[codes + base]
         assert np.array_equal(looked_up, expected[idx])
     if d == 1 and bc_space == "p":
         distances = range(region.box.side + 1)
@@ -454,10 +455,11 @@ def test_trotter_sweep_draws_one_uniform_per_cell():
 
 
 def test_pair_correlations_equal_the_per_distance_sums():
+    # up to the lambda-c rings, n = 3..6 at 60 to 120 slots, five chains stacked
     rng = chain_generator(4, 12)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5, 6):
         region = SpaceTimeRegion.ground_state(Box(1, n), "p", "f")
-        sampler = sr.TrotterSampler(region, [1.0, 0.5], 1.0)
+        sampler = sr.TrotterSampler(region, [0.8, 0.9, 1.0, 1.1, 1.2], 1.0)
         sampler.spins[...] = np.where(rng.random(sampler.spins.shape) < 0.5, 1, -1)
         distances = list(range(2 * sampler.spins.shape[1] + 1))
         for s, row in zip(sampler.spins, sampler.pair_correlations(distances), strict=True):

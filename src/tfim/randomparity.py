@@ -44,18 +44,9 @@ class InconsistentSourceError(ValueError):
     """Raised for source points at the time endpoints."""
 
 
-class _CheckedSources(tuple):
-    """Source points that passed :func:`_check_sources` for ``region``."""
-
-    region: SpaceTimeRegion
-
-
-def _check_sources(region: SpaceTimeRegion, sources: Sequence) -> _CheckedSources:
-    """The sources as (site, time) pairs, checked against the region; points
-    this returned for the same region are returned as they are."""
-    if isinstance(sources, _CheckedSources) and sources.region is region:
-        return sources
-    pts = _CheckedSources((tuple(x), float(t)) for (x, t) in sources)
+def _check_sources(region: SpaceTimeRegion, sources: Sequence) -> tuple:
+    """The sources as (site, time) pairs, checked against the region."""
+    pts = tuple((tuple(x), float(t)) for (x, t) in sources)
     for (x, t) in pts:
         if not region.contains_point((x, t)):
             raise InconsistentSourceError(f"source {(x, t)} outside region")
@@ -63,7 +54,6 @@ def _check_sources(region: SpaceTimeRegion, sources: Sequence) -> _CheckedSource
             raise InconsistentSourceError("sources must avoid the time endpoints")
     if len(set(pts)) != len(pts):
         raise InconsistentSourceError("duplicate source points")
-    pts.region = region
     return pts
 
 
@@ -711,7 +701,6 @@ def estimate_rpr_correlation(sources: Sequence, region: SpaceTimeRegion,
     using the region's spatial condition (wired space adds ghost points).
     Numerator and denominator use independent pools; ``SamplingError`` when
     every denominator weight is zero."""
-    _check_sources(region, sources)
     num = _labelling_weights(region, lam, delta, sources, n_samples, rng)
     den = _labelling_weights(region, lam, delta, (), n_samples, rng)
     return RatioAccumulator.of(num, den, covariance=False).estimate(

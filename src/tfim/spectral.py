@@ -1,7 +1,8 @@
 """Exact diagonalization oracle for small transverse-field Ising boxes.
 
 The Hamiltonian is H = -lam * sum_xy s3_x s3_y - delta * sum_x s1_x
-- gamma * sum_x s3_x, where (following the source convention for this model
+- sum_x h_x s3_x, with h_x the longitudinal field of site x (the boundary
+field of wired space), where (following the source convention for this model
 family) s1 denotes diag(1, -1) and s3 the off-diagonal unit matrix; s3 is the
 operator whose correlations the graphical representations compute.  Beyond
 thermal traces the oracle evaluates correlation functions under all the
@@ -62,18 +63,13 @@ def _bit(index: int, n_sites: int) -> int:
 
 @dataclass
 class SpectralModel:
-    """Eigendecomposition of a finite-volume Hamiltonian.
-
-    ``site_fields`` holds the longitudinal field per site (wired-space
-    boundary coupling); eigenvalues are sorted ascending.
-    """
+    """Eigendecomposition of a finite-volume Hamiltonian; eigenvalues are
+    sorted ascending."""
 
     sites: list
     edges: list
     lam: float
     delta: float
-    gamma: float
-    site_fields: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
 
@@ -106,7 +102,7 @@ class SpectralModel:
 
 
 def build_hamiltonian(sites: Sequence, edges: Sequence, lam: float, delta: float,
-                      gamma: float = 0.0, site_fields: dict | None = None) -> np.ndarray:
+                      site_fields: dict | None = None) -> np.ndarray:
     """Dense H: -lam on s -> s ^ m_x ^ m_y for each edge with both ends in
     ``sites``, -field on s -> s ^ m_x, and the diagonal -delta * sum_x
     (-1)^bit_x, added in that order; repeated edges add up."""
@@ -122,7 +118,7 @@ def build_hamiltonian(sites: Sequence, edges: Sequence, lam: float, delta: float
     diagonal = np.zeros(2**n)
     for x in sites:
         diagonal = diagonal - delta * np.where(states & mask[x], -1.0, 1.0)
-        field = gamma + (site_fields.get(x, 0.0) if site_fields else 0.0)
+        field = site_fields.get(x, 0.0) if site_fields else 0.0
         if field:
             flips.append(mask[x])
             values.append(-field)
@@ -134,9 +130,10 @@ def build_hamiltonian(sites: Sequence, edges: Sequence, lam: float, delta: float
     return h
 
 
-def build(box_or_sites, edges, lam: float, delta: float, gamma: float = 0.0,
+def build(box_or_sites, edges, lam: float, delta: float,
           site_fields: dict | None = None) -> SpectralModel:
-    """Assemble and fully diagonalize the Hamiltonian."""
+    """Assemble and fully diagonalize the Hamiltonian, with the longitudinal
+    field of each site in ``site_fields``."""
     if isinstance(box_or_sites, Box):
         sites = box_or_sites.sites()
     else:
@@ -145,13 +142,12 @@ def build(box_or_sites, edges, lam: float, delta: float, gamma: float = 0.0,
         edges = list(edges.edges)
     if 2 ** len(sites) > DEFAULT_DIM_CAP:
         raise ModelSizeError(f"2^{len(sites)} exceeds dimension cap {DEFAULT_DIM_CAP}")
-    h = build_hamiltonian(sites, edges, lam, delta, gamma, site_fields)
+    h = build_hamiltonian(sites, edges, lam, delta, site_fields)
     asym = np.abs(h - h.T).max()
     if asym > 1e-12:
         raise NumericalConsistencyError(f"Hamiltonian asymmetry {asym}")
     energies, vectors = np.linalg.eigh(h)
-    fields = np.array([(site_fields or {}).get(x, 0.0) for x in sites])
-    return SpectralModel(sites, list(edges), lam, delta, gamma, fields, energies, vectors)
+    return SpectralModel(sites, list(edges), lam, delta, energies, vectors)
 
 
 def build_for_region(region: SpaceTimeRegion, lam: float, delta: float) -> SpectralModel:

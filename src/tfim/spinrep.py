@@ -5,13 +5,16 @@ A configuration assigns each site a +-1 value at time zero and a finite set
 of flip times; the trajectory is right-continuous and switches value exactly
 at the flips.  Correlations are estimated by reweighting a-priori samples
 with exp(lam * sum over edges of the pair-overlap integral); the weights are
-handled in log space so large boxes do not overflow.  The overlap integral
-reads the spin product once per time window and flips its sign at every
-flip of either site, and spin values are bisect counts on the per-site flip
-lists.  A pool of importance draws is weighed
-in blocks of flat arrays, bit for bit as that walk weighs each draw.  The
-a-priori measure does not depend on the coupling, so a pool's overlap sums
-are computed once and multiplied by each coupling of a grid.  Importance
+handled in log space so large boxes do not overflow.  Spin values are
+bisect counts on the per-site flip lists.  Every overlap integral goes
+through one kernel, on a layout of the region's lines (whole site lines,
+or the components that holes leave) and each edge's windows: a window's
+sign starts from its two lines' values and their flip parity up to its
+start and changes at every flip of either line inside it.  The kernel
+weighs draws in blocks of flat arrays: the importance pools, the cut-region
+partition draws, and single configurations as pools of one.  The a-priori
+measure does not depend on the coupling, so a pool's overlap sums are
+computed once and multiplied by each coupling of a grid.  Importance
 sampling from the a-priori measure degrades exponentially with space-time
 volume, so a Suzuki-Trotter discretized Metropolis sampler is provided
 behind the same estimator surface for the larger magnetization sweeps; it
@@ -26,6 +29,7 @@ tables over integer neighbour sums.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -74,9 +78,6 @@ class SpinConfiguration:
         count = bisect.bisect_right(times, t) - at_zero
         return self.initial[x] * (1 if count % 2 == 0 else -1)
 
-    def flip_times(self, x) -> list:
-        return self.flips.get(tuple(x), [])
-
     def product_over(self, points: Sequence) -> int:
         out = 1
         for (x, t) in points:
@@ -111,55 +112,85 @@ def sample_apriori(region: SpaceTimeRegion, delta: float,
     return SpinConfiguration(region, initial, flips)
 
 
-def overlap_integral(config, x, y, windows: Sequence | None = None) -> float:
-    """int sigma(x,t) sigma(y,t) dt over the line (or the given windows, which
-    may wrap past t_max on the circle) for a :class:`SpinConfiguration` or a
-    :class:`CutSpinConfiguration`.  The product is constant between the flips
-    of x and y.  Every break inside a window is a flip of x or of y, so the
-    product is read once per window and changes sign at each break.  It is
-    read at the midpoint of the longest piece, which rounding cannot move
-    across a break."""
-    region = config.region
-    if windows is None:
-        windows = [(region.t_min, region.t_max)]
-    x, y = tuple(x), tuple(y)
-    flips = [*config.flip_times(x), *config.flip_times(y)]
-    total = 0.0
-    for (lo, hi) in windows:
-        cand = flips if hi <= region.t_max else flips + [t + region.r for t in flips]
-        breaks = [lo, *sorted(t for t in cand if lo < t < hi), hi]
-        k = max(range(len(breaks) - 1), key=lambda i: breaks[i + 1] - breaks[i])
-        mid = (breaks[k] + breaks[k + 1]) / 2.0
-        base = mid if mid <= region.t_max else mid - region.r
-        sign = config.value(x, base) * config.value(y, base) * (-1) ** k
-        for a, b in zip(breaks, breaks[1:]):
-            total += (b - a) * sign
-            sign = -sign
-    return total
-
-
-def gibbs_log_weight(config: SpinConfiguration, lam: float,
-                     edges: Sequence) -> float:
-    """lam times the overlap integrals (frozen sites read as +1), added edge
-    by edge in order: the order the pool kernel keeps, which ``sum`` does not
-    promise (from Python 3.12 it compensates float rounding)."""
-    total = 0.0
-    for (x, y) in edges:
-        total += overlap_integral(config, x, y)
-    return lam * total
-
-
 # Pools are weighed this many samples at a time, so that a pool's working
 # memory does not grow with its size.
 POOL_BLOCK = 128
 
+# Where the overlap kernel reads each edge: the region's lines, as (site,
+# start, length) in site order, and per edge its windows, as (lo, hi, line of
+# x, line of y).  A window may wrap past t_max on the circle; the line index
+# len(lines) stands for a frozen +1 site of wired space.
+_Layout = collections.namedtuple("_Layout", "region lines windows")
+
+
+def _layout(region: SpaceTimeRegion, holes: Holes, edges: Sequence,
+            whole_lines: bool = False) -> _Layout:
+    """The layout of the edge windows that ``holes`` leave, on the sites'
+    :func:`line_components`, or on their whole lines with ``whole_lines``."""
+    circle = region.time_topology == "circle"
+    lines, own = [], {}
+    for x in region.box.sites():
+        for part in line_components(region, Holes.empty() if whole_lines else holes, x):
+            own.setdefault(x, []).append(len(lines))
+            lines.append((x, *(part if circle else (part[0], part[1] - part[0]))))
+
+    def holder(x, lo, hi):
+        if x not in own:
+            return len(lines)
+        mid = (lo + hi) / 2.0
+        return next(k for k in own[x]
+                    if 0.0 <= ((mid - lines[k][1]) % region.r if circle
+                               else mid - lines[k][1]) < lines[k][2])
+
+    return _Layout(region, tuple(lines), tuple(
+        tuple((lo, hi, holder(x, lo, hi), holder(y, lo, hi))
+              for (lo, hi) in edge_windows(region, holes, x, y)) for (x, y) in edges))
+
+
+def _flat(lists: list) -> tuple:
+    """The times of ``lists`` in one array, and the index of each one's list."""
+    counts = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    times = np.array([t for ts in lists for t in ts], dtype=float)
+    return times, np.repeat(np.arange(len(lists)), counts)
+
+
+def _whole_lines(region: SpaceTimeRegion, configs: Sequence) -> tuple:
+    """Kernel input for configurations on whole lines: the flip times, their
+    rows (draw * sites + site) and each line's value just after t_min, its
+    initial sign times the parity of its flips in (t_min, 0]."""
+    sites = region.box.sites()
+    times, rows = _flat([c.flips[x] for c in configs for x in sites])
+    initial = np.array([c.initial[x] for c in configs for x in sites], dtype=float)
+    parity = (np.bincount(rows[times <= 0.0], minlength=initial.size)
+              + np.bincount(rows[times <= region.t_min], minlength=initial.size)) % 2
+    return times, rows, initial * (1 - 2 * parity)
+
+
+def _cut_lines(layout: _Layout, offsets: list, signs: list) -> tuple:
+    """Kernel input for draws on the layout's lines, given draw by draw and
+    line by line as flip offsets from the line's start and the sign just
+    after it: the flips' times in [t_min, t_max], their rows and the signs."""
+    offsets, rows = _flat(offsets)
+    starts = np.array([start for (_, start, _) in layout.lines])
+    times = offsets + starts[rows % len(starts)]
+    times[times > layout.region.t_max] -= layout.region.r
+    return times, rows, np.array(signs, dtype=float)
+
+
+def _summed(rows: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
+    """The rows added in order to ``total``, 0.0 by default: the order every
+    overlap sum keeps."""
+    total = np.zeros(rows.shape[1]) if total is None else total
+    for row in rows:
+        total += row
+    return total
+
 
 def _piece_sums(samples: np.ndarray, times: np.ndarray, first_sign: np.ndarray,
-                lo: float, hi: float) -> np.ndarray:
-    """Per sample, the sum of :func:`overlap_integral` over [lo, hi], piece by
-    piece from 0.0: the pieces run between ``lo``, the sample's ``times``
-    (all inside, sorted by sample and then by time) and ``hi``, and their
-    signs alternate from ``first_sign``."""
+                lo: float, hi: float, total: np.ndarray) -> np.ndarray:
+    """Adds to ``total``, per sample and piece by piece, the pieces between
+    ``lo``, the sample's ``times`` (all inside, sorted by sample and then by
+    time) and ``hi``, signed alternately from ``first_sign``."""
     n = first_sign.size
     counts = np.bincount(samples, minlength=n)
     # one row of breaks per sample, padded with hi: a padded piece adds 0.0
@@ -169,41 +200,62 @@ def _piece_sums(samples: np.ndarray, times: np.ndarray, first_sign: np.ndarray,
     breaks[samples, rank + 1] = times
     terms = np.diff(breaks, axis=1) * first_sign[:, None]
     terms[:, 1::2] *= -1.0
-    total = np.zeros(n)
-    for column in terms.T:
-        total += column
-    return total
+    return _summed(terms.T, total)
 
 
-def _block_overlap_sums(region, edges: Sequence, site_index: dict, flips: list,
-                        initial: list) -> np.ndarray:
-    """The overlap sums of configurations, each the sum that
-    :func:`gibbs_log_weight` multiplies by lam, bit for bit, from their flip
-    lists and initial signs listed sample by sample, site by site.  On each
-    edge the spin product is constant between the two sites' flips and
-    changes sign at each of them."""
-    lo, hi = region.t_min, region.t_max
-    n_sites = len(site_index)
-    n = len(flips) // n_sites
-    counts = np.fromiter(map(len, flips), dtype=np.intp, count=len(flips))
-    times = np.array([t for ts in flips for t in ts], dtype=float)
-    row = np.repeat(np.arange(len(flips)), counts)
-    # each site's value from t_min to its first flip: its initial sign times
-    # the parity of its flips from 0 back to t_min; a last column of ones
-    # stands for the frozen +1 sites of wired space
-    parity = (np.bincount(row[times <= 0.0], minlength=len(flips))
-              + np.bincount(row[times <= lo], minlength=len(flips))) % 2
-    first = np.ones((n, n_sites + 1))
-    first[:, :-1] = (np.array(initial, dtype=float) * (1 - 2 * parity)).reshape(n, n_sites)
-    sample, site = np.divmod(row, n_sites)
-    inside = (times > lo) & (times < hi)
-    total = np.zeros(n)
-    for (x, y) in edges:
-        kx, ky = site_index.get(x, n_sites), site_index.get(y, n_sites)
-        pair = np.flatnonzero(inside & ((site == kx) | (site == ky)))
-        pair = pair[np.lexsort((times[pair], sample[pair]))]
-        total += _piece_sums(sample[pair], times[pair], first[:, kx] * first[:, ky], lo, hi)
-    return total
+def _overlap_sums(layout: _Layout, times: np.ndarray, rows: np.ndarray,
+                  first: np.ndarray) -> np.ndarray:
+    """The overlap integrals of int sigma(x,t) sigma(y,t) dt over each edge's
+    windows, one row per edge and one column per draw, each added piece by
+    piece from 0.0.  ``times`` are the flips, ``rows`` their lines (draw *
+    lines + line) and ``first`` each line's value just after its start.
+
+    A window's sign starts from its two lines' values and their flip parity
+    up to lo, counted along each line: a line that runs past t_max reads a
+    flip below its start at t + r.  It changes at each flip of either line
+    in (lo, hi), and at each t + r there past t_max.  A flip at a line's
+    start changes nothing."""
+    region = layout.region
+    n_lines = len(layout.lines)
+    n = first.size // n_lines
+    sample, line = np.divmod(rows, n_lines)
+    signs = np.ones((n, n_lines + 1))  # the last column: frozen +1 sites
+    signs[:, :-1] = first.reshape(n, n_lines)
+    wrapped = times + region.r
+    out = np.zeros((len(layout.windows), n))
+    for total, windows in zip(out, layout.windows):
+        for (lo, hi, kx, ky) in windows:
+            sign = signs[:, kx] * signs[:, ky]
+            for k in {kx, ky} - {n_lines}:
+                start = layout.lines[k][1]
+                # nothing lies past a start and up to it, unless a circle
+                # reaches t_max from a flip at t_min
+                if lo == start < region.t_max:
+                    continue
+                on = np.flatnonzero(line == k)
+                after = times[on] > start
+                before = (np.where(after, times[on] <= lo, wrapped[on] <= lo) if lo >= start
+                          else after | (times[on] <= lo))
+                sign *= 1 - 2 * (np.bincount(sample[on[before]], minlength=n) % 2)
+            pair = (line == kx) | (line == ky)
+            picked = np.flatnonzero(pair & (times > lo) & (times < hi))
+            at, of = times[picked], sample[picked]
+            if hi > region.t_max:
+                picked = np.flatnonzero(pair & (wrapped > lo) & (wrapped < hi))
+                at = np.concatenate([at, wrapped[picked]])
+                of = np.concatenate([of, sample[picked]])
+            order = np.lexsort((at, of))
+            _piece_sums(of[order], at[order], sign, lo, hi, total)
+    return out
+
+
+def gibbs_log_weight(config: SpinConfiguration, lam: float,
+                     edges: Sequence) -> float:
+    """lam times the overlap integrals (frozen sites read as +1), added edge
+    by edge in order: the overlap kernel on a pool of one."""
+    region = config.region
+    sums = _overlap_sums(_layout(region, Holes.empty(), edges), *_whole_lines(region, [config]))
+    return lam * float(_summed(sums)[0])
 
 
 def _overlap_sums_and_values(region, delta, n_samples, rng, value_fn):
@@ -213,21 +265,15 @@ def _overlap_sums_and_values(region, delta, n_samples, rng, value_fn):
     every coupling: lam times a draw's overlap sum is its log importance
     weight, equal bit for bit to :func:`gibbs_log_weight`.  Each draw is one
     :func:`sample_apriori` call and its value one ``value_fn`` call, in
-    stream order; the sums are computed ``POOL_BLOCK`` draws at a time from
-    the draws' flips and initial signs."""
-    edges = region.edge_set().edges
-    site_index = {x: k for k, x in enumerate(region.box.sites())}
+    stream order; the sums are computed ``POOL_BLOCK`` draws at a time."""
+    layout = _layout(region, Holes.empty(), region.edge_set().edges)
     sums = np.empty(n_samples)
     vals = np.empty(n_samples)
     for start in range(0, n_samples, POOL_BLOCK):
         stop = min(start + POOL_BLOCK, n_samples)
-        flips, initial = [], []
-        for i in range(start, stop):
-            config = sample_apriori(region, delta, rng)
-            vals[i] = value_fn(config)
-            flips += config.flips.values()  # both in site order
-            initial += config.initial.values()
-        sums[start:stop] = _block_overlap_sums(region, edges, site_index, flips, initial)
+        configs = [sample_apriori(region, delta, rng) for _ in range(start, stop)]
+        vals[start:stop] = [value_fn(config) for config in configs]
+        sums[start:stop] = _summed(_overlap_sums(layout, *_whole_lines(region, configs)))
     return sums, vals
 
 
@@ -250,15 +296,14 @@ def estimate_correlation(points: Sequence, region: SpaceTimeRegion, lam: float,
 def restricted_overlap_sum(config: SpinConfiguration, holes: Holes,
                            edges: Sequence) -> float:
     """Sum over edges of the overlap integral restricted to the hole shadow
-    (windows where at least one endpoint lies in the holes)."""
+    (windows where at least one endpoint lies in the holes): per edge, its
+    whole-line integral less the one over its windows, from one pool of one
+    through the overlap kernel."""
     region = config.region
-    total = 0.0
-    for (x, y) in edges:
-        full = overlap_integral(config, x, y)
-        outside = overlap_integral(config, x, y,
-                                   edge_windows(region, holes, tuple(x), tuple(y)))
-        total += full - outside
-    return total
+    lines = _whole_lines(region, [config])
+    full = _overlap_sums(_layout(region, Holes.empty(), edges), *lines)
+    outside = _overlap_sums(_layout(region, holes, edges, whole_lines=True), *lines)
+    return float(_summed(full - outside)[0])
 
 
 def estimate_exp_overlap_in(holes: Holes, region: SpaceTimeRegion, lam: float,
@@ -279,82 +324,40 @@ def estimate_exp_overlap_in(holes: Holes, region: SpaceTimeRegion, lam: float,
 
 # -- partition-style estimates over cut regions ------------------------------
 
-@dataclass
-class CutSpinConfiguration:
-    """Spin values on a region with holes: independent components per site.
-
-    Each component carries its own fair initial sign and sorted list of flip
-    offsets; values are undefined inside the holes (never queried there).
-    """
-
-    region: SpaceTimeRegion
-    components: dict  # site -> list of (start, length, init, flip offsets)
-
-    def value(self, x, t: float) -> int:
-        for (start, length, init, flips) in self.components[tuple(x)]:
-            offset = t - start
-            if self.region.time_topology == "circle":
-                offset = offset % self.region.r
-            if -1e-12 <= offset <= length + 1e-12:
-                count = bisect.bisect_right(flips, offset)
-                return init * (1 if count % 2 == 0 else -1)
-        raise ValueError(f"time {t} not in any component of site {x}")
-
-    def flip_times(self, x) -> list:
-        """Flip times of site x in base coordinates [t_min, t_max]."""
-        times = [start + f for (start, _, _, flips) in self.components[tuple(x)] for f in flips]
-        return [t - self.region.r if t > self.region.t_max else t for t in times]
-
-
-def _sample_cut_config(region: SpaceTimeRegion, holes: Holes, delta: float,
-                       rng: np.random.Generator) -> tuple[CutSpinConfiguration, float]:
-    """Sample the a-priori measure on the cut region.
-
-    Returns the configuration and the exact conditioning factor contributed
-    by the time boundary rule: uncut periodic circles are conditioned on even
-    flip counts (factor (1 + e^{-2 delta r})/2 per site); cut components are
-    free on both ends and carry no factor.
-    """
-    comps = {}
-    log_factor = 0.0
-    for x in region.box.sites():
-        site_comps = []
-        parts = line_components(region, holes, x)
-        cut = bool(holes.on_site(x))
-        for part in parts:
-            if region.time_topology == "circle":
-                start, length = part
-            else:
-                start, length = part[0], part[1] - part[0]
-            if region.bc_time == "p" and not cut:
-                times = _even_poisson_times(0.0, length, delta, rng)
-                log_factor += math.log((1.0 + math.exp(-2.0 * delta * length)) / 2.0)
-            else:
-                times = draw_times(0.0, length, delta, rng)
-            init = 1 if rng.random() < 0.5 else -1
-            site_comps.append((start, length, init, times))
-        comps[x] = site_comps
-    return CutSpinConfiguration(region, comps), log_factor
-
-
 def estimate_cut_partition(region: SpaceTimeRegion, holes: Holes, lam: float,
                            delta: float, n_samples: int,
                            rng: np.random.Generator) -> np.ndarray:
     """``n_samples`` draws whose mean estimates the Gibbs partition value of
     the region with holes removed: a-priori values of exp(lam * overlap over
     surviving edge windows), multiplied by the exact boundary conditioning
-    factors."""
+    factor.
+
+    Each component of a site line is a line of its own, drawn in order as
+    its flip offsets on (0, length), then a fair sign.  An uncut periodic
+    circle is conditioned on an even flip count, which contributes the
+    factor (1 + e^{-2 delta r})/2; cut components are free on both ends.
+    The overlaps are weighed ``POOL_BLOCK`` draws at a time."""
     if region.bc_time == "w":
         raise ValueError("cut-partition estimates support free and periodic time")
     if region.bc_space == "w":
         raise ValueError("cut-partition estimates support free and periodic space")
-    edges = region.edge_set().edges
-    windows = {e: edge_windows(region, holes, e[0], e[1]) for e in edges}
+    layout = _layout(region, holes, region.edge_set().edges)
+    even = [region.bc_time == "p" and not holes.on_site(x) for (x, _, _) in layout.lines]
+    log_factor = 0.0
+    for (_, _, length), conditioned in zip(layout.lines, even):
+        if conditioned:
+            log_factor += math.log((1.0 + math.exp(-2.0 * delta * length)) / 2.0)
     vals = np.empty(n_samples)
-    for i in range(n_samples):
-        config, log_factor = _sample_cut_config(region, holes, delta, rng)
-        total = sum(overlap_integral(config, x, y, windows[(x, y)]) for (x, y) in edges)
-        vals[i] = math.exp(lam * total + log_factor)
+    for start in range(0, n_samples, POOL_BLOCK):
+        stop = min(start + POOL_BLOCK, n_samples)
+        offsets, signs = [], []
+        for _ in range(start, stop):
+            for (_, _, length), conditioned in zip(layout.lines, even):
+                offsets.append(_even_poisson_times(0.0, length, delta, rng) if conditioned
+                               else draw_times(0.0, length, delta, rng))
+                signs.append(1 if rng.random() < 0.5 else -1)
+        totals = _summed(_overlap_sums(layout, *_cut_lines(layout, offsets, signs)))
+        vals[start:stop] = [math.exp(lam * total + log_factor) for total in totals.tolist()]
     return vals
 
 

@@ -17,6 +17,8 @@ from tfim import spinrep as sr
 from tfim.rng import chain_generator
 from tfim.stats import Estimate, RatioAccumulator
 
+from overlap_reference import ref_log_weight
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -51,7 +53,7 @@ def test_correlation_spin_row_pools_chains_under_one_maximum():
         rng = chain_generator(cfg.seed, chain)
         for _ in range(cfg.n_samples):
             config = sr.sample_apriori(region, cfg.delta, rng)
-            logs.append(sr.gibbs_log_weight(config, 1.5, region.edge_set().edges))
+            logs.append(ref_log_weight(config, 1.5, region.edge_set().edges))
             vals.append(config.product_over(points))
     w = np.exp(np.array(logs) - max(logs))
     assert spin["estimate"] == pytest.approx((w * vals).sum() / w.sum(), rel=1e-12)

@@ -499,3 +499,72 @@ def test_event_probability_zero_coupling_exact():
     rep = rp.event_probability_identity(holes, region, 0.0, 1.0, 500, rng)
     assert rep.lhs == pytest.approx(1.0)
     assert rep.rhs == pytest.approx(1.0)
+
+
+# -- random-parity ratios in the label basis ----------------------------------------
+
+def _label_basis_ratio(region, lam, delta, points):
+    """The random-parity ratio Z_A / Z_empty, exactly: the labelling measure is
+    the path expansion of e^{-rH} in ``spectral``'s basis, a bit being a label
+    with 1 meaning odd.  So the ratio is the ED correlation with the end vector
+    that ``_end_labels`` names for a time end (every label even on free time,
+    every label odd on wired time), or the trace on periodic time."""
+    model = sp.build_for_region(region, lam, delta)
+    if region.bc_time == "p":
+        return sp.correlation(model, points, region.r, "p")
+    even, _ = rp._end_labels(region.bc_time, 0)
+    end = np.ones(1)
+    for _ in model.sites:
+        end = np.kron(end, [1.0, 0.0] if even else [0.0, 1.0])
+    end = model.vectors.T @ end
+    energies = model.energies - model.energies[0]
+    vec, prev = end, region.t_min
+    for (t, x) in sorted((float(t), tuple(x)) for (x, t) in points):
+        vec = model.s3_matrix(x) @ (np.exp(-(t - prev) * energies) * vec)
+        prev = t
+    vec = np.exp(-(region.t_max - prev) * energies) * vec
+    return float(end @ vec / (end @ (np.exp(-region.r * energies) * end)))
+
+
+LABEL_POINTS = [((0,), 0.0), ((1,), 0.5)]
+WIRED_GROUND = SpaceTimeRegion.ground_state(Box(1, 1), "w", "w")
+
+
+@pytest.mark.parametrize("bc_space,bc_time", [("f", "f"), ("w", "f"), ("f", "p"), ("w", "p")])
+def test_label_basis_ratio_is_the_oracle_where_the_rules_agree(bc_space, bc_time):
+    # free time is the all-even end on both sides, periodic time the trace
+    region = SpaceTimeRegion.finite_beta(Box(1, 1), 2.0, bc_space, bc_time)
+    model = sp.build_for_region(region, 1.0, 1.0)
+    assert _label_basis_ratio(region, 1.0, 1.0, LABEL_POINTS) == pytest.approx(
+        sp.correlation(model, LABEL_POINTS, region.r, bc_time), rel=1e-12)
+
+
+def test_label_basis_ratio_pinned_on_the_wired_time_rule():
+    # the record of today's wired-time rule, every end label odd, and of the
+    # oracle's wired time, which sums over the end labels
+    model = sp.build_for_region(WIRED_GROUND, 1.0, 1.0)
+    assert sp.correlation(model, LABEL_POINTS, WIRED_GROUND.r, "w") == pytest.approx(
+        0.7708424889438034, abs=1e-12)
+    assert _label_basis_ratio(WIRED_GROUND, 1.0, 1.0, LABEL_POINTS) == pytest.approx(
+        0.8330202540630787, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="random-parity wired time is the all-odd boundary state, not the "
+                          "oracle's sum over end labels (ROADMAP item 12)")
+def test_random_parity_wired_time_matches_the_oracle():
+    model = sp.build_for_region(WIRED_GROUND, 1.0, 1.0)
+    assert _label_basis_ratio(WIRED_GROUND, 1.0, 1.0, LABEL_POINTS) == pytest.approx(
+        sp.correlation(model, LABEL_POINTS, WIRED_GROUND.r, "w"), abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a hole at a wired time end is never even, so the rhs reads 0 "
+                          "against a positive lhs (ROADMAP item 12)")
+def test_holes_identity_with_a_hole_at_a_wired_time_end():
+    # the 3-site ground state with free space and wired time; lhs 0.000495 +-
+    # 0.000070 against rhs exactly 0
+    region = SpaceTimeRegion.ground_state(Box(1, 1), "f", "w")
+    holes = Holes.of({(-1,): [(region.t_min, -0.6)], (0,): [(0.6, region.t_max)]})
+    rep = rp.holes_identity_check(holes, region, 1.0, 1.0, 2000, chain_generator(7, 0))
+    assert rep.passed

@@ -20,6 +20,8 @@ from tfim.geometry import Box, EdgeSet, Holes, SpaceTimeRegion, edge_windows, li
 from tfim.rng import chain_generator
 from tfim.stats import mean_estimate
 
+from overlap_reference import ref_log_weight, ref_overlap as _ref_overlap
+
 REGIONS = [
     SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "p"),
     SpaceTimeRegion.finite_beta(Box(1, 1), 1.5, "w", "p"),
@@ -183,12 +185,12 @@ def _pool_sources(region):
 
 
 def _ref_spin_pool(region, lam, delta, n, rng, value_fn):
-    """The per-object pool: one draw, one overlap walk per edge, one value."""
+    """The per-object pool: one draw, one reference walk per edge, one value."""
     edges = region.edge_set().edges
     logs, vals = np.empty(n), np.empty(n)
     for i in range(n):
         config = sr.sample_apriori(region, delta, rng)
-        logs[i] = sr.gibbs_log_weight(config, lam, edges)
+        logs[i] = ref_log_weight(config, lam, edges)
         vals[i] = value_fn(config)
     return logs, vals
 
@@ -348,7 +350,7 @@ def _working_peak(run) -> int:
     return peak - sum(a.nbytes for a in arrays)
 
 
-@pytest.mark.parametrize("pool", ["spin", "labelling"])
+@pytest.mark.parametrize("pool", ["spin", "cut", "labelling"])
 def test_pool_working_memory_does_not_grow_with_the_pool(pool):
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", "p")
     points = _pool_sources(region)
@@ -358,6 +360,8 @@ def test_pool_working_memory_does_not_grow_with_the_pool(pool):
         if pool == "spin":
             return sr._overlap_sums_and_values(region, 1.0, n, rng,
                                                lambda c: c.product_over(points))
+        if pool == "cut":
+            return sr.estimate_cut_partition(region, HOLE_SETS[3], 1.0, 1.0, n, rng)
         return rp._labelling_weights(region, 1.0, 1.0, points, n, rng)
 
     run(50)  # first-call allocations (caches, lazy imports) stay out of the peaks
@@ -576,43 +580,35 @@ def test_cut_labelling_weight_matches_reference_walk(holes, bc_time):
     assert _in_step(rng, ref)
 
 
-# -- the overlap walk ----------------------------------------------------------------
+# -- the overlap kernel against the tests' walks ------------------------------------
 
-def _ref_overlap(config, x, y, windows):
+def _kernel_overlaps(config, holes, edges):
+    """The overlap kernel's per-edge integrals of one whole-line configuration
+    over the edge windows that ``holes`` leave."""
     region = config.region
-    tx = config.flips.get(x, [])
-    ty = config.flips.get(y, [])
-    total = 0.0
-    for (lo, hi) in windows:
-        breaks = [lo]
-        for ts in (tx, ty):
-            breaks.extend(t for t in ts if lo < t < hi)
-        if hi > region.t_max and region.time_topology == "circle":
-            for ts in (tx, ty):
-                breaks.extend(t + region.r for t in ts if region.t_min < t < hi - region.r)
-        breaks.append(hi)
-        breaks.sort()
-        for i in range(len(breaks) - 1):
-            a, b = breaks[i], breaks[i + 1]
-            if b <= a:
-                continue
-            mid = (a + b) / 2.0
-            base = mid if mid <= region.t_max else mid - region.r
-            total += (b - a) * config.value(x, base) * config.value(y, base)
-    return total
+    layout = sr._layout(region, holes, edges, whole_lines=True)
+    return sr._overlap_sums(layout, *sr._whole_lines(region, [config]))[:, 0].tolist()
 
 
 @pytest.mark.parametrize("region", REGIONS, ids=str)
 def test_overlap_matches_reference_walk(region):
+    # also the pools of one: the log-weight and the overlap in the holes' shadow
     rng = chain_generator(19, 6)
     edges = region.edge_set().edges
+    whole = [(region.t_min, region.t_max)]
     for holes in HOLE_SETS[:3] if region.box.d == 1 else HOLE_SETS[:1]:
         for _ in range(40):
             config = sr.sample_apriori(region, 2.0, rng)
-            for (x, y) in edges:
-                for windows in (None, edge_windows(region, holes, x, y)):
-                    want = _ref_overlap(config, x, y, windows or [(region.t_min, region.t_max)])
-                    assert sr.overlap_integral(config, x, y, windows) == want
+            full = [_ref_overlap(config, x, y, whole) for (x, y) in edges]
+            assert _kernel_overlaps(config, Holes.empty(), edges) == full
+            outside = [_ref_overlap(config, x, y, edge_windows(region, holes, x, y))
+                       for (x, y) in edges]
+            assert _kernel_overlaps(config, holes, edges) == outside
+            assert sr.gibbs_log_weight(config, 1.3, edges) == ref_log_weight(config, 1.3, edges)
+            shadow = 0.0
+            for a, b in zip(full, outside):
+                shadow += a - b
+            assert sr.restricted_overlap_sum(config, holes, edges) == shadow
 
 
 def test_cut_partition_pinned_on_interval_windows():
@@ -631,40 +627,93 @@ PINNED_CUT_PARTITION = [(1.4877040248310889, 0.12300381510511336),
 
 
 def _midpoint_overlap(region, sign_x, sign_y, times, windows):
-    """Split each window at every time of ``times`` shifted by -r, 0 and +r
-    (a superset of the real breaks) and read the product of the two sign
-    functions at each midpoint, wrapped into [t_min, t_max]."""
-    cands = [t + k * region.r for t in times for k in (-1, 0, 1)]
+    """Split each window at every time of ``times`` and at its copy shifted
+    by +r (a superset of the real breaks) and read the product of the two
+    sign functions inside each piece, in [t_min, t_max].  A piece past t_max
+    is read between the unshifted times of its ends, so that breaks which
+    the shift rounds together still bound the piece they bound on the line;
+    a piece across t_max is read on its longer side."""
+    r, t_min, t_max = region.r, region.t_min, region.t_max
     total = 0.0
     for (lo, hi) in windows:
-        breaks = sorted({lo, hi, *(c for c in cands if lo < c < hi)})
+        # each break past t_max with the least and largest time landing there
+        ends = {lo: (lo, lo), hi: (hi - r,) * 2 if hi > t_max else (hi, hi)}
+        for t in times:
+            for c in (t, t + r):
+                if lo < c < hi:
+                    least, largest = ends.get(c, (t, t))
+                    ends[c] = (min(least, t), max(largest, t))
+        breaks = sorted(ends)
         for a, b in zip(breaks, breaks[1:]):
-            mid = (a + b) / 2.0
-            base = mid if mid <= region.t_max else mid - region.r
-            total += (b - a) * sign_x(base) * sign_y(base)
+            end = ends[b][0]
+            if b <= t_max:
+                mid = (a + b) / 2.0
+            elif a >= t_max:
+                mid = ((t_min if a == t_max else ends[a][1]) + end) / 2.0
+            else:
+                mid = (a + t_max) / 2.0 if t_max - a > end - t_min else (t_min + end) / 2.0
+            total += (b - a) * sign_x(mid) * sign_y(mid)
     return total
 
 
-def _brute_overlap(config, x, y, windows):
+def _base_times(region, start, offsets):
+    """Flip offsets on a line from ``start`` as times in [t_min, t_max]."""
+    times = [start + f for f in offsets]
+    return [t - region.r if t > region.t_max else t for t in times]
+
+
+def _cut_value(region, lines, x, t):
+    """sigma(x, t) on a cut region, whose ``lines`` are (site, start, length,
+    sign, flip times): the sign just after the start of the line of x that
+    holds t, times -1 per flip after that start and up to t along the line."""
+    def offset(s, start):
+        return (s - start) % region.r if region.time_topology == "circle" else s - start
+
+    for (site, start, length, sign, times) in lines:
+        if site == x and 0.0 <= offset(t, start) <= length:
+            count = sum(0.0 < offset(s, start) <= offset(t, start) for s in times)
+            return sign * (-1) ** count
+    raise ValueError(f"time {t} not on a line of site {x}")
+
+
+def _brute_overlap(region, lines, x, y, windows):
     """The midpoint integral of a cut configuration, read with its values."""
-    times = [start + f for site in (x, y)
-             for (start, _, _, flips) in config.components[site] for f in flips]
-    return _midpoint_overlap(config.region, lambda t: config.value(x, t),
-                             lambda t: config.value(y, t), times, windows)
+    times = [t for (site, _, _, _, ts) in lines if site in (x, y) for t in ts]
+    return _midpoint_overlap(region, lambda t: _cut_value(region, lines, x, t),
+                             lambda t: _cut_value(region, lines, y, t), times, windows)
+
+
+def _check_cut_overlaps(region, holes, offsets, signs, edges):
+    """The kernel against the midpoint integral on one cut configuration,
+    given line by line as flip offsets and signs."""
+    layout = sr._layout(region, holes, edges)
+    got = sr._overlap_sums(layout, *sr._cut_lines(layout, offsets, signs))[:, 0]
+    lines = [(x, start, length, sign, _base_times(region, start, fs))
+             for (x, start, length), sign, fs in zip(layout.lines, signs, offsets)]
+    for (x, y), value in zip(edges, got):
+        windows = edge_windows(region, holes, x, y)
+        assert value == pytest.approx(_brute_overlap(region, lines, x, y, windows),
+                                      rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("bc_time", ["p", "f"])
 def test_cut_overlap_matches_brute_force(bc_time):
-    # on the circle, windows of edges with one cut end wrap past t_max
+    # on the circle, windows of edges with one cut end wrap past t_max; an
+    # uncut circle carries an even flip count
     region = SpaceTimeRegion.finite_beta(Box(1, 1), 1.0, "f", bc_time)
+    edges = region.edge_set().edges
     rng = chain_generator(29, 7)
     for holes in HOLE_SETS:
+        lines = sr._layout(region, holes, edges).lines
         for _ in range(25):
-            config, _ = sr._sample_cut_config(region, holes, 3.0, rng)
-            for (x, y) in region.edge_set().edges:
-                windows = edge_windows(region, holes, x, y)
-                assert sr.overlap_integral(config, x, y, windows) == pytest.approx(
-                    _brute_overlap(config, x, y, windows), rel=1e-12, abs=1e-12)
+            offsets, signs = [], []
+            for (x, _, length) in lines:
+                fs = poisson.draw_times(0.0, length, 3.0, rng)
+                if bc_time == "p" and not holes.on_site(x) and len(fs) % 2:
+                    fs.pop()
+                offsets.append(fs)
+                signs.append(1 if rng.random() < 0.5 else -1)
+            _check_cut_overlaps(region, holes, offsets, signs, edges)
 
 
 def _apriori_sign(config, x, t):
@@ -711,7 +760,7 @@ def _plain_overlap_cases(draw):
         flips[x] = ts
     config = sr.SpinConfiguration(region, initial, flips)
     x, y = draw(st.sampled_from(region.edge_set().edges))
-    on_flips = [t for site in (x, y) for t in config.flip_times(site)]
+    on_flips = [t for site in (x, y) for t in flips.get(site, [])]
     ends = st.one_of(times, st.sampled_from(on_flips)) if on_flips else times
     windows = [_window(region, ends, draw) for _ in range(draw(st.integers(0, 3)))]
     return config, x, y, windows or None
@@ -723,11 +772,15 @@ def test_overlap_of_plain_configurations_matches_midpoint_integral(case):
     # flips of x and y may land on window ends, coincide, or wrap past t_max
     config, x, y, windows = case
     region = config.region
+    windows = windows or [(region.t_min, region.t_max)]
     want = _midpoint_overlap(
         region, lambda t: _apriori_sign(config, x, t), lambda t: _apriori_sign(config, y, t),
-        [*config.flip_times(x), *config.flip_times(y)],
-        windows or [(region.t_min, region.t_max)])
-    assert sr.overlap_integral(config, x, y, windows) == want
+        [*config.flips.get(x, []), *config.flips.get(y, [])], windows)
+    # the kernel's layout of the edge, with the drawn windows on its lines
+    layout = sr._layout(region, Holes.empty(), ((x, y),), whole_lines=True)
+    _, _, kx, ky = layout.windows[0][0]
+    layout = layout._replace(windows=(tuple((lo, hi, kx, ky) for (lo, hi) in windows),))
+    assert sr._overlap_sums(layout, *sr._whole_lines(region, [config]))[0, 0] == want
 
 
 @st.composite
@@ -739,9 +792,8 @@ def _cut_overlap_cases(draw):
     window_ends = [end for (x, y) in edges
                    for window in edge_windows(region, holes, x, y) for end in window]
     circle = region.time_topology == "circle"
-    components = {}
+    lines, signs = [], []
     for x in region.box.sites():
-        comps = []
         for part in line_components(region, holes, x):
             start, length = part if circle else (part[0], part[1] - part[0])
             # component offsets of the window ends, so some flips land on them
@@ -753,19 +805,15 @@ def _cut_overlap_cases(draw):
             fs = sorted(set(draw(st.lists(offsets, max_size=5))))
             if circle and not holes.on_site(x) and len(fs) % 2:
                 fs.pop()  # an uncut circle carries an even flip count
-            comps.append((start, length, draw(st.sampled_from((-1, 1))), fs))
-        components[x] = comps
-    config = sr.CutSpinConfiguration(region, components)
-    x, y = draw(st.sampled_from(edges))
-    return config, x, y, edge_windows(region, holes, x, y)
+            lines.append(fs)
+            signs.append(draw(st.sampled_from((-1, 1))))
+    return region, holes, lines, signs, [draw(st.sampled_from(edges))]
 
 
 @given(_cut_overlap_cases())
 @settings(max_examples=150)
 def test_overlap_of_cut_configurations_matches_midpoint_integral(case):
-    config, x, y, windows = case
-    assert sr.overlap_integral(config, x, y, windows) == pytest.approx(
-        _brute_overlap(config, x, y, windows), rel=1e-12, abs=1e-12)
+    _check_cut_overlaps(*case)
 
 
 @st.composite

@@ -316,7 +316,12 @@ def _kron_site(op, index, n_sites):
     return sp_kron(sp_kron(left, csr_matrix(op)), right, format="csr")
 
 
-def _kron_hamiltonian(sites, edges, lam, delta, gamma, site_fields):
+def _with_uniform_field(sites, gamma, site_fields):
+    """Per-site longitudinal fields: ``gamma`` on every site plus its own."""
+    return {x: gamma + (site_fields.get(x, 0.0) if site_fields else 0.0) for x in sites}
+
+
+def _kron_hamiltonian(sites, edges, lam, delta, site_fields):
     """H as a sum of Kronecker chains of the 2x2 operators, term by term."""
     n = len(sites)
     index = {x: i for i, x in enumerate(sites)}
@@ -326,7 +331,7 @@ def _kron_hamiltonian(sites, edges, lam, delta, gamma, site_fields):
             h = h - lam * (_kron_site(sp.SIGMA3, index[x], n) @ _kron_site(sp.SIGMA3, index[y], n))
     for x in sites:
         h = h - delta * _kron_site(sp.SIGMA1, index[x], n)
-        field = gamma + (site_fields.get(x, 0.0) if site_fields else 0.0)
+        field = site_fields.get(x, 0.0)
         if field:
             h = h - field * _kron_site(sp.SIGMA3, index[x], n)
     return h
@@ -345,7 +350,8 @@ def _hamiltonian_inputs(draw):
     edges = [((a,), (b,)) for (a, b) in pairs]
     edges += edges[:1] + [(sites[0], outside)]  # a repeated edge, a dangling one
     fields = draw(st.none() | st.dictionaries(st.sampled_from(sites), _couplings))
-    return sites, edges, draw(_couplings), draw(_couplings), draw(_couplings), fields
+    lam, delta, gamma = draw(_couplings), draw(_couplings), draw(_couplings)
+    return sites, edges, lam, delta, _with_uniform_field(sites, gamma, fields)
 
 
 @given(_hamiltonian_inputs())
@@ -361,7 +367,7 @@ def test_hamiltonian_matches_kronecker_reference(inputs):
 def test_s3_matrix_is_the_kronecker_transform(n_sites):
     sites = [(i,) for i in range(n_sites)]
     edges = [((i,), (i + 1,)) for i in range(n_sites - 1)]
-    model = sp.build(sites, edges, 0.9, 1.1, gamma=0.2)
+    model = sp.build(sites, edges, 0.9, 1.1, site_fields={x: 0.2 for x in sites})
     for i in sorted({0, n_sites // 2, n_sites - 1}):
         op = _kron_site(sp.SIGMA3, i, n_sites).toarray()
         assert np.array_equal(model.s3_matrix((i,)), model.vectors.T @ op @ model.vectors)
@@ -475,7 +481,8 @@ DENSE_HAMILTONIANS = {
 @pytest.mark.parametrize("name", sorted(DENSE_HAMILTONIANS))
 def test_dense_hamiltonian_pinned(name):
     (box, edges, lam, delta, gamma, fields), digest = DENSE_HAMILTONIANS[name]
-    h = sp.build_hamiltonian(box.sites(), edges.edges, lam, delta, gamma, fields)
+    h = sp.build_hamiltonian(box.sites(), edges.edges, lam, delta,
+                             _with_uniform_field(box.sites(), gamma, fields))
     assert h.shape == (2**box.site_count, 2**box.site_count) and h.dtype == np.float64
     assert hashlib.sha256(h.tobytes()).hexdigest() == digest
 

@@ -15,6 +15,8 @@ from tfim import spectral as sp
 from tfim import spinrep as sr
 from tfim.rng import chain_generator
 
+from overlap_reference import ref_log_weight, ref_overlap
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -63,8 +65,9 @@ def test_apriori_flip_rate():
 
 
 def gibbs_weight(config, lam, edges):
-    """The Gibbs factor of a configuration: exp of its log-weight."""
-    return math.exp(sr.gibbs_log_weight(config, lam, edges))
+    """The Gibbs factor of a configuration: exp of its log-weight, from the
+    tests' own overlap walk."""
+    return math.exp(ref_log_weight(config, lam, edges))
 
 
 def estimate_magnetization(region, lam, delta, n_samples, rng):
@@ -86,6 +89,8 @@ def test_gibbs_weight_examples():
     config2 = sr.SpinConfiguration(region, {(0,): 1, (1,): 1},
                                    {(0,): [0.0], (1,): []})
     assert gibbs_weight(config2, 1.3, edges) == pytest.approx(1.0)
+    for c, lam in ((config, 0.0), (config, 0.7), (config2, 1.3)):
+        assert sr.gibbs_log_weight(c, lam, edges) == ref_log_weight(c, lam, edges)
 
 
 def test_spin_value_is_right_continuous_at_flips():
@@ -100,10 +105,17 @@ def test_spin_value_is_right_continuous_at_flips():
 
 
 def test_overlap_integral_with_windows():
+    # the hole [-1, -0.5] on site 0 and [0.5, 1] on site 1 leave the edge the
+    # window [-0.5, 0.5], where the two sites disagree
     region = SpaceTimeRegion(Box(1, 1, "even-side"), 2.0, "f", "f")
     config = sr.SpinConfiguration(region, {(0,): 1, (1,): -1},
                                   {(0,): [], (1,): []})
-    assert sr.overlap_integral(config, (0,), (1,), [(-0.5, 0.5)]) == pytest.approx(-1.0)
+    holes = Holes.of({(0,): [(-1.0, -0.5)], (1,): [(0.5, 1.0)]})
+    edges = (((0,), (1,)),)
+    layout = sr._layout(region, holes, edges, whole_lines=True)
+    got = sr._overlap_sums(layout, *sr._whole_lines(region, [config]))[0, 0]
+    assert got == ref_overlap(config, (0,), (1,), [(-0.5, 0.5)]) == pytest.approx(-1.0)
+    assert sr.restricted_overlap_sum(config, holes, edges) == pytest.approx(-1.0)
 
 
 def test_correlation_independent_sites_at_zero_coupling():
